@@ -15,6 +15,7 @@ import (
 	"net/http"
 	"sync/atomic"
 
+	"f4t/internal/core"
 	"f4t/internal/netapi"
 	"f4t/internal/netsim"
 	"f4t/internal/pcap"
@@ -46,21 +47,17 @@ func main() {
 	}
 
 	// Two soft hosts behind the facade. NewHostStack owns the endpoint's
-	// tick; we only wire the topology's TX/RX around it.
-	mk := func(island int, ip wire.Addr, mac wire.MAC, seed uint64) *netapi.HostStack {
-		st := netapi.NewHostStack(k, island, stack.Options{
-			IP: ip, MAC: mac, Cfg: tcpproc.DefaultConfig(), Alg: "newreno", Seed: seed,
+	// tick; core.AttachSoft wires the topology's TX/RX around it.
+	mk := func(node int, seed uint64) *netapi.HostStack {
+		spec := topo.Node(node)
+		st := netapi.NewHostStack(k, spec.Island, stack.Options{
+			IP: spec.Addr, MAC: spec.MAC, Cfg: tcpproc.DefaultConfig(), Alg: "newreno", Seed: seed,
 		}, netapi.Options{})
+		core.AttachSoft(topo, node, st)
 		return st
 	}
-	hostA := mk(0, ipA, macA, 11)
-	hostB := mk(1, ipB, macB, 22)
-	hostA.SetTx(topo.NodeTX(0))
-	hostB.SetTx(topo.NodeTX(1))
-	topo.SetNodeSink(0, hostA.DeliverPacket)
-	topo.SetNodeSink(1, hostB.DeliverPacket)
-	hostA.Endpoint().LearnPeer(ipB, macB)
-	hostB.Endpoint().LearnPeer(ipA, macA)
+	hostA := mk(0, 11)
+	hostB := mk(1, 22)
 
 	// Server: stock net/http on host B.
 	mux := http.NewServeMux()

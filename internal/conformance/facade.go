@@ -6,8 +6,8 @@ import (
 	"fmt"
 	"io"
 	"sync/atomic"
-	"time"
 
+	"f4t/internal/core"
 	"f4t/internal/engine"
 	"f4t/internal/netapi"
 	"f4t/internal/netsim"
@@ -25,11 +25,9 @@ type FacadeConfig struct {
 	Conns int // concurrent connections (dialed A→B)
 	Bytes int // payload bytes per connection (client → server → back)
 
-	// Shards > 1 runs the rig sharded; Noskip runs the serial
-	// no-quiescence-skipping shadow kernel. The shard matrix test holds
-	// every fabric to a bit-identical digest.
+	// Shards > 1 makes RunFacade run the rig sharded. The shard matrix
+	// test holds every fabric to a bit-identical digest.
 	Shards int
-	Noskip bool
 
 	// PCAPPath, when non-empty, writes the rig's link capture there.
 	PCAPPath string
@@ -56,28 +54,25 @@ type FacadeResult struct {
 // Failed reports whether the run violated byte-exactness or liveness.
 func (r FacadeResult) Failed() bool { return len(r.Violations) > 0 }
 
-// facadeNetapiOptions widens the facade settle windows so a goroutine
-// descheduled by a loaded machine cannot slip an op past its settle —
-// the digests below are compared bit for bit across fabrics.
-func facadeNetapiOptions(ip wire.Addr) netapi.Options {
-	return netapi.Options{
-		LocalIP:           ip,
-		SettleQuantum:     200 * time.Microsecond,
-		SettleQuietRounds: 5,
-		SettleBusyWait:    5 * time.Millisecond,
-	}
-}
-
 // facadePat is the deterministic payload byte at a stream offset.
 func facadePat(conn, off int) byte { return byte(off)*5 + byte(conn*29+3) }
 
-// RunFacade executes one facade conformance run. The workload is
+// RunFacade executes one facade conformance run on a fresh serial
+// kernel, or on cfg.Shards shards.
+func RunFacade(cfg FacadeConfig) FacadeResult {
+	if cfg.Shards > 1 {
+		return RunFacadeOn(sim.NewSharded(cfg.Shards), cfg)
+	}
+	return RunFacadeOn(sim.New(), cfg)
+}
+
+// RunFacadeOn is RunFacade on the given (fresh) fabric. The workload is
 // cfg.Conns concurrent client connections, each writing cfg.Bytes of
 // patterned payload to an echo server while a concurrent reader
 // verifies every echoed byte — the stream-level contract (ordering,
 // no loss, no duplication) checked through the stdlib net.Conn surface
 // instead of the raw socket API, under deterministic packet loss.
-func RunFacade(cfg FacadeConfig) FacadeResult {
+func RunFacadeOn(fab sim.Fabric, cfg FacadeConfig) FacadeResult {
 	if cfg.Conns <= 0 {
 		cfg.Conns = 3
 	}
@@ -88,20 +83,10 @@ func RunFacade(cfg FacadeConfig) FacadeResult {
 		cfg.EndCycle = 80_000_000
 	}
 
-	var fab sim.Fabric
-	switch {
-	case cfg.Shards > 1:
-		fab = sim.NewSharded(cfg.Shards)
-	case cfg.Noskip:
-		fab = sim.NewShadow()
-	default:
-		fab = sim.New()
-	}
-
-	kA, kB := fab.IslandKernel(islandA), fab.IslandKernel(islandB)
 	ipA, ipB := wire.MakeAddr(10, 9, 1, 1), wire.MakeAddr(10, 9, 1, 2)
-	macA, macB := wire.MAC{2, 9, 1, 0, 0, 1}, wire.MAC{2, 9, 1, 0, 0, 2}
-	link := netsim.NewLinkOn(fab, islandA, islandB, 100, 600, cfg.Seed*4+1)
+	link := netsim.NewNodeLinkOn(fab,
+		netsim.NodeSpec{Addr: ipA, MAC: wire.MAC{2, 9, 1, 0, 0, 1}, Island: islandA, Gbps: 100, PropNS: 600},
+		netsim.NodeSpec{Addr: ipB, MAC: wire.MAC{2, 9, 1, 0, 0, 2}, Island: islandB, Gbps: 100, PropNS: 600}, cfg.Seed*4+1)
 	// Deterministic loss on the data-bearing direction: byte-exactness
 	// must survive retransmission, not just a clean run.
 	link.AtoB.SetFaults(netsim.Faults{DropEvery: 37})
@@ -112,24 +97,15 @@ func RunFacade(cfg FacadeConfig) FacadeResult {
 		capture.TapLink(link, "facade")
 	}
 
-	ecfg := engine.DefaultConfig()
-	ecfg.Channels = 1
-	ecfg.CarryBytes = true
-	cfgA := ecfg
-	cfgA.IP, cfgA.MAC, cfgA.Seed = ipA, macA, cfg.Seed*4+2
-	cfgB := ecfg
-	cfgB.IP, cfgB.MAC, cfgB.Seed = ipB, macB, cfg.Seed*4+3
-	engA := engine.New(kA, cfgA, link.AtoB.Send)
-	engB := engine.New(kB, cfgB, link.BtoA.Send)
-	link.AtoB.SetSink(engB.DeliverPacket)
-	link.BtoA.SetSink(engA.DeliverPacket)
-	engA.LearnPeer(ipB, macB)
-	engB.LearnPeer(ipA, macA)
-	fab.RegisterOn(islandA, engA)
-	fab.RegisterOn(islandB, engB)
+	rig := core.Build(fab, link, func(i int) engine.Config {
+		ecfg := engine.DefaultConfig()
+		ecfg.Channels, ecfg.CarryBytes, ecfg.Seed = 1, true, cfg.Seed*4+2+uint64(i)
+		return ecfg
+	}, nil)
+	engA, engB := rig.Engines[0], rig.Engines[1]
 
-	stA := netapi.NewEngineStack(fab, islandA, engA, 0, facadeNetapiOptions(ipA))
-	stB := netapi.NewEngineStack(fab, islandB, engB, 0, facadeNetapiOptions(ipB))
+	stA := netapi.NewEngineStack(fab, islandA, engA, 0, netapi.DifferentialOptions(ipA))
+	stB := netapi.NewEngineStack(fab, islandB, engB, 0, netapi.DifferentialOptions(ipB))
 	defer func() {
 		stA.Shutdown()
 		stB.Shutdown()

@@ -3,6 +3,9 @@ package conformance
 import (
 	"path/filepath"
 	"testing"
+
+	"f4t/internal/sim"
+	"f4t/internal/sim/simtest"
 )
 
 // TestFacadeSmoke is the default facade shape: concurrent net.Conn echo
@@ -33,34 +36,18 @@ func TestFacadePCAP(t *testing.T) {
 }
 
 // TestFacadeShardMatrix holds the facade to the repo's determinism bar:
-// the same config produces a bit-identical digest on the serial kernel,
-// the noskip shadow kernel, and 2/4/8-way sharded fabrics — with real
-// goroutines blocking in net.Conn calls throughout.
+// the same config produces a bit-identical digest on every fabric —
+// with real goroutines blocking in net.Conn calls throughout.
 func TestFacadeShardMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("shard matrix skipped in -short")
 	}
-	base := FacadeConfig{Seed: 2, Conns: 2, Bytes: 6_000}
-	run := func(mutate func(*FacadeConfig)) string {
-		cfg := base
-		mutate(&cfg)
-		res := RunFacade(cfg)
+	cfg := FacadeConfig{Seed: 2, Conns: 2, Bytes: 6_000}
+	simtest.FabricMatrix(t, func(f sim.Fabric) string {
+		res := RunFacadeOn(f, cfg)
 		for _, v := range res.Violations {
 			t.Fatalf("violation: %s\nreplay: %s", v, FacadeReplayCommand(cfg))
 		}
 		return res.Digest
-	}
-	digests := map[string]string{
-		"serial":   run(func(*FacadeConfig) {}),
-		"noskip":   run(func(c *FacadeConfig) { c.Noskip = true }),
-		"sharded2": run(func(c *FacadeConfig) { c.Shards = 2 }),
-		"sharded4": run(func(c *FacadeConfig) { c.Shards = 4 }),
-		"sharded8": run(func(c *FacadeConfig) { c.Shards = 8 }),
-	}
-	want := digests["serial"]
-	for name, d := range digests {
-		if d != want {
-			t.Errorf("digest mismatch:\n  serial: %s\n  %s: %s", want, name, d)
-		}
-	}
+	})
 }

@@ -27,12 +27,6 @@ type Config struct {
 	// per-program checking.
 	Alg string
 
-	// Shards > 1 runs the rig on a sharded kernel with the two endpoints
-	// on separate shards. Results are bit-identical to the serial run of
-	// the same config — the shard matrix test enforces it — so this knob
-	// trades nothing but wall-clock shape.
-	Shards int
-
 	// PCAPPath, when non-empty, writes the run's link capture there
 	// (both directions, drop/mark annotations in packet comments) for
 	// replay forensics in Wireshark.
@@ -110,16 +104,15 @@ type runner struct {
 	closing  bool // drain step 2: close every surviving connection
 }
 
-// Run executes one seed-driven chaos run and returns its verdict.
-func Run(cfg Config) Result {
+// Run executes one seed-driven chaos run on a fresh serial kernel and
+// returns its verdict.
+func Run(cfg Config) Result { return RunOn(sim.New(), cfg) }
+
+// RunOn is Run on any (fresh) fabric. Results are bit-identical to the
+// serial run of the same config; the shard matrix test enforces it.
+func RunOn(fab sim.Fabric, cfg Config) Result {
 	if cfg.Chunk <= 0 {
 		cfg.Chunk = 4096
-	}
-	var fab sim.Fabric
-	if cfg.Shards > 1 {
-		fab = sim.NewSharded(cfg.Shards)
-	} else {
-		fab = sim.New()
 	}
 	alg := cfg.Alg
 	if alg == "" {

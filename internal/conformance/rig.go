@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"strings"
 
+	"f4t/internal/core"
 	"f4t/internal/engine"
 	"f4t/internal/flow"
 	"f4t/internal/netsim"
@@ -111,9 +112,7 @@ const (
 
 // Rig is one two-endpoint test network: A dials, B listens.
 type Rig struct {
-	Kind RigKind
-	R    sim.Runner  // fabric driving the rig (serial kernel or sharded)
-	K    *sim.Kernel // the serial kernel; nil when the rig runs sharded
+	R    sim.Runner // fabric driving the rig (serial kernel or sharded)
 	Link *netsim.Link
 	A, B Endpoint
 
@@ -137,104 +136,72 @@ func (r *Rig) SetRSTEvery(n int64) {
 // ForgedRSTs returns the total resets forged so far, both directions.
 func (r *Rig) ForgedRSTs() int64 { return r.InjToB.forged + r.InjToA.forged }
 
-// NewRig builds the requested pairing on a 100 Gbps / 600 ns link over
-// a fresh serial kernel. All randomness (ISNs, link fault draws)
-// derives from seed, so two rigs with the same kind and seed evolve
-// identically.
-func NewRig(kind RigKind, seed uint64) *Rig {
-	return NewRigOn(sim.New(), kind, seed)
-}
-
-// NewRigOn builds the pairing on any fabric with both endpoints running
-// newreno, the harness default.
-func NewRigOn(f sim.Fabric, kind RigKind, seed uint64) *Rig {
-	return NewRigAlgOn(f, kind, seed, "newreno")
-}
-
-// NewRigAlgOn builds the pairing on any fabric with both endpoints
+// NewRigAlgOn builds the pairing on a 100 Gbps / 600 ns link (or, for
+// the routed kind, a one-switch star) on any fabric, both endpoints
 // running the named congestion-control program (endpoint A on islandA,
-// endpoint B on islandB). Construction and registration order is fixed,
-// so a sharded rig reproduces a serial rig's results bit for bit (the
-// shard matrix test in shard_test.go holds it to that). A dctcp rig
-// enables ECN end to end; with no marking discipline on the rig's link
-// the program degrades to its loss response, which is exactly the
-// chaos-weather path the sweep wants to exercise.
+// endpoint B on islandB), each attached through package core's node
+// seam (the determinism contract lives there; the shard matrix test in
+// shard_test.go holds this rig to it). All randomness (ISNs, link fault
+// draws) derives from seed, so two rigs with the same kind and seed
+// evolve identically. A dctcp rig enables ECN end to
+// end; with no marking discipline on the rig's link the program
+// degrades to its loss response, which is exactly the chaos-weather
+// path the sweep wants to exercise.
 func NewRigAlgOn(f sim.Fabric, kind RigKind, seed uint64, alg string) *Rig {
 	if alg == "" {
 		alg = "newreno"
 	}
-	kA, kB := f.IslandKernel(islandA), f.IslandKernel(islandB)
-	ipA, ipB := wire.MakeAddr(10, 9, 0, 1), wire.MakeAddr(10, 9, 0, 2)
-	macA, macB := wire.MAC{2, 9, 0, 0, 0, 1}, wire.MAC{2, 9, 0, 0, 0, 2}
-
-	r := &Rig{Kind: kind, R: f}
-	if k, ok := f.(*sim.Kernel); ok {
-		r.K = k
+	specs := []netsim.NodeSpec{
+		{Addr: wire.MakeAddr(10, 9, 0, 1), MAC: wire.MAC{2, 9, 0, 0, 0, 1}, Island: islandA, Gbps: 100, PropNS: 600},
+		{Addr: wire.MakeAddr(10, 9, 0, 2), MAC: wire.MAC{2, 9, 0, 0, 0, 2}, Island: islandB, Gbps: 100, PropNS: 600},
 	}
+	r := &Rig{R: f}
 
 	// The endpoints either face each other over a point-to-point link or
 	// hang off a one-switch star. Either way r.Link names the two pipes
 	// faults inject on: for the routed rig those are the uplinks, so the
 	// fault schedule hits before the router queues, like a real host NIC.
-	var topo *netsim.Topology
-	var txA, txB func(*wire.Packet)
+	var net core.Net
 	if kind == RigEngineEngineRouted {
-		specs := []netsim.NodeSpec{
-			{Addr: ipA, MAC: macA, Island: islandA, Gbps: 100, PropNS: 600},
-			{Addr: ipB, MAC: macB, Island: islandB, Gbps: 100, PropNS: 600},
-		}
-		topo = netsim.NewStarOn(f, rigRouterIsland, specs, netsim.DropTail(0), seed*4+1)
+		topo := netsim.NewStarOn(f, rigRouterIsland, specs, netsim.DropTail(0), seed*4+1)
 		r.Link = &netsim.Link{AtoB: topo.Uplinks[0], BtoA: topo.Uplinks[1]}
-		txA, txB = topo.NodeTX(0), topo.NodeTX(1)
+		net = topo
 	} else {
-		r.Link = netsim.NewLinkOn(f, islandA, islandB, 100, 600, seed*4+1)
-		txA, txB = r.Link.AtoB.Send, r.Link.BtoA.Send
+		r.Link = netsim.NewNodeLinkOn(f, specs[0], specs[1], seed*4+1)
+		net = r.Link
 	}
 
-	var deliverA, deliverB func(*wire.Packet)
-	var tickA, tickB sim.Ticker
-
-	switch kind {
-	case RigSoftSoft:
-		a := newStackEnd(kA, "A", ipA, macA, ipB, seed*4+2, alg, txA)
-		b := newStackEnd(kB, "B", ipB, macB, ipA, seed*4+3, alg, txB)
-		a.ep.LearnPeer(ipB, macB)
-		b.ep.LearnPeer(ipA, macA)
-		deliverA, deliverB = a.deliver, b.deliver
-		tickA, tickB = a, b
-		r.A, r.B = a, b
-	case RigEngineSoft:
-		a := newEngineEnd(kA, "A", ipA, macA, ipB, seed*4+2, alg, txA)
-		b := newStackEnd(kB, "B", ipB, macB, ipA, seed*4+3, alg, txB)
-		a.eng.LearnPeer(ipB, macB)
-		b.ep.LearnPeer(ipA, macA)
-		deliverA, deliverB = a.deliver, b.deliver
-		tickA, tickB = a.eng, b
-		r.A, r.B = a, b
-	case RigEngineEngine, RigEngineEngineRouted:
-		a := newEngineEnd(kA, "A", ipA, macA, ipB, seed*4+2, alg, txA)
-		b := newEngineEnd(kB, "B", ipB, macB, ipA, seed*4+3, alg, txB)
-		a.eng.LearnPeer(ipB, macB)
-		b.eng.LearnPeer(ipA, macA)
-		deliverA, deliverB = a.deliver, b.deliver
-		tickA, tickB = a.eng, b.eng
-		r.A, r.B = a, b
-	default:
+	if kind < RigSoftSoft || kind > RigEngineEngineRouted {
 		panic("conformance: unknown rig kind")
 	}
-	f.RegisterOn(islandA, tickA)
-	f.RegisterOn(islandB, tickB)
-
-	r.InjToB = &rstInjector{next: deliverB}
-	r.InjToA = &rstInjector{next: deliverA}
-	if topo != nil {
-		topo.SetNodeSink(0, r.InjToA.deliver)
-		topo.SetNodeSink(1, r.InjToB.deliver)
-	} else {
-		r.Link.AtoB.SetSink(r.InjToB.deliver)
-		r.Link.BtoA.SetSink(r.InjToA.deliver)
+	// Which ends run on an engine (the rest run the software stack).
+	onEngine := [2]bool{kind != RigSoftSoft, kind >= RigEngineEngine}
+	var ends [2]rigEnd
+	for i, name := range [2]string{"A", "B"} {
+		if onEngine[i] {
+			ends[i] = newEngineEnd(f, net, i, name, seed*4+2+uint64(i), alg)
+		} else {
+			ends[i] = newStackEnd(f, net, i, name, seed*4+2+uint64(i), alg)
+		}
 	}
+	r.A, r.B = ends[0], ends[1]
+	f.RegisterOn(islandA, ends[0].ticker())
+	f.RegisterOn(islandB, ends[1].ticker())
+
+	// The injectors sit between the network and each end's RX entry.
+	r.InjToA = &rstInjector{next: ends[0].DeliverPacket}
+	r.InjToB = &rstInjector{next: ends[1].DeliverPacket}
+	net.SetNodeSink(0, r.InjToA.deliver)
+	net.SetNodeSink(1, r.InjToB.deliver)
 	return r
+}
+
+// rigEnd is what the rig builder needs of either substrate's endpoint
+// beyond the harness-facing Endpoint: its RX entry and its ticker.
+type rigEnd interface {
+	Endpoint
+	DeliverPacket(*wire.Packet)
+	ticker() sim.Ticker
 }
 
 // --- software-stack endpoint ---
@@ -248,22 +215,30 @@ type stackEnd struct {
 	accepted []Conn
 }
 
-func newStackEnd(k *sim.Kernel, name string, ip wire.Addr, mac wire.MAC, peer wire.Addr, seed uint64, alg string, tx func(*wire.Packet)) *stackEnd {
+func newStackEnd(f sim.Fabric, net core.Net, i int, name string, seed uint64, alg string) *stackEnd {
 	cfg := tcpproc.DefaultConfig()
 	cfg.RcvBuf = rigRcvBuf
 	cfg.ECN = alg == "dctcp"
-	ep := stack.New(k, stack.Options{
-		IP: ip, MAC: mac, Cfg: cfg, Alg: alg, CarryBytes: true, Seed: seed,
-	}, tx)
-	// Registered by NewRigOn so slots are assigned in fabric order.
-	return &stackEnd{name: name, k: k, ep: ep, peer: peer}
+	spec := net.Node(i)
+	k := f.IslandKernel(spec.Island)
+	s := &stackEnd{name: name, k: k, peer: core.Peers(net, i)[0]}
+	s.ep = stack.New(k, stack.Options{
+		IP: spec.Addr, MAC: spec.MAC, Cfg: cfg, Alg: alg, CarryBytes: true, Seed: seed,
+	}, nil)
+	core.AttachSoft(net, i, s)
+	return s
 }
 
-// deliver is the link sink. Packets queue and are processed on the
-// endpoint's own tick: a delivery callback may be a cross-shard
+// Endpoint exposes the stack to core.AttachSoft.
+func (s *stackEnd) Endpoint() *stack.Endpoint { return s.ep }
+
+func (s *stackEnd) ticker() sim.Ticker { return s }
+
+// DeliverPacket is the network sink. Packets queue and are processed on
+// the endpoint's own tick: a delivery callback may be a cross-shard
 // injection running under a foreign slot, which must not synchronously
 // schedule local timers (responses transmit from Tick instead).
-func (s *stackEnd) deliver(p *wire.Packet) {
+func (s *stackEnd) DeliverPacket(p *wire.Packet) {
 	s.rx = append(s.rx, p)
 	s.k.Wake(s)
 }
@@ -330,19 +305,20 @@ type engineEnd struct {
 	peer wire.Addr
 }
 
-func newEngineEnd(k *sim.Kernel, name string, ip wire.Addr, mac wire.MAC, peer wire.Addr, seed uint64, alg string, tx func(*wire.Packet)) *engineEnd {
+func newEngineEnd(f sim.Fabric, net core.Net, i int, name string, seed uint64, alg string) *engineEnd {
 	cfg := engine.DefaultConfig()
-	cfg.IP, cfg.MAC, cfg.Seed = ip, mac, seed
+	cfg.Seed = seed
 	cfg.Alg = alg
 	cfg.CarryBytes = true
 	cfg.Proto.RcvBuf = rigRcvBuf
 	cfg.Proto.ECN = alg == "dctcp"
-	eng := engine.New(k, cfg, tx)
-	// Registered by NewRigOn so slots are assigned in fabric order.
-	return &engineEnd{name: name, eng: eng, lib: softstack.NewLib(k, eng, 0), peer: peer}
+	eng := core.AttachEngine(f, net, i, cfg)
+	return &engineEnd{name: name, eng: eng, lib: softstack.NewLib(eng.K, eng, 0), peer: core.Peers(net, i)[0]}
 }
 
-func (e *engineEnd) deliver(p *wire.Packet) { e.eng.DeliverPacket(p) }
+func (e *engineEnd) DeliverPacket(p *wire.Packet) { e.eng.DeliverPacket(p) }
+
+func (e *engineEnd) ticker() sim.Ticker { return e.eng }
 
 func (e *engineEnd) Name() string { return e.name }
 

@@ -3,62 +3,34 @@ package conformance
 import (
 	"fmt"
 	"testing"
+
+	"f4t/internal/sim"
+	"f4t/internal/sim/simtest"
 )
 
-// compareResults requires two runs to be bit-identical in everything a
-// Result captures (the schedule is a pure function of the seed, so it
-// is omitted).
-func compareResults(t *testing.T, name string, got, want Result) {
-	t.Helper()
-	if got.EndCycle != want.EndCycle {
-		t.Errorf("%s: EndCycle %d, want %d", name, got.EndCycle, want.EndCycle)
-	}
-	if got.Drained != want.Drained {
-		t.Errorf("%s: Drained %v, want %v", name, got.Drained, want.Drained)
-	}
-	if got.ForgedRSTs != want.ForgedRSTs {
-		t.Errorf("%s: ForgedRSTs %d, want %d", name, got.ForgedRSTs, want.ForgedRSTs)
-	}
-	if got.OowRstDrops != want.OowRstDrops {
-		t.Errorf("%s: OowRstDrops %d, want %d", name, got.OowRstDrops, want.OowRstDrops)
-	}
-	if len(got.Violations) != len(want.Violations) {
-		t.Fatalf("%s: %d violations, want %d\ngot:  %v\nwant: %v",
-			name, len(got.Violations), len(want.Violations), got.Violations, want.Violations)
-	}
-	for i := range got.Violations {
-		if got.Violations[i] != want.Violations[i] {
-			t.Errorf("%s: violation %d = %+v, want %+v", name, i, got.Violations[i], want.Violations[i])
-		}
-	}
-}
-
 // TestShardMatrix is the conformance leg of the differential battery:
-// every rig kind, several chaos seeds, run serially and on sharded
-// kernels — the full Result (violations, drain verdict, forged/dropped
-// RST counts, end cycle) must be bit-identical. This is the strongest
-// whole-system determinism check in the repo: the chaos schedules
-// exercise loss, reordering, duplication, forged RSTs, zero windows and
-// churn across the shard boundary.
+// every rig kind, several chaos seeds, on every fabric — everything a
+// Result captures (violations, drain verdict, forged/dropped RST
+// counts, end cycle; the schedule is a pure function of the seed, so it
+// is omitted) must be bit-identical. This is the strongest whole-system
+// determinism check in the repo: the chaos schedules exercise loss,
+// reordering, duplication, forged RSTs, zero windows and churn across
+// the shard boundary.
 func TestShardMatrix(t *testing.T) {
 	seeds := []uint64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	shardCounts := []int{2, 4, 8}
 	kinds := AllRigs
 	if testing.Short() {
 		seeds = seeds[:3]
-		shardCounts = []int{2}
 		kinds = []RigKind{RigEngineEngine}
 	}
 	for _, kind := range kinds {
 		for _, seed := range seeds {
 			cfg := Config{Rig: kind, Seed: seed, Phases: 4, Conns: 3, Chunk: 2048}
-			ref := Run(cfg)
-			for _, n := range shardCounts {
-				c := cfg
-				c.Shards = n
-				name := fmt.Sprintf("%s/seed=%d/shards=%d", kind, seed, n)
-				compareResults(t, name, Run(c), ref)
-			}
+			simtest.FabricMatrix(t, func(f sim.Fabric) string {
+				r := RunOn(f, cfg)
+				return fmt.Sprintf("%s/seed=%d: end=%d drained=%v forged=%d oow=%d violations=%+v",
+					kind, seed, r.EndCycle, r.Drained, r.ForgedRSTs, r.OowRstDrops, r.Violations)
+			})
 		}
 	}
 }

@@ -1,9 +1,18 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
+	"f4t/internal/apps"
+	"f4t/internal/cpu"
+	"f4t/internal/engine"
+	"f4t/internal/flow"
 	"f4t/internal/host"
+	"f4t/internal/netsim"
+	"f4t/internal/sim"
+	"f4t/internal/sim/simtest"
+	"f4t/internal/wire"
 )
 
 func TestTestbedDefaults(t *testing.T) {
@@ -66,4 +75,59 @@ func TestSystemZeroValueDefaults(t *testing.T) {
 	if len(tb.A.Threads()) != 1 {
 		t.Fatalf("default cores = %d", len(tb.A.Threads()))
 	}
+}
+
+// TestTestbedISNsDiffer pins the per-host seed derivation: with one
+// seed on both engines, the first connection's two ISNs were equal,
+// which hides any send/receive sequence-space mix-up.
+func TestTestbedISNsDiffer(t *testing.T) {
+	tb := NewTestbed(DefaultHostA(1), DefaultHostB(1), 0)
+	tb.B.Threads()[0].Listen(80)
+	conn := tb.A.Threads()[0].Dial(0, 80)
+	if !tb.K.RunUntil(conn.Established, 2_000_000) {
+		t.Fatal("handshake timed out")
+	}
+	var iss, irs []uint32
+	tb.A.Engine.VisitTCBs(func(tcb *flow.TCB) {
+		iss, irs = append(iss, uint32(tcb.ISS)), append(irs, uint32(tcb.IRS))
+	})
+	if len(iss) != 1 {
+		t.Fatalf("host A has %d TCBs, want 1", len(iss))
+	}
+	if iss[0] == irs[0] {
+		t.Fatalf("both directions drew ISN %#x: the two engines share a seed", iss[0])
+	}
+}
+
+// TestBuildOnEveryFabric runs a core-built rig — a three-node star with
+// hosts, bulk senders into node 0 — through the fabric matrix: the
+// builder itself (not just exp's wrappers) must be fabric-independent.
+func TestBuildOnEveryFabric(t *testing.T) {
+	simtest.FabricMatrix(t, func(f sim.Fabric) string {
+		specs := make([]netsim.NodeSpec, 3)
+		for i := range specs {
+			specs[i] = netsim.NodeSpec{
+				Addr: wire.MakeAddr(10, 7, 0, byte(i+1)), MAC: wire.MAC{2, 0, 7, 0, 0, byte(i + 1)},
+				Island: i, Gbps: 100, PropNS: 600,
+			}
+		}
+		topo := netsim.NewStarOn(f, len(specs), specs, netsim.DropTail(0), 9)
+		rig := Build(f, topo, func(i int) engine.Config {
+			cfg := engine.DefaultConfig()
+			cfg.Channels, cfg.Seed = 1, uint64(7+i)
+			return cfg
+		}, func(int) cpu.Costs { return cpu.DefaultCosts() })
+
+		sink := apps.NewSink(rig.Machs[0].Threads(), 5001)
+		f.RegisterOn(0, sink)
+		f.Run(2_000)
+		for i := 1; i < len(specs); i++ {
+			f.RegisterOn(i, apps.NewBulkSender(rig.Machs[i].Threads(), 0, 5001, 1460))
+		}
+		f.Run(300_000)
+		return fmt.Sprintf("delivered=%d rx=%d tx1=%d tx2=%d port=%d/%d",
+			sink.Delivered.Total(), rig.Engines[0].RxPkts.Total(),
+			rig.Engines[1].TxPkts.Total(), rig.Engines[2].TxPkts.Total(),
+			topo.NodePorts[0].DeqPkts, topo.NodePorts[0].PeakQBytes)
+	})
 }

@@ -332,16 +332,15 @@ func (f *FPC) Tick(cycle int64) {
 		f.tickStall(cycle)
 		return
 	}
-	// Event-driven dispatch: with every queue empty and no FPU pass due,
-	// each sub-stage below is a provable no-op (drainIncoming pops
-	// nothing, handleEvent and issue see empty queues, complete's head
-	// check fails), so the cycle costs one branch instead of four stage
-	// dispatches. On a rig with many FPCs most are idle on any given
-	// cycle even under saturation — events concentrate on few flows.
-	if f.incoming.Len() == 0 && f.input.Len() == 0 && f.ready.Len() == 0 {
-		if head, ok := f.pipe.Peek(); !ok || head.doneAt > cycle {
-			return
-		}
+	// Event-driven dispatch, single-sourced from NextWork: with every
+	// queue empty and no FPU pass due, each sub-stage below is a provable
+	// no-op (drainIncoming pops nothing, handleEvent and issue see empty
+	// queues, complete's head check fails), so the cycle costs one call
+	// instead of four stage dispatches. On a rig with many FPCs most are
+	// idle on any given cycle even under saturation — events concentrate
+	// on few flows.
+	if f.NextWork(cycle-1) > cycle {
+		return
 	}
 	f.drainIncoming(cycle)
 	f.handleEvent(cycle)

@@ -259,9 +259,10 @@ func (m *Manager) NextWork(now int64) int64 {
 // DRAM RMW) and retire those whose memory access completed — handling
 // events "directly to TCBs in the memory" (§4.3.1).
 func (m *Manager) Tick(cycle int64) {
-	// Event-driven dispatch: nothing queued and nothing in flight means
-	// both stages below are no-ops.
-	if m.input.Len() == 0 && m.inFlight.Len() == 0 {
+	// Event-driven dispatch, single-sourced from NextWork: nothing
+	// queued and no access due to retire means both stages below are
+	// no-ops.
+	if m.NextWork(cycle-1) > cycle {
 		return
 	}
 	// Start at most one new access per cycle.

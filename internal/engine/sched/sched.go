@@ -262,21 +262,12 @@ func (s *Scheduler) NextWork(now int64) int64 {
 
 // Tick advances routing, pending retries and migrations.
 func (s *Scheduler) Tick(cycle int64) {
-	// Event-driven dispatch: with every input queue empty each stage is a
-	// no-op (route pops nothing, retryPending and processSwapIns see empty
-	// queues), so skip the three stage calls. Mirrors NextWork's idleness
-	// conditions exactly, so behavior is unchanged — only dispatch cost.
-	if s.pending.Len() == 0 && s.swapReqs.Len() == 0 {
-		busy := false
-		for _, q := range s.fifos {
-			if q.Len() > 0 {
-				busy = true
-				break
-			}
-		}
-		if !busy {
-			return
-		}
+	// Event-driven dispatch, single-sourced from NextWork: when nothing
+	// can act before a later cycle, each stage below is a no-op (route
+	// and processSwapIns see empty queues, retryPending's head deadline
+	// has not come).
+	if s.NextWork(cycle-1) > cycle {
+		return
 	}
 	s.route(cycle)
 	s.retryPending(cycle)

@@ -290,9 +290,9 @@ func (r *churnRig) rampDone(target int) func() bool {
 	}
 }
 
-// newChurnRig builds and registers the churn testbed on any fabric. The
-// construction order (and so every registration slot and RNG draw) is
-// fixed, making sharded runs bit-comparable to serial ones.
+// newChurnRig builds and registers the churn testbed on any fabric
+// (bare endpoints, so not a core.Build rig, but held to the same
+// determinism contract — see package core).
 func newChurnRig(f sim.Fabric, cfg ChurnConfig) *churnRig {
 	kA, kB := f.IslandKernel(IslandA), f.IslandKernel(IslandB)
 	link := netsim.NewLinkOn(f, IslandA, IslandB, churnLinkGbps, LinkPropNS, cfg.Seed*2+1)

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"f4t/internal/sim"
+	"f4t/internal/sim/simtest"
 )
 
 // smallChurn is the shard-battery configuration: small enough that five
@@ -32,12 +33,7 @@ func smallChurn() ChurnConfig {
 // interleaving across fabrics fails loudly.
 func TestChurnShardDifferential(t *testing.T) {
 	cfg := smallChurn()
-	shardCounts := []int{2, 4, 8}
-	if testing.Short() {
-		shardCounts = []int{2}
-	}
-
-	ref := ChurnOn(sim.New(), cfg)
+	ref := churnMatrix(t, cfg)
 	if !ref.Reached {
 		t.Fatalf("serial run never reached %d flows (live at end %d)", cfg.TargetFlows, ref.LiveAtEnd)
 	}
@@ -47,17 +43,21 @@ func TestChurnShardDifferential(t *testing.T) {
 	if ref.ServerTable.Resizes == 0 {
 		t.Fatalf("serial run never grew the flow table; raise the target")
 	}
+}
 
-	noskip := sim.New()
-	noskip.SetSkipping(false)
-	if got := ChurnOn(noskip, cfg); got.Digest != ref.Digest {
-		t.Errorf("noskip diverged\n got %s\nwant %s", got.Digest, ref.Digest)
-	}
-	for _, n := range shardCounts {
-		if got := ChurnOn(sim.NewSharded(n), cfg); got.Digest != ref.Digest {
-			t.Errorf("%d shards diverged\n got %s\nwant %s", n, got.Digest, ref.Digest)
+// churnMatrix runs cfg through the fabric matrix on the rig's digest and
+// returns the serial run (FabricMatrix's first) for property checks.
+func churnMatrix(t *testing.T, cfg ChurnConfig) *ChurnResult {
+	t.Helper()
+	var serial *ChurnResult
+	simtest.FabricMatrix(t, func(f sim.Fabric) string {
+		r := ChurnOn(f, cfg)
+		if serial == nil {
+			serial = r
 		}
-	}
+		return r.Digest
+	})
+	return serial
 }
 
 // TestChurnFullScaleDifferential is the acceptance run: the full 2^20
@@ -69,23 +69,13 @@ func TestChurnFullScaleDifferential(t *testing.T) {
 		t.Skip("set F4T_FULL_CHURN=1 to run the full 2^20 differential (~2 min)")
 	}
 	cfg := DefaultChurnConfig()
-	ref := ChurnOn(sim.New(), cfg)
+	ref := churnMatrix(t, cfg)
 	t.Logf("serial: %s", ref.Digest)
 	if !ref.Reached {
 		t.Fatalf("serial run never reached %d flows (live at end %d)", cfg.TargetFlows, ref.LiveAtEnd)
 	}
 	if ref.LiveAtEnd < int64(cfg.TargetFlows) {
 		t.Fatalf("plateau lost during sustain: live=%d < target=%d", ref.LiveAtEnd, cfg.TargetFlows)
-	}
-	noskip := sim.New()
-	noskip.SetSkipping(false)
-	if got := ChurnOn(noskip, cfg); got.Digest != ref.Digest {
-		t.Errorf("noskip diverged\n got %s\nwant %s", got.Digest, ref.Digest)
-	}
-	for _, n := range []int{2, 4, 8} {
-		if got := ChurnOn(sim.NewSharded(n), cfg); got.Digest != ref.Digest {
-			t.Errorf("%d shards diverged\n got %s\nwant %s", n, got.Digest, ref.Digest)
-		}
 	}
 }
 

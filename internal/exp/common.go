@@ -10,6 +10,7 @@ import (
 	"strings"
 	"sync"
 
+	"f4t/internal/core"
 	"f4t/internal/cpu"
 	"f4t/internal/engine"
 	"f4t/internal/host"
@@ -81,13 +82,23 @@ const LinkGbps = 100
 const LinkPropNS = 600
 
 // Islands of the two-node testbed on a sim.Fabric: everything on host A
-// (engine, machine, apps) is island A; host B likewise. The link between
-// them is the only cross-island channel, so its propagation delay is
-// the sharded fabric's lookahead.
+// (engine, machine, apps) is island A; host B likewise.
 const (
 	IslandA = 0
 	IslandB = 1
 )
+
+// pairLink builds the two-node testbed's link: host A on IslandA, host
+// B on IslandB. The link is the only cross-island channel, so its
+// propagation delay is a sharded fabric's lookahead.
+func pairLink(f sim.Fabric, seed uint64) *netsim.Link {
+	return netsim.NewNodeLinkOn(f,
+		netsim.NodeSpec{Addr: AddrA, MAC: MACA, Island: IslandA, Gbps: LinkGbps, PropNS: LinkPropNS},
+		netsim.NodeSpec{Addr: AddrB, MAC: MACB, Island: IslandB, Gbps: LinkGbps, PropNS: LinkPropNS}, seed)
+}
+
+// pairSeeds are the two hosts' engine seeds on every engine pair rig.
+var pairSeeds = [2]uint64{101, 202}
 
 // F4TPair is two F4T hosts (engine + library machine) over one link.
 type F4TPair struct {
@@ -105,46 +116,23 @@ func NewF4TPair(coresA, coresB int, costs cpu.Costs, mutate func(*engine.Config)
 	return NewF4TPairOn(sim.New(), coresA, coresB, costs, mutate)
 }
 
-// NewF4TPairOn builds the testbed on any fabric: host A on IslandA,
-// host B on IslandB, the link cross-posted between them. Construction
-// order (and therefore every registration slot and RNG draw) is
-// identical on every fabric, which is what makes a sharded run
-// bit-for-bit comparable to a serial one.
+// NewF4TPairOn builds the testbed on any fabric (core.Build on
+// pairLink; the determinism contract is stated in package core).
 func NewF4TPairOn(f sim.Fabric, coresA, coresB int, costs cpu.Costs, mutate func(*engine.Config)) *F4TPair {
-	kA, kB := f.IslandKernel(IslandA), f.IslandKernel(IslandB)
-	link := netsim.NewLinkOn(f, IslandA, IslandB, LinkGbps, LinkPropNS, 1234)
-
-	cfg := engine.DefaultConfig()
-	cfg.Channels = coresA
+	link := pairLink(f, 1234)
+	base := engine.DefaultConfig()
+	base.Channels = coresA
 	if mutate != nil {
-		mutate(&cfg)
+		mutate(&base)
 	}
-	cfgA := cfg
-	cfgA.IP, cfgA.MAC, cfgA.Seed, cfgA.Channels = AddrA, MACA, 101, coresA
-	cfgB := cfg
-	cfgB.IP, cfgB.MAC, cfgB.Seed, cfgB.Channels = AddrB, MACB, 202, coresB
-
-	engA := engine.New(kA, cfgA, link.AtoB.Send)
-	engB := engine.New(kB, cfgB, link.BtoA.Send)
-	link.AtoB.SetSink(engB.DeliverPacket)
-	link.BtoA.SetSink(engA.DeliverPacket)
-	engA.LearnPeer(AddrB, MACB)
-	engB.LearnPeer(AddrA, MACA)
-
-	machA := host.NewF4TMachine(kA, engA, coresA, costs, []wire.Addr{AddrB})
-	machB := host.NewF4TMachine(kB, engB, coresB, costs, []wire.Addr{AddrA})
-
-	// Direct registration (no TickerFunc wrapper) so the kernel sees the
-	// components' NextWork hints and can skip quiescent spans.
-	f.RegisterOn(IslandA, engA)
-	f.RegisterOn(IslandB, engB)
-	f.RegisterOn(IslandA, machA)
-	f.RegisterOn(IslandB, machB)
-	p := &F4TPair{R: f, KA: kA, KB: kB, Link: link, EngA: engA, EngB: engB, MachA: machA, MachB: machB}
-	if k, ok := f.(*sim.Kernel); ok {
-		p.K = k
-	}
-	return p
+	cores := [2]int{coresA, coresB}
+	r := core.Build(f, link, func(i int) engine.Config {
+		cfg := base
+		cfg.Seed, cfg.Channels = pairSeeds[i], cores[i]
+		return cfg
+	}, func(int) cpu.Costs { return costs })
+	return &F4TPair{R: f, K: r.K, KA: r.Kernels[0], KB: r.Kernels[1], Link: link,
+		EngA: r.Engines[0], EngB: r.Engines[1], MachA: r.Machs[0], MachB: r.Machs[1]}
 }
 
 // LinuxPair is two Linux-stack hosts over one link.
@@ -161,28 +149,23 @@ func NewLinuxPair(coresA, coresB int, costs cpu.Costs) *LinuxPair {
 	return NewLinuxPairOn(sim.New(), coresA, coresB, costs)
 }
 
-// NewLinuxPairOn builds the baseline testbed on any fabric; see
-// NewF4TPairOn for the island layout and determinism contract.
+// NewLinuxPairOn builds the baseline testbed on any fabric: the same
+// link and islands as NewF4TPairOn with a host.LinuxMachine per node.
 func NewLinuxPairOn(f sim.Fabric, coresA, coresB int, costs cpu.Costs) *LinuxPair {
-	kA, kB := f.IslandKernel(IslandA), f.IslandKernel(IslandB)
-	link := netsim.NewLinkOn(f, IslandA, IslandB, LinkGbps, LinkPropNS, 5678)
-
-	optA := stack.Options{IP: AddrA, MAC: MACA, Cfg: tcpproc.DefaultConfig(), Alg: "cubic", MaxFlows: 70000, Seed: 11}
-	optB := stack.Options{IP: AddrB, MAC: MACB, Cfg: tcpproc.DefaultConfig(), Alg: "cubic", MaxFlows: 70000, Seed: 22}
-
-	machA := host.NewLinuxMachine(kA, optA, coresA, costs, []wire.Addr{AddrB}, link.AtoB.Send)
-	machB := host.NewLinuxMachine(kB, optB, coresB, costs, []wire.Addr{AddrA}, link.BtoA.Send)
-	machA.Endpoint().LearnPeer(AddrB, MACB)
-	machB.Endpoint().LearnPeer(AddrA, MACA)
-	link.AtoB.SetSink(machB.DeliverPacket)
-	link.BtoA.SetSink(machA.DeliverPacket)
-
-	f.RegisterOn(IslandA, machA)
-	f.RegisterOn(IslandB, machB)
-	p := &LinuxPair{R: f, KA: kA, KB: kB, Link: link, MachA: machA, MachB: machB}
-	if k, ok := f.(*sim.Kernel); ok {
-		p.K = k
+	link := pairLink(f, 5678)
+	p := &LinuxPair{R: f, KA: f.IslandKernel(IslandA), KB: f.IslandKernel(IslandB), Link: link}
+	p.K, _ = f.(*sim.Kernel)
+	mach := func(i int, k *sim.Kernel, cores int, seed uint64) *host.LinuxMachine {
+		n := link.Node(i)
+		opt := stack.Options{IP: n.Addr, MAC: n.MAC, Cfg: tcpproc.DefaultConfig(), Alg: "cubic", MaxFlows: 70000, Seed: seed}
+		m := host.NewLinuxMachine(k, opt, cores, costs, core.Peers(link, i), nil)
+		core.AttachSoft(link, i, m)
+		return m
 	}
+	p.MachA = mach(0, p.KA, coresA, 11)
+	p.MachB = mach(1, p.KB, coresB, 22)
+	f.RegisterOn(IslandA, p.MachA)
+	f.RegisterOn(IslandB, p.MachB)
 	return p
 }
 

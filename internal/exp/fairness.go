@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"f4t/internal/apps"
 	"f4t/internal/cpu"
 	"f4t/internal/engine"
 	"f4t/internal/netsim"
@@ -47,39 +46,10 @@ func FairnessPointOn(f sim.Fabric, algs []string, aqm netsim.AQMConfig, seed uin
 		d.Topo.Instrument(reg, "topo")
 	}
 
-	sink := apps.NewSink(d.Machs[0].Threads(), 5001)
-	f.RegisterOn(0, sink)
-	f.Run(2_000)
-	bulks := make([]*apps.BulkSender, len(algs))
-	for i := range algs {
-		bulks[i] = apps.NewBulkSender(d.Machs[i+1].Threads(), 0, 5001, 1460)
-		f.RegisterOn(i+1, bulks[i])
-	}
-	allReady := func() bool {
-		for _, b := range bulks {
-			if !b.Ready() {
-				return false
-			}
-		}
-		return true
-	}
-	RunUntilCoarse(f, allReady, 1_000, 5_000_000)
-	f.Run(warmup)
-	for _, b := range bulks {
-		b.Bytes.Snapshot(f.Now())
-	}
-	f.Run(measure)
-	res := FairnessResult{Algs: algs, Trunk: portStats(d.Trunk)}
-	var sum, sumSq float64
-	for _, b := range bulks {
-		g := Gbps(b.Bytes.RatePerSecond(f.Now()))
-		res.SenderGbps = append(res.SenderGbps, g)
-		sum += g
-		sumSq += g * g
-	}
-	if sumSq > 0 {
-		res.Jain = sum * sum / (float64(len(bulks)) * sumSq)
-	}
+	_, bulks := bulkIntoNode0(f, d, 5_000_000, warmup)
+	res := FairnessResult{Algs: algs}
+	res.SenderGbps, res.Jain = senderShares(f, bulks, measure)
+	res.Trunk = portStats(d.Topo.TrunkLeft[0])
 	return res
 }
 

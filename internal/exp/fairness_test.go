@@ -7,6 +7,7 @@ import (
 
 	"f4t/internal/netsim"
 	"f4t/internal/sim"
+	"f4t/internal/sim/simtest"
 )
 
 // fairnessSig folds a fairness point into an exact-bits digest: per-flow
@@ -21,32 +22,19 @@ func fairnessSig(f sim.Fabric, algs []string, aqm netsim.AQMConfig, seed uint64)
 	return sig
 }
 
-// TestFairnessShardDifferential is the shard battery for the
-// heterogeneous-CC dumbbell: BBR vs CUBIC through the shared trunk must
-// be bit-identical on serial skip/noskip and 2/4/8-shard fabrics across
-// seeds, matching the other rig batteries.
+// TestFairnessShardDifferential is the fabric battery for the
+// heterogeneous-CC dumbbell: BBR vs CUBIC through the shared trunk,
+// across seeds.
 func TestFairnessShardDifferential(t *testing.T) {
-	algs := []string{"bbr", "cubic"}
 	seeds := []uint64{0, 1}
-	shardCounts := []int{2, 4, 8}
 	if testing.Short() {
 		seeds = seeds[:1]
-		shardCounts = []int{2}
 	}
 	for _, seed := range seeds {
-		aqm := netsim.CoDel(0, true)
-		ref := fairnessSig(sim.New(), algs, aqm, seed)
-
-		noskip := sim.New()
-		noskip.SetSkipping(false)
-		if got := fairnessSig(noskip, algs, aqm, seed); got != ref {
-			t.Errorf("seed %d: noskip diverged\n got %s\nwant %s", seed, got, ref)
-		}
-		for _, n := range shardCounts {
-			if got := fairnessSig(sim.NewSharded(n), algs, aqm, seed); got != ref {
-				t.Errorf("seed %d: %d shards diverged\n got %s\nwant %s", seed, n, got, ref)
-			}
-		}
+		seed := seed
+		simtest.FabricMatrix(t, func(f sim.Fabric) string {
+			return fmt.Sprintf("seed %d: %s", seed, fairnessSig(f, []string{"bbr", "cubic"}, netsim.CoDel(0, true), seed))
+		})
 	}
 }
 

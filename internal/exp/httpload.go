@@ -7,15 +7,13 @@ import (
 	"io"
 	"net/http"
 	"sync/atomic"
-	"time"
 
+	"f4t/internal/core"
 	"f4t/internal/engine"
 	"f4t/internal/netapi"
-	"f4t/internal/netsim"
 	"f4t/internal/pcap"
 	"f4t/internal/sim"
 	"f4t/internal/telemetry"
-	"f4t/internal/wire"
 )
 
 // HTTPLoadConfig parameterizes the httpload experiment: an UNMODIFIED
@@ -39,24 +37,9 @@ type HTTPLoadResult struct {
 	Reg       *telemetry.Registry
 }
 
-// httpLoadNetapiOptions widens the facade settle windows the same way
-// the netapi test suite does: the differential acceptance test compares
-// digests bit-for-bit, so a goroutine descheduled by a loaded machine
-// must not slip an op past its settle.
-func httpLoadNetapiOptions(ip wire.Addr) netapi.Options {
-	return netapi.Options{
-		LocalIP:           ip,
-		SettleQuantum:     200 * time.Microsecond,
-		SettleQuietRounds: 5,
-		SettleBusyWait:    5 * time.Millisecond,
-	}
-}
-
 // HTTPLoadOn runs the httpload workload on any fabric. The rig is two
 // engines with the facade owning their single channel each (no
-// F4TMachine — it would steal the completions the facade polls for),
-// construction order fixed so every registration slot matches across
-// serial, noskip and sharded fabrics.
+// F4TMachine — it would steal the completions the facade polls for).
 func HTTPLoadOn(f sim.Fabric, cfg HTTPLoadConfig) (*HTTPLoadResult, error) {
 	if cfg.Requests <= 0 {
 		cfg.Requests = 8
@@ -68,9 +51,7 @@ func HTTPLoadOn(f sim.Fabric, cfg HTTPLoadConfig) (*HTTPLoadResult, error) {
 		cfg.EndCycle = 200_000_000
 	}
 
-	kA := f.IslandKernel(IslandA)
-	kB := f.IslandKernel(IslandB)
-	link := netsim.NewLinkOn(f, IslandA, IslandB, LinkGbps, LinkPropNS, 1234)
+	link := pairLink(f, 1234)
 
 	var capture *pcap.Capture
 	if cfg.PCAPPath != "" {
@@ -78,24 +59,15 @@ func HTTPLoadOn(f sim.Fabric, cfg HTTPLoadConfig) (*HTTPLoadResult, error) {
 		capture.TapLink(link, "link0")
 	}
 
-	ecfg := engine.DefaultConfig()
-	ecfg.Channels = 1
-	ecfg.CarryBytes = true
-	cfgA := ecfg
-	cfgA.IP, cfgA.MAC, cfgA.Seed = AddrA, MACA, 101
-	cfgB := ecfg
-	cfgB.IP, cfgB.MAC, cfgB.Seed = AddrB, MACB, 202
-	engA := engine.New(kA, cfgA, link.AtoB.Send)
-	engB := engine.New(kB, cfgB, link.BtoA.Send)
-	link.AtoB.SetSink(engB.DeliverPacket)
-	link.BtoA.SetSink(engA.DeliverPacket)
-	engA.LearnPeer(AddrB, MACB)
-	engB.LearnPeer(AddrA, MACA)
-	f.RegisterOn(IslandA, engA)
-	f.RegisterOn(IslandB, engB)
+	rig := core.Build(f, link, func(i int) engine.Config {
+		ecfg := engine.DefaultConfig()
+		ecfg.Channels, ecfg.CarryBytes, ecfg.Seed = 1, true, pairSeeds[i]
+		return ecfg
+	}, nil)
+	engA, engB := rig.Engines[0], rig.Engines[1]
 
-	stA := netapi.NewEngineStack(f, IslandA, engA, 0, httpLoadNetapiOptions(AddrA))
-	stB := netapi.NewEngineStack(f, IslandB, engB, 0, httpLoadNetapiOptions(AddrB))
+	stA := netapi.NewEngineStack(f, IslandA, engA, 0, netapi.DifferentialOptions(AddrA))
+	stB := netapi.NewEngineStack(f, IslandB, engB, 0, netapi.DifferentialOptions(AddrB))
 	defer func() {
 		stA.Shutdown()
 		stB.Shutdown()

@@ -8,6 +8,7 @@ import (
 
 	"f4t/internal/pcap"
 	"f4t/internal/sim"
+	"f4t/internal/sim/simtest"
 )
 
 // TestHTTPLoadQuick is the smoke test: a short run completes all
@@ -31,32 +32,19 @@ func TestHTTPLoadQuick(t *testing.T) {
 
 // TestHTTPLoadDifferential is the facade's headline acceptance test:
 // an UNMODIFIED net/http server/client pair completes its requests with
-// a bit-identical simulation digest on the serial, noskip and sharded
-// fabrics.
+// a bit-identical simulation digest on every fabric.
 func TestHTTPLoadDifferential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential battery skipped in -short")
 	}
 	cfg := HTTPLoadConfig{Requests: 3, BodyLen: 8192, EndCycle: 80_000_000}
-	run := func(f sim.Fabric) string {
-		t.Helper()
+	simtest.FabricMatrixSettled(t, func(f sim.Fabric) string {
 		res, err := HTTPLoadOn(f, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res.Digest
-	}
-	digests := map[string]string{
-		"serial":   run(sim.New()),
-		"noskip":   run(sim.NewShadow()),
-		"sharded2": run(sim.NewSharded(2)),
-	}
-	want := digests["serial"]
-	for name, d := range digests {
-		if d != want {
-			t.Errorf("digest mismatch:\n  serial: %s\n  %s: %s", want, name, d)
-		}
-	}
+	})
 }
 
 // TestHTTPLoadPCAP checks the -pcap plumbing end to end: the run emits

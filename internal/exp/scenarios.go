@@ -101,23 +101,41 @@ func IncastPointOn(f sim.Fabric, senders int, aqm netsim.AQMConfig, alg string, 
 		cores[i] = 1
 	}
 	s := NewF4TStarOn(f, cores, cpu.DefaultCosts(), aqm, func(c *engine.Config) {
-		c.Alg = alg
-		if alg == "dctcp" {
-			c.Proto.ECN = true
-		}
+		setAlg(c, alg)
 		c.Seed += seed * 7919
 	})
 	if reg != nil {
 		s.Topo.Instrument(reg, "topo")
 	}
 
-	sink := apps.NewSink(s.Machs[0].Threads(), 5001)
+	sink, _ := bulkIntoNode0(f, s, 5_000_000, warmup)
+	sink.Delivered.Snapshot(f.Now())
+	f.Run(measure)
+	return IncastResult{
+		GoodputGbps: Gbps(sink.Delivered.RatePerSecond(f.Now())),
+		Port:        portStats(s.Topo.NodePorts[0]),
+	}
+}
+
+// setAlg loads the congestion-control program on a node; dctcp also
+// needs ECN negotiated.
+func setAlg(c *engine.Config, alg string) {
+	c.Alg = alg
+	c.Proto.ECN = alg == "dctcp"
+}
+
+// bulkIntoNode0 drives the many-to-one pattern of the incast, WAN and
+// fairness points: a sink on node 0, a bulk sender toward it on every
+// other node, run until every sender is established (or budget cycles
+// pass) and then through warmup.
+func bulkIntoNode0(f sim.Fabric, r *F4TTopo, budget, warmup int64) (*apps.Sink, []*apps.BulkSender) {
+	sink := apps.NewSink(r.Machs[0].Threads(), 5001)
 	f.RegisterOn(0, sink)
 	f.Run(2_000)
-	bulks := make([]*apps.BulkSender, senders)
-	for i := 1; i <= senders; i++ {
-		bulks[i-1] = apps.NewBulkSender(s.Machs[i].Threads(), 0, 5001, 1460)
-		f.RegisterOn(i, bulks[i-1])
+	bulks := make([]*apps.BulkSender, len(r.Machs)-1)
+	for i := range bulks {
+		bulks[i] = apps.NewBulkSender(r.Machs[i+1].Threads(), 0, 5001, 1460)
+		f.RegisterOn(i+1, bulks[i])
 	}
 	allReady := func() bool {
 		for _, b := range bulks {
@@ -127,14 +145,29 @@ func IncastPointOn(f sim.Fabric, senders int, aqm netsim.AQMConfig, alg string, 
 		}
 		return true
 	}
-	RunUntilCoarse(f, allReady, 1_000, 5_000_000)
+	RunUntilCoarse(f, allReady, 1_000, budget)
 	f.Run(warmup)
-	sink.Delivered.Snapshot(f.Now())
-	f.Run(measure)
-	return IncastResult{
-		GoodputGbps: Gbps(sink.Delivered.RatePerSecond(f.Now())),
-		Port:        portStats(s.Topo.NodePorts[0]),
+	return sink, bulks
+}
+
+// senderShares measures each sender's goodput over the next measure
+// cycles and the Jain fairness index of the split.
+func senderShares(f sim.Fabric, bulks []*apps.BulkSender, measure int64) (gbps []float64, jain float64) {
+	for _, b := range bulks {
+		b.Bytes.Snapshot(f.Now())
 	}
+	f.Run(measure)
+	var sum, sumSq float64
+	for _, b := range bulks {
+		g := Gbps(b.Bytes.RatePerSecond(f.Now()))
+		gbps = append(gbps, g)
+		sum += g
+		sumSq += g * g
+	}
+	if sumSq > 0 {
+		jain = sum * sum / (float64(len(bulks)) * sumSq)
+	}
+	return gbps, jain
 }
 
 // FanioResult is one fan-out/fan-in point's measurement.
@@ -155,10 +188,7 @@ func FanioPointOn(f sim.Fabric, servers int, aqm netsim.AQMConfig, alg string, r
 		cores[i] = 1
 	}
 	s := NewF4TStarOn(f, cores, cpu.DefaultCosts(), aqm, func(c *engine.Config) {
-		c.Alg = alg
-		if alg == "dctcp" {
-			c.Proto.ECN = true
-		}
+		setAlg(c, alg)
 		c.CarryBytes = false
 	})
 	if reg != nil {
@@ -170,9 +200,9 @@ func FanioPointOn(f sim.Fabric, servers int, aqm netsim.AQMConfig, alg string, r
 		f.RegisterOn(i, srv)
 	}
 	f.Run(2_000)
-	remotes := make([]int, servers)
+	remotes := make([]int, servers) // the client's peers are exactly the servers
 	for i := range remotes {
-		remotes[i] = i + 1
+		remotes[i] = i
 	}
 	cli := apps.NewFanClient(s.Kernels[0], s.Machs[0].Threads(), remotes, 7001, 128, respSize)
 	f.RegisterOn(0, cli)
@@ -204,12 +234,7 @@ type MixedResult struct {
 // serves both (one thread each), node 1 sends bulk, node 2 runs the
 // echo client. SO_REUSEPORT steering keeps each app on its own thread.
 func MixedPointOn(f sim.Fabric, aqm netsim.AQMConfig, alg string, reg *telemetry.Registry, warmup, measure int64) MixedResult {
-	s := NewF4TStarOn(f, []int{2, 1, 1}, cpu.DefaultCosts(), aqm, func(c *engine.Config) {
-		c.Alg = alg
-		if alg == "dctcp" {
-			c.Proto.ECN = true
-		}
-	})
+	s := NewF4TStarOn(f, []int{2, 1, 1}, cpu.DefaultCosts(), aqm, func(c *engine.Config) { setAlg(c, alg) })
 	if reg != nil {
 		s.Topo.Instrument(reg, "topo")
 	}
@@ -248,8 +273,8 @@ type WANResult struct {
 
 // DefaultWANSenders is the RTT-diverse sender set: same rack, one hop
 // out, and two far paths sharing the longest chain.
-func DefaultWANSenders() []WANSpec {
-	return []WANSpec{
+func DefaultWANSenders() []netsim.NodeSpec {
+	return []netsim.NodeSpec{
 		{RouterIdx: 0, PropNS: 600},
 		{RouterIdx: 1, PropNS: 5_000},
 		{RouterIdx: 2, PropNS: 25_000},
@@ -260,50 +285,16 @@ func DefaultWANSenders() []WANSpec {
 // WANPointOn runs bulk senders with diverse access RTTs over a
 // three-router chain into one receiver, measuring each flow's share —
 // the classic RTT-unfairness experiment.
-func WANPointOn(f sim.Fabric, senders []WANSpec, aqm netsim.AQMConfig, alg string, reg *telemetry.Registry, warmup, measure int64) WANResult {
-	w := NewF4TWANOn(f, 3, LinkGbps, 10_000, 600, senders, cpu.DefaultCosts(), aqm, func(c *engine.Config) {
-		c.Alg = alg
-		if alg == "dctcp" {
-			c.Proto.ECN = true
-		}
-	})
+func WANPointOn(f sim.Fabric, senders []netsim.NodeSpec, aqm netsim.AQMConfig, alg string, reg *telemetry.Registry, warmup, measure int64) WANResult {
+	w := NewF4TWANOn(f, 3, LinkGbps, 10_000, 600, senders, cpu.DefaultCosts(), aqm, func(c *engine.Config) { setAlg(c, alg) })
 	if reg != nil {
 		w.Topo.Instrument(reg, "topo")
 	}
 
-	sink := apps.NewSink(w.Machs[0].Threads(), 5001)
-	f.RegisterOn(0, sink)
-	f.Run(2_000)
-	bulks := make([]*apps.BulkSender, len(senders))
-	for i := range senders {
-		bulks[i] = apps.NewBulkSender(w.Machs[i+1].Threads(), 0, 5001, 1460)
-		f.RegisterOn(i+1, bulks[i])
-	}
-	allReady := func() bool {
-		for _, b := range bulks {
-			if !b.Ready() {
-				return false
-			}
-		}
-		return true
-	}
-	RunUntilCoarse(f, allReady, 1_000, 10_000_000)
-	f.Run(warmup)
-	for _, b := range bulks {
-		b.Bytes.Snapshot(f.Now())
-	}
-	f.Run(measure)
-	res := WANResult{Port: portStats(w.Topo.NodePorts[0])}
-	var sum, sumSq float64
-	for _, b := range bulks {
-		g := Gbps(b.Bytes.RatePerSecond(f.Now()))
-		res.SenderGbps = append(res.SenderGbps, g)
-		sum += g
-		sumSq += g * g
-	}
-	if sumSq > 0 {
-		res.Jain = sum * sum / (float64(len(bulks)) * sumSq)
-	}
+	_, bulks := bulkIntoNode0(f, w, 10_000_000, warmup)
+	var res WANResult
+	res.SenderGbps, res.Jain = senderShares(f, bulks, measure)
+	res.Port = portStats(w.Topo.NodePorts[0])
 	return res
 }
 

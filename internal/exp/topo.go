@@ -1,275 +1,123 @@
 package exp
 
 import (
+	"f4t/internal/core"
 	"f4t/internal/cpu"
 	"f4t/internal/engine"
-	"f4t/internal/host"
 	"f4t/internal/netsim"
 	"f4t/internal/sim"
 	"f4t/internal/wire"
 )
 
-// Topology rig addresses: node i of a multi-node rig (10.1.0.0/16 so
-// they never collide with the two-node testbed's 10.0.0.x).
-func StarAddr(i int) wire.Addr {
-	return wire.MakeAddr(10, 1, byte((i+1)>>8), byte((i+1)&0xff))
-}
-
-// StarMAC is node i's MAC.
-func StarMAC(i int) wire.MAC {
-	return wire.MAC{2, 0, 1, 0, byte((i + 1) >> 8), byte((i + 1) & 0xff)}
-}
-
-// F4TStar is n F4T hosts around one output-queued switch — the incast,
-// fan-in and mixed-traffic shape. Node i lives on island i; the switch
-// is island n, so a sharded fabric parallelizes hosts against the
-// switch too. Every flow crosses the sender's uplink pipe and the
-// receiver's downlink RouterPort, where the AQM discipline acts.
-type F4TStar struct {
-	R       sim.Runner
-	K       *sim.Kernel   // serial kernel, nil when R is sharded
-	Kernels []*sim.Kernel // island clocks per node
-	Topo    *netsim.Topology
-	Engines []*engine.Engine
-	Machs   []*host.F4TMachine
-	Addrs   []wire.Addr
-}
-
-// RouterIsland returns the switch's island number for an n-node star.
-func RouterIsland(n int) int { return n }
-
-// NewF4TStarOn builds an n-node star on any fabric. cores[i] sets node
-// i's channel/thread count; aqm is applied to every switch output port.
-// mutate adjusts the shared engine configuration (all nodes). Like
-// NewF4TPairOn, construction order is identical on every fabric, which
-// keeps sharded runs bit-for-bit comparable to serial ones.
-func NewF4TStarOn(f sim.Fabric, cores []int, costs cpu.Costs, aqm netsim.AQMConfig, mutate func(*engine.Config)) *F4TStar {
-	n := len(cores)
-	specs := make([]netsim.NodeSpec, n)
-	addrs := make([]wire.Addr, n)
-	for i := range specs {
-		addrs[i] = StarAddr(i)
-		specs[i] = netsim.NodeSpec{
-			Addr: addrs[i], MAC: StarMAC(i), Island: i,
-			Gbps: LinkGbps, PropNS: LinkPropNS,
-		}
+// topoNode is node i of a scenario topology: addresses in 10.1.0.0/16
+// (never colliding with the two-node testbed's 10.0.0.x), island i —
+// routers take the islands after the last node, so a sharded fabric
+// parallelizes hosts against the switches too — and a LinkGbps access
+// link of the given propagation delay into router.
+func topoNode(i, router int, propNS int64) netsim.NodeSpec {
+	return netsim.NodeSpec{
+		Addr:   wire.MakeAddr(10, 1, byte((i+1)>>8), byte((i+1)&0xff)),
+		MAC:    wire.MAC{2, 0, 1, 0, byte((i + 1) >> 8), byte((i + 1) & 0xff)},
+		Island: i, RouterIdx: router, Gbps: LinkGbps, PropNS: propNS,
 	}
-	topo := netsim.NewStarOn(f, RouterIsland(n), specs, aqm, 4321)
+}
 
+// F4TTopo is n F4T hosts on a routed topology — the star, dumbbell and
+// WAN scenario rigs. Every flow crosses the sender's uplink pipe and
+// then router output ports (trunks, the receiver's downlink), where the
+// AQM discipline acts. Thread.Dial's remoteIdx counts the other nodes
+// in node order (core.Peers), so from any sender 0 is node 0.
+type F4TTopo struct {
+	*core.Rig
+	Topo *netsim.Topology
+}
+
+// buildTopo puts an engine and its library machine on every node of
+// topo via core.Build. mutate adjusts the configuration shared by all
+// nodes; node i's random streams derive from that (mutable) base seed
+// plus seed0+101·i, so a differential battery can vary the whole rig's
+// randomness by setting Seed in mutate. node (optional) makes the
+// per-node adjustments; nodes default to one channel.
+func buildTopo(f sim.Fabric, topo *netsim.Topology, costs cpu.Costs, mutate func(*engine.Config), seed0 uint64, node func(i int, cfg *engine.Config)) *F4TTopo {
 	base := engine.DefaultConfig()
 	if mutate != nil {
 		mutate(&base)
 	}
-	s := &F4TStar{R: f, Topo: topo, Addrs: addrs}
-	if k, ok := f.(*sim.Kernel); ok {
-		s.K = k
-	}
-	for i := 0; i < n; i++ {
-		k := f.IslandKernel(i)
+	r := core.Build(f, topo, func(i int) engine.Config {
 		cfg := base
-		cfg.IP, cfg.MAC = addrs[i], StarMAC(i)
-		// Per-node streams derive from the (mutable) base seed, so a
-		// differential battery can vary the whole rig's randomness by
-		// setting Seed in mutate.
-		cfg.Seed = base.Seed + uint64(101+i*101)
-		cfg.Channels = cores[i]
-		eng := engine.New(k, cfg, topo.NodeTX(i))
-		topo.SetNodeSink(i, eng.DeliverPacket)
-		s.Kernels = append(s.Kernels, k)
-		s.Engines = append(s.Engines, eng)
-	}
-	for i, eng := range s.Engines {
-		for j := 0; j < n; j++ {
-			if j != i {
-				eng.LearnPeer(addrs[j], StarMAC(j))
-			}
+		cfg.Seed = base.Seed + seed0 + uint64(i*101)
+		cfg.Channels = 1
+		if node != nil {
+			node(i, &cfg)
 		}
-	}
-	// remotes == addrs for every machine, so remote index j always means
-	// node j (index i, the machine itself, is simply never dialed).
-	for i := 0; i < n; i++ {
-		s.Machs = append(s.Machs, host.NewF4TMachine(s.Kernels[i], s.Engines[i], cores[i], costs, addrs))
-	}
-	// Engines first, then machines, mirroring NewF4TPairOn: the slot
-	// order (after the topology's ports) is part of the determinism
-	// contract.
-	for i, eng := range s.Engines {
-		f.RegisterOn(i, eng)
-	}
-	for i, m := range s.Machs {
-		f.RegisterOn(i, m)
-	}
-	return s
+		return cfg
+	}, func(int) cpu.Costs { return costs })
+	return &F4TTopo{Rig: r, Topo: topo}
 }
 
-// F4TDumbbell is the heterogeneous-CC rig: one receiver on router 0,
-// N senders on router 1, and the shared inter-router trunk as the
+// NewF4TStarOn builds n F4T hosts around one output-queued switch — the
+// incast, fan-in and mixed-traffic shape. cores[i] sets node i's
+// channel/thread count; aqm is applied to every switch output port.
+func NewF4TStarOn(f sim.Fabric, cores []int, costs cpu.Costs, aqm netsim.AQMConfig, mutate func(*engine.Config)) *F4TTopo {
+	specs := make([]netsim.NodeSpec, len(cores))
+	for i := range specs {
+		specs[i] = topoNode(i, 0, LinkPropNS)
+	}
+	topo := netsim.NewStarOn(f, len(cores), specs, aqm, 4321)
+	return buildTopo(f, topo, costs, mutate, 101, func(i int, cfg *engine.Config) { cfg.Channels = cores[i] })
+}
+
+// NewF4TDumbbellOn builds the heterogeneous-CC rig: one receiver on
+// router 0, a sender per entry of algs on router 1, and the shared
+// inter-router trunk (Topo.TrunkLeft[0] toward the receiver) as the
 // bottleneck every sender contends on. Unlike the star/WAN rigs, each
 // sender runs its *own* congestion-control program — the BBR-vs-CUBIC
 // coexistence shape production networks see and the paper never
-// measures. Node i is island i; routers 0/1 are islands n and n+1.
-type F4TDumbbell struct {
-	R       sim.Runner
-	Kernels []*sim.Kernel
-	Topo    *netsim.Topology
-	Engines []*engine.Engine
-	Machs   []*host.F4TMachine
-	Addrs   []wire.Addr
-	Trunk   *netsim.RouterPort // router1→router0 trunk: the bottleneck
-}
-
-// NewF4TDumbbellOn builds the dumbbell on any fabric. algs[i] names
-// sender i's congestion-control program (the receiver always runs
-// newreno — it only sends acks); trunkGbps sets the bottleneck rate,
-// which should be below LinkGbps so contention happens at the trunk and
-// not at the access links. mutate adjusts the shared base configuration
-// before the per-node alg is applied. Construction order matches the
-// other rigs' determinism contract, so sharded runs stay bit-identical
-// to serial ones.
-func NewF4TDumbbellOn(f sim.Fabric, algs []string, trunkGbps, trunkPropNS int64, costs cpu.Costs, aqm netsim.AQMConfig, mutate func(*engine.Config)) *F4TDumbbell {
+// measures; the receiver always runs newreno, since it only sends acks.
+// trunkGbps should be below LinkGbps so contention happens at the trunk
+// and not at the access links.
+func NewF4TDumbbellOn(f sim.Fabric, algs []string, trunkGbps, trunkPropNS int64, costs cpu.Costs, aqm netsim.AQMConfig, mutate func(*engine.Config)) *F4TTopo {
 	n := len(algs) + 1
 	specs := make([]netsim.NodeSpec, n)
-	addrs := make([]wire.Addr, n)
-	for i := range specs {
-		addrs[i] = StarAddr(i)
-		router := 1
-		if i == 0 {
-			router = 0 // the receiver sits alone on the left router
-		}
-		specs[i] = netsim.NodeSpec{
-			Addr: addrs[i], MAC: StarMAC(i), Island: i, RouterIdx: router,
-			Gbps: LinkGbps, PropNS: LinkPropNS,
-		}
+	specs[0] = topoNode(0, 0, LinkPropNS) // the receiver sits alone on the left router
+	for i := 1; i < n; i++ {
+		specs[i] = topoNode(i, 1, LinkPropNS)
 	}
 	topo := netsim.NewDumbbellOn(f, [2]int{n, n + 1}, trunkGbps, trunkPropNS, specs, aqm, 6543)
 
-	base := engine.DefaultConfig()
-	if mutate != nil {
-		mutate(&base)
-	}
 	// ECN is a path property: if any sender marks, the receiver must echo.
 	anyDctcp := false
 	for _, a := range algs {
 		anyDctcp = anyDctcp || a == "dctcp"
 	}
-	d := &F4TDumbbell{R: f, Topo: topo, Addrs: addrs, Trunk: topo.TrunkLeft[0]}
-	for i := 0; i < n; i++ {
-		k := f.IslandKernel(i)
-		cfg := base
-		cfg.IP, cfg.MAC = addrs[i], StarMAC(i)
-		cfg.Seed = base.Seed + uint64(505+i*101)
-		cfg.Channels = 1
+	return buildTopo(f, topo, costs, mutate, 505, func(i int, cfg *engine.Config) {
 		if i == 0 {
-			cfg.Alg = "newreno"
-			cfg.Proto.ECN = anyDctcp
+			cfg.Alg, cfg.Proto.ECN = "newreno", anyDctcp
 		} else {
-			cfg.Alg = algs[i-1]
-			cfg.Proto.ECN = algs[i-1] == "dctcp"
+			cfg.Alg, cfg.Proto.ECN = algs[i-1], algs[i-1] == "dctcp"
 		}
-		eng := engine.New(k, cfg, topo.NodeTX(i))
-		topo.SetNodeSink(i, eng.DeliverPacket)
-		d.Kernels = append(d.Kernels, k)
-		d.Engines = append(d.Engines, eng)
-	}
-	for i, eng := range d.Engines {
-		for j := 0; j < n; j++ {
-			if j != i {
-				eng.LearnPeer(addrs[j], StarMAC(j))
-			}
-		}
-	}
-	for i := 0; i < n; i++ {
-		d.Machs = append(d.Machs, host.NewF4TMachine(d.Kernels[i], d.Engines[i], 1, costs, addrs))
-	}
-	for i, eng := range d.Engines {
-		f.RegisterOn(i, eng)
-	}
-	for i, m := range d.Machs {
-		f.RegisterOn(i, m)
-	}
-	return d
+	})
 }
 
-// WANSpec describes one sender of the RTT-diverse WAN rig: which router
-// of the chain it attaches to and its access propagation delay.
-type WANSpec struct {
-	RouterIdx int
-	PropNS    int64
-	Gbps      int64
-}
-
-// F4TWAN is a chain-of-routers rig: node 0 (the sink) attaches to
-// router 0; senders attach per their WANSpec. Node i is island i, and
-// router r is island n+r.
-type F4TWAN struct {
-	R       sim.Runner
-	Kernels []*sim.Kernel
-	Topo    *netsim.Topology
-	Engines []*engine.Engine
-	Machs   []*host.F4TMachine
-	Addrs   []wire.Addr
-}
-
-// NewF4TWANOn builds the multi-hop WAN rig on any fabric: a chain of
-// nRouters joined by trunks, the receiver on router 0, one sender per
-// spec. All nodes run one core.
-func NewF4TWANOn(f sim.Fabric, nRouters int, trunkGbps, trunkPropNS int64, recvPropNS int64, senders []WANSpec, costs cpu.Costs, aqm netsim.AQMConfig, mutate func(*engine.Config)) *F4TWAN {
+// NewF4TWANOn builds the multi-hop WAN rig: a chain of nRouters joined
+// by trunks, the receiver (node 0) on router 0, and one sender per
+// entry of senders, which supplies that sender's RouterIdx, access
+// PropNS and (optionally) Gbps — per-sender PropNS is what gives the
+// chain its RTT diversity. All nodes run one core.
+func NewF4TWANOn(f sim.Fabric, nRouters int, trunkGbps, trunkPropNS int64, recvPropNS int64, senders []netsim.NodeSpec, costs cpu.Costs, aqm netsim.AQMConfig, mutate func(*engine.Config)) *F4TTopo {
 	n := len(senders) + 1
 	routerIslands := make([]int, nRouters)
 	for r := range routerIslands {
 		routerIslands[r] = n + r
 	}
 	specs := make([]netsim.NodeSpec, n)
-	addrs := make([]wire.Addr, n)
-	addrs[0] = StarAddr(0)
-	specs[0] = netsim.NodeSpec{
-		Addr: addrs[0], MAC: StarMAC(0), Island: 0, RouterIdx: 0,
-		Gbps: LinkGbps, PropNS: recvPropNS,
-	}
-	for i, ws := range senders {
-		addrs[i+1] = StarAddr(i + 1)
-		gbps := ws.Gbps
-		if gbps == 0 {
-			gbps = LinkGbps
-		}
-		specs[i+1] = netsim.NodeSpec{
-			Addr: addrs[i+1], MAC: StarMAC(i + 1), Island: i + 1,
-			RouterIdx: ws.RouterIdx, Gbps: gbps, PropNS: ws.PropNS,
+	specs[0] = topoNode(0, 0, recvPropNS)
+	for i, s := range senders {
+		specs[i+1] = topoNode(i+1, s.RouterIdx, s.PropNS)
+		if s.Gbps != 0 {
+			specs[i+1].Gbps = s.Gbps
 		}
 	}
 	topo := netsim.NewChainOn(f, routerIslands, trunkGbps, trunkPropNS, specs, aqm, 8765)
-
-	base := engine.DefaultConfig()
-	if mutate != nil {
-		mutate(&base)
-	}
-	w := &F4TWAN{R: f, Topo: topo, Addrs: addrs}
-	for i := 0; i < n; i++ {
-		k := f.IslandKernel(i)
-		cfg := base
-		cfg.IP, cfg.MAC = addrs[i], StarMAC(i)
-		cfg.Seed = base.Seed + uint64(303+i*101)
-		cfg.Channels = 1
-		eng := engine.New(k, cfg, topo.NodeTX(i))
-		topo.SetNodeSink(i, eng.DeliverPacket)
-		w.Kernels = append(w.Kernels, k)
-		w.Engines = append(w.Engines, eng)
-	}
-	for i, eng := range w.Engines {
-		for j := 0; j < n; j++ {
-			if j != i {
-				eng.LearnPeer(addrs[j], StarMAC(j))
-			}
-		}
-	}
-	for i := 0; i < n; i++ {
-		w.Machs = append(w.Machs, host.NewF4TMachine(w.Kernels[i], w.Engines[i], 1, costs, addrs))
-	}
-	for i, eng := range w.Engines {
-		f.RegisterOn(i, eng)
-	}
-	for i, m := range w.Machs {
-		f.RegisterOn(i, m)
-	}
-	return w
+	return buildTopo(f, topo, costs, mutate, 303, nil)
 }

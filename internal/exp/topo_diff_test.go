@@ -7,12 +7,12 @@ import (
 
 	"f4t/internal/netsim"
 	"f4t/internal/sim"
+	"f4t/internal/sim/simtest"
 	"f4t/internal/telemetry"
 )
 
 // The topology rigs' determinism contract: every scenario point is
-// bit-identical between the serial kernel (with and without quiescence
-// skipping) and sharded execution at any shard count. The signatures
+// bit-identical on every fabric of simtest.FabricMatrix. The signatures
 // below fold every float through math.Float64bits, so "close" is never
 // good enough — only the exact same bits pass.
 
@@ -26,35 +26,24 @@ func incastSig(f sim.Fabric, senders int, aqm netsim.AQMConfig, seed uint64) str
 	return fmt.Sprintf("goodput=%x port=%+v", math.Float64bits(r.GoodputGbps), r.Port)
 }
 
-// TestIncastShardDifferential is the shard battery for the incast rig:
-// serial skip/noskip and 2/4/8 shards across seeds, all bit-identical.
+// TestIncastShardDifferential is the fabric battery for the incast rig
+// across seeds.
 func TestIncastShardDifferential(t *testing.T) {
 	seeds := []uint64{0, 1}
-	shardCounts := []int{2, 4, 8}
 	if testing.Short() {
 		seeds = seeds[:1]
-		shardCounts = []int{2}
 	}
 	for _, seed := range seeds {
-		aqm := netsim.RED(0, true)
-		ref := incastSig(sim.New(), 4, aqm, seed)
-
-		noskip := sim.New()
-		noskip.SetSkipping(false)
-		if got := incastSig(noskip, 4, aqm, seed); got != ref {
-			t.Errorf("seed %d: noskip diverged\n got %s\nwant %s", seed, got, ref)
-		}
-		for _, n := range shardCounts {
-			if got := incastSig(sim.NewSharded(n), 4, aqm, seed); got != ref {
-				t.Errorf("seed %d: %d shards diverged\n got %s\nwant %s", seed, n, got, ref)
-			}
-		}
+		seed := seed
+		simtest.FabricMatrix(t, func(f sim.Fabric) string {
+			return fmt.Sprintf("seed %d: %s", seed, incastSig(f, 4, netsim.RED(0, true), seed))
+		})
 	}
 }
 
 // TestScenarioRigsShardIdentical covers the remaining topology rigs at
 // one seed each: fan-out/fan-in, mixed traffic, and the WAN chain must
-// all produce bit-identical results serial vs sharded.
+// all produce bit-identical results on every fabric.
 func TestScenarioRigsShardIdentical(t *testing.T) {
 	cases := []struct {
 		name string
@@ -71,7 +60,7 @@ func TestScenarioRigsShardIdentical(t *testing.T) {
 				math.Float64bits(r.BulkGbps), r.EchoP50, r.EchoP99, r.Port)
 		}},
 		{"wan", func(f sim.Fabric) string {
-			senders := []WANSpec{{RouterIdx: 0, PropNS: 600}, {RouterIdx: 2, PropNS: 25_000}}
+			senders := []netsim.NodeSpec{{RouterIdx: 0, PropNS: 600}, {RouterIdx: 2, PropNS: 25_000}}
 			r := WANPointOn(f, senders, netsim.DropTail(0), "cubic", nil, topoDiffWarmup, topoDiffMeasure)
 			sig := fmt.Sprintf("jain=%x port=%+v", math.Float64bits(r.Jain), r.Port)
 			for _, g := range r.SenderGbps {
@@ -82,17 +71,7 @@ func TestScenarioRigsShardIdentical(t *testing.T) {
 	}
 	for _, c := range cases {
 		c := c
-		t.Run(c.name, func(t *testing.T) {
-			ref := c.run(sim.New())
-			if got := c.run(sim.NewSharded(2)); got != ref {
-				t.Errorf("2 shards diverged\n got %s\nwant %s", got, ref)
-			}
-			if !testing.Short() {
-				if got := c.run(sim.NewSharded(4)); got != ref {
-					t.Errorf("4 shards diverged\n got %s\nwant %s", got, ref)
-				}
-			}
-		})
+		t.Run(c.name, func(t *testing.T) { simtest.FabricMatrix(t, c.run) })
 	}
 }
 

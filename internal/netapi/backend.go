@@ -286,28 +286,24 @@ func (p *hostPump) NextWork(now int64) int64 {
 	return next
 }
 
-// HostStack is a Stack over a software TCP endpoint, plus the wiring
-// surface rigs need (attach TX to a pipe, attach Deliver as the sink).
+// HostStack is a Stack over a software TCP endpoint, plus the surface
+// core.AttachSoft wires to a network (Endpoint, DeliverPacket).
 type HostStack struct {
 	*Stack
 	ep   *stack.Endpoint
 	pump *hostPump
 }
 
-// Endpoint exposes the underlying software stack (for LearnPeer etc.).
+// Endpoint exposes the underlying software stack.
 func (h *HostStack) Endpoint() *stack.Endpoint { return h.ep }
 
 // DeliverPacket is the link sink: frames enter the endpoint through
 // the pump's queue so processing happens under the pump's slot.
 func (h *HostStack) DeliverPacket(pkt *wire.Packet) { h.pump.deliver(pkt) }
 
-// SetTx attaches the endpoint's transmit path (a pipe's Send).
-func (h *HostStack) SetTx(tx func(*wire.Packet)) { h.ep.SetTx(tx) }
-
 // NewHostStack builds a facade over a fresh software endpoint on the
 // island. CarryBytes is forced on — the facade moves real payload. The
-// caller wires SetTx and DeliverPacket to a link, mirroring how bare
-// endpoints attach.
+// caller plugs it into a network with core.AttachSoft.
 func NewHostStack(f sim.Fabric, island int, sopt stack.Options, opt Options) *HostStack {
 	k := f.IslandKernel(island)
 	sopt.CarryBytes = true

@@ -86,6 +86,19 @@ type Options struct {
 	SettleBusyWait time.Duration
 }
 
+// DifferentialOptions widens the settle windows for runs whose digests
+// are compared bit for bit (the fabric batteries, the rig goldens): a
+// goroutine descheduled by a loaded machine must not slip an op past
+// its settle.
+func DifferentialOptions(ip wire.Addr) Options {
+	return Options{
+		LocalIP:           ip,
+		SettleQuantum:     200 * time.Microsecond,
+		SettleQuietRounds: 5,
+		SettleBusyWait:    5 * time.Millisecond,
+	}
+}
+
 func (o *Options) fill() {
 	if o.GridCycles <= 0 {
 		o.GridCycles = 1024

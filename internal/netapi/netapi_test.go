@@ -14,9 +14,11 @@ import (
 	"testing"
 	"time"
 
+	"f4t/internal/core"
 	"f4t/internal/engine"
 	"f4t/internal/netsim"
 	"f4t/internal/sim"
+	"f4t/internal/sim/simtest"
 	"f4t/internal/stack"
 	"f4t/internal/tcpproc"
 	"f4t/internal/wire"
@@ -29,16 +31,8 @@ var (
 	macB  = wire.MAC{2, 0, 0, 0, 0, 2}
 )
 
-// testOptions widens the settle windows: the differential tests assert
-// bit-identical digests, so a goroutine descheduled by a loaded CI
-// machine must not slip an op past its settle.
-func testOptions() Options {
-	return Options{
-		SettleQuantum:     200 * time.Microsecond,
-		SettleQuietRounds: 5,
-		SettleBusyWait:    5 * time.Millisecond,
-	}
-}
+// testOptions: the differential tests assert bit-identical digests.
+func testOptions() Options { return DifferentialOptions(0) }
 
 // engRig is two engine-backed facades over one link, island 0/1.
 type engRig struct {
@@ -48,27 +42,23 @@ type engRig struct {
 	engA, engB *engine.Engine
 }
 
-// newEngRig builds the rig in a fixed construction order on any fabric
-// (the determinism contract of NewF4TPairOn, minus the machines — the
-// facade owns the channels).
+// testLink is the two-node network both rigs sit on, island 0/1.
+func testLink(f sim.Fabric, seed uint64) *netsim.Link {
+	return netsim.NewNodeLinkOn(f,
+		netsim.NodeSpec{Addr: addrA, MAC: macA, Island: 0, Gbps: 100, PropNS: 600},
+		netsim.NodeSpec{Addr: addrB, MAC: macB, Island: 1, Gbps: 100, PropNS: 600}, seed)
+}
+
+// newEngRig builds two engines without machines — the facade owns the
+// channels.
 func newEngRig(f sim.Fabric, opt Options) *engRig {
-	kA, kB := f.IslandKernel(0), f.IslandKernel(1)
-	link := netsim.NewLinkOn(f, 0, 1, 100, 600, 1234)
-	cfg := engine.DefaultConfig()
-	cfg.Channels = 1
-	cfg.CarryBytes = true
-	cfgA := cfg
-	cfgA.IP, cfgA.MAC, cfgA.Seed = addrA, macA, 101
-	cfgB := cfg
-	cfgB.IP, cfgB.MAC, cfgB.Seed = addrB, macB, 202
-	engA := engine.New(kA, cfgA, link.AtoB.Send)
-	engB := engine.New(kB, cfgB, link.BtoA.Send)
-	link.AtoB.SetSink(engB.DeliverPacket)
-	link.BtoA.SetSink(engA.DeliverPacket)
-	engA.LearnPeer(addrB, macB)
-	engB.LearnPeer(addrA, macA)
-	f.RegisterOn(0, engA)
-	f.RegisterOn(1, engB)
+	link := testLink(f, 1234)
+	rig := core.Build(f, link, func(i int) engine.Config {
+		cfg := engine.DefaultConfig()
+		cfg.Channels, cfg.CarryBytes, cfg.Seed = 1, true, uint64(101*(i+1))
+		return cfg
+	}, nil)
+	engA, engB := rig.Engines[0], rig.Engines[1]
 	optA := opt
 	optA.LocalIP = addrA
 	optB := opt
@@ -92,17 +82,13 @@ type hostRig struct {
 }
 
 func newHostRig(f sim.Fabric, opt Options) *hostRig {
-	link := netsim.NewLinkOn(f, 0, 1, 100, 600, 77)
+	link := testLink(f, 77)
 	soA := stack.Options{IP: addrA, MAC: macA, Cfg: tcpproc.DefaultConfig(), Alg: "newreno", Seed: 11}
 	soB := stack.Options{IP: addrB, MAC: macB, Cfg: tcpproc.DefaultConfig(), Alg: "newreno", Seed: 22}
 	a := NewHostStack(f, 0, soA, opt)
 	b := NewHostStack(f, 1, soB, opt)
-	a.SetTx(link.AtoB.Send)
-	b.SetTx(link.BtoA.Send)
-	link.AtoB.SetSink(b.DeliverPacket)
-	link.BtoA.SetSink(a.DeliverPacket)
-	a.Endpoint().LearnPeer(addrB, macB)
-	b.Endpoint().LearnPeer(addrA, macA)
+	core.AttachSoft(link, 0, a)
+	core.AttachSoft(link, 1, b)
 	return &hostRig{r: f, stA: a, stB: b}
 }
 
@@ -521,20 +507,10 @@ func echoDigest(t *testing.T, f sim.Fabric) string {
 }
 
 // TestEchoDifferential asserts bit-identical execution of the same
-// facade workload across serial, noskip, and sharded fabrics.
+// facade workload on every fabric.
 func TestEchoDifferential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential battery is not short")
 	}
-	digests := map[string]string{
-		"serial":   echoDigest(t, sim.New()),
-		"noskip":   echoDigest(t, sim.NewShadow()),
-		"sharded2": echoDigest(t, sim.NewSharded(2)),
-	}
-	want := digests["serial"]
-	for name, d := range digests {
-		if d != want {
-			t.Errorf("digest mismatch:\n  serial: %s\n  %s: %s", want, name, d)
-		}
-	}
+	simtest.FabricMatrixSettled(t, func(f sim.Fabric) string { return echoDigest(t, f) })
 }

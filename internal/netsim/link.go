@@ -224,32 +224,64 @@ func (p *Pipe) Utilization() float64 {
 	return float64(p.rate.BusyCycles()) / float64(now)
 }
 
-// Link is a full-duplex point-to-point link between endpoints A and B.
+// Link is a full-duplex point-to-point link between endpoints A and B:
+// the two-node network. It exposes the same node seam as Topology
+// (Nodes/Node/NodeTX/SetNodeSink, node 0 = A, node 1 = B), so a rig
+// builder attaches hosts to either without knowing which it got.
 type Link struct {
 	AtoB *Pipe
 	BtoA *Pipe
+
+	nodes [2]NodeSpec
 }
 
-// NewLink builds a duplex link; sinks attach afterwards via SetSink.
+// NewLink builds a duplex link on a serial kernel; sinks attach
+// afterwards via SetSink.
 func NewLink(k *sim.Kernel, gbps int64, propNS int64, seed uint64) *Link {
-	return &Link{
-		AtoB: NewPipe(k, gbps, propNS, seed*2+1, nil),
-		BtoA: NewPipe(k, gbps, propNS, seed*2+2, nil),
-	}
+	return NewLinkOn(k, 0, 1, gbps, propNS, seed)
 }
 
-// NewLinkOn builds a duplex link between two islands of a Fabric. Each
-// pipe's clock (serialization, backlog, fault draws) is its sending
-// island's kernel, and deliveries are scheduled through the fabric —
-// a plain timer when both islands share a kernel, a deterministic
-// cross-shard mailbox otherwise. The link declares its minimum
-// sender-to-receiver latency to the fabric, which bounds the sharded
-// scheduler's synchronization window.
+// NewLinkOn builds an address-less duplex link between two islands of a
+// Fabric (see NewNodeLinkOn).
 func NewLinkOn(f sim.Fabric, islandA, islandB int, gbps int64, propNS int64, seed uint64) *Link {
-	minLat := MinLatencyCycles(propNS)
-	ab := NewPipe(f.IslandKernel(islandA), gbps, propNS, seed*2+1, nil)
-	ab.post = f.CrossPost(islandA, islandB, minLat)
-	ba := NewPipe(f.IslandKernel(islandB), gbps, propNS, seed*2+2, nil)
-	ba.post = f.CrossPost(islandB, islandA, minLat)
-	return &Link{AtoB: ab, BtoA: ba}
+	return NewNodeLinkOn(f,
+		NodeSpec{Island: islandA, Gbps: gbps, PropNS: propNS},
+		NodeSpec{Island: islandB, Gbps: gbps, PropNS: propNS}, seed)
 }
+
+// NewNodeLinkOn builds a duplex link between two described nodes. Each
+// pipe's clock (serialization, backlog, fault draws) is its sending
+// node's island kernel and runs at that node's Gbps/PropNS, and
+// deliveries are scheduled through the fabric — a plain timer when both
+// islands share a kernel, a deterministic cross-shard mailbox
+// otherwise. The link declares its minimum sender-to-receiver latency
+// to the fabric, which bounds the sharded scheduler's synchronization
+// window.
+func NewNodeLinkOn(f sim.Fabric, a, b NodeSpec, seed uint64) *Link {
+	ab := NewPipe(f.IslandKernel(a.Island), a.Gbps, a.PropNS, seed*2+1, nil)
+	ab.post = f.CrossPost(a.Island, b.Island, MinLatencyCycles(a.PropNS))
+	ba := NewPipe(f.IslandKernel(b.Island), b.Gbps, b.PropNS, seed*2+2, nil)
+	ba.post = f.CrossPost(b.Island, a.Island, MinLatencyCycles(b.PropNS))
+	return &Link{AtoB: ab, BtoA: ba, nodes: [2]NodeSpec{a, b}}
+}
+
+// tx returns the pipe node j transmits into (the other one delivers to
+// it).
+func (l *Link) tx(j int) *Pipe {
+	if j == 0 {
+		return l.AtoB
+	}
+	return l.BtoA
+}
+
+// Nodes returns the link's node count.
+func (l *Link) Nodes() int { return 2 }
+
+// Node returns the j-th node's spec.
+func (l *Link) Node(j int) NodeSpec { return l.nodes[j] }
+
+// NodeTX returns the j-th node's transmit function.
+func (l *Link) NodeTX(j int) func(*wire.Packet) { return l.tx(j).Send }
+
+// SetNodeSink attaches the j-th node's receive callback.
+func (l *Link) SetNodeSink(j int, deliver func(*wire.Packet)) { l.tx(1 - j).SetSink(deliver) }

@@ -1,10 +1,12 @@
 package netsim
 
 import (
+	"fmt"
 	"testing"
 
 	"f4t/internal/seqnum"
 	"f4t/internal/sim"
+	"f4t/internal/sim/simtest"
 	"f4t/internal/wire"
 )
 
@@ -160,15 +162,10 @@ func TestChainRoutesAcrossHops(t *testing.T) {
 }
 
 func TestTopologyShardedBitIdentical(t *testing.T) {
-	// The same raw-packet scenario on a serial kernel and across 2 and 3
-	// shards (nodes and router on distinct islands) must produce
-	// identical delivery cycles and counters.
-	type run struct {
-		at  [][]int64
-		fwd int64
-		deq []int64
-	}
-	drive := func(f sim.Fabric) run {
+	// The same raw-packet scenario (nodes and router on distinct islands)
+	// must produce identical delivery cycles and counters on every
+	// fabric, including a shard count that does not divide the islands.
+	drive := func(f sim.Fabric) string {
 		addrs := []wire.Addr{
 			wire.MakeAddr(10, 9, 2, 1),
 			wire.MakeAddr(10, 9, 2, 2),
@@ -179,11 +176,11 @@ func TestTopologyShardedBitIdentical(t *testing.T) {
 			specs[i] = NodeSpec{Addr: a, Island: i, Gbps: 100, PropNS: 600}
 		}
 		topo := NewStarOn(f, len(addrs), specs, RED(8_000, false), 21)
-		r := run{at: make([][]int64, len(addrs))}
+		at := make([][]int64, len(addrs)) // per-node delivery cycles
 		for i := range addrs {
 			i := i
 			kI := f.IslandKernel(i)
-			topo.SetNodeSink(i, func(p *wire.Packet) { r.at[i] = append(r.at[i], kI.Now()) })
+			topo.SetNodeSink(i, func(p *wire.Packet) { at[i] = append(at[i], kI.Now()) })
 		}
 		// Burst from nodes 0 and 2 into node 1, then a trickle.
 		for i := 0; i < 12; i++ {
@@ -193,31 +190,14 @@ func TestTopologyShardedBitIdentical(t *testing.T) {
 		f.Run(4_000)
 		topo.NodeTX(1)(routedPkt(addrs[1], addrs[0], 7, 64))
 		f.Run(46_000)
-		r.fwd = topo.Routers[0].FwdPkts
+		var deq []int64
 		for _, p := range topo.NodePorts {
-			r.deq = append(r.deq, p.DeqPkts)
+			deq = append(deq, p.DeqPkts)
 		}
-		return r
+		return fmt.Sprintf("at=%v fwd=%d deq=%v", at, topo.Routers[0].FwdPkts, deq)
 	}
-	serial := drive(sim.New())
-	for _, shards := range []int{2, 3} {
-		got := drive(sim.NewSharded(shards))
-		if len(got.at[1]) != len(serial.at[1]) || got.fwd != serial.fwd {
-			t.Fatalf("%d shards: deliveries %d fwd %d, serial %d/%d",
-				shards, len(got.at[1]), got.fwd, len(serial.at[1]), serial.fwd)
-		}
-		for i := range serial.at {
-			for j := range serial.at[i] {
-				if got.at[i][j] != serial.at[i][j] {
-					t.Fatalf("%d shards: node %d delivery %d at cycle %d, serial %d",
-						shards, i, j, got.at[i][j], serial.at[i][j])
-				}
-			}
-		}
-		for i := range serial.deq {
-			if got.deq[i] != serial.deq[i] {
-				t.Fatalf("%d shards: port %d deq %d, serial %d", shards, i, got.deq[i], serial.deq[i])
-			}
-		}
+	serial := simtest.FabricMatrix(t, drive)
+	if got := drive(sim.NewSharded(3)); got != serial {
+		t.Errorf("3 shards diverged from serial\n got %s\nwant %s", got, serial)
 	}
 }
