@@ -185,19 +185,11 @@ func NewTestbed(cfgA, cfgB HostConfig, linkGbps int64) *Testbed {
 }
 
 // DefaultHostA returns a ready-to-use host configuration for node A.
-func DefaultHostA(cores int) HostConfig {
-	return HostConfig{
-		IP:    wire.MakeAddr(10, 0, 0, 1),
-		MAC:   wire.MAC{2, 0, 0, 0, 0, 1},
-		Cores: cores,
-	}
-}
+func DefaultHostA(cores int) HostConfig { return defaultHost(1, cores) }
 
 // DefaultHostB returns a ready-to-use host configuration for node B.
-func DefaultHostB(cores int) HostConfig {
-	return HostConfig{
-		IP:    wire.MakeAddr(10, 0, 0, 2),
-		MAC:   wire.MAC{2, 0, 0, 0, 0, 2},
-		Cores: cores,
-	}
+func DefaultHostB(cores int) HostConfig { return defaultHost(2, cores) }
+
+func defaultHost(n byte, cores int) HostConfig {
+	return HostConfig{IP: wire.MakeAddr(10, 0, 0, n), MAC: wire.MAC{2, 0, 0, 0, 0, n}, Cores: cores}
 }

@@ -42,9 +42,7 @@ func FairnessPointOn(f sim.Fabric, algs []string, aqm netsim.AQMConfig, seed uin
 	d := NewF4TDumbbellOn(f, algs, FairnessTrunkGbps, 1_000, cpu.DefaultCosts(), aqm, func(c *engine.Config) {
 		c.Seed += seed * 7919
 	})
-	if reg != nil {
-		d.Topo.Instrument(reg, "topo")
-	}
+	d.Topo.Instrument(reg, "topo") // no-op on a nil registry
 
 	_, bulks := bulkIntoNode0(f, d, 5_000_000, warmup)
 	res := FairnessResult{Algs: algs}

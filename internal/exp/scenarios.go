@@ -104,9 +104,7 @@ func IncastPointOn(f sim.Fabric, senders int, aqm netsim.AQMConfig, alg string, 
 		setAlg(c, alg)
 		c.Seed += seed * 7919
 	})
-	if reg != nil {
-		s.Topo.Instrument(reg, "topo")
-	}
+	s.Topo.Instrument(reg, "topo") // no-op on a nil registry
 
 	sink, _ := bulkIntoNode0(f, s, 5_000_000, warmup)
 	sink.Delivered.Snapshot(f.Now())
@@ -191,9 +189,7 @@ func FanioPointOn(f sim.Fabric, servers int, aqm netsim.AQMConfig, alg string, r
 		setAlg(c, alg)
 		c.CarryBytes = false
 	})
-	if reg != nil {
-		s.Topo.Instrument(reg, "topo")
-	}
+	s.Topo.Instrument(reg, "topo") // no-op on a nil registry
 
 	for i := 1; i <= servers; i++ {
 		srv := apps.NewRPCServer(s.Machs[i].Threads(), 7001, 128, respSize)
@@ -235,9 +231,7 @@ type MixedResult struct {
 // echo client. SO_REUSEPORT steering keeps each app on its own thread.
 func MixedPointOn(f sim.Fabric, aqm netsim.AQMConfig, alg string, reg *telemetry.Registry, warmup, measure int64) MixedResult {
 	s := NewF4TStarOn(f, []int{2, 1, 1}, cpu.DefaultCosts(), aqm, func(c *engine.Config) { setAlg(c, alg) })
-	if reg != nil {
-		s.Topo.Instrument(reg, "topo")
-	}
+	s.Topo.Instrument(reg, "topo") // no-op on a nil registry
 
 	serverThreads := s.Machs[0].Threads()
 	sink := apps.NewSink(serverThreads[:1], 5001)
@@ -287,9 +281,7 @@ func DefaultWANSenders() []netsim.NodeSpec {
 // the classic RTT-unfairness experiment.
 func WANPointOn(f sim.Fabric, senders []netsim.NodeSpec, aqm netsim.AQMConfig, alg string, reg *telemetry.Registry, warmup, measure int64) WANResult {
 	w := NewF4TWANOn(f, 3, LinkGbps, 10_000, 600, senders, cpu.DefaultCosts(), aqm, func(c *engine.Config) { setAlg(c, alg) })
-	if reg != nil {
-		w.Topo.Instrument(reg, "topo")
-	}
+	w.Topo.Instrument(reg, "topo") // no-op on a nil registry
 
 	_, bulks := bulkIntoNode0(f, w, 10_000_000, warmup)
 	var res WANResult
