@@ -155,15 +155,15 @@ func NewLinuxPairOn(f sim.Fabric, coresA, coresB int, costs cpu.Costs) *LinuxPai
 	link := pairLink(f, 5678)
 	p := &LinuxPair{R: f, KA: f.IslandKernel(IslandA), KB: f.IslandKernel(IslandB), Link: link}
 	p.K, _ = f.(*sim.Kernel)
-	mach := func(i int, k *sim.Kernel, cores int, seed uint64) *host.LinuxMachine {
+	mach := func(i, cores int, seed uint64) *host.LinuxMachine {
 		n := link.Node(i)
 		opt := stack.Options{IP: n.Addr, MAC: n.MAC, Cfg: tcpproc.DefaultConfig(), Alg: "cubic", MaxFlows: 70000, Seed: seed}
-		m := host.NewLinuxMachine(k, opt, cores, costs, core.Peers(link, i), nil)
+		m := host.NewLinuxMachine(f.IslandKernel(n.Island), opt, cores, costs, core.Peers(link, i), nil)
 		core.AttachSoft(link, i, m)
 		return m
 	}
-	p.MachA = mach(0, p.KA, coresA, 11)
-	p.MachB = mach(1, p.KB, coresB, 22)
+	p.MachA = mach(0, coresA, 11)
+	p.MachB = mach(1, coresB, 22)
 	f.RegisterOn(IslandA, p.MachA)
 	f.RegisterOn(IslandB, p.MachB)
 	return p
