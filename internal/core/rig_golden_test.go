@@ -52,38 +52,37 @@ func fileSum(t *testing.T, path string) string {
 }
 
 var rigGoldens = []struct {
-	name     string
-	run      func(t *testing.T) string
-	attempts int // > 1 only for the goroutine-backed facade rigs
+	name string
+	run  func(t *testing.T) string
 }{
 	{"pair-f4t", func(*testing.T) string {
 		r := exp.TransferPointOn(sim.New(), "f4t", false, 128, 2, nil)
 		return fmt.Sprintf("gbps=%s mrps=%s", bits(r.GoodputGbps), bits(r.Mrps))
-	}, 1},
+	}},
 	{"pair-linux", func(*testing.T) string {
 		r := exp.TransferPointOn(sim.New(), "linux", true, 128, 2, nil)
 		return fmt.Sprintf("gbps=%s mrps=%s", bits(r.GoodputGbps), bits(r.Mrps))
-	}, 1},
+	}},
 	{"incast", func(*testing.T) string {
 		r := exp.IncastPointOn(sim.New(), 4, netsim.RED(0, true), "dctcp", 1, nil, goldenWarmup, goldenMeasure)
 		return fmt.Sprintf("gbps=%s port=%+v", bits(r.GoodputGbps), r.Port)
-	}, 1},
+	}},
 	{"fanio", func(*testing.T) string {
 		r := exp.FanioPointOn(sim.New(), 3, netsim.CoDel(0, true), "dctcp", 8_192, nil, goldenWarmup, goldenMeasure)
 		return fmt.Sprintf("rps=%s p50=%d p99=%d port=%+v", bits(r.RoundsPerSec), r.P50NS, r.P99NS, r.Port)
-	}, 1},
+	}},
 	{"mixed", func(*testing.T) string {
 		r := exp.MixedPointOn(sim.New(), netsim.ECNThreshold(netsim.DefaultCoDelTargetNS, 0), "dctcp", nil, goldenWarmup, goldenMeasure)
 		return fmt.Sprintf("bulk=%s p50=%d p99=%d port=%+v", bits(r.BulkGbps), r.EchoP50, r.EchoP99, r.Port)
-	}, 1},
+	}},
 	{"wan", func(*testing.T) string {
 		r := exp.WANPointOn(sim.New(), exp.DefaultWANSenders(), netsim.DropTail(0), "cubic", nil, goldenWarmup, goldenMeasure)
 		return fmt.Sprintf("jain=%s senders=%s port=%+v", bits(r.Jain), bitsAll(r.SenderGbps), r.Port)
-	}, 1},
+	}},
 	{"fairness", func(*testing.T) string {
 		r := exp.FairnessPointOn(sim.New(), []string{"bbr", "cubic", "dctcp"}, netsim.CoDel(0, true), 1, nil, goldenWarmup, goldenMeasure)
 		return fmt.Sprintf("jain=%s senders=%s trunk=%+v", bits(r.Jain), bitsAll(r.SenderGbps), r.Trunk)
-	}, 1},
+	}},
 	{"httpload", func(t *testing.T) string {
 		// No capture hash on the two facade rigs: real goroutines decide
 		// the exact cycle an op is picked up (and net/http stamps a
@@ -93,18 +92,18 @@ var rigGoldens = []struct {
 			t.Fatal(err)
 		}
 		return r.Digest
-	}, 3},
-	{"conformance-soft-soft", conformanceSig(conformance.RigSoftSoft), 1},
-	{"conformance-engine-soft", conformanceSig(conformance.RigEngineSoft), 1},
-	{"conformance-engine-engine", conformanceSig(conformance.RigEngineEngine), 1},
-	{"conformance-engine-engine-routed", conformanceSig(conformance.RigEngineEngineRouted), 1},
+	}},
+	{"conformance-soft-soft", conformanceSig(conformance.RigSoftSoft)},
+	{"conformance-engine-soft", conformanceSig(conformance.RigEngineSoft)},
+	{"conformance-engine-engine", conformanceSig(conformance.RigEngineEngine)},
+	{"conformance-engine-engine-routed", conformanceSig(conformance.RigEngineEngineRouted)},
 	{"conformance-facade", func(t *testing.T) string {
 		r := conformance.RunFacade(conformance.FacadeConfig{Seed: 2, Conns: 2, Bytes: 6_000})
 		for _, v := range r.Violations {
 			t.Errorf("facade violation: %s", v)
 		}
 		return r.Digest
-	}, 3},
+	}},
 }
 
 func conformanceSig(kind conformance.RigKind) func(*testing.T) string {
@@ -147,16 +146,7 @@ func TestRigGoldens(t *testing.T) {
 		t.Fatalf("%s has %d lines, the table has %d rigs", path, len(want), len(rigGoldens))
 	}
 	for i, g := range rigGoldens {
-		got := g.name + ": " + g.run(t)
-		// The facade rigs block real goroutines in net.Conn calls; their
-		// digest is reproducible only while every goroutine meets its
-		// settle window, and a loaded host occasionally misses one (an
-		// ACK more or less). A builder change shifts every attempt, so
-		// retrying cannot hide one.
-		for try := 1; got != want[i] && try < g.attempts; try++ {
-			got = g.name + ": " + g.run(t)
-		}
-		if got != want[i] {
+		if got := g.name + ": " + g.run(t); got != want[i] {
 			t.Errorf("rig digest changed:\n got %s\nwant %s", got, want[i])
 		}
 	}

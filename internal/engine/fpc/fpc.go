@@ -314,16 +314,21 @@ func (f *FPC) NextWork(now int64) int64 {
 		}
 		return sim.Dormant
 	}
-	if f.incoming.Len() > 0 || f.input.Len() > 0 || f.ready.Len() > 0 {
+	if !f.idleAt(now + 1) {
 		return now + 1
 	}
-	if head, ok := f.pipe.Peek(); ok {
-		if head.doneAt <= now {
-			return now + 1
-		}
-		return head.doneAt
+	if f.pipe.Len() > 0 {
+		return f.pipe.AtPtr(0).doneAt
 	}
 	return sim.Dormant
+}
+
+// idleAt is the one statement of accumulate-mode idleness, shared by
+// NextWork and Tick (and small enough to inline into both): no queued
+// work and no FPU pass due at cycle.
+func (f *FPC) idleAt(cycle int64) bool {
+	return f.incoming.Len()+f.input.Len()+f.ready.Len() == 0 &&
+		(f.pipe.Len() == 0 || f.pipe.AtPtr(0).doneAt > cycle)
 }
 
 // Tick advances the FPC one cycle.
@@ -332,14 +337,13 @@ func (f *FPC) Tick(cycle int64) {
 		f.tickStall(cycle)
 		return
 	}
-	// Event-driven dispatch, single-sourced from NextWork: with every
-	// queue empty and no FPU pass due, each sub-stage below is a provable
-	// no-op (drainIncoming pops nothing, handleEvent and issue see empty
-	// queues, complete's head check fails), so the cycle costs one call
-	// instead of four stage dispatches. On a rig with many FPCs most are
-	// idle on any given cycle even under saturation — events concentrate
-	// on few flows.
-	if f.NextWork(cycle-1) > cycle {
+	// Event-driven dispatch: with every queue empty and no FPU pass due,
+	// each sub-stage below is a provable no-op (drainIncoming pops
+	// nothing, handleEvent and issue see empty queues, complete's head
+	// check fails), so the cycle costs one branch instead of four stage
+	// dispatches. On a rig with many FPCs most are idle on any given
+	// cycle even under saturation — events concentrate on few flows.
+	if f.idleAt(cycle) {
 		return
 	}
 	f.drainIncoming(cycle)

@@ -246,22 +246,19 @@ func (m *Manager) NextWork(now int64) int64 {
 	if m.input.Len() > 0 {
 		return now + 1
 	}
-	if pe, ok := m.inFlight.Peek(); ok {
-		if pe.readyAt <= now {
-			return now + 1
-		}
-		return pe.readyAt
+	if m.inFlight.Len() == 0 {
+		return sim.Dormant
 	}
-	return sim.Dormant
+	return max(now+1, m.inFlight.AtPtr(0).readyAt)
 }
 
 // Tick advances the manager: start handling queued events (cache lookup,
 // DRAM RMW) and retire those whose memory access completed — handling
 // events "directly to TCBs in the memory" (§4.3.1).
 func (m *Manager) Tick(cycle int64) {
-	// Event-driven dispatch, single-sourced from NextWork: nothing
-	// queued and no access due to retire means both stages below are
-	// no-ops.
+	// Event-driven dispatch, single-sourced from NextWork (which
+	// inlines here): nothing queued and no access due to retire means
+	// both stages below are no-ops.
 	if m.NextWork(cycle-1) > cycle {
 		return
 	}

@@ -243,30 +243,34 @@ func (s *Scheduler) RequestSwapIn(id flow.ID) {
 // the minimum). Migrations in flight land via kernel timers into FPC
 // incoming queues, which report their own work.
 func (s *Scheduler) NextWork(now int64) int64 {
-	for _, q := range s.fifos {
-		if q.Len() > 0 {
-			return now + 1
-		}
-	}
-	if s.swapReqs.Len() > 0 {
+	if !s.idleAt(now + 1) {
 		return now + 1
 	}
-	if pe, ok := s.pending.Peek(); ok {
-		if pe.retryAt <= now {
-			return now + 1
-		}
-		return pe.retryAt
+	if s.pending.Len() > 0 {
+		return s.pending.AtPtr(0).retryAt
 	}
 	return sim.Dormant
 }
 
+// idleAt is the one statement of scheduler idleness, shared by NextWork
+// and Tick: nothing to route, no swap-in to service, and the pending
+// queue's head not yet due at cycle.
+func (s *Scheduler) idleAt(cycle int64) bool {
+	for _, q := range s.fifos {
+		if q.Len() > 0 {
+			return false
+		}
+	}
+	return s.swapReqs.Len() == 0 &&
+		(s.pending.Len() == 0 || s.pending.AtPtr(0).retryAt > cycle)
+}
+
 // Tick advances routing, pending retries and migrations.
 func (s *Scheduler) Tick(cycle int64) {
-	// Event-driven dispatch, single-sourced from NextWork: when nothing
-	// can act before a later cycle, each stage below is a no-op (route
-	// and processSwapIns see empty queues, retryPending's head deadline
-	// has not come).
-	if s.NextWork(cycle-1) > cycle {
+	// Event-driven dispatch: when idle, each stage below is a no-op
+	// (route and processSwapIns see empty queues, retryPending's head
+	// deadline has not come).
+	if s.idleAt(cycle) {
 		return
 	}
 	s.route(cycle)

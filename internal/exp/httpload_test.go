@@ -38,7 +38,7 @@ func TestHTTPLoadDifferential(t *testing.T) {
 		t.Skip("differential battery skipped in -short")
 	}
 	cfg := HTTPLoadConfig{Requests: 3, BodyLen: 8192, EndCycle: 80_000_000}
-	simtest.FabricMatrixSettled(t, func(f sim.Fabric) string {
+	simtest.FabricMatrix(t, func(f sim.Fabric) string {
 		res, err := HTTPLoadOn(f, cfg)
 		if err != nil {
 			t.Fatal(err)

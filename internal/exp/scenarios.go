@@ -267,8 +267,8 @@ type WANResult struct {
 
 // DefaultWANSenders is the RTT-diverse sender set: same rack, one hop
 // out, and two far paths sharing the longest chain.
-func DefaultWANSenders() []netsim.NodeSpec {
-	return []netsim.NodeSpec{
+func DefaultWANSenders() []WANSpec {
+	return []WANSpec{
 		{RouterIdx: 0, PropNS: 600},
 		{RouterIdx: 1, PropNS: 5_000},
 		{RouterIdx: 2, PropNS: 25_000},
@@ -279,7 +279,7 @@ func DefaultWANSenders() []netsim.NodeSpec {
 // WANPointOn runs bulk senders with diverse access RTTs over a
 // three-router chain into one receiver, measuring each flow's share —
 // the classic RTT-unfairness experiment.
-func WANPointOn(f sim.Fabric, senders []netsim.NodeSpec, aqm netsim.AQMConfig, alg string, reg *telemetry.Registry, warmup, measure int64) WANResult {
+func WANPointOn(f sim.Fabric, senders []WANSpec, aqm netsim.AQMConfig, alg string, reg *telemetry.Registry, warmup, measure int64) WANResult {
 	w := NewF4TWANOn(f, 3, LinkGbps, 10_000, 600, senders, cpu.DefaultCosts(), aqm, func(c *engine.Config) { setAlg(c, alg) })
 	w.Topo.Instrument(reg, "topo") // no-op on a nil registry
 

@@ -99,12 +99,19 @@ func NewF4TDumbbellOn(f sim.Fabric, algs []string, trunkGbps, trunkPropNS int64,
 	})
 }
 
+// WANSpec describes one sender of the RTT-diverse WAN rig: which router
+// of the chain it attaches to, its access propagation delay — what gives
+// the chain its RTT diversity — and its access rate (0 = LinkGbps).
+type WANSpec struct {
+	RouterIdx int
+	PropNS    int64
+	Gbps      int64
+}
+
 // NewF4TWANOn builds the multi-hop WAN rig: a chain of nRouters joined
-// by trunks, the receiver (node 0) on router 0, and one sender per
-// entry of senders, which supplies that sender's RouterIdx, access
-// PropNS and (optionally) Gbps — per-sender PropNS is what gives the
-// chain its RTT diversity. All nodes run one core.
-func NewF4TWANOn(f sim.Fabric, nRouters int, trunkGbps, trunkPropNS int64, recvPropNS int64, senders []netsim.NodeSpec, costs cpu.Costs, aqm netsim.AQMConfig, mutate func(*engine.Config)) *F4TTopo {
+// by trunks, the receiver (node 0) on router 0, one sender per spec. All
+// nodes run one core.
+func NewF4TWANOn(f sim.Fabric, nRouters int, trunkGbps, trunkPropNS int64, recvPropNS int64, senders []WANSpec, costs cpu.Costs, aqm netsim.AQMConfig, mutate func(*engine.Config)) *F4TTopo {
 	n := len(senders) + 1
 	routerIslands := make([]int, nRouters)
 	for r := range routerIslands {

@@ -324,8 +324,15 @@ func (st *Stack) settle() {
 			st.execDial(o)
 		}
 	}
+	// A settle that executed or completed an op ends only on silence:
+	// the goroutines it woke may hand off to others that hold no credit
+	// (net/http's read, write and handler goroutines), so an empty inbox
+	// at zero credits does not yet mean the application is done. An
+	// idle poll — nothing queued, nothing completed — ends at once.
+	active := false
 	for {
 		if len(st.inbox) > 0 {
+			active = true
 			batch := st.inbox
 			st.inbox = nil
 			st.inboxN.Store(0)
@@ -344,7 +351,8 @@ func (st *Stack) settle() {
 			}
 		}
 		st.sweep()
-		if st.credits == 0 && len(st.inbox) == 0 {
+		active = active || st.credits > 0
+		if !active {
 			break
 		}
 		if !st.waitQuiet() {

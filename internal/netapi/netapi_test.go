@@ -512,5 +512,5 @@ func TestEchoDifferential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential battery is not short")
 	}
-	simtest.FabricMatrixSettled(t, func(f sim.Fabric) string { return echoDigest(t, f) })
+	simtest.FabricMatrix(t, func(f sim.Fabric) string { return echoDigest(t, f) })
 }

@@ -249,19 +249,22 @@ func NewLinkOn(f sim.Fabric, islandA, islandB int, gbps int64, propNS int64, see
 		NodeSpec{Island: islandB, Gbps: gbps, PropNS: propNS}, seed)
 }
 
-// NewNodeLinkOn builds a duplex link between two described nodes. Each
+// NewNodeLinkOn builds a duplex link between two described nodes, which
+// must state the same Gbps and PropNS: one link has one rate. Each
 // pipe's clock (serialization, backlog, fault draws) is its sending
-// node's island kernel and runs at that node's Gbps/PropNS, and
-// deliveries are scheduled through the fabric — a plain timer when both
-// islands share a kernel, a deterministic cross-shard mailbox
-// otherwise. The link declares its minimum sender-to-receiver latency
-// to the fabric, which bounds the sharded scheduler's synchronization
-// window.
+// node's island kernel, and deliveries are scheduled through the
+// fabric — a plain timer when both islands share a kernel, a
+// deterministic cross-shard mailbox otherwise. The link declares its
+// minimum sender-to-receiver latency to the fabric, which bounds the
+// sharded scheduler's synchronization window.
 func NewNodeLinkOn(f sim.Fabric, a, b NodeSpec, seed uint64) *Link {
+	if a.Gbps != b.Gbps || a.PropNS != b.PropNS {
+		panic("netsim: the two ends of a link must state the same Gbps and PropNS")
+	}
 	ab := NewPipe(f.IslandKernel(a.Island), a.Gbps, a.PropNS, seed*2+1, nil)
 	ab.post = f.CrossPost(a.Island, b.Island, MinLatencyCycles(a.PropNS))
-	ba := NewPipe(f.IslandKernel(b.Island), b.Gbps, b.PropNS, seed*2+2, nil)
-	ba.post = f.CrossPost(b.Island, a.Island, MinLatencyCycles(b.PropNS))
+	ba := NewPipe(f.IslandKernel(b.Island), a.Gbps, a.PropNS, seed*2+2, nil)
+	ba.post = f.CrossPost(b.Island, a.Island, MinLatencyCycles(a.PropNS))
 	return &Link{AtoB: ab, BtoA: ba, nodes: [2]NodeSpec{a, b}}
 }
 

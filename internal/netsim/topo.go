@@ -167,8 +167,11 @@ func (t *Topology) SetNodeSink(j int, deliver func(*wire.Packet)) {
 }
 
 // Instrument registers every router (and its ports) plus every uplink
-// under prefix. Safe on a nil registry.
+// under prefix. A nil registry is a no-op.
 func (t *Topology) Instrument(reg *telemetry.Registry, prefix string) {
+	if reg == nil {
+		return
+	}
 	for _, r := range t.Routers {
 		r.Instrument(reg, prefix+"."+r.Name)
 	}

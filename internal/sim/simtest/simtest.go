@@ -17,42 +17,11 @@ import (
 // string. The serial digest is returned.
 func FabricMatrix(t *testing.T, run func(sim.Fabric) string) string {
 	t.Helper()
-	want, diffs := matrix(run)
-	for _, d := range diffs {
-		t.Error(d)
-	}
-	return want
-}
-
-// FabricMatrixSettled is FabricMatrix for rigs that block real
-// goroutines in the netapi facade. Their digest is reproducible only
-// while every goroutine meets its settle window (DESIGN.md §14), and a
-// loaded host occasionally misses one — an ACK more or less, on any
-// fabric including the serial reference. A missed window is random
-// where fabric dependence is systematic, so the matrix is attempted up
-// to three times and passes as soon as one attempt is unanimous.
-func FabricMatrixSettled(t *testing.T, run func(sim.Fabric) string) string {
-	t.Helper()
-	for attempt := 1; ; attempt++ {
-		want, diffs := matrix(run)
-		if len(diffs) == 0 {
-			return want
-		}
-		if attempt == 3 {
-			for _, d := range diffs {
-				t.Error(d)
-			}
-			return want
-		}
-		t.Logf("attempt %d not unanimous, retrying: %s", attempt, diffs[0])
-	}
-}
-
-func matrix(run func(sim.Fabric) string) (want string, diffs []string) {
-	want = run(sim.New())
+	want := run(sim.New())
 	check := func(name string, f sim.Fabric) {
+		t.Helper()
 		if got := run(f); got != want {
-			diffs = append(diffs, fmt.Sprintf("%s diverged from serial\n got %s\nwant %s", name, got, want))
+			t.Errorf("%s diverged from serial\n got %s\nwant %s", name, got, want)
 		}
 	}
 	check("noskip", sim.NewShadow())
@@ -63,5 +32,5 @@ func matrix(run func(sim.Fabric) string) (want string, diffs []string) {
 	for _, n := range shards {
 		check(fmt.Sprintf("%d shards", n), sim.NewSharded(n))
 	}
-	return want, diffs
+	return want
 }
