@@ -7,6 +7,7 @@ import (
 	"f4t/internal/netsim"
 	"f4t/internal/pcap"
 	"f4t/internal/sim"
+	"f4t/internal/sock"
 	"f4t/internal/tcpproc"
 )
 
@@ -63,8 +64,8 @@ const maxViolations = 64
 // anything.
 type testConn struct {
 	idx     int
-	dial    Conn // A side (dialer)
-	acc     Conn // B side, nil until accepted
+	dial    sock.Conn // A side (dialer)
+	acc     sock.Conn // B side, nil until accepted
 	sent    [2]int
 	rcvd    [2]int
 	aborted bool
@@ -76,14 +77,17 @@ func (c *testConn) pat(dir, off int) byte {
 	return byte(off)*3 + byte(c.idx*31+dir*17+7)
 }
 
+// done reports whether a connection has fully terminated.
+func done(c sock.Conn) bool { return c.Closed() || c.WasReset() }
+
 // sender/receiver return the Conn on each end of a direction.
-func (c *testConn) sender(dir int) Conn {
+func (c *testConn) sender(dir int) sock.Conn {
 	if dir == 0 {
 		return c.dial
 	}
 	return c.acc
 }
-func (c *testConn) receiver(dir int) Conn {
+func (c *testConn) receiver(dir int) sock.Conn {
 	if dir == 0 {
 		return c.acc
 	}
@@ -139,7 +143,7 @@ func RunOn(fab sim.Fabric, cfg Config) Result {
 	h.trA = newTracker("A", alg, mss, sink)
 	h.trB = newTracker("B", alg, mss, sink)
 
-	h.rig.B.Listen()
+	h.rig.B.Listen(rigPort)
 	for i := 0; i < cfg.Conns; i++ {
 		h.dialOne()
 	}
@@ -168,7 +172,7 @@ func RunOn(fab sim.Fabric, cfg Config) Result {
 // dialOne opens a fresh connection from A and registers it for accept
 // matching by the dialer's ephemeral port.
 func (h *runner) dialOne() {
-	c := h.rig.A.Dial()
+	c := h.rig.A.dial()
 	if c == nil {
 		return // command queue full; churn retries next phase
 	}
@@ -183,10 +187,14 @@ func (h *runner) dialOne() {
 // phase's stall/trickle shaping.
 func (h *runner) pump(ph *Phase) {
 	h.rig.A.Poll() // dialer-side completions (engine libs)
-	for _, nc := range h.rig.B.Poll() {
-		if tc := h.pending[nc.PeerPort()]; tc != nil && tc.acc == nil {
-			tc.acc = nc
-			delete(h.pending, nc.PeerPort())
+	for _, ev := range h.rig.B.Poll() {
+		if ev.Kind != sock.EvAccepted {
+			continue
+		}
+		_, port := ev.Conn.Remote()
+		if tc := h.pending[port]; tc != nil && tc.acc == nil {
+			tc.acc = ev.Conn
+			delete(h.pending, port)
 		}
 	}
 	for _, tc := range h.conns {
@@ -214,7 +222,7 @@ func (h *runner) pumpSend(tc *testConn, dir int, ph *Phase) {
 		return // draining: no new bytes
 	}
 	snd := tc.sender(dir)
-	if snd == nil || !snd.Established() || snd.Done() {
+	if snd == nil || !snd.Established() || done(snd) {
 		return
 	}
 	n := h.cfg.Chunk
@@ -283,7 +291,7 @@ func (h *runner) runPhase(ph Phase) {
 // brings.
 func (h *runner) churnOne() {
 	for _, tc := range h.conns {
-		if tc.aborted || !tc.dial.Established() || tc.dial.Done() {
+		if tc.aborted || !tc.dial.Established() || done(tc.dial) {
 			continue
 		}
 		tc.aborted = true
@@ -362,15 +370,13 @@ func (h *runner) drain() bool {
 	})
 }
 
-// closeBoth issues Close on each side of a connection at most once.
+// closeBoth issues Close on each side of a connection until it takes.
 func (h *runner) closeBoth(tc *testConn) {
 	if !tc.closedDial {
-		tc.closedDial = true
-		tc.dial.Close()
+		tc.closedDial = tc.dial.Close()
 	}
 	if tc.acc != nil && !tc.closedAcc {
-		tc.closedAcc = true
-		tc.acc.Close()
+		tc.closedAcc = tc.acc.Close()
 	}
 }
 
@@ -379,7 +385,7 @@ func (h *runner) bytesSettled(tc *testConn) bool {
 	if tc.aborted {
 		return true
 	}
-	if tc.dial.Reset() {
+	if tc.dial.WasReset() {
 		return true // spurious reset; flagged in finalChecks
 	}
 	if tc.acc == nil {
@@ -396,12 +402,12 @@ func (h *runner) closeSettled(tc *testConn) bool {
 	if tc.aborted {
 		// The aborting side freed instantly; the peer must have learned
 		// via the RST (or an orphan-RST reply to its retransmissions).
-		return tc.acc == nil || tc.acc.Done()
+		return tc.acc == nil || done(tc.acc)
 	}
-	if !tc.dial.Done() {
+	if !done(tc.dial) {
 		return false
 	}
-	return tc.acc == nil || tc.acc.Done()
+	return tc.acc == nil || done(tc.acc)
 }
 
 // finalChecks turns end-state anomalies into violations: a failed drain
@@ -427,10 +433,10 @@ func (h *runner) finalChecks(drained bool) {
 		if tc.aborted {
 			continue
 		}
-		if tc.dial.Reset() {
+		if tc.dial.WasReset() {
 			h.violate("unexpected-reset", tc, "dialer side reset without an abort")
 		}
-		if tc.acc != nil && tc.acc.Reset() {
+		if tc.acc != nil && tc.acc.WasReset() {
 			h.violate("unexpected-reset", tc, "acceptor side reset without an abort")
 		}
 	}

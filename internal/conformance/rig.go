@@ -19,6 +19,7 @@ import (
 	"f4t/internal/flow"
 	"f4t/internal/netsim"
 	"f4t/internal/sim"
+	"f4t/internal/sock"
 	"f4t/internal/softstack"
 	"f4t/internal/stack"
 	"f4t/internal/tcpproc"
@@ -62,35 +63,23 @@ func ParseRig(s string) (RigKind, error) {
 	return 0, fmt.Errorf("unknown rig %q (want %s)", s, strings.Join(rigNames[:], ", "))
 }
 
-// Conn is the substrate-independent view of one connection under test.
-type Conn interface {
-	Established() bool
-	Reset() bool      // the connection was reset
-	Done() bool       // fully terminated
-	PeerClosed() bool // the peer's FIN was delivered
-	LocalPort() uint16
-	PeerPort() uint16
-	Send(b []byte) int
-	Recv(max int) ([]byte, int)
-	Available() int
-	Close()
-	Abort()
+// End is one side of a rig: the socket seam (sock.Host) over whichever
+// substrate the side runs on, plus what the trackers and the rig builder
+// need of the stack beneath it.
+type End struct {
+	Name string
+	sock.Host
+	peer wire.Addr // the other end
+
+	VisitTCBs   func(func(*flow.TCB))
+	OowRstDrops func() int64 // inbound RSTs discarded by sequence validation
+
+	deliver func(*wire.Packet) // RX entry
+	ticker  sim.Ticker
 }
 
-// Endpoint hides which substrate (software stack, or engine + library)
-// one side of the rig runs on.
-type Endpoint interface {
-	Name() string
-	Listen()
-	Dial() Conn
-	// Poll pumps host-side completions and returns connections accepted
-	// since the previous call.
-	Poll() []Conn
-	VisitTCBs(fn func(*flow.TCB))
-	// OowRstDrops returns how many inbound RSTs this side discarded for
-	// failing sequence validation.
-	OowRstDrops() int64
-}
+// dial opens a connection to the other end's listener (nil: retry).
+func (e *End) dial() sock.Conn { return e.Dial(e.peer, rigPort) }
 
 // rigPort is the listening port every rig uses.
 const rigPort = 80
@@ -114,7 +103,7 @@ const (
 type Rig struct {
 	R    sim.Runner // fabric driving the rig (serial kernel or sharded)
 	Link *netsim.Link
-	A, B Endpoint
+	A, B *End
 
 	// Forged-RST injectors, one per direction (toward B, toward A).
 	InjToB, InjToA *rstInjector
@@ -176,136 +165,51 @@ func NewRigAlgOn(f sim.Fabric, kind RigKind, seed uint64, alg string) *Rig {
 	}
 	// Which ends run on an engine (the rest run the software stack).
 	onEngine := [2]bool{kind != RigSoftSoft, kind >= RigEngineEngine}
-	var ends [2]rigEnd
+	var ends [2]*End
 	for i, name := range [2]string{"A", "B"} {
 		if onEngine[i] {
-			ends[i] = newEngineEnd(f, net, i, name, seed*4+2+uint64(i), alg)
+			ends[i] = newEngineEnd(f, net, i, seed*4+2+uint64(i), alg)
 		} else {
-			ends[i] = newStackEnd(f, net, i, name, seed*4+2+uint64(i), alg)
+			ends[i] = newStackEnd(f, net, i, seed*4+2+uint64(i), alg)
 		}
+		ends[i].Name, ends[i].peer = name, core.Peers(net, i)[0]
 	}
 	r.A, r.B = ends[0], ends[1]
-	f.RegisterOn(islandA, ends[0].ticker())
-	f.RegisterOn(islandB, ends[1].ticker())
+	f.RegisterOn(islandA, ends[0].ticker)
+	f.RegisterOn(islandB, ends[1].ticker)
 
 	// The injectors sit between the network and each end's RX entry.
-	r.InjToA = &rstInjector{next: ends[0].DeliverPacket}
-	r.InjToB = &rstInjector{next: ends[1].DeliverPacket}
+	r.InjToA = &rstInjector{next: ends[0].deliver}
+	r.InjToB = &rstInjector{next: ends[1].deliver}
 	net.SetNodeSink(0, r.InjToA.deliver)
 	net.SetNodeSink(1, r.InjToB.deliver)
 	return r
 }
 
-// rigEnd is what the rig builder needs of either substrate's endpoint
-// beyond the harness-facing Endpoint: its RX entry and its ticker.
-type rigEnd interface {
-	Endpoint
-	DeliverPacket(*wire.Packet)
-	ticker() sim.Ticker
-}
-
-// --- software-stack endpoint ---
-
-type stackEnd struct {
-	name     string
-	k        *sim.Kernel
-	ep       *stack.Endpoint
-	peer     wire.Addr
-	rx       []*wire.Packet
-	accepted []Conn
-}
-
-func newStackEnd(f sim.Fabric, net core.Net, i int, name string, seed uint64, alg string) *stackEnd {
+// newStackEnd puts the software stack on node i, driven by the shared
+// queue-then-tick node (RX queue, timers, NextWork).
+func newStackEnd(f sim.Fabric, net core.Net, i int, seed uint64, alg string) *End {
 	cfg := tcpproc.DefaultConfig()
 	cfg.RcvBuf = rigRcvBuf
 	cfg.ECN = alg == "dctcp"
 	spec := net.Node(i)
-	k := f.IslandKernel(spec.Island)
-	s := &stackEnd{name: name, k: k, peer: core.Peers(net, i)[0]}
-	s.ep = stack.New(k, stack.Options{
+	ep := stack.New(f.IslandKernel(spec.Island), stack.Options{
 		IP: spec.Addr, MAC: spec.MAC, Cfg: cfg, Alg: alg, CarryBytes: true, Seed: seed,
 	}, nil)
-	core.AttachSoft(net, i, s)
-	return s
-}
-
-// Endpoint exposes the stack to core.AttachSoft.
-func (s *stackEnd) Endpoint() *stack.Endpoint { return s.ep }
-
-func (s *stackEnd) ticker() sim.Ticker { return s }
-
-// DeliverPacket is the network sink. Packets queue and are processed on
-// the endpoint's own tick: a delivery callback may be a cross-shard
-// injection running under a foreign slot, which must not synchronously
-// schedule local timers (responses transmit from Tick instead).
-func (s *stackEnd) DeliverPacket(p *wire.Packet) {
-	s.rx = append(s.rx, p)
-	s.k.Wake(s)
-}
-
-// Tick drains queued RX packets (responses, if any, transmit here under
-// the endpoint's own slot) and then expires stack timers.
-func (s *stackEnd) Tick(cycle int64) {
-	for len(s.rx) > 0 {
-		p := s.rx[0]
-		s.rx = s.rx[1:]
-		s.ep.HandlePacket(p)
+	node := stack.NewNode(ep)
+	core.AttachSoft(net, i, node)
+	return &End{
+		Host:        stack.NewHosts(ep, 1)[0],
+		VisitTCBs:   ep.VisitTCBs,
+		OowRstDrops: func() int64 { return ep.RxOowRsts },
+		deliver:     node.DeliverPacket,
+		ticker:      node,
 	}
-	s.ep.Tick(cycle)
 }
 
-func (s *stackEnd) Name() string { return s.name }
-
-func (s *stackEnd) Listen() {
-	s.ep.Listen(rigPort, func(c *stack.Conn) {
-		s.accepted = append(s.accepted, &stackConn{c: c})
-	})
-}
-
-func (s *stackEnd) Dial() Conn {
-	c := s.ep.Dial(s.peer, rigPort)
-	if c == nil {
-		return nil
-	}
-	return &stackConn{c: c}
-}
-
-func (s *stackEnd) Poll() []Conn {
-	out := s.accepted
-	s.accepted = nil
-	return out
-}
-
-func (s *stackEnd) VisitTCBs(fn func(*flow.TCB)) {
-	s.ep.EachConn(func(c *stack.Conn) { fn(c.TCB) })
-}
-
-func (s *stackEnd) OowRstDrops() int64 { return s.ep.RxOowRsts }
-
-type stackConn struct{ c *stack.Conn }
-
-func (c *stackConn) Established() bool          { return c.c.Established }
-func (c *stackConn) Reset() bool                { return c.c.WasReset }
-func (c *stackConn) Done() bool                 { return c.c.Closed || c.c.WasReset }
-func (c *stackConn) PeerClosed() bool           { return c.c.PeerClosed }
-func (c *stackConn) LocalPort() uint16          { return c.c.TCB.Tuple.LocalPort }
-func (c *stackConn) PeerPort() uint16           { return c.c.TCB.Tuple.RemotePort }
-func (c *stackConn) Send(b []byte) int          { return c.c.Send(b) }
-func (c *stackConn) Recv(max int) ([]byte, int) { return c.c.Recv(max) }
-func (c *stackConn) Available() int             { return c.c.Available() }
-func (c *stackConn) Close()                     { c.c.Close() }
-func (c *stackConn) Abort()                     { c.c.Abort() }
-
-// --- engine + library endpoint ---
-
-type engineEnd struct {
-	name string
-	eng  *engine.Engine
-	lib  *softstack.Lib
-	peer wire.Addr
-}
-
-func newEngineEnd(f sim.Fabric, net core.Net, i int, name string, seed uint64, alg string) *engineEnd {
+// newEngineEnd puts an FtEngine on node i with one library instance on
+// its only channel.
+func newEngineEnd(f sim.Fabric, net core.Net, i int, seed uint64, alg string) *End {
 	cfg := engine.DefaultConfig()
 	cfg.Seed = seed
 	cfg.Alg = alg
@@ -313,62 +217,14 @@ func newEngineEnd(f sim.Fabric, net core.Net, i int, name string, seed uint64, a
 	cfg.Proto.RcvBuf = rigRcvBuf
 	cfg.Proto.ECN = alg == "dctcp"
 	eng := core.AttachEngine(f, net, i, cfg)
-	return &engineEnd{name: name, eng: eng, lib: softstack.NewLib(eng.K, eng, 0), peer: core.Peers(net, i)[0]}
-}
-
-func (e *engineEnd) DeliverPacket(p *wire.Packet) { e.eng.DeliverPacket(p) }
-
-func (e *engineEnd) ticker() sim.Ticker { return e.eng }
-
-func (e *engineEnd) Name() string { return e.name }
-
-func (e *engineEnd) Listen() { e.lib.Listen(rigPort) }
-
-func (e *engineEnd) Dial() Conn {
-	s := e.lib.Dial(e.peer, rigPort)
-	if s == nil {
-		return nil
+	return &End{
+		Host:        softstack.NewLib(eng.K, eng, 0),
+		VisitTCBs:   eng.VisitTCBs,
+		OowRstDrops: eng.OowRstDrops.Total,
+		deliver:     eng.DeliverPacket,
+		ticker:      eng,
 	}
-	return &sockConn{s: s, end: e}
 }
-
-func (e *engineEnd) Poll() []Conn {
-	var out []Conn
-	for _, ev := range e.lib.Poll() {
-		if ev.Kind == softstack.EvAccepted {
-			out = append(out, &sockConn{s: ev.Sock, end: e})
-		}
-	}
-	return out
-}
-
-func (e *engineEnd) VisitTCBs(fn func(*flow.TCB)) { e.eng.VisitTCBs(fn) }
-
-func (e *engineEnd) OowRstDrops() int64 { return e.eng.OowRstDrops.Total() }
-
-type sockConn struct {
-	s   *softstack.Socket
-	end *engineEnd
-}
-
-func (c *sockConn) Established() bool { return c.s.Established }
-func (c *sockConn) Reset() bool       { return c.s.WasReset }
-func (c *sockConn) Done() bool        { return c.s.Closed || c.s.WasReset }
-func (c *sockConn) PeerClosed() bool  { return c.s.PeerClosed }
-func (c *sockConn) LocalPort() uint16 { return c.s.LocalPort() }
-
-func (c *sockConn) PeerPort() uint16 {
-	if t := c.end.eng.TCB(c.s.ID); t != nil {
-		return t.Tuple.RemotePort
-	}
-	return 0
-}
-
-func (c *sockConn) Send(b []byte) int          { return c.s.Send(b) }
-func (c *sockConn) Recv(max int) ([]byte, int) { return c.s.Recv(max) }
-func (c *sockConn) Available() int             { return c.s.Available() }
-func (c *sockConn) Close()                     { c.s.Close() }
-func (c *sockConn) Abort()                     { c.s.Abort() }
 
 // --- forged-RST injection ---
 

@@ -66,7 +66,7 @@ func AttachEngine(f sim.Fabric, net Net, i int, cfg engine.Config) *engine.Engin
 	return eng
 }
 
-// SoftNode is a software-stack host (host.LinuxMachine,
+// SoftNode is a software-stack host (host.LinuxMachine, a stack.Node,
 // netapi.HostStack) as the attach step sees it.
 type SoftNode interface {
 	Endpoint() *stack.Endpoint

@@ -8,6 +8,7 @@ import (
 	"f4t/internal/engine/memmgr"
 	"f4t/internal/netsim"
 	"f4t/internal/sim"
+	"f4t/internal/sock"
 	"f4t/internal/softstack"
 	"f4t/internal/stack"
 	"f4t/internal/tcpproc"
@@ -22,7 +23,7 @@ type rig struct {
 	link     *netsim.Link
 	e1, e2   *engine.Engine
 	l1, l2   *softstack.Lib
-	ev1, ev2 func(softstack.Event)
+	ev1, ev2 func(sock.Event)
 }
 
 func newRig(t *testing.T, mutate func(*engine.Config)) *rig {
@@ -89,7 +90,7 @@ func TestEngineHandshake(t *testing.T) {
 	r := newRig(t, nil)
 	r.l2.Listen(80)
 	s := r.l1.Dial(wire.MakeAddr(10, 0, 0, 2), 80)
-	r.run(t, func() bool { return s.Established }, 1_000_000, "engine handshake")
+	r.run(t, func() bool { return s.Established() }, 1_000_000, "engine handshake")
 	if r.e1.FlowCount() != 1 || r.e2.FlowCount() != 1 {
 		t.Fatalf("flow counts: %d/%d, want 1/1", r.e1.FlowCount(), r.e2.FlowCount())
 	}
@@ -97,16 +98,16 @@ func TestEngineHandshake(t *testing.T) {
 
 func TestEngineDataTransfer(t *testing.T) {
 	r := newRig(t, nil)
-	var srv *softstack.Socket
+	var srv sock.Conn
 	r.l2.Listen(80)
 	// Capture accepts via polling events in a ticker.
-	r.ev2 = func(ev softstack.Event) {
-		if ev.Kind == softstack.EvAccepted {
-			srv = ev.Sock
+	r.ev2 = func(ev sock.Event) {
+		if ev.Kind == sock.EvAccepted {
+			srv = ev.Conn
 		}
 	}
 	cli := r.l1.Dial(wire.MakeAddr(10, 0, 0, 2), 80)
-	r.run(t, func() bool { return cli.Established && srv != nil }, 1_000_000, "handshake")
+	r.run(t, func() bool { return cli.Established() && srv != nil }, 1_000_000, "handshake")
 
 	msg := []byte("through the FPCs and back again — F4T engine data path test")
 	if n := cli.Send(msg); n != len(msg) {
@@ -121,15 +122,15 @@ func TestEngineDataTransfer(t *testing.T) {
 
 func TestEngineBulkTransfer(t *testing.T) {
 	r := newRig(t, nil)
-	var srv *softstack.Socket
+	var srv sock.Conn
 	r.l2.Listen(80)
-	r.ev2 = func(ev softstack.Event) {
-		if ev.Kind == softstack.EvAccepted {
-			srv = ev.Sock
+	r.ev2 = func(ev sock.Event) {
+		if ev.Kind == sock.EvAccepted {
+			srv = ev.Conn
 		}
 	}
 	cli := r.l1.Dial(wire.MakeAddr(10, 0, 0, 2), 80)
-	r.run(t, func() bool { return cli.Established && srv != nil }, 1_000_000, "handshake")
+	r.run(t, func() bool { return cli.Established() && srv != nil }, 1_000_000, "handshake")
 
 	data := make([]byte, 256*1024)
 	for i := range data {
@@ -154,20 +155,20 @@ func TestEngineBulkTransfer(t *testing.T) {
 
 func TestEngineClose(t *testing.T) {
 	r := newRig(t, nil)
-	var srv *softstack.Socket
+	var srv sock.Conn
 	r.l2.Listen(80)
-	r.ev2 = func(ev softstack.Event) {
-		if ev.Kind == softstack.EvAccepted {
-			srv = ev.Sock
+	r.ev2 = func(ev sock.Event) {
+		if ev.Kind == sock.EvAccepted {
+			srv = ev.Conn
 		}
 	}
 	cli := r.l1.Dial(wire.MakeAddr(10, 0, 0, 2), 80)
-	r.run(t, func() bool { return cli.Established && srv != nil }, 1_000_000, "handshake")
+	r.run(t, func() bool { return cli.Established() && srv != nil }, 1_000_000, "handshake")
 
 	cli.Close()
-	r.run(t, func() bool { return srv.PeerClosed }, 2_000_000, "FIN seen")
+	r.run(t, func() bool { return srv.PeerClosed() }, 2_000_000, "FIN seen")
 	srv.Close()
-	r.run(t, func() bool { return srv.Closed && cli.Closed }, 20_000_000, "full teardown")
+	r.run(t, func() bool { return srv.Closed() && cli.Closed() }, 20_000_000, "full teardown")
 	r.run(t, func() bool { return r.e1.FlowCount() == 0 && r.e2.FlowCount() == 0 }, 20_000_000, "flow state freed")
 }
 
@@ -199,7 +200,7 @@ func TestEngineInteropWithSoftwareStack(t *testing.T) {
 	var srv *stack.Conn
 	sw.Listen(80, func(c *stack.Conn) { srv = c })
 	cli := lib.Dial(sw.Opt.IP, 80)
-	if !k.RunUntil(func() bool { return cli.Established && srv != nil }, 2_000_000) {
+	if !k.RunUntil(func() bool { return cli.Established() && srv != nil }, 2_000_000) {
 		t.Fatal("engine→software handshake timed out")
 	}
 	msg := []byte("hardware speaks to software")
@@ -232,28 +233,28 @@ func TestEngineDRAMMigration(t *testing.T) {
 		c.SlotsPerFPC = 8
 		c.Memory = memmgr.DDR
 	})
-	var srvs []*softstack.Socket
+	var srvs []sock.Conn
 	r.l2.Listen(80)
-	r.ev2 = func(ev softstack.Event) {
+	r.ev2 = func(ev sock.Event) {
 		switch ev.Kind {
-		case softstack.EvAccepted:
-			srvs = append(srvs, ev.Sock)
-		case softstack.EvReadable:
+		case sock.EvAccepted:
+			srvs = append(srvs, ev.Conn)
+		case sock.EvReadable:
 			// Echo server: bounce everything back.
-			if data, n := ev.Sock.Recv(4096); n > 0 {
-				ev.Sock.Send(data)
+			if data, n := ev.Conn.Recv(4096); n > 0 {
+				ev.Conn.Send(data)
 			}
 		}
 	}
 
 	const flows = 32
-	clis := make([]*softstack.Socket, flows)
+	clis := make([]sock.Conn, flows)
 	for i := range clis {
 		clis[i] = r.l1.Dial(wire.MakeAddr(10, 0, 0, 2), 80)
 	}
 	r.run(t, func() bool {
 		for _, c := range clis {
-			if !c.Established {
+			if !c.Established() {
 				return false
 			}
 		}
@@ -293,15 +294,15 @@ func TestEngineDRAMMigration(t *testing.T) {
 func TestEngineLossRecovery(t *testing.T) {
 	r := newRig(t, nil)
 	r.link.AtoB.SetFaults(netsim.Faults{LossProb: 0.01})
-	var srv *softstack.Socket
+	var srv sock.Conn
 	r.l2.Listen(80)
-	r.ev2 = func(ev softstack.Event) {
-		if ev.Kind == softstack.EvAccepted {
-			srv = ev.Sock
+	r.ev2 = func(ev sock.Event) {
+		if ev.Kind == sock.EvAccepted {
+			srv = ev.Conn
 		}
 	}
 	cli := r.l1.Dial(wire.MakeAddr(10, 0, 0, 2), 80)
-	r.run(t, func() bool { return cli.Established && srv != nil }, 30_000_000, "handshake on lossy link")
+	r.run(t, func() bool { return cli.Established() && srv != nil }, 30_000_000, "handshake on lossy link")
 
 	data := make([]byte, 128*1024)
 	for i := range data {
@@ -333,15 +334,15 @@ func TestEngineStallBaselineStillCorrect(t *testing.T) {
 		c.NumFPCs = 1
 		c.Coalesce = false
 	})
-	var srv *softstack.Socket
+	var srv sock.Conn
 	r.l2.Listen(80)
-	r.ev2 = func(ev softstack.Event) {
-		if ev.Kind == softstack.EvAccepted {
-			srv = ev.Sock
+	r.ev2 = func(ev sock.Event) {
+		if ev.Kind == sock.EvAccepted {
+			srv = ev.Conn
 		}
 	}
 	cli := r.l1.Dial(wire.MakeAddr(10, 0, 0, 2), 80)
-	r.run(t, func() bool { return cli.Established && srv != nil }, 5_000_000, "baseline handshake")
+	r.run(t, func() bool { return cli.Established() && srv != nil }, 5_000_000, "baseline handshake")
 	msg := bytes.Repeat([]byte("baseline"), 512)
 	cli.Send(msg)
 	r.run(t, func() bool { return srv.Available() >= len(msg) }, 20_000_000, "baseline delivery")
@@ -399,20 +400,20 @@ func TestEngineDeterministicReplay(t *testing.T) {
 	// is deterministic by construction).
 	run := func() (int64, int64, int64) {
 		r := newRig(t, nil)
-		var srv *softstack.Socket
+		var srv sock.Conn
 		r.l2.Listen(80)
-		r.ev2 = func(ev softstack.Event) {
+		r.ev2 = func(ev sock.Event) {
 			switch ev.Kind {
-			case softstack.EvAccepted:
-				srv = ev.Sock
-			case softstack.EvReadable:
-				if _, n := ev.Sock.Recv(4096); n > 0 {
+			case sock.EvAccepted:
+				srv = ev.Conn
+			case sock.EvReadable:
+				if _, n := ev.Conn.Recv(4096); n > 0 {
 					_ = n
 				}
 			}
 		}
 		cli := r.l1.Dial(wire.MakeAddr(10, 0, 0, 2), 80)
-		r.k.RunUntil(func() bool { return cli.Established && srv != nil }, 1_000_000)
+		r.k.RunUntil(func() bool { return cli.Established() && srv != nil }, 1_000_000)
 		for i := 0; i < 50; i++ {
 			cli.SendModelled(700)
 			r.k.Run(500)
@@ -437,15 +438,15 @@ func TestEngineDCTCPOverECN(t *testing.T) {
 	})
 	r.link.AtoB.SetAQM(netsim.ECNThreshold(4_000, 0))
 
-	var srv *softstack.Socket
+	var srv sock.Conn
 	r.l2.Listen(80)
-	r.ev2 = func(ev softstack.Event) {
-		if ev.Kind == softstack.EvAccepted {
-			srv = ev.Sock
+	r.ev2 = func(ev sock.Event) {
+		if ev.Kind == sock.EvAccepted {
+			srv = ev.Conn
 		}
 	}
 	cli := r.l1.Dial(wire.MakeAddr(10, 0, 0, 2), 80)
-	r.run(t, func() bool { return cli.Established && srv != nil }, 1_000_000, "handshake")
+	r.run(t, func() bool { return cli.Established() && srv != nil }, 1_000_000, "handshake")
 
 	data := make([]byte, 512*1024)
 	for i := range data {

@@ -23,12 +23,12 @@ func TestEngineRejectsOpensAtMaxFlows(t *testing.T) {
 
 	s1 := r.l1.Dial(wire.MakeAddr(10, 0, 0, 2), 80)
 	s2 := r.l1.Dial(wire.MakeAddr(10, 0, 0, 2), 80)
-	r.run(t, func() bool { return s1.Established && s2.Established }, 2_000_000, "two handshakes")
+	r.run(t, func() bool { return s1.Established() && s2.Established() }, 2_000_000, "two handshakes")
 
 	// Third active open: the client engine's ID space is exhausted, so
 	// the host library must see a reset completion, not silence.
 	s3 := r.l1.Dial(wire.MakeAddr(10, 0, 0, 2), 80)
-	r.run(t, func() bool { return s3.WasReset }, 1_000_000, "reset completion for rejected open")
+	r.run(t, func() bool { return s3.WasReset() }, 1_000_000, "reset completion for rejected open")
 	if got := r.e1.FlowsRejected.Total(); got != 1 {
 		t.Fatalf("client FlowsRejected = %d, want 1", got)
 	}

@@ -217,9 +217,9 @@ func (d *churnDriver) Tick(cycle int64) {
 		delete(d.wheel, step)
 		for _, c := range due {
 			switch {
-			case c.Closed || c.WasReset:
+			case c.Closed() || c.WasReset():
 				// Already gone; its slot was returned by OnClosed.
-			case !c.Established:
+			case !c.Established():
 				d.wheel[step+churnRetrySteps] = append(d.wheel[step+churnRetrySteps], c)
 			default:
 				d.departed++

@@ -197,6 +197,101 @@ func mkPair(mk func(int, int) (*sim.Kernel, Machine, Machine)) (*sim.Kernel, Mac
 	return mk(1, 2)
 }
 
+// bothPairs builds each machine pair behind the Machine interface.
+var bothPairs = []struct {
+	name      string
+	pktAllocs float64 // packets a 1 KB send→ack cycle leaves to the GC
+	mk        func(coresA, coresB int) (*sim.Kernel, Machine, Machine)
+}{
+	{"linux", 1, func(ca, cb int) (*sim.Kernel, Machine, Machine) {
+		k, a, b := linuxPair(ca, cb)
+		return k, a, b
+	}},
+	{"f4t", 0, func(ca, cb int) (*sim.Kernel, Machine, Machine) {
+		k, a, b := f4tPair(ca, cb)
+		return k, a, b
+	}},
+}
+
+// TestDialAtCeilingReturnsNil: a host that cannot take another
+// connection (Linux at MaxFlows, F4T with a full command queue) returns
+// an untyped nil Conn for the app's retry loop — it used to panic on the
+// Linux machine, whose thread wrapped the endpoint's nil.
+func TestDialAtCeilingReturnsNil(t *testing.T) {
+	for _, p := range bothPairs {
+		t.Run(p.name, func(t *testing.T) {
+			_, a, _ := p.mk(1, 1)
+			if lm, ok := a.(*LinuxMachine); ok {
+				lm.Endpoint().Opt.MaxFlows = 2
+			}
+			// The clock never runs, so nothing drains or closes.
+			th := a.Threads()[0]
+			for i := 0; th.Dial(0, 80) != nil; i++ {
+				if i > 5000 {
+					t.Fatal("Dial never refused")
+				}
+			}
+			if lm, ok := a.(*LinuxMachine); ok && lm.Endpoint().Conns() != 2 {
+				t.Fatalf("Linux host holds %d flows at a ceiling of 2", lm.Endpoint().Conns())
+			}
+		})
+	}
+}
+
+// TestPollSteadyStateAllocs extends softstack.TestPollSteadyStateAllocs
+// to the app-facing path of both machines: once the event
+// double-buffers, the Poll translation buffer and the rings have grown,
+// a send → poll → recv cycle through Thread and Conn must not allocate.
+// (The Linux thread used to hand its event slice away on every Poll and
+// regrow it from nil, and its stack boxed every flow.Event for an
+// observer hook nobody set.) The software stack's one object per cycle
+// is the data segment itself: wire's pool has a single freer, the
+// engine, so a software sink leaves packets to the collector.
+func TestPollSteadyStateAllocs(t *testing.T) {
+	for _, p := range bothPairs {
+		t.Run(p.name, func(t *testing.T) {
+			k, a, b := p.mk(1, 1)
+			server, client := b.Threads()[0], a.Threads()[0]
+			server.Listen(80)
+			k.Run(3_000)
+			conn := client.Dial(0, 80)
+			var srv Conn
+			if !k.RunUntil(func() bool {
+				client.Poll()
+				for _, ev := range server.Poll() {
+					if ev.Kind == EvAccepted {
+						srv = ev.Conn
+					}
+				}
+				return conn.Established() && srv != nil
+			}, 3_000_000) {
+				t.Fatal("handshake timed out")
+			}
+			moved := 0
+			step := func() {
+				conn.SendQueued(1024, nil)
+				k.Run(4_000)
+				for range client.Poll() {
+				}
+				for _, ev := range server.Poll() {
+					if ev.Kind == EvReadable {
+						moved += ev.Conn.RecvQueued(1 << 20)
+					}
+				}
+			}
+			for i := 0; i < 100; i++ { // warm up: grow the buffers
+				step()
+			}
+			if moved == 0 {
+				t.Fatal("warmup moved no bytes; rig is not in steady state")
+			}
+			if avg := testing.AllocsPerRun(200, step); avg > p.pktAllocs+0.1 {
+				t.Fatalf("steady-state cycle allocates %.2f objects/op, want %.0f", avg, p.pktAllocs)
+			}
+		})
+	}
+}
+
 func TestGROTable(t *testing.T) {
 	var g groTable
 	tup := func(i int) wire.FourTuple { return wire.FourTuple{LocalPort: uint16(i)} }

@@ -3,6 +3,7 @@ package host
 import (
 	"f4t/internal/cpu"
 	"f4t/internal/sim"
+	"f4t/internal/sock"
 	"f4t/internal/stack"
 	"f4t/internal/wire"
 )
@@ -17,11 +18,11 @@ type LinuxMachine struct {
 	pool  *cpu.Pool
 	costs cpu.Costs
 
-	threads []*linuxThread
+	threads []Thread
+	last    []sock.Conn                // per thread: last socket touched (bulk vs cold calls)
 	rxq     []*sim.Queue[*wire.Packet] // per-core NIC queues (RSS)
 	gro     []groTable                 // per-queue GRO flow tables
-	remotes []wire.Addr
-	rng     *sim.Rand // kernel-path timing jitter (Fig 12 tail)
+	rng     *sim.Rand                  // kernel-path timing jitter (Fig 12 tail)
 
 	RxDroppedFull int64
 }
@@ -30,21 +31,55 @@ type LinuxMachine struct {
 // stack. remotes maps Dial's remoteIdx to peer addresses.
 func NewLinuxMachine(k *sim.Kernel, opt stack.Options, n int, costs cpu.Costs, remotes []wire.Addr, tx func(*wire.Packet)) *LinuxMachine {
 	m := &LinuxMachine{
-		k:       k,
-		ep:      stack.New(k, opt, tx),
-		pool:    cpu.NewPool(k, n),
-		costs:   costs,
-		rxq:     make([]*sim.Queue[*wire.Packet], n),
-		remotes: remotes,
-		rng:     sim.NewRand(opt.Seed + 77),
+		k:     k,
+		ep:    stack.New(k, opt, tx),
+		pool:  cpu.NewPool(k, n),
+		costs: costs,
+		last:  make([]sock.Conn, n),
+		rxq:   make([]*sim.Queue[*wire.Packet], n),
+		rng:   sim.NewRand(opt.Seed + 77),
 	}
 	m.gro = make([]groTable, n)
-	for i := 0; i < n; i++ {
-		th := &linuxThread{m: m, idx: i, core: m.pool.Cores[i]}
-		m.threads = append(m.threads, th)
+	for i, h := range stack.NewHosts(m.ep, n) {
+		core := m.pool.Cores[i]
+		// The kernel's accept work runs when the handshake completes, on
+		// the core the flow hashed to, however late the app polls.
+		h.OnAccept = func() { core.RunQueued(cpu.CatTCP, costs.TCPConnSetup) }
+		m.threads = append(m.threads, newThread(i, core, h, &h.Events, m, remotes))
 		m.rxq[i] = sim.NewQueue[*wire.Packet](4096)
 	}
 	return m
+}
+
+// bill implements costModel. A send or recv is a syscall through the
+// kernel stack: the shell bills the kernel bucket, the TCP work the TCP
+// bucket (the split of Figs 1a/11), both colder when the thread last
+// touched a different socket. A Poll that returns events pays the
+// epoll_wait + wakeup path.
+func (m *LinuxMachine) bill(t *thread, op call, s sock.Conn, n int) {
+	switch op {
+	case callDial:
+		t.core.RunQueued(cpu.CatTCP, m.costs.TCPConnSetup)
+	case callPoll:
+		t.core.RunQueued(cpu.CatKernel, m.jitter(m.costs.EpollWait))
+	case callClose:
+		t.core.RunQueued(cpu.CatTCP, m.costs.Syscall)
+	case callSend, callRecv:
+		cold := m.last[t.idx] != s
+		m.last[t.idx] = s
+		// The shell carries half the cold-flow cache penalty; the other
+		// half lands inside the TCP stack traversal.
+		shell := m.costs.Syscall
+		if cold {
+			shell += m.costs.FlowSwitch / 2
+		}
+		t.core.RunQueued(cpu.CatKernel, m.jitter(shell))
+		tcp := m.costs.LinuxRecvTCPCost(n, cold)
+		if op == callSend {
+			tcp = m.costs.LinuxSendTCPCost(n, !cold, cold)
+		}
+		t.core.RunQueued(cpu.CatTCP, m.jitter(tcp))
+	}
 }
 
 // jitter applies the Linux path's timing variance: ±JitterPct plus rare
@@ -61,14 +96,18 @@ func (m *LinuxMachine) jitter(cost int64) int64 {
 	return cost
 }
 
-// shellCost is the syscall shell, plus half the cold-flow cache penalty
-// (the other half lands inside the TCP stack traversal).
-func (m *LinuxMachine) shellCost(cold bool) int64 {
-	c := m.costs.Syscall
-	if cold {
-		c += m.costs.FlowSwitch / 2
-	}
-	return c
+// linuxConn is the app-facing connection: the kernel socket's mirror
+// reads pass through free, everything else goes through the gate.
+type linuxConn struct {
+	*stack.Conn
+	gate
+}
+
+// Close implements Conn.
+func (c *linuxConn) Close() { c.gate.close() }
+
+func (m *LinuxMachine) wrap(t *thread, s sock.Conn) Conn {
+	return &linuxConn{s.(*stack.Conn), gate{s, t}}
 }
 
 // Endpoint exposes the underlying stack (tests).
@@ -78,13 +117,7 @@ func (m *LinuxMachine) Endpoint() *stack.Endpoint { return m.ep }
 func (m *LinuxMachine) Pool() *cpu.Pool { return m.pool }
 
 // Threads implements Machine.
-func (m *LinuxMachine) Threads() []Thread {
-	out := make([]Thread, len(m.threads))
-	for i, t := range m.threads {
-		out[i] = t
-	}
-	return out
-}
+func (m *LinuxMachine) Threads() []Thread { return append([]Thread(nil), m.threads...) }
 
 // DeliverPacket is the NIC RX entry (attach as the link sink): packets
 // hash to a core's queue and wait for CPU time.
@@ -178,165 +211,3 @@ func (g *groTable) hit(t wire.FourTuple) bool {
 	g.clock = (g.clock + 1) % len(g.flows)
 	return false
 }
-
-// linuxThread is one app thread on the Linux stack.
-type linuxThread struct {
-	m    *LinuxMachine
-	idx  int
-	core *cpu.Core
-
-	events   []ConnEvent
-	lastConn *linuxConn // flow-locality tracking (bulk vs cold sends)
-}
-
-// Core implements Thread.
-func (t *linuxThread) Core() *cpu.Core { return t.core }
-
-// EventsPending reports readiness events awaiting the app's Poll (the
-// apps' idleness probe; see apps.threadPending).
-func (t *linuxThread) EventsPending() bool { return len(t.events) > 0 }
-
-// Dial implements Thread.
-func (t *linuxThread) Dial(remoteIdx int, port uint16) Conn {
-	t.core.RunQueued(cpu.CatTCP, t.m.costs.TCPConnSetup)
-	c := &linuxConn{th: t}
-	c.inner = t.m.ep.Dial(t.m.remotes[remoteIdx], port)
-	c.hook()
-	return c
-}
-
-// Listen implements Thread.
-func (t *linuxThread) Listen(port uint16) {
-	th := t
-	t.m.ep.Listen(port, func(sc *stack.Conn) {
-		// SO_REUSEPORT-style distribution: the accepting thread is chosen
-		// by flow hash so load spreads over listeners.
-		target := th.m.threads[sc.TCB.Tuple.Hash()%uint64(len(th.m.threads))]
-		c := &linuxConn{th: target, inner: sc}
-		c.hook()
-		target.core.RunQueued(cpu.CatTCP, th.m.costs.TCPConnSetup)
-		target.events = append(target.events, ConnEvent{Kind: EvAccepted, Conn: c})
-	})
-}
-
-// Poll implements Thread: returning events charges the epoll_wait +
-// wakeup path to the kernel bucket.
-func (t *linuxThread) Poll() []ConnEvent {
-	out := t.events
-	t.events = nil
-	if len(out) > 0 {
-		t.core.RunQueued(cpu.CatKernel, t.m.jitter(t.m.costs.EpollWait))
-	}
-	return out
-}
-
-// linuxConn adapts stack.Conn with CPU cost gating.
-type linuxConn struct {
-	th    *linuxThread
-	inner *stack.Conn
-}
-
-func (c *linuxConn) hook() {
-	c.inner.OnEstablished = func() {
-		c.th.events = append(c.th.events, ConnEvent{Kind: EvConnected, Conn: c})
-	}
-	c.inner.OnData = func() {
-		c.th.events = append(c.th.events, ConnEvent{Kind: EvReadable, Conn: c})
-	}
-	c.inner.OnAcked = func() {
-		c.th.events = append(c.th.events, ConnEvent{Kind: EvWritable, Conn: c})
-	}
-	c.inner.OnPeerClosed = func() {
-		c.th.events = append(c.th.events, ConnEvent{Kind: EvHangup, Conn: c})
-	}
-	c.inner.OnClosed = func() {
-		c.th.events = append(c.th.events, ConnEvent{Kind: EvHangup, Conn: c})
-	}
-}
-
-// TrySend implements Conn: a send() syscall through the kernel stack.
-// The syscall shell bills the kernel bucket; the TCP TX work bills the
-// TCP bucket (the split of Figs 1a/11).
-func (c *linuxConn) TrySend(n int, payload []byte) int {
-	if !c.th.core.Free() {
-		return 0
-	}
-	cold := c.th.lastConn != c
-	c.th.core.Run(cpu.CatKernel, c.th.m.jitter(c.th.m.shellCost(cold)))
-	c.th.core.RunQueued(cpu.CatTCP, c.th.m.jitter(c.th.m.costs.LinuxSendTCPCost(n, !cold, cold)))
-	c.th.lastConn = c
-	if payload != nil {
-		return c.inner.Send(payload[:n])
-	}
-	return c.inner.SendModelled(n, nil, nil)
-}
-
-// SendQueued implements Conn: the syscall queues behind current work.
-func (c *linuxConn) SendQueued(n int, payload []byte) int {
-	cold := c.th.lastConn != c
-	c.th.core.RunQueued(cpu.CatKernel, c.th.m.jitter(c.th.m.shellCost(cold)))
-	c.th.core.RunQueued(cpu.CatTCP, c.th.m.jitter(c.th.m.costs.LinuxSendTCPCost(n, !cold, cold)))
-	c.th.lastConn = c
-	if payload != nil {
-		return c.inner.Send(payload[:n])
-	}
-	return c.inner.SendModelled(n, nil, nil)
-}
-
-// RecvQueued implements Conn.
-func (c *linuxConn) RecvQueued(max int) int {
-	n := c.inner.Available()
-	if n > max {
-		n = max
-	}
-	if n <= 0 {
-		return 0
-	}
-	cold := c.th.lastConn != c
-	c.th.core.RunQueued(cpu.CatKernel, c.th.m.jitter(c.th.m.shellCost(cold)))
-	c.th.core.RunQueued(cpu.CatTCP, c.th.m.jitter(c.th.m.costs.LinuxRecvTCPCost(n, cold)))
-	c.th.lastConn = c
-	_, got := c.inner.Recv(n)
-	return got
-}
-
-// TryRecv implements Conn.
-func (c *linuxConn) TryRecv(max int) int {
-	n := c.inner.Available()
-	if n > max {
-		n = max
-	}
-	if n <= 0 {
-		return 0
-	}
-	if !c.th.core.Free() {
-		return 0
-	}
-	cold := c.th.lastConn != c
-	c.th.core.Run(cpu.CatKernel, c.th.m.jitter(c.th.m.shellCost(cold)))
-	c.th.core.RunQueued(cpu.CatTCP, c.th.m.jitter(c.th.m.costs.LinuxRecvTCPCost(n, cold)))
-	c.th.lastConn = c
-	_, got := c.inner.Recv(n)
-	return got
-}
-
-// Available implements Conn.
-func (c *linuxConn) Available() int { return c.inner.Available() }
-
-// SendSpace implements Conn.
-func (c *linuxConn) SendSpace() int { return c.inner.SendSpace() }
-
-// Close implements Conn.
-func (c *linuxConn) Close() {
-	c.th.core.RunQueued(cpu.CatTCP, c.th.m.costs.Syscall)
-	c.inner.Close()
-}
-
-// Established implements Conn.
-func (c *linuxConn) Established() bool { return c.inner.Established }
-
-// PeerClosed implements Conn.
-func (c *linuxConn) PeerClosed() bool { return c.inner.PeerClosed }
-
-// Closed implements Conn.
-func (c *linuxConn) Closed() bool { return c.inner.Closed }

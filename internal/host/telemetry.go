@@ -10,7 +10,7 @@ import (
 // (e.g. "mach_a"). The engine itself is instrumented separately via
 // Engine.Instrument. Safe on a nil registry.
 func (m *F4TMachine) Instrument(reg *telemetry.Registry, prefix string) {
-	for i, th := range m.threads {
-		th.lib.Instrument(reg, fmt.Sprintf("%s.t%d.lib", prefix, i))
+	for i, lib := range m.libs {
+		lib.Instrument(reg, fmt.Sprintf("%s.t%d.lib", prefix, i))
 	}
 }

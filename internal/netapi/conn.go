@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"f4t/internal/seqnum"
+	"f4t/internal/sock"
 	"f4t/internal/wire"
 )
 
@@ -154,7 +155,7 @@ func (st *Stack) DialContext(ctx context.Context, network string, addr string) (
 type Conn struct {
 	st           *Stack
 	id           int64
-	bc           connBackend
+	bc           sock.Conn
 	laddr, raddr Addr
 
 	// Everything below is settle-side state: guarded by st.mu where
@@ -176,10 +177,10 @@ type Conn struct {
 // anchor fixes the facade-local pointers once the handshake completed.
 // Caller holds mu.
 func (c *Conn) anchor() {
-	c.rdPtr = c.bc.readPtr()
-	c.wrPtr = c.bc.writePtr()
-	c.laddr.Port = c.bc.localPort()
-	raddr, rport := c.bc.remote()
+	c.rdPtr = c.bc.ReadPtr()
+	c.wrPtr = c.bc.WritePtr()
+	c.laddr.Port = c.bc.LocalPort()
+	raddr, rport := c.bc.Remote()
 	c.raddr = Addr{IP: raddr, Port: rport}
 }
 
@@ -191,7 +192,7 @@ func (c *Conn) dead() bool {
 	if c.wantSend || c.wantRecv || c.wantClose || c.wantAbort {
 		return false
 	}
-	return c.bc.closed() || c.bc.wasReset()
+	return c.bc.Closed() || c.bc.WasReset()
 }
 
 // Read implements net.Conn.
@@ -271,23 +272,23 @@ func (st *Stack) tryRead(o *op) bool {
 		st.finish(o, os.ErrDeadlineExceeded)
 		return true
 	}
-	if c.bc.wasReset() {
+	if c.bc.WasReset() {
 		st.finish(o, &net.OpError{Op: "read", Net: "tcp", Err: errReset})
 		return true
 	}
-	if avail := int(c.bc.delivered().DistanceFrom(c.rdPtr)); avail > 0 {
+	if avail := int(c.bc.DeliveredTo().DistanceFrom(c.rdPtr)); avail > 0 {
 		n := len(o.buf)
 		if n > avail {
 			n = avail
 		}
-		c.bc.readAt(c.rdPtr, o.buf[:n])
+		c.bc.ReadAt(c.rdPtr, o.buf[:n])
 		c.rdPtr = c.rdPtr.Add(seqnum.Size(n))
 		c.wantRecv = true
 		o.n = n
 		st.finish(o, nil)
 		return true
 	}
-	if c.bc.peerClosed() || c.bc.closed() {
+	if c.bc.PeerClosed() || c.bc.Closed() {
 		st.finish(o, io.EOF)
 		return true
 	}
@@ -303,7 +304,7 @@ func (st *Stack) tryWrite(o *op) bool {
 		st.finish(o, net.ErrClosed)
 		return true
 	}
-	if c.bc.wasReset() || c.bc.closed() {
+	if c.bc.WasReset() || c.bc.Closed() {
 		st.finish(o, &net.OpError{Op: "write", Net: "tcp", Err: errReset})
 		return true
 	}
@@ -311,17 +312,17 @@ func (st *Stack) tryWrite(o *op) bool {
 		st.finish(o, os.ErrDeadlineExceeded)
 		return true
 	}
-	if !c.bc.established() {
+	if !c.bc.Established() {
 		return false
 	}
-	space := c.bc.sendCap() - int(c.wrPtr.DistanceFrom(c.bc.acked()))
+	space := c.bc.SendCap() - int(c.wrPtr.DistanceFrom(c.bc.AckedTo()))
 	rem := len(o.buf) - o.n
 	if space > 0 && rem > 0 {
 		m := rem
 		if m > space {
 			m = space
 		}
-		c.bc.writeAt(c.wrPtr, o.buf[o.n:o.n+m])
+		c.bc.WriteAt(c.wrPtr, o.buf[o.n:o.n+m])
 		c.wrPtr = c.wrPtr.Add(seqnum.Size(m))
 		c.wantSend = true
 		o.n += m
@@ -340,7 +341,7 @@ type Listener struct {
 	port uint16
 
 	// Settle-side state (same locking discipline as Conn's).
-	backlog    []connBackend
+	backlog    []sock.Conn
 	acceptQ    []*op
 	wantListen bool
 	closedLn   bool

@@ -57,6 +57,7 @@ import (
 	"time"
 
 	"f4t/internal/sim"
+	"f4t/internal/sock"
 	"f4t/internal/wire"
 )
 
@@ -159,12 +160,12 @@ func (o *op) owner() int64 {
 }
 
 // Stack is one host's facade instance: the bridge between application
-// goroutines and that host's socket backend (an engine-backed
-// softstack.Lib or a software stack.Endpoint).
+// goroutines and that host's sock.Host (an engine-backed softstack.Lib
+// or a software stack.Host).
 type Stack struct {
-	k   *sim.Kernel
-	be  stackBackend
-	opt Options
+	k    *sim.Kernel
+	host sock.Host
+	opt  Options
 
 	nowNS  atomic.Int64
 	inboxN atomic.Int32
@@ -187,8 +188,9 @@ type Stack struct {
 	conns     []*Conn // live conns in ascending id order
 	listeners []*Listener
 
-	dialRetry   []*op         // backend had no capacity; retried per tick
-	orphans     []connBackend // accepted conns with no listener: abort
+	lns         map[uint16]*Listener // registered ports, for accept routing
+	dialRetry   []*op                // the host had no capacity; retried per tick
+	orphans     []sock.Conn          // accepted conns with no listener: abort
 	effectRetry bool
 	nextGridAt  int64
 	down        bool // Shutdown called: pump stands down
@@ -196,9 +198,9 @@ type Stack struct {
 	wg sync.WaitGroup
 }
 
-func newStack(k *sim.Kernel, opt Options) *Stack {
+func newStack(k *sim.Kernel, host sock.Host, opt Options) *Stack {
 	opt.fill()
-	return &Stack{k: k, opt: opt, signal: make(chan struct{}, 1)}
+	return &Stack{k: k, host: host, opt: opt, signal: make(chan struct{}, 1), lns: make(map[uint16]*Listener)}
 }
 
 // NowNS returns the current simulated time in nanoseconds, readable
@@ -255,8 +257,8 @@ func (st *Stack) pumpTick(cycle int64) {
 	if st.down {
 		return
 	}
-	pending := st.be.pump(st)
-	// Settle only at deterministic cycles: backend activity, pending
+	pending := st.drain()
+	// Settle only at deterministic cycles: substrate activity, pending
 	// retries, or the fixed poll grid. The inbox is deliberately NOT
 	// consulted here — its fill level is real-time racy, and gating on
 	// it would make the settle cycle depend on goroutine scheduling.
@@ -278,7 +280,7 @@ func (st *Stack) nextWork(now int64) int64 {
 	if st.down {
 		return sim.Dormant
 	}
-	if st.be.pending() || st.effectRetry || len(st.dialRetry) > 0 {
+	if st.host.Pending() || st.effectRetry || len(st.dialRetry) > 0 {
 		return now + 1
 	}
 	if st.nextGridAt <= now {
@@ -309,7 +311,7 @@ func (st *Stack) Settle() {
 		case <-time.After(st.opt.SettleQuantum):
 		}
 	}
-	st.be.pump(st)
+	st.drain()
 	st.settle()
 }
 
@@ -443,13 +445,9 @@ func (st *Stack) execListen(o *op) {
 }
 
 func (st *Stack) execDial(o *op) {
-	bc, retry, err := st.be.dial(o.raddr, o.rport)
-	if retry {
+	bc := st.host.Dial(o.raddr, o.rport)
+	if bc == nil { // no capacity now (command queue, flow ceiling): retry
 		st.dialRetry = append(st.dialRetry, o)
-		return
-	}
-	if err != nil {
-		st.finish(o, err)
 		return
 	}
 	c := st.newConn(o.id, bc)
@@ -498,12 +496,12 @@ func (st *Stack) failParked(c *Conn, err error) {
 	c.writeQ = nil
 }
 
-// newConn wraps a backend conn, inserting it into the id-ordered live
+// newConn wraps a substrate conn, inserting it into the id-ordered live
 // list. Caller holds mu.
-func (st *Stack) newConn(id int64, bc connBackend) *Conn {
+func (st *Stack) newConn(id int64, bc sock.Conn) *Conn {
 	c := &Conn{st: st, id: id, bc: bc}
-	raddr, rport := bc.remote()
-	c.laddr = Addr{IP: st.opt.LocalIP, Port: bc.localPort()}
+	raddr, rport := bc.Remote()
+	c.laddr = Addr{IP: st.opt.LocalIP, Port: bc.LocalPort()}
 	c.raddr = Addr{IP: raddr, Port: rport}
 	i := sort.Search(len(st.conns), func(i int) bool { return st.conns[i].id >= id })
 	st.conns = append(st.conns, nil)
@@ -513,7 +511,7 @@ func (st *Stack) newConn(id int64, bc connBackend) *Conn {
 }
 
 // sweep revisits every parked op in deterministic (id) order against
-// the current backend state. Caller holds mu.
+// the current substrate state. Caller holds mu.
 func (st *Stack) sweep() {
 	for _, ln := range st.listeners {
 		for len(ln.acceptQ) > 0 {
@@ -532,10 +530,10 @@ func (st *Stack) sweep() {
 	for i := 0; i < len(st.conns); i++ {
 		c := st.conns[i]
 		if o := c.dialOp; o != nil {
-			if c.bc.wasReset() || c.bc.closed() {
+			if c.bc.WasReset() || c.bc.Closed() {
 				c.dialOp = nil
 				st.finish(o, errRefused)
-			} else if c.bc.established() {
+			} else if c.bc.Established() {
 				c.dialOp = nil
 				c.anchor()
 				o.conn = c
@@ -573,32 +571,32 @@ func (st *Stack) tryAccept(ln *Listener, o *op) bool {
 func (st *Stack) applyEffects() {
 	retry := false
 	for _, bc := range st.orphans {
-		bc.abort()
+		bc.Abort()
 	}
 	st.orphans = st.orphans[:0]
 	live := st.conns[:0]
 	for _, c := range st.conns {
 		bc := c.bc
 		if c.wantRecv {
-			if bc.postRecv(c.rdPtr) {
+			if bc.PostRecv(c.rdPtr) {
 				c.wantRecv = false
 			} else {
 				retry = true
 			}
 		}
 		if c.wantSend {
-			if bc.postSend(c.wrPtr) {
+			if bc.PostSend(c.wrPtr) {
 				c.wantSend = false
 			} else {
 				retry = true
 			}
 		}
 		if c.wantAbort {
-			bc.abort()
+			bc.Abort()
 			c.wantAbort, c.wantClose = false, false
 		}
 		if c.wantClose {
-			if bc.close() {
+			if bc.Close() {
 				c.wantClose = false
 			} else {
 				retry = true
@@ -616,7 +614,8 @@ func (st *Stack) applyEffects() {
 	st.conns = live
 	for _, ln := range st.listeners {
 		if ln.wantListen && !ln.closedLn {
-			if st.be.listen(ln.port, ln) {
+			st.lns[ln.port] = ln
+			if st.host.Listen(ln.port) {
 				ln.wantListen = false
 			} else {
 				retry = true

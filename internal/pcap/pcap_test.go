@@ -71,7 +71,7 @@ func echoCapture(t *testing.T, faults netsim.Faults) *Capture {
 	}
 	// Orderly teardown so the capture includes FIN exchanges.
 	cli.Close()
-	k.RunUntil(func() bool { return cli.Closed && srv.Closed }, 5_000_000)
+	k.RunUntil(func() bool { return cli.Closed() && srv.Closed() }, 5_000_000)
 	return cap0
 }
 

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"f4t/internal/seqnum"
+	"f4t/internal/sock"
 	"f4t/internal/wire"
 )
 
@@ -16,18 +17,18 @@ import (
 func TestPollSteadyStateAllocs(t *testing.T) {
 	r := newRig(t, 1)
 	r.lb.Listen(80)
-	var srv *Socket
+	var srv sock.Conn
 	cli := r.la.Dial(wire.MakeAddr(10, 1, 0, 2), 80)
 	if cli == nil {
 		t.Fatal("dial failed")
 	}
 	ok := r.pump(1_000_000, func() bool {
 		for _, ev := range r.lb.Poll() {
-			if ev.Kind == EvAccepted {
-				srv = ev.Sock
+			if ev.Kind == sock.EvAccepted {
+				srv = ev.Conn
 			}
 		}
-		return cli.Established && srv != nil
+		return cli.Established() && srv != nil
 	})
 	if !ok {
 		t.Fatal("handshake timed out")
@@ -51,11 +52,11 @@ func TestPollSteadyStateAllocs(t *testing.T) {
 		// (the double-buffer hands the same storage back and forth).
 		for r.la.PollOne() {
 		}
-		for range r.la.TakeEvents() {
+		for range r.la.Events.Take() {
 		}
 		for r.lb.PollOne() {
 		}
-		for range r.lb.TakeEvents() {
+		for range r.lb.Events.Take() {
 		}
 		// Server: copy out whatever arrived with the allocation-free
 		// read, then re-open the window.

@@ -15,42 +15,28 @@ import (
 	"f4t/internal/hostif"
 	"f4t/internal/seqnum"
 	"f4t/internal/sim"
+	"f4t/internal/sock"
 	"f4t/internal/wire"
 )
 
-// EventKind is an epoll-style readiness event.
-type EventKind uint8
-
-// Readiness events surfaced by Poll.
-const (
-	EvReadable EventKind = iota // new in-order data available
-	EvWritable                  // send-buffer space released
-	EvAccepted                  // new passive connection established
-	EvConnected                 // active connect finished
-	EvHangup                    // peer closed or reset
-)
-
-// Event is one epoll entry (the library's internal linked list of
-// events, §4.1.1).
-type Event struct {
-	Kind EventKind
-	Sock *Socket
-}
-
-// Lib is one thread's F4T library instance.
+// Lib is one thread's F4T library instance. It implements sock.Host;
+// its readiness events are the library's internal linked list of epoll
+// entries (§4.1.1).
 type Lib struct {
-	k     *sim.Kernel
-	eng   *engine.Engine
-	ch    *hostif.Channel
-	chIdx int
+	k   *sim.Kernel
+	eng *engine.Engine
+	ch  *hostif.Channel
 
 	socks     map[flow.ID]*Socket
 	dialWait  map[uint16]*Socket // local port → socket awaiting CompAccepted
 	listeners map[uint16]bool
 	nextPort  uint16
 
-	events []Event
-	spare  []Event // double-buffer recycled by TakeEvents
+	// Events holds readiness events already drained from the completion
+	// queue but not yet taken by the application. CPU-costed drivers pair
+	// PollOne (charged per completion) with Events.Take (free — the
+	// events were already paid for).
+	Events sock.Queue
 
 	// Stats.
 	CmdsPosted     int64
@@ -64,7 +50,6 @@ func NewLib(k *sim.Kernel, eng *engine.Engine, chIdx int) *Lib {
 		k:         k,
 		eng:       eng,
 		ch:        eng.Channels[chIdx],
-		chIdx:     chIdx,
 		socks:     make(map[flow.ID]*Socket),
 		dialWait:  make(map[uint16]*Socket),
 		listeners: make(map[uint16]bool),
@@ -94,9 +79,9 @@ func (l *Lib) Listen(port uint16) bool {
 // Dial starts an active open and returns the socket (not yet
 // established; poll for EvConnected). It returns nil when the command
 // queue is full — the caller retries, as a blocking connect() would.
-func (l *Lib) Dial(remote wire.Addr, remotePort uint16) *Socket {
+func (l *Lib) Dial(remote wire.Addr, remotePort uint16) sock.Conn {
 	l.nextPort++
-	s := &Socket{lib: l, localPort: l.nextPort}
+	s := &Socket{lib: l, localPort: l.nextPort, raddr: remote, rport: remotePort}
 	if !l.post(hostif.Command{
 		Op:         hostif.OpConnect,
 		LocalPort:  l.nextPort,
@@ -113,16 +98,10 @@ func (l *Lib) Dial(remote wire.Addr, remotePort uint16) *Socket {
 // §4.1.1), updates socket state, and returns every readiness event
 // accumulated since the previous take (including those drained earlier
 // via PollOne).
-func (l *Lib) Poll() []Event {
-	for {
-		comp, ok := l.ch.PopCompletion()
-		if !ok {
-			break
-		}
-		l.CompsProcessed++
-		l.apply(comp)
+func (l *Lib) Poll() []sock.Event {
+	for l.PollOne() {
 	}
-	return l.TakeEvents()
+	return l.Events.Take()
 }
 
 // PollOne consumes a single completion; used by CPU-costed drivers that
@@ -140,26 +119,8 @@ func (l *Lib) PollOne() bool {
 // PendingCompletions exposes the completion backlog.
 func (l *Lib) PendingCompletions() int { return l.ch.PendingCompletions() }
 
-// PendingEvents returns readiness events already drained from the
-// completion queue but not yet taken by the application.
-func (l *Lib) PendingEvents() int { return len(l.events) }
-
-// TakeEvents returns the readiness events accumulated by PollOne calls
-// since the last take, clearing the list. CPU-costed drivers pair PollOne
-// (charged per completion) with TakeEvents (free — the events were
-// already paid for).
-//
-// The returned slice is valid only until the next take: the list
-// double-buffers, so the buffer handed out now becomes the accumulation
-// target after the next take. Callers that iterate the events before
-// polling again (every driver in the tree) never notice; nothing may
-// retain the slice across polls.
-func (l *Lib) TakeEvents() []Event {
-	out := l.events
-	l.events = l.spare[:0]
-	l.spare = out
-	return out
-}
+// Pending implements sock.Host: completions to drain or events to take.
+func (l *Lib) Pending() bool { return l.ch.PendingCompletions() > 0 || l.Events.Len() > 0 }
 
 func (l *Lib) apply(comp hostif.Completion) {
 	switch comp.Kind {
@@ -168,7 +129,6 @@ func (l *Lib) apply(comp hostif.Completion) {
 		if s := l.dialWait[comp.Port]; s != nil {
 			delete(l.dialWait, comp.Port)
 			s.ID = comp.Flow
-			s.bound = true
 			l.socks[comp.Flow] = s
 		}
 	case hostif.CompEstablished:
@@ -178,36 +138,36 @@ func (l *Lib) apply(comp hostif.Completion) {
 			if !l.listeners[comp.Port] {
 				return
 			}
-			s = &Socket{lib: l, ID: comp.Flow, localPort: comp.Port, bound: true, passive: true}
+			s = &Socket{lib: l, ID: comp.Flow, localPort: comp.Port, passive: true}
 			l.socks[comp.Flow] = s
 		}
 		s.anchor(comp.Seq, comp.Seq2)
-		s.Established = true
+		s.established = true
 		if s.passive {
-			l.events = append(l.events, Event{Kind: EvAccepted, Sock: s})
+			l.Events.Push(sock.EvAccepted, s)
 		} else {
-			l.events = append(l.events, Event{Kind: EvConnected, Sock: s})
+			l.Events.Push(sock.EvConnected, s)
 		}
 	case hostif.CompAcked:
 		if s := l.socks[comp.Flow]; s != nil {
 			s.ackedTo = comp.Seq
-			l.events = append(l.events, Event{Kind: EvWritable, Sock: s})
+			l.Events.Push(sock.EvWritable, s)
 		}
 	case hostif.CompDelivered:
 		if s := l.socks[comp.Flow]; s != nil {
 			s.deliveredTo = comp.Seq
-			l.events = append(l.events, Event{Kind: EvReadable, Sock: s})
+			l.Events.Push(sock.EvReadable, s)
 		}
 	case hostif.CompPeerClosed:
 		if s := l.socks[comp.Flow]; s != nil {
-			s.PeerClosed = true
-			l.events = append(l.events, Event{Kind: EvHangup, Sock: s})
+			s.peerClosed = true
+			l.Events.Push(sock.EvHangup, s)
 		}
 	case hostif.CompClosed:
 		if s := l.socks[comp.Flow]; s != nil {
-			s.Closed = true
+			s.closed = true
 			delete(l.socks, comp.Flow)
-			l.events = append(l.events, Event{Kind: EvHangup, Sock: s})
+			l.Events.Push(sock.EvHangup, s)
 		}
 	case hostif.CompReset:
 		// A reset that carries a port names an active open rejected
@@ -217,14 +177,14 @@ func (l *Lib) apply(comp hostif.Completion) {
 		// flow ID 0 is a legitimate connection.
 		if s := l.dialWait[comp.Port]; comp.Port != 0 && s != nil {
 			delete(l.dialWait, comp.Port)
-			s.WasReset = true
-			s.Closed = true
-			l.events = append(l.events, Event{Kind: EvHangup, Sock: s})
+			s.wasReset = true
+			s.closed = true
+			l.Events.Push(sock.EvHangup, s)
 		} else if s := l.socks[comp.Flow]; s != nil {
-			s.WasReset = true
-			s.Closed = true
+			s.wasReset = true
+			s.closed = true
 			delete(l.socks, comp.Flow)
-			l.events = append(l.events, Event{Kind: EvHangup, Sock: s})
+			l.Events.Push(sock.EvHangup, s)
 		}
 	}
 }
@@ -236,8 +196,12 @@ type Socket struct {
 	lib *Lib
 	ID  flow.ID
 
+	// The peer: known at Dial; an accepted socket reads it off the
+	// hardware flow the first time it is asked. (Placed with the ports so
+	// Socket stays in the 48 B size class.)
+	raddr     wire.Addr
+	rport     uint16
 	localPort uint16
-	bound     bool
 	passive   bool
 	anchored  bool
 
@@ -246,15 +210,42 @@ type Socket struct {
 	readPtr     seqnum.Value // next received byte the app will consume
 	deliveredTo seqnum.Value // device-announced in-order boundary
 
-	Established bool
-	PeerClosed  bool
-	Closed      bool
-	WasReset    bool
+	established bool
+	peerClosed  bool
+	closed      bool
+	wasReset    bool
 	closeSent   bool
 }
 
+// Established reports handshake completion.
+func (s *Socket) Established() bool { return s.established }
+
+// PeerClosed reports a delivered peer FIN.
+func (s *Socket) PeerClosed() bool { return s.peerClosed }
+
+// Closed reports full termination.
+func (s *Socket) Closed() bool { return s.closed }
+
+// WasReset reports termination by a reset.
+func (s *Socket) WasReset() bool { return s.wasReset }
+
 // LocalPort returns the port this socket is bound to.
 func (s *Socket) LocalPort() uint16 { return s.localPort }
+
+// Remote returns the peer's address and port. An accepted socket reads
+// them off the hardware flow's tuple the first time it is asked (zero
+// once the flow is gone).
+func (s *Socket) Remote() (wire.Addr, uint16) {
+	if s.raddr == 0 {
+		if t := s.lib.eng.TCB(s.ID); t != nil {
+			s.raddr, s.rport = t.Tuple.RemoteAddr, t.Tuple.RemotePort
+		}
+	}
+	return s.raddr, s.rport
+}
+
+// SendCap returns the send-buffer capacity (the engine's TX ring).
+func (s *Socket) SendCap() int { return int(s.lib.eng.TxRingSize()) }
 
 func (s *Socket) anchor(sndBase, rcvBase seqnum.Value) {
 	if s.anchored {
@@ -273,7 +264,7 @@ func (s *Socket) SendSpace() int {
 		return 0
 	}
 	used := int(s.writePtr.DistanceFrom(s.ackedTo))
-	space := int(s.lib.eng.TxRingSize()) - used
+	space := s.SendCap() - used
 	if space < 0 {
 		space = 0
 	}
@@ -294,7 +285,7 @@ func (s *Socket) SendModelled(n int) int {
 }
 
 func (s *Socket) send(n int, data []byte) int {
-	if !s.Established || s.Closed || s.closeSent || n <= 0 {
+	if !s.established || s.closed || s.closeSent || n <= 0 {
 		return 0
 	}
 	if space := s.SendSpace(); n > space {
@@ -355,10 +346,6 @@ func (s *Socket) Recv(max int) ([]byte, int) {
 // them immediately while simulated time is frozen, but defers the
 // pointer-advancing command posts into one deterministic per-tick pass.
 
-// Anchored reports whether the byte-stream pointers are fixed (the
-// handshake completed and anchored both ISNs).
-func (s *Socket) Anchored() bool { return s.anchored }
-
 // WritePtr returns the next send byte the app will queue.
 func (s *Socket) WritePtr() seqnum.Value { return s.writePtr }
 
@@ -393,7 +380,7 @@ func (s *Socket) WriteAt(ptr seqnum.Value, data []byte) {
 // (payload already staged via WriteAt). Reports false when the command
 // queue is full; the caller retries with the same ptr.
 func (s *Socket) PostSend(ptr seqnum.Value) bool {
-	if !s.Established || s.Closed || s.closeSent || ptr == s.writePtr {
+	if !s.established || s.closed || s.closeSent || ptr == s.writePtr {
 		return true // nothing to do (or no longer possible: don't spin)
 	}
 	if !s.lib.post(hostif.Command{Op: hostif.OpSend, Flow: s.ID, Ptr: ptr}) {
@@ -407,7 +394,7 @@ func (s *Socket) PostSend(ptr seqnum.Value) bool {
 // re-opening the advertised window (bytes up to ptr were already copied
 // out via ReadAt). Reports false when the command queue is full.
 func (s *Socket) PostRecv(ptr seqnum.Value) bool {
-	if s.Closed || ptr == s.readPtr {
+	if s.closed || ptr == s.readPtr {
 		return true
 	}
 	if !s.lib.post(hostif.Command{Op: hostif.OpRecv, Flow: s.ID, Ptr: ptr}) {
@@ -421,7 +408,7 @@ func (s *Socket) PostRecv(ptr seqnum.Value) bool {
 // flight (or already done); false means the command queue was full and
 // the caller should retry.
 func (s *Socket) Close() bool {
-	if s.closeSent || s.Closed {
+	if s.closeSent || s.closed {
 		return true
 	}
 	if s.lib.post(hostif.Command{Op: hostif.OpClose, Flow: s.ID}) {

@@ -7,6 +7,7 @@ import (
 	"f4t/internal/engine"
 	"f4t/internal/netsim"
 	"f4t/internal/sim"
+	"f4t/internal/sock"
 	"f4t/internal/wire"
 )
 
@@ -51,18 +52,18 @@ func (r *rig) pump(budget int64, pred func() bool) bool {
 func TestLibConnectSendRecv(t *testing.T) {
 	r := newRig(t, 1)
 	r.lb.Listen(80)
-	var srv *Socket
+	var srv sock.Conn
 	cli := r.la.Dial(wire.MakeAddr(10, 1, 0, 2), 80)
 	if cli == nil {
 		t.Fatal("dial failed")
 	}
 	ok := r.pump(1_000_000, func() bool {
 		for _, ev := range r.lb.Poll() {
-			if ev.Kind == EvAccepted {
-				srv = ev.Sock
+			if ev.Kind == sock.EvAccepted {
+				srv = ev.Conn
 			}
 		}
-		return cli.Established && srv != nil
+		return cli.Established() && srv != nil
 	})
 	if !ok {
 		t.Fatal("handshake timed out")
@@ -82,11 +83,11 @@ func TestLibConnectSendRecv(t *testing.T) {
 
 	// Close both ways.
 	cli.Close()
-	if !r.pump(3_000_000, func() bool { r.lb.Poll(); return srv.PeerClosed }) {
+	if !r.pump(3_000_000, func() bool { r.lb.Poll(); return srv.PeerClosed() }) {
 		t.Fatal("peer close not seen")
 	}
 	srv.Close()
-	if !r.pump(20_000_000, func() bool { r.lb.Poll(); return cli.Closed && srv.Closed }) {
+	if !r.pump(20_000_000, func() bool { r.lb.Poll(); return cli.Closed() && srv.Closed() }) {
 		t.Fatal("teardown timed out")
 	}
 }
@@ -111,7 +112,7 @@ func TestLibSendBoundedByBuffer(t *testing.T) {
 	r := newRig(t, 1)
 	r.lb.Listen(80)
 	cli := r.la.Dial(wire.MakeAddr(10, 1, 0, 2), 80)
-	if !r.pump(1_000_000, func() bool { return cli.Established }) {
+	if !r.pump(1_000_000, func() bool { return cli.Established() }) {
 		t.Fatal("handshake timed out")
 	}
 	// Without the peer consuming, sends must stop at the buffer size.
@@ -142,7 +143,7 @@ func TestSOReusePortDistribution(t *testing.T) {
 		l.Listen(80)
 	}
 	r.k.Run(3_000)
-	clients := make([]*Socket, 8)
+	clients := make([]sock.Conn, 8)
 	for i := range clients {
 		clients[i] = r.la.Dial(wire.MakeAddr(10, 1, 0, 2), 80)
 	}
@@ -150,7 +151,7 @@ func TestSOReusePortDistribution(t *testing.T) {
 	ok := r.pump(3_000_000, func() bool {
 		for i, l := range libs {
 			for _, ev := range l.Poll() {
-				if ev.Kind == EvAccepted {
+				if ev.Kind == sock.EvAccepted {
 					accepted[i]++
 				}
 			}
@@ -175,18 +176,18 @@ func TestSOReusePortDistribution(t *testing.T) {
 func TestAbortReset(t *testing.T) {
 	r := newRig(t, 1)
 	r.lb.Listen(80)
-	var srv *Socket
+	var srv sock.Conn
 	cli := r.la.Dial(wire.MakeAddr(10, 1, 0, 2), 80)
 	r.pump(1_000_000, func() bool {
 		for _, ev := range r.lb.Poll() {
-			if ev.Kind == EvAccepted {
-				srv = ev.Sock
+			if ev.Kind == sock.EvAccepted {
+				srv = ev.Conn
 			}
 		}
-		return cli.Established && srv != nil
+		return cli.Established() && srv != nil
 	})
 	cli.Abort()
-	if !r.pump(2_000_000, func() bool { r.lb.Poll(); return srv.WasReset }) {
+	if !r.pump(2_000_000, func() bool { r.lb.Poll(); return srv.WasReset() }) {
 		t.Fatal("reset not observed by the peer")
 	}
 }

@@ -5,14 +5,15 @@ import (
 	"f4t/internal/datapath"
 	"f4t/internal/flow"
 	"f4t/internal/seqnum"
+	"f4t/internal/sock"
+	"f4t/internal/wire"
 )
 
 // Conn is one TCP connection's host-side view: the byte-stream pointers
 // the application manipulates (write/consume) plus the mirrors maintained
-// from stack notifications.
+// from stack notifications. It implements sock.Conn.
 type Conn struct {
 	ep   *Endpoint
-	ID   flow.ID
 	TCB  *flow.TCB
 	alg  cc.Algorithm
 	meta datapath.FlowMeta
@@ -20,16 +21,17 @@ type Conn struct {
 	txRing *datapath.Ring
 
 	// Host-visible mirrors (updated by notifications).
-	Established bool
-	PeerClosed  bool
-	Closed      bool
-	WasReset    bool
-	AckedTo     seqnum.Value // send bytes below this are released
-	DeliveredTo seqnum.Value // in-order received data boundary
+	established bool
+	peerClosed  bool
+	closed      bool
+	wasReset    bool
+	ackedTo     seqnum.Value // send bytes below this are released
+	deliveredTo seqnum.Value // in-order received data boundary
 
 	// App-side pointers.
 	writePtr    seqnum.Value // next send byte the app will queue
 	readPtr     seqnum.Value // next received byte the app will consume
+	ID          flow.ID      // here, not up top: packs Conn into the 144 B size class
 	ptrsInit    bool
 	closeCalled bool
 
@@ -37,16 +39,61 @@ type Conn struct {
 	accepted bool
 	freed    bool
 
-	// App callbacks (all optional).
+	// App callbacks (all optional), fired synchronously from inside
+	// packet and timer processing. Only the bare multi-endpoint rigs
+	// (exp.ChurnOn, tests) set them; everything else reads the same
+	// notifications as events off the connection's Host.
 	OnEstablished func()
 	OnData        func()
 	OnAcked       func()
 	OnPeerClosed  func()
 	OnClosed      func()
+
+	host *Host // event queue the notifications feed; nil for callback users
 }
 
 // Alg exposes the connection's congestion-control instance (read-only use).
 func (c *Conn) Alg() cc.Algorithm { return c.alg }
+
+// notify delivers one stack notification both ways: the synchronous
+// callback, and a readiness event on the owning thread's queue.
+func (c *Conn) notify(kind sock.EventKind, cb func()) {
+	if cb != nil {
+		cb()
+	}
+	if c.host != nil {
+		c.host.Events.Push(kind, c)
+	}
+}
+
+// Established reports handshake completion.
+func (c *Conn) Established() bool { return c.established }
+
+// PeerClosed reports a delivered peer FIN.
+func (c *Conn) PeerClosed() bool { return c.peerClosed }
+
+// Closed reports full termination.
+func (c *Conn) Closed() bool { return c.closed }
+
+// WasReset reports termination by a reset.
+func (c *Conn) WasReset() bool { return c.wasReset }
+
+// AckedTo returns the boundary below which send bytes are released.
+func (c *Conn) AckedTo() seqnum.Value { return c.ackedTo }
+
+// DeliveredTo returns the in-order received data boundary.
+func (c *Conn) DeliveredTo() seqnum.Value { return c.deliveredTo }
+
+// LocalPort returns the port this connection is bound to.
+func (c *Conn) LocalPort() uint16 { return c.TCB.Tuple.LocalPort }
+
+// Remote returns the peer's address and port.
+func (c *Conn) Remote() (wire.Addr, uint16) {
+	return c.TCB.Tuple.RemoteAddr, c.TCB.Tuple.RemotePort
+}
+
+// SendCap returns the send-buffer capacity.
+func (c *Conn) SendCap() int { return int(c.ep.Opt.Cfg.RcvBuf) }
 
 // initPtrs lazily anchors the app byte-stream pointers once the handshake
 // has fixed both ISNs.
@@ -56,11 +103,11 @@ func (c *Conn) initPtrs() {
 	}
 	c.writePtr = c.TCB.ISS.Add(1)
 	c.readPtr = c.TCB.IRS.Add(1)
-	if c.AckedTo == 0 {
-		c.AckedTo = c.writePtr
+	if c.ackedTo == 0 {
+		c.ackedTo = c.writePtr
 	}
-	if c.DeliveredTo == 0 {
-		c.DeliveredTo = c.readPtr
+	if c.deliveredTo == 0 {
+		c.deliveredTo = c.readPtr
 	}
 	c.ptrsInit = true
 }
@@ -69,8 +116,8 @@ func (c *Conn) initPtrs() {
 // blocks (blocking sockets) or short-writes (non-blocking), §4.1.1.
 func (c *Conn) SendSpace() int {
 	c.initPtrs()
-	used := int(c.writePtr.DistanceFrom(c.AckedTo))
-	space := int(c.ep.Opt.Cfg.RcvBuf) - used
+	used := int(c.writePtr.DistanceFrom(c.ackedTo))
+	space := c.SendCap() - used
 	if space < 0 {
 		space = 0
 	}
@@ -80,18 +127,13 @@ func (c *Conn) SendSpace() int {
 // Send queues data for transmission, copying into the TX ring (byte mode)
 // and advancing the REQ pointer. It returns the number of bytes accepted,
 // bounded by the free send-buffer space.
-func (c *Conn) Send(data []byte) int {
-	n := c.SendModelled(len(data), func(seq seqnum.Value, chunk []byte) {
-		if c.txRing != nil {
-			c.txRing.WriteAt(seq, chunk)
-		}
-	}, data)
-	return n
-}
+func (c *Conn) Send(data []byte) int { return c.send(len(data), data) }
 
 // SendModelled queues n bytes without supplying payload (modelled-only
-// transfers). store may be nil. It returns the accepted byte count.
-func (c *Conn) SendModelled(n int, store func(seq seqnum.Value, chunk []byte), data []byte) int {
+// transfers). It returns the accepted byte count.
+func (c *Conn) SendModelled(n int) int { return c.send(n, nil) }
+
+func (c *Conn) send(n int, data []byte) int {
 	if c.freed || c.closeCalled {
 		return 0
 	}
@@ -103,8 +145,8 @@ func (c *Conn) SendModelled(n int, store func(seq seqnum.Value, chunk []byte), d
 	if n <= 0 {
 		return 0
 	}
-	if store != nil && data != nil {
-		store(c.writePtr, data[:n])
+	if data != nil {
+		c.WriteAt(c.writePtr, data[:n])
 	}
 	c.writePtr = c.writePtr.Add(seqnum.Size(n))
 	ev := flow.Event{Kind: flow.EvUser, Flow: c.ID, HasReq: true, Req: c.writePtr}
@@ -115,7 +157,7 @@ func (c *Conn) SendModelled(n int, store func(seq seqnum.Value, chunk []byte), d
 // Available returns the in-order received bytes not yet consumed.
 func (c *Conn) Available() int {
 	c.initPtrs()
-	return int(c.DeliveredTo.DistanceFrom(c.readPtr))
+	return int(c.deliveredTo.DistanceFrom(c.readPtr))
 }
 
 // Recv consumes up to max available bytes and returns them (byte mode) or
@@ -198,14 +240,17 @@ func (c *Conn) PostRecv(ptr seqnum.Value) bool {
 	return true
 }
 
-// Close initiates an orderly shutdown (FIN after queued data).
-func (c *Conn) Close() {
+// Close initiates an orderly shutdown (FIN after queued data). It always
+// succeeds — the software stack has no command queue to fill; the bool
+// return matches the softstack shape.
+func (c *Conn) Close() bool {
 	if c.freed || c.closeCalled {
-		return
+		return true
 	}
 	c.closeCalled = true
 	ev := flow.Event{Kind: flow.EvUser, Flow: c.ID, Ctl: flow.CtlClose}
 	c.ep.Inject(c, &ev)
+	return true
 }
 
 // Abort resets the connection immediately.

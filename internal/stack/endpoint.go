@@ -5,6 +5,11 @@
 // both the protocol test harness and the core of the Linux software
 // baseline; callers decide *when* work happens (immediately, or from a
 // modelled CPU core) by choosing when to call HandlePacket/ExpireTimers.
+//
+// Above the endpoint sit the package's halves of the socket seam
+// (package sock): Conn is a sock.Conn, Host queues the endpoint's
+// notifications as one thread's sock.Host events, and Node is the
+// simulation component that feeds an endpoint from a network.
 package stack
 
 import (
@@ -15,6 +20,7 @@ import (
 	"f4t/internal/flow"
 	"f4t/internal/seqnum"
 	"f4t/internal/sim"
+	"f4t/internal/sock"
 	"f4t/internal/tcpproc"
 	"f4t/internal/telemetry"
 	"f4t/internal/timerq"
@@ -32,19 +38,10 @@ type Options struct {
 	Seed       uint64
 }
 
-// Hooks let owners observe endpoint activity (the Linux model charges
-// CPU cycles here; tests assert on it). All hooks may be nil.
-type Hooks struct {
-	OnTx      func(pkt *wire.Packet)             // a packet is handed to the wire
-	OnProcess func(c *Conn, ev *flow.Event)      // one event is about to be processed
-	OnNote    func(c *Conn, note *tcpproc.Note)  // a host notification fired
-}
-
 // Endpoint is one host's TCP stack instance.
 type Endpoint struct {
-	K     *sim.Kernel
-	Opt   Options
-	Hooks Hooks
+	K   *sim.Kernel
+	Opt Options
 
 	parser *datapath.Parser
 	gen    *datapath.Generator
@@ -113,14 +110,11 @@ func (e *Endpoint) LearnPeer(ip wire.Addr, mac wire.MAC) { e.arp.Learn(ip, mac) 
 // Conns returns the number of live connections.
 func (e *Endpoint) Conns() int { return len(e.conns) }
 
-// Conn returns a connection by flow ID.
-func (e *Endpoint) Conn(id flow.ID) *Conn { return e.conns[id] }
-
-// EachConn visits every live connection (conformance/diagnostics).
-// Iteration order is unspecified.
-func (e *Endpoint) EachConn(visit func(*Conn)) {
+// VisitTCBs visits every live connection's TCB (conformance trackers;
+// same shape as engine.VisitTCBs). Iteration order is unspecified.
+func (e *Endpoint) VisitTCBs(visit func(*flow.TCB)) {
 	for _, c := range e.conns {
-		visit(c)
+		visit(c.TCB)
 	}
 }
 
@@ -215,9 +209,6 @@ func (e *Endpoint) Inject(c *Conn, ev *flow.Event) {
 	if c == nil || c.TCB == nil {
 		return
 	}
-	if e.Hooks.OnProcess != nil {
-		e.Hooks.OnProcess(c, ev)
-	}
 	e.ProcessedEvents++
 	var row flow.EventRow
 	row.Accumulate(ev)
@@ -272,9 +263,6 @@ func (e *Endpoint) emitSegment(c *Conn, op *tcpproc.SendOp) {
 
 func (e *Endpoint) transmit(pkt *wire.Packet) {
 	e.TxPkts++
-	if e.Hooks.OnTx != nil {
-		e.Hooks.OnTx(pkt)
-	}
 	if e.tx != nil {
 		e.tx(pkt)
 	}
@@ -283,44 +271,37 @@ func (e *Endpoint) transmit(pkt *wire.Packet) {
 // applyNote updates the connection's host-visible mirrors and fires app
 // callbacks.
 func (e *Endpoint) applyNote(c *Conn, n *tcpproc.Note) {
-	if e.Hooks.OnNote != nil {
-		e.Hooks.OnNote(c, n)
-	}
 	switch n.Kind {
 	case tcpproc.NoteEstablished:
-		c.Established = true
-		// Passive connections announce themselves to the listener now.
+		c.established = true
+		// Passive connections announce themselves to the listener now
+		// (the accept callback may adopt the connection onto a Host, which
+		// queues EvAccepted; an active open reports EvConnected instead).
 		if !c.accepted {
 			c.accepted = true
 			if acc := e.listeners[c.meta.Tuple.LocalPort]; acc != nil && c.passive {
 				acc(c)
 			}
 		}
-		if c.OnEstablished != nil {
-			c.OnEstablished()
+		if c.passive {
+			c.notify(sock.EvAccepted, c.OnEstablished)
+		} else {
+			c.notify(sock.EvConnected, c.OnEstablished)
 		}
 	case tcpproc.NoteDataAcked:
-		c.AckedTo = n.Seq
-		if c.OnAcked != nil {
-			c.OnAcked()
-		}
+		c.ackedTo = n.Seq
+		c.notify(sock.EvWritable, c.OnAcked)
 	case tcpproc.NoteDataDelivered:
-		c.DeliveredTo = n.Seq
-		if c.OnData != nil {
-			c.OnData()
-		}
+		c.deliveredTo = n.Seq
+		c.notify(sock.EvReadable, c.OnData)
 	case tcpproc.NotePeerClosed:
-		c.PeerClosed = true
-		if c.OnPeerClosed != nil {
-			c.OnPeerClosed()
-		}
+		c.peerClosed = true
+		c.notify(sock.EvHangup, c.OnPeerClosed)
 	case tcpproc.NoteReset:
-		c.WasReset = true
+		c.wasReset = true
 	case tcpproc.NoteClosed:
-		c.Closed = true
-		if c.OnClosed != nil {
-			c.OnClosed()
-		}
+		c.closed = true
+		c.notify(sock.EvHangup, c.OnClosed)
 	}
 }
 
@@ -369,9 +350,6 @@ func (e *Endpoint) HandlePacket(pkt *wire.Packet) *Conn {
 				res = e.parser.Parse(pkt)
 				if res.NoFlow {
 					return nil
-				}
-				if e.Hooks.OnProcess != nil {
-					e.Hooks.OnProcess(c, &res.Event)
 				}
 				e.ProcessedEvents++
 				var row flow.EventRow

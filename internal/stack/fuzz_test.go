@@ -27,7 +27,7 @@ func TestProtocolFuzz(t *testing.T) {
 		var srv *Conn
 		p.b.Listen(80, func(c *Conn) { srv = c })
 		cli := p.a.Dial(p.b.Opt.IP, 80)
-		if !p.k.RunUntil(func() bool { return cli.Established && srv != nil }, 100_000_000) {
+		if !p.k.RunUntil(func() bool { return cli.Established() && srv != nil }, 100_000_000) {
 			return false
 		}
 

@@ -36,11 +36,11 @@ func TestStaleRSTDoesNotKillConnection(t *testing.T) {
 	var srv *Conn
 	p.b.Listen(80, func(c *Conn) { srv = c })
 	cli := p.a.Dial(p.b.Opt.IP, 80)
-	p.run(t, func() bool { return cli.Established && srv != nil }, 100_000, "handshake")
+	p.run(t, func() bool { return cli.Established() && srv != nil }, 100_000, "handshake")
 
 	// Segment from a previous incarnation: 1 GiB away from RcvNxt.
 	p.a.HandlePacket(craftRST(cli, p.b.Opt.MAC, p.a.Opt.MAC, 1<<30))
-	if cli.WasReset || cli.Closed {
+	if cli.WasReset() || cli.Closed() {
 		t.Fatal("out-of-window RST reset the connection")
 	}
 	if p.a.RxOowRsts != 1 {
@@ -54,7 +54,7 @@ func TestStaleRSTDoesNotKillConnection(t *testing.T) {
 
 	// An in-window RST, by contrast, still does its job.
 	p.a.HandlePacket(craftRST(cli, p.b.Opt.MAC, p.a.Opt.MAC, 0))
-	if !cli.WasReset {
+	if !cli.WasReset() {
 		t.Fatal("legitimate in-window RST was ignored")
 	}
 }
@@ -69,7 +69,7 @@ func TestDialRefusedPortResetsPromptly(t *testing.T) {
 	cli := p.a.Dial(p.b.Opt.IP, 81) // nothing listens on 81
 	// InitialRTO is 10 ms = 2.5 M cycles; refusal must land in a couple
 	// of RTTs (~600 ns propagation each way).
-	p.run(t, func() bool { return cli.WasReset }, 10_000, "connection refused")
+	p.run(t, func() bool { return cli.WasReset() }, 10_000, "connection refused")
 	if p.a.Conns() != 0 {
 		t.Fatalf("refused dial left %d conns", p.a.Conns())
 	}

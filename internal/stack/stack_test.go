@@ -51,7 +51,7 @@ func TestHandshake(t *testing.T) {
 	p.b.Listen(80, func(c *Conn) { srv = c })
 	cli := p.a.Dial(p.b.Opt.IP, 80)
 
-	p.run(t, func() bool { return cli.Established && srv != nil && srv.Established }, 100_000, "handshake")
+	p.run(t, func() bool { return cli.Established() && srv != nil && srv.Established() }, 100_000, "handshake")
 	if got := p.a.Conns(); got != 1 {
 		t.Errorf("client conns = %d, want 1", got)
 	}
@@ -66,7 +66,7 @@ func TestHandshakeUsesARP(t *testing.T) {
 	var srv *Conn
 	p.b.Listen(80, func(c *Conn) { srv = c })
 	cli := p.a.Dial(p.b.Opt.IP, 80)
-	p.run(t, func() bool { return cli.Established && srv != nil }, 200_000, "handshake via ARP")
+	p.run(t, func() bool { return cli.Established() && srv != nil }, 200_000, "handshake via ARP")
 }
 
 func TestDataTransferBytes(t *testing.T) {
@@ -74,7 +74,7 @@ func TestDataTransferBytes(t *testing.T) {
 	var srv *Conn
 	p.b.Listen(80, func(c *Conn) { srv = c })
 	cli := p.a.Dial(p.b.Opt.IP, 80)
-	p.run(t, func() bool { return cli.Established && srv != nil }, 100_000, "handshake")
+	p.run(t, func() bool { return cli.Established() && srv != nil }, 100_000, "handshake")
 
 	msg := []byte("hello, F4T! the quick brown fox jumps over the lazy dog.")
 	if n := cli.Send(msg); n != len(msg) {
@@ -92,7 +92,7 @@ func TestLargeTransferSplitsAtMSS(t *testing.T) {
 	var srv *Conn
 	p.b.Listen(80, func(c *Conn) { srv = c })
 	cli := p.a.Dial(p.b.Opt.IP, 80)
-	p.run(t, func() bool { return cli.Established && srv != nil }, 100_000, "handshake")
+	p.run(t, func() bool { return cli.Established() && srv != nil }, 100_000, "handshake")
 
 	// 100 KB: exceeds one MSS by far and exercises window growth.
 	data := make([]byte, 100*1024)
@@ -131,7 +131,7 @@ func TestBidirectionalTransfer(t *testing.T) {
 	var srv *Conn
 	p.b.Listen(80, func(c *Conn) { srv = c })
 	cli := p.a.Dial(p.b.Opt.IP, 80)
-	p.run(t, func() bool { return cli.Established && srv != nil }, 100_000, "handshake")
+	p.run(t, func() bool { return cli.Established() && srv != nil }, 100_000, "handshake")
 
 	m1 := []byte("ping from client")
 	m2 := []byte("pong from server, slightly longer")
@@ -150,14 +150,14 @@ func TestGracefulClose(t *testing.T) {
 	var srv *Conn
 	p.b.Listen(80, func(c *Conn) { srv = c })
 	cli := p.a.Dial(p.b.Opt.IP, 80)
-	p.run(t, func() bool { return cli.Established && srv != nil }, 100_000, "handshake")
+	p.run(t, func() bool { return cli.Established() && srv != nil }, 100_000, "handshake")
 
 	cli.Close()
-	p.run(t, func() bool { return srv.PeerClosed }, 200_000, "server sees FIN")
+	p.run(t, func() bool { return srv.PeerClosed() }, 200_000, "server sees FIN")
 	srv.Close()
-	p.run(t, func() bool { return srv.Closed }, 500_000, "server closed")
+	p.run(t, func() bool { return srv.Closed() }, 500_000, "server closed")
 	// Client lingers in TIME_WAIT, then frees.
-	p.run(t, func() bool { return cli.Closed }, 10_000_000, "client TIME_WAIT expiry")
+	p.run(t, func() bool { return cli.Closed() }, 10_000_000, "client TIME_WAIT expiry")
 	if p.a.Conns() != 0 || p.b.Conns() != 0 {
 		t.Errorf("conns after close: a=%d b=%d, want 0/0", p.a.Conns(), p.b.Conns())
 	}
@@ -168,10 +168,10 @@ func TestAbortSendsRST(t *testing.T) {
 	var srv *Conn
 	p.b.Listen(80, func(c *Conn) { srv = c })
 	cli := p.a.Dial(p.b.Opt.IP, 80)
-	p.run(t, func() bool { return cli.Established && srv != nil }, 100_000, "handshake")
+	p.run(t, func() bool { return cli.Established() && srv != nil }, 100_000, "handshake")
 
 	cli.Abort()
-	p.run(t, func() bool { return srv.WasReset }, 200_000, "server sees RST")
+	p.run(t, func() bool { return srv.WasReset() }, 200_000, "server sees RST")
 	if p.a.Conns() != 0 {
 		t.Errorf("client kept state after abort: %d conns", p.a.Conns())
 	}
@@ -184,7 +184,7 @@ func TestLossRecoveryFastRetransmit(t *testing.T) {
 	var srv *Conn
 	p.b.Listen(80, func(c *Conn) { srv = c })
 	cli := p.a.Dial(p.b.Opt.IP, 80)
-	p.run(t, func() bool { return cli.Established && srv != nil }, 100_000, "handshake")
+	p.run(t, func() bool { return cli.Established() && srv != nil }, 100_000, "handshake")
 
 	data := make([]byte, 200*1024)
 	for i := range data {
@@ -221,7 +221,7 @@ func TestLossyLinkAllAlgorithms(t *testing.T) {
 			var srv *Conn
 			p.b.Listen(80, func(c *Conn) { srv = c })
 			cli := p.a.Dial(p.b.Opt.IP, 80)
-			p.run(t, func() bool { return cli.Established && srv != nil }, 30_000_000, "handshake on lossy link")
+			p.run(t, func() bool { return cli.Established() && srv != nil }, 30_000_000, "handshake on lossy link")
 
 			data := make([]byte, 64*1024)
 			for i := range data {
@@ -254,7 +254,7 @@ func TestReorderedLink(t *testing.T) {
 	var srv *Conn
 	p.b.Listen(80, func(c *Conn) { srv = c })
 	cli := p.a.Dial(p.b.Opt.IP, 80)
-	p.run(t, func() bool { return cli.Established && srv != nil }, 1_000_000, "handshake")
+	p.run(t, func() bool { return cli.Established() && srv != nil }, 1_000_000, "handshake")
 
 	data := make([]byte, 128*1024)
 	for i := range data {
@@ -285,7 +285,7 @@ func TestDuplicatedPackets(t *testing.T) {
 	var srv *Conn
 	p.b.Listen(80, func(c *Conn) { srv = c })
 	cli := p.a.Dial(p.b.Opt.IP, 80)
-	p.run(t, func() bool { return cli.Established && srv != nil }, 1_000_000, "handshake")
+	p.run(t, func() bool { return cli.Established() && srv != nil }, 1_000_000, "handshake")
 
 	data := make([]byte, 32*1024)
 	for i := range data {
@@ -315,7 +315,7 @@ func TestZeroWindowAndProbe(t *testing.T) {
 	var srv *Conn
 	p.b.Listen(80, func(c *Conn) { srv = c })
 	cli := p.a.Dial(p.b.Opt.IP, 80)
-	p.run(t, func() bool { return cli.Established && srv != nil }, 100_000, "handshake")
+	p.run(t, func() bool { return cli.Established() && srv != nil }, 100_000, "handshake")
 
 	// Fill the receiver's 512 KB buffer without consuming.
 	total := 700 * 1024
@@ -374,7 +374,7 @@ func TestManyConcurrentConnections(t *testing.T) {
 			return false
 		}
 		for _, c := range conns {
-			if !c.Established {
+			if !c.Established() {
 				return false
 			}
 		}
@@ -407,7 +407,7 @@ func TestMaxFlowsRejectsOpens(t *testing.T) {
 	b.Listen(80, func(c *Conn) { accepted++ })
 	c1 := a.Dial(optB.IP, 80)
 	c2 := a.Dial(optB.IP, 80)
-	if !k.RunUntil(func() bool { return c1.Established && c2.Established && accepted == 2 }, 1_000_000) {
+	if !k.RunUntil(func() bool { return c1.Established() && c2.Established() && accepted == 2 }, 1_000_000) {
 		t.Fatal("first two handshakes timed out")
 	}
 
@@ -416,7 +416,7 @@ func TestMaxFlowsRejectsOpens(t *testing.T) {
 	if c3 == nil {
 		t.Fatal("client refused the dial; only the server should be full")
 	}
-	if !k.RunUntil(func() bool { return c3.WasReset }, 2_000_000) {
+	if !k.RunUntil(func() bool { return c3.WasReset() }, 2_000_000) {
 		t.Fatal("rejected open never drew a RST back to the client")
 	}
 	if b.FlowsRejected == 0 {
@@ -440,7 +440,7 @@ func TestMaxFlowsRejectsOpens(t *testing.T) {
 	}
 
 	// The surviving connections are untouched by the rejections.
-	if c1.WasReset || c2.WasReset || !c1.Established || !c2.Established {
+	if c1.WasReset() || c2.WasReset() || !c1.Established() || !c2.Established() {
 		t.Fatal("rejection disturbed established connections")
 	}
 }
@@ -495,12 +495,12 @@ func TestKeepaliveDetectsDeadPeer(t *testing.T) {
 	var srv *Conn
 	p.b.Listen(80, func(c *Conn) { srv = c })
 	cli := p.a.Dial(p.b.Opt.IP, 80)
-	p.run(t, func() bool { return cli.Established && srv != nil }, 100_000, "handshake")
+	p.run(t, func() bool { return cli.Established() && srv != nil }, 100_000, "handshake")
 
 	// The peer vanishes: every subsequent packet is dropped.
 	p.link.AtoB.SetFaults(netsim.Faults{LossProb: 1.0})
 	p.link.BtoA.SetFaults(netsim.Faults{LossProb: 1.0})
-	p.run(t, func() bool { return cli.Closed }, 20_000_000, "keepalive reset of dead peer")
+	p.run(t, func() bool { return cli.Closed() }, 20_000_000, "keepalive reset of dead peer")
 	if p.a.Conns() != 0 {
 		t.Fatal("client state not freed after keepalive reset")
 	}
@@ -514,11 +514,11 @@ func TestKeepaliveKeepsLiveConnection(t *testing.T) {
 	var srv *Conn
 	p.b.Listen(80, func(c *Conn) { srv = c })
 	cli := p.a.Dial(p.b.Opt.IP, 80)
-	p.run(t, func() bool { return cli.Established && srv != nil }, 100_000, "handshake")
+	p.run(t, func() bool { return cli.Established() && srv != nil }, 100_000, "handshake")
 
 	// Idle but healthy: many keepalive windows pass, connection survives.
 	p.k.Run(3_000_000) // 12 ms ≫ idle+cnt×ivl
-	if cli.Closed || cli.WasReset || srv.Closed {
+	if cli.Closed() || cli.WasReset() || srv.Closed() {
 		t.Fatal("healthy idle connection was reset by keepalive")
 	}
 }
@@ -549,7 +549,7 @@ func TestWireCodecCarriesWholeProtocol(t *testing.T) {
 	var srv *Conn
 	p.b.Listen(80, func(c *Conn) { srv = c })
 	cli := p.a.Dial(p.b.Opt.IP, 80)
-	p.run(t, func() bool { return cli.Established && srv != nil }, 300_000, "handshake over byte wire")
+	p.run(t, func() bool { return cli.Established() && srv != nil }, 300_000, "handshake over byte wire")
 
 	data := make([]byte, 64*1024)
 	for i := range data {
@@ -573,7 +573,7 @@ func TestWireCodecCarriesWholeProtocol(t *testing.T) {
 		t.Fatal("byte-codec transit corrupted the stream")
 	}
 	cli.Close()
-	p.run(t, func() bool { return srv.PeerClosed }, 1_000_000, "close over byte wire")
+	p.run(t, func() bool { return srv.PeerClosed() }, 1_000_000, "close over byte wire")
 }
 
 func TestDCTCPOverECNMarkingLink(t *testing.T) {
@@ -606,7 +606,7 @@ func TestDCTCPOverECNMarkingLink(t *testing.T) {
 	var srv *Conn
 	b.Listen(80, func(c *Conn) { srv = c })
 	cli := a.Dial(optsB.IP, 80)
-	if !k.RunUntil(func() bool { return cli.Established && srv != nil }, 1_000_000) {
+	if !k.RunUntil(func() bool { return cli.Established() && srv != nil }, 1_000_000) {
 		t.Fatal("handshake timed out")
 	}
 
