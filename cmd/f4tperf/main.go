@@ -6,210 +6,64 @@
 //	f4tperf -stack f4t -pattern bulk -size 128 -cores 2
 //	f4tperf -stack linux -pattern rr -size 64 -cores 8
 //	f4tperf -stack f4t -pattern echo -flows 4096
-//	f4tperf -bench                  # kernel perf harness -> BENCH_kernel.json
-//	f4tperf -bench -guard           # also fail if the skip fast path regressed
-//	f4tperf -trace out.json         # Perfetto trace of the standard echo rig
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 
 	"f4t/internal/exp"
 )
 
+const usage = "usage: f4tperf [-stack f4t|linux] [-pattern bulk|rr|echo] [-size N] [-cores N] [-flows N]"
+
 func main() {
-	stack := flag.String("stack", "f4t", "stack under test: f4t or linux")
+	stack := flag.String("stack", "f4t", "stack under test: f4t or linux (echo also takes f4t-ddr, f4t-hbm)")
 	pattern := flag.String("pattern", "bulk", "workload: bulk, rr (round-robin), echo")
 	size := flag.Int("size", 128, "request size in bytes")
 	cores := flag.Int("cores", 2, "sender CPU cores")
 	flows := flag.Int("flows", 1024, "concurrent flows (echo pattern)")
-	bench := flag.Bool("bench", false, "run the kernel perf-regression harness (skip vs always-step)")
-	benchOut := flag.String("benchout", "BENCH_kernel.json", "output path for -bench results")
-	quick := flag.Bool("quick", false, "shorter -bench measurement windows (CI smoke)")
-	guard := flag.Bool("guard", false, "with -bench: exit non-zero if the skip fast path regressed")
-	shards := flag.Int("shards", 4, "with -bench: sweep worker count for the sharded sweep benchmark (0 disables)")
-	trace := flag.String("trace", "", "run the standard echo rig with telemetry and write a Perfetto trace to this path")
-	traceCycles := flag.Int64("tracecycles", 400_000, "simulated cycles to trace after connection setup")
 	flag.Parse()
 
-	if *trace != "" {
-		runTrace(*trace, *traceCycles)
-		return
-	}
-	if *bench {
-		runKernelBench(*quick, *guard, *shards, *benchOut)
-		return
+	// Fail fast on a mistyped name instead of panicking inside the rig
+	// builder.
+	kind, err := stackKind(*pattern, *stack)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "f4tperf: %v\n%s\n", err, usage)
+		os.Exit(2)
 	}
 
-	switch *pattern {
-	case "bulk", "rr":
-		res := exp.TransferPoint(*stack, *pattern == "rr", *size, *cores, nil)
-		fmt.Printf("%s %s: %d B requests, %d cores -> %.1f Gbps goodput, %.1f Mrps\n",
-			*stack, *pattern, *size, *cores, res.GoodputGbps, res.Mrps)
-	case "echo":
-		kind := *stack
-		if kind == "f4t" {
-			kind = "f4t-hbm"
-		}
+	if *pattern == "echo" {
 		mrps, frac := exp.EchoPoint(kind, *flows)
 		fmt.Printf("%s echo: %d flows (%.0f%% established) -> %.2f Mrps round trips\n",
 			kind, *flows, frac*100, mrps)
-	default:
-		fmt.Fprintf(os.Stderr, "f4tperf: unknown pattern %q\n", *pattern)
-		os.Exit(2)
+		return
 	}
+	res := exp.TransferPoint(kind, *pattern == "rr", *size, *cores, nil)
+	fmt.Printf("%s %s: %d B requests, %d cores -> %.1f Gbps goodput, %.1f Mrps\n",
+		kind, *pattern, *size, *cores, res.GoodputGbps, res.Mrps)
 }
 
-// runTrace produces a Perfetto-loadable trace of the standard echo rig.
-func runTrace(out string, cycles int64) {
-	f, err := os.Create(out)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "f4tperf: %v\n", err)
-		os.Exit(1)
+// stackKind checks -stack against what the pattern's rig builder accepts
+// and returns the builder's name for it (echo's plain "f4t" is the HBM
+// engine).
+func stackKind(pattern, stack string) (string, error) {
+	accepts := map[string][]string{
+		"bulk": {"f4t", "linux"},
+		"rr":   {"f4t", "linux"},
+		"echo": {"f4t", "f4t-ddr", "f4t-hbm", "linux"},
 	}
-	r, err := exp.RunTracedEcho(f, cycles)
-	if cerr := f.Close(); err == nil {
-		err = cerr
+	valid, ok := accepts[pattern]
+	if !ok {
+		return "", fmt.Errorf("unknown pattern %q (bulk, rr, echo)", pattern)
 	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "f4tperf: trace: %v\n", err)
-		os.Exit(1)
+	if !slices.Contains(valid, stack) {
+		return "", fmt.Errorf("unknown stack %q for -pattern %s %v", stack, pattern, valid)
 	}
-	fmt.Printf("wrote %s: %d trace events (%d dropped), %d metrics, %d samples, %d round trips\n",
-		out, r.Tel.Trace.Total(), r.Tel.Trace.Dropped(), r.Tel.Reg.Len(),
-		r.Tel.Sampler.Points(), r.Requests)
-	fmt.Println("open in https://ui.perfetto.dev or chrome://tracing")
-}
-
-// runKernelBench times the standard rigs with and without quiescence
-// skipping and writes the machine-readable comparison. With guard, the
-// process fails if the skip fast path stopped engaging — a
-// machine-independent floor (PR 1 recorded ~9.5x on the echo rig, so 2x
-// leaves generous noise headroom) — if the saturated bulk path starts
-// allocating per cycle or slows past a loose wall ceiling, if enabled
-// telemetry more than doubles the echo run, or if the per-flow memory
-// footprint of the flow-scale points regresses (schema/5).
-func runKernelBench(quick, guard bool, shards int, out string) {
-	res := exp.RunKernelBench(quick, shards)
-	for _, e := range res.Entries {
-		fmt.Printf("%-22s %6.2f sim ms  skip %5.1f%%  %8.2f ms wall (was %8.2f ms)  %5.2fx  %6.0f ns/cyc %6.3f allocs/cyc\n",
-			e.Name, e.SimMS, e.SkippedPct,
-			float64(e.WallNSSkip)/1e6, float64(e.WallNSNoSkip)/1e6, e.Speedup,
-			e.NSPerSteppedCycle, e.AllocsPerSteppedCycle)
+	if pattern == "echo" && stack == "f4t" {
+		return "f4t-hbm", nil
 	}
-	if t := res.Telemetry; t != nil {
-		fmt.Printf("%-22s telemetry on: %8.2f ms wall (off %8.2f ms)  %+.1f%%  %d metrics, %d events\n",
-			t.Workload, float64(t.WallNSOn)/1e6, float64(t.WallNSOff)/1e6,
-			t.OverheadPct, t.Metrics, t.TraceEvents)
-	}
-	if s := res.Sharded; s != nil {
-		fmt.Printf("%-22s %d workers on %d CPUs: %8.2f ms wall (serial %8.2f ms)  %5.2fx  identical=%v\n",
-			s.Workload, s.Workers, s.HostCPUs,
-			float64(s.WallNSSharded)/1e6, float64(s.WallNSSerial)/1e6, s.Speedup, s.Identical)
-	}
-	for _, p := range res.FlowScale {
-		fmt.Printf("flow-scale %8d flows  reached=%-5v ramp %8d cyc  %4.0f B/flow accounted (%5.0f heap)  %6.0f ns/cyc  table %d slots/%d resizes\n",
-			p.Flows, p.Reached, p.RampCycles,
-			p.BytesPerFlowAccounted, p.BytesPerFlowHeap,
-			p.NSPerSteppedCycle, p.TableSlots, p.TableResizes)
-	}
-	data, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "f4tperf: encode bench: %v\n", err)
-		os.Exit(1)
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(out, data, 0o644); err != nil {
-		fmt.Fprintf(os.Stderr, "f4tperf: write %s: %v\n", out, err)
-		os.Exit(1)
-	}
-	fmt.Printf("wrote %s\n", out)
-
-	if guard {
-		failed := false
-		for _, e := range res.Entries {
-			if e.Name == "echo-idle-fig13" {
-				if e.Speedup < 2.0 {
-					fmt.Fprintf(os.Stderr, "guard: %s speedup %.2fx < 2.0x — skip fast path regressed\n", e.Name, e.Speedup)
-					failed = true
-				}
-				if e.SkippedPct < 50 {
-					fmt.Fprintf(os.Stderr, "guard: %s skipped %.1f%% < 50%% — quiescence detection regressed\n", e.Name, e.SkippedPct)
-					failed = true
-				}
-			}
-			if e.Name == "bulk-saturated-fig8a" {
-				// Allocation rate is machine-independent: the zero-alloc
-				// packet path measures ~0.04 objects per stepped cycle
-				// (timer-wheel ring warm-up; the steady state is zero), so
-				// 0.5 means a per-segment allocation came back. The wall
-				// ceiling is deliberately loose — it only catches
-				// catastrophic slowdowns, not host-speed variation.
-				if e.AllocsPerSteppedCycle > 0.5 {
-					fmt.Fprintf(os.Stderr, "guard: %s allocates %.2f objects per stepped cycle > 0.5 — zero-alloc path regressed\n", e.Name, e.AllocsPerSteppedCycle)
-					failed = true
-				}
-				if e.NSPerSteppedCycle > 20_000 {
-					fmt.Fprintf(os.Stderr, "guard: %s costs %.0f ns per stepped cycle > 20000 — saturated path regressed\n", e.Name, e.NSPerSteppedCycle)
-					failed = true
-				}
-			}
-		}
-		if t := res.Telemetry; t != nil && t.OverheadPct > 100 {
-			fmt.Fprintf(os.Stderr, "guard: telemetry overhead %.1f%% > 100%%\n", t.OverheadPct)
-			failed = true
-		}
-		if s := res.Sharded; s != nil {
-			if !s.Identical {
-				fmt.Fprintf(os.Stderr, "guard: sharded sweep diverged from the serial sweep\n")
-				failed = true
-			}
-			// The speedup bound only applies where the host can deliver
-			// it: parallelism is capped by cores, GOMAXPROCS, workers and
-			// the number of independent rigs in the sweep.
-			par := s.HostCPUs
-			if s.GoMaxProcs < par {
-				par = s.GoMaxProcs
-			}
-			if s.Workers < par {
-				par = s.Workers
-			}
-			if s.Points < par {
-				par = s.Points
-			}
-			if par >= 3 && s.Speedup < 2.0 {
-				fmt.Fprintf(os.Stderr, "guard: sharded sweep speedup %.2fx < 2.0x on %d-way host\n", s.Speedup, par)
-				failed = true
-			}
-		}
-		for _, p := range res.FlowScale {
-			if !p.Reached {
-				fmt.Fprintf(os.Stderr, "guard: flow-scale %d never reached its target within the ramp budget\n", p.Flows)
-				failed = true
-				continue
-			}
-			// Per-flow control state is machine-independent: the accounted
-			// footprint (TCB + flow-table entry + reassembler) measures
-			// ~650 B/flow, so 1300 B means a per-flow structure doubled or
-			// an arena stopped being shared. The whole-rig heap number
-			// includes both sides plus bookkeeping (~4x the accounted
-			// server state); past 16 KB/flow something is leaking
-			// per-connection.
-			if p.BytesPerFlowAccounted > 1300 {
-				fmt.Fprintf(os.Stderr, "guard: flow-scale %d flows: %.0f accounted bytes/flow > 1300 — per-flow footprint regressed\n", p.Flows, p.BytesPerFlowAccounted)
-				failed = true
-			}
-			if p.BytesPerFlowHeap > 16384 {
-				fmt.Fprintf(os.Stderr, "guard: flow-scale %d flows: %.0f heap bytes/flow > 16384 — per-connection leak\n", p.Flows, p.BytesPerFlowHeap)
-				failed = true
-			}
-		}
-		if failed {
-			os.Exit(1)
-		}
-		fmt.Println("guard: ok")
-	}
+	return stack, nil
 }

@@ -1,6 +1,7 @@
-// f4tstat runs an instrumented standard rig and dumps the telemetry
-// registry: a point-in-time snapshot of every metric, the sampled time
-// series, or the per-flow statistics table, as CSV or JSON.
+// f4tstat runs an instrumented standard rig and dumps its telemetry: a
+// point-in-time snapshot of every metric, the sampled time series or
+// the per-flow statistics table, as CSV or JSON — or the whole run as a
+// Perfetto trace (spans plus sampled counter tracks).
 //
 // Usage:
 //
@@ -9,6 +10,7 @@
 //	f4tstat -mode series -sample 10000
 //	f4tstat -mode flows -format json
 //	f4tstat -o stats.csv
+//	f4tstat -mode trace -o trace.json   # open in ui.perfetto.dev or chrome://tracing
 package main
 
 import (
@@ -18,19 +20,50 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strconv"
 
 	"f4t/internal/exp"
 )
 
+const usage = "usage: f4tstat [-rig echo|bulk] [-mode snapshot|series|flows|trace] [-format csv|json] [-cycles N] [-sample N] [-o path]"
+
+// dumpers maps -mode to its writer.
+var dumpers = map[string]func(w io.Writer, r *exp.StatRig, format string) error{
+	"snapshot": dumpSnapshot,
+	"series":   dumpSeries,
+	"flows":    dumpFlows,
+	"trace":    dumpTrace,
+}
+
+// checkArgs rejects a mistyped -rig, -mode or -format before any rig is
+// built and simulated.
+func checkArgs(rig, mode, format string) error {
+	if !slices.Contains([]string{"echo", "bulk"}, rig) {
+		return fmt.Errorf("unknown rig %q (echo, bulk)", rig)
+	}
+	if dumpers[mode] == nil {
+		return fmt.Errorf("unknown mode %q (snapshot, series, flows, trace)", mode)
+	}
+	if !slices.Contains([]string{"csv", "json"}, format) {
+		return fmt.Errorf("unknown format %q (csv, json)", format)
+	}
+	return nil
+}
+
 func main() {
 	rig := flag.String("rig", "echo", "workload rig: echo or bulk")
-	mode := flag.String("mode", "snapshot", "what to dump: snapshot, series, flows")
+	mode := flag.String("mode", "snapshot", "what to dump: snapshot, series, flows, trace (Perfetto JSON; ignores -format)")
 	format := flag.String("format", "csv", "output format: csv or json")
 	cycles := flag.Int64("cycles", 400_000, "simulated cycles to run after connection setup")
 	sample := flag.Int64("sample", 0, "sampling period in cycles (0 = default 25000)")
 	out := flag.String("o", "", "output path (default stdout)")
 	flag.Parse()
+
+	if err := checkArgs(*rig, *mode, *format); err != nil {
+		fmt.Fprintf(os.Stderr, "f4tstat: %v\n%s\n", err, usage)
+		os.Exit(2)
+	}
 
 	r, err := exp.RunStatRig(*rig, *cycles, *sample)
 	if err != nil {
@@ -38,26 +71,16 @@ func main() {
 		os.Exit(1)
 	}
 
-	w := io.Writer(os.Stdout)
+	w := os.Stdout
 	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
+		if w, err = os.Create(*out); err != nil {
 			fmt.Fprintf(os.Stderr, "f4tstat: %v\n", err)
 			os.Exit(1)
 		}
-		defer f.Close()
-		w = f
 	}
-
-	switch *mode {
-	case "snapshot":
-		err = dumpSnapshot(w, r, *format)
-	case "series":
-		err = dumpSeries(w, r, *format)
-	case "flows":
-		err = dumpFlows(w, r, *format)
-	default:
-		err = fmt.Errorf("unknown mode %q (snapshot, series, flows)", *mode)
+	err = dumpers[*mode](w, r, *format)
+	if cerr := w.Close(); err == nil {
+		err = cerr
 	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "f4tstat: %v\n", err)
@@ -69,6 +92,18 @@ func writeJSON(w io.Writer, v interface{}) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(v)
+}
+
+// dumpTrace writes the run's Perfetto trace and summarises it on stderr
+// (stdout may be the trace).
+func dumpTrace(w io.Writer, r *exp.StatRig, _ string) error {
+	if err := r.Tel.Export(w); err != nil {
+		return err
+	}
+	fmt.Fprintf(os.Stderr, "f4tstat: %d trace events (%d dropped), %d metrics, %d samples, %d app operations\n",
+		r.Tel.Trace.Total(), r.Tel.Trace.Dropped(), r.Tel.Reg.Len(),
+		r.Tel.Sampler.Points(), r.Requests)
+	return nil
 }
 
 // dumpSnapshot emits one row per registered metric.

@@ -270,30 +270,14 @@ func churnClientAddr(i int) (wire.Addr, wire.MAC) {
 		wire.MAC{2, 1, 0, 0, byte(i >> 8), byte(i)}
 }
 
-// churnRig is the constructed churn testbed: one server endpoint on
-// island B, a fleet of client endpoints on island A, and the driver
-// that opens/expires/replaces connections on the fixed grid.
-type churnRig struct {
-	link       *netsim.Link
-	srv        *stack.Endpoint
-	serverNode *churnNode
-	clients    []*stack.Endpoint
-	clientNode *churnNode
-	driver     *churnDriver
-}
-
-// rampDone is the coarse-grid ramp predicate: the driver's conservative
-// live bound and the server's own connection count both at target.
-func (r *churnRig) rampDone(target int) func() bool {
-	return func() bool {
-		return r.driver.live() >= int64(target) && r.srv.Conns() >= target
-	}
-}
-
-// newChurnRig builds and registers the churn testbed on any fabric
-// (bare endpoints, so not a core.Build rig, but held to the same
-// determinism contract — see package core).
-func newChurnRig(f sim.Fabric, cfg ChurnConfig) *churnRig {
+// ChurnOn runs the churn experiment on any fabric: build the testbed,
+// ramp to the target, sustain the plateau under churn, report counters
+// and a digest. The testbed is one server endpoint on island B, a fleet
+// of client endpoints on island A and the driver that opens, expires and
+// replaces connections on the fixed grid — bare endpoints, so not a
+// core.Build rig, but held to the same determinism contract (see
+// package core).
+func ChurnOn(f sim.Fabric, cfg ChurnConfig) *ChurnResult {
 	kA, kB := f.IslandKernel(IslandA), f.IslandKernel(IslandB)
 	link := netsim.NewLinkOn(f, IslandA, IslandB, churnLinkGbps, LinkPropNS, cfg.Seed*2+1)
 
@@ -338,24 +322,15 @@ func newChurnRig(f sim.Fabric, cfg ChurnConfig) *churnRig {
 	f.RegisterOn(IslandA, clientNode)
 	f.RegisterOn(IslandA, driver)
 
-	return &churnRig{
-		link: link, srv: srv, serverNode: serverNode,
-		clients: clients, clientNode: clientNode, driver: driver,
-	}
-}
-
-// ChurnOn runs the churn experiment on any fabric: ramp to the target,
-// sustain the plateau under churn, report counters and a digest.
-func ChurnOn(f sim.Fabric, cfg ChurnConfig) *ChurnResult {
-	rig := newChurnRig(f, cfg)
-	srv, driver := rig.srv, rig.driver
-	serverNode, clientNode, clients := rig.serverNode, rig.clientNode, rig.clients
-	link := rig.link
-
 	res := &ChurnResult{}
-	// The predicate is observed on a fixed coarse grid; both sides of the
-	// rig are deterministic at those cycles on every fabric.
-	res.Reached = RunUntilCoarse(f, rig.rampDone(cfg.TargetFlows), 25_000, cfg.Budget)
+	// Ramp is done when the driver's conservative live bound and the
+	// server's own connection count are both at target. The predicate is
+	// observed on a fixed coarse grid; both sides of the rig are
+	// deterministic at those cycles on every fabric.
+	rampDone := func() bool {
+		return driver.live() >= int64(cfg.TargetFlows) && srv.Conns() >= cfg.TargetFlows
+	}
+	res.Reached = RunUntilCoarse(f, rampDone, 25_000, cfg.Budget)
 	if res.Reached {
 		res.ReachedCycle = f.Now()
 		f.Run(cfg.SustainCycles)

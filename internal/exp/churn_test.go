@@ -103,7 +103,10 @@ func TestChurnQuickReachesTarget(t *testing.T) {
 	if r.LiveAtEnd < int64(cfg.TargetFlows) {
 		t.Fatalf("plateau lost during sustain: live=%d < target=%d", r.LiveAtEnd, cfg.TargetFlows)
 	}
-	if r.ServerBytesFlow <= 0 {
-		t.Fatalf("memory accounting reported %v bytes/flow", r.ServerBytesFlow)
+	// Accounted server state (TCB + flow-table entry + reassembler) is
+	// machine-independent and measures ~650 B/flow; 1300 means a per-flow
+	// structure doubled or an arena stopped being shared.
+	if r.ServerBytesFlow <= 0 || r.ServerBytesFlow > 1300 {
+		t.Fatalf("memory accounting reported %.0f bytes/flow, want (0, 1300]", r.ServerBytesFlow)
 	}
 }

@@ -31,14 +31,13 @@ func sampleEvery(k *sim.Kernel, interval int64, fn func() string, out *[]string)
 
 // diffRun executes the workload in both kernel modes and fails the test
 // on the first diverging signature line. It returns the skipping run's
-// skipped-cycle count so callers can assert the fast path actually
-// engaged.
-func diffRun(t *testing.T, name string, workload func(skip bool) (string, int64)) int64 {
+// kernel so callers can assert the fast path actually engaged.
+func diffRun(t *testing.T, name string, workload func(skip bool) (string, *sim.Kernel)) *sim.Kernel {
 	t.Helper()
-	fastSig, skipped := workload(true)
-	slowSig, slowSkipped := workload(false)
-	if slowSkipped != 0 {
-		t.Fatalf("%s: shadow mode skipped %d cycles", name, slowSkipped)
+	fastSig, fast := workload(true)
+	slowSig, slow := workload(false)
+	if n := slow.SkippedCycles(); n != 0 {
+		t.Fatalf("%s: shadow mode skipped %d cycles", name, n)
 	}
 	if fastSig != slowSig {
 		fastLines := strings.Split(fastSig, "\n")
@@ -54,11 +53,11 @@ func diffRun(t *testing.T, name string, workload func(skip bool) (string, int64)
 		}
 		t.Fatalf("%s: signature lengths differ: skip=%d shadow=%d", name, len(fastLines), len(slowLines))
 	}
-	return skipped
+	return fast
 }
 
 // f4tBulkSig: two-node F4T bulk transfer (the Fig 8a shape).
-func f4tBulkSig(skip bool) (string, int64) {
+func f4tBulkSig(skip bool) (string, *sim.Kernel) {
 	p := NewF4TPair(2, 2, cpu.DefaultCosts(), nil)
 	k := p.K
 	k.SetSkipping(skip)
@@ -83,13 +82,13 @@ func f4tBulkSig(skip bool) (string, int64) {
 	log = append(log, "ready "+sample())
 	k.Run(200_000)
 	log = append(log, "end "+sample())
-	return strings.Join(log, "\n"), k.SkippedCycles()
+	return strings.Join(log, "\n"), k
 }
 
 // f4tRoundRobinFaultsSig: low-locality round-robin senders over a lossy,
 // reordering link — loss recovery, retransmission timers and reordering
 // all in play.
-func f4tRoundRobinFaultsSig(skip bool) (string, int64) {
+func f4tRoundRobinFaultsSig(skip bool) (string, *sim.Kernel) {
 	p := NewF4TPair(2, 2, cpu.DefaultCosts(), nil)
 	k := p.K
 	k.SetSkipping(skip)
@@ -115,12 +114,12 @@ func f4tRoundRobinFaultsSig(skip bool) (string, int64) {
 	log = append(log, "ready "+sample())
 	k.Run(200_000)
 	log = append(log, "end "+sample())
-	return strings.Join(log, "\n"), k.SkippedCycles()
+	return strings.Join(log, "\n"), k
 }
 
 // f4tEchoSig: the ping-pong workload of Fig 13 — mostly idle RTT waits,
 // the skip kernel's showcase.
-func f4tEchoSig(skip bool) (string, int64) {
+func f4tEchoSig(skip bool) (string, *sim.Kernel) {
 	p := NewF4TPair(2, 2, cpu.DefaultCosts(), func(c *engine.Config) {
 		c.CarryBytes = false
 	})
@@ -145,12 +144,12 @@ func f4tEchoSig(skip bool) (string, int64) {
 	log = append(log, "ready "+sample())
 	k.Run(400_000)
 	log = append(log, "end "+sample())
-	return strings.Join(log, "\n"), k.SkippedCycles()
+	return strings.Join(log, "\n"), k
 }
 
 // f4tDctcpSig: DCTCP with ECN marking at the link — congestion marks,
 // ECE echoes and window modulation must all land on identical cycles.
-func f4tDctcpSig(skip bool) (string, int64) {
+func f4tDctcpSig(skip bool) (string, *sim.Kernel) {
 	p := NewF4TPair(1, 1, cpu.DefaultCosts(), func(c *engine.Config) {
 		c.Alg = "dctcp"
 		c.Proto.ECN = true
@@ -181,12 +180,12 @@ func f4tDctcpSig(skip bool) (string, int64) {
 	log = append(log, "ready "+sample())
 	k.Run(200_000)
 	log = append(log, "end "+sample())
-	return strings.Join(log, "\n"), k.SkippedCycles()
+	return strings.Join(log, "\n"), k
 }
 
 // linuxBulkSig: the software-stack baseline — covers LinuxMachine's
 // NextWork (RSS queues, stack timers) and the jittered CPU paths.
-func linuxBulkSig(skip bool) (string, int64) {
+func linuxBulkSig(skip bool) (string, *sim.Kernel) {
 	p := NewLinuxPair(2, 2, cpu.DefaultCosts())
 	k := p.K
 	k.SetSkipping(skip)
@@ -209,7 +208,7 @@ func linuxBulkSig(skip bool) (string, int64) {
 	log = append(log, "ready "+sample())
 	k.Run(150_000)
 	log = append(log, "end "+sample())
-	return strings.Join(log, "\n"), k.SkippedCycles()
+	return strings.Join(log, "\n"), k
 }
 
 func TestSkipDifferentialF4TBulk(t *testing.T) {
@@ -221,9 +220,12 @@ func TestSkipDifferentialRoundRobinFaults(t *testing.T) {
 }
 
 func TestSkipDifferentialEcho(t *testing.T) {
-	skipped := diffRun(t, "f4t-echo", f4tEchoSig)
-	if skipped == 0 {
-		t.Error("echo workload skipped no cycles — the idle fast path never engaged")
+	// Deterministic: the rig skips ~76 % of its cycles (321 901 of 423 k).
+	// Under half means quiescence detection regressed, not merely that
+	// the fast path engaged at all.
+	k := diffRun(t, "f4t-echo", f4tEchoSig)
+	if skipped, ran := k.SkippedCycles(), k.Now(); 2*skipped < ran {
+		t.Errorf("echo workload skipped %d of %d cycles, want >= 50%%", skipped, ran)
 	}
 }
 

@@ -85,7 +85,7 @@ func Fig13(quick bool) *Table {
 }
 
 // Fig13Workers is Fig13 with the sweep's independent rigs distributed
-// across workers goroutines (cmd/f4tperf -shards). Each (flows, stack)
+// across workers goroutines (cmd/f4tbench -workers). Each (flows, stack)
 // cell is one self-contained rig, so the table is identical to the
 // serial sweep's for any worker count.
 func Fig13Workers(quick bool, workers int) *Table {
@@ -115,7 +115,7 @@ func Fig13Workers(quick bool, workers int) *Table {
 	t.Notes = append(t.Notes,
 		"paper: F4T is 20× Linux at 1K flows; at 64K flows 12× (DDR) and 44× (HBM)",
 		"paper: the DDR curve drops past 1,024 flows (FPC capacity) — DRAM-bandwidth throttled",
-		"the flow axis continues past 65,536 (one address pair's port ceiling) in the",
-		"kernelbench flow_scale section (f4tperf -bench, schema/5) and -exp churn (2^20)")
+		"the flow axis continues past 65,536 (one address pair's port ceiling) in",
+		"-exp churn (2^20) and the benchmark's churn_plateau workload (go -C bench run .)")
 	return t
 }

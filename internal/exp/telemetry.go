@@ -144,16 +144,3 @@ func RunStatRig(rig string, runCycles, sampleCycles int64) (*StatRig, error) {
 		return nil, fmt.Errorf("unknown rig %q (echo, bulk)", rig)
 	}
 }
-
-// RunTracedEcho runs the standard echo rig with telemetry enabled and
-// writes its Perfetto trace to w (the f4tperf -trace path).
-func RunTracedEcho(w io.Writer, runCycles int64) (*StatRig, error) {
-	r, err := RunStatRig("echo", runCycles, 0)
-	if err != nil {
-		return nil, err
-	}
-	if err := r.Tel.Export(w); err != nil {
-		return nil, err
-	}
-	return r, nil
-}

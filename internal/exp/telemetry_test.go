@@ -104,9 +104,12 @@ func TestTelemetryDoesNotPerturbSimulation(t *testing.T) {
 // Perfetto export of a traced echo run must parse as JSON and contain at
 // least one event from every instrumented layer.
 func TestTraceExportRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	r, err := RunTracedEcho(&buf, 200_000)
+	r, err := RunStatRig("echo", 200_000, 0)
 	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := r.Tel.Export(&buf); err != nil {
 		t.Fatal(err)
 	}
 	if r.Requests == 0 {
