@@ -16,6 +16,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strings"
@@ -108,23 +109,32 @@ func main() {
 		return
 	}
 
-	run := func(name string) {
-		r, ok := runners[name]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "f4tbench: unknown experiment %q (try -exp list)\n", name)
-			os.Exit(2)
-		}
-		start := time.Now()
-		tab := r(*quick)
-		fmt.Print(tab.String())
-		fmt.Printf("(%s in %.1fs)\n\n", name, time.Since(start).Seconds())
-	}
-
+	names := []string{*expFlag}
 	if *expFlag == "all" {
-		for _, name := range order {
-			run(name)
-		}
-		return
+		names = order
 	}
-	run(*expFlag)
+	code := 0
+	for _, name := range names {
+		code = max(code, run(os.Stdout, name, *quick))
+	}
+	os.Exit(code)
+}
+
+// run prints one experiment's table and returns the exit code it earns:
+// 2 for a name that is not an experiment, 1 for a table that carries a
+// failure (a missed churn plateau, an httpload error), 0 otherwise.
+func run(w io.Writer, name string, quick bool) int {
+	r, ok := runners[name]
+	if !ok {
+		fmt.Fprintf(os.Stderr, "f4tbench: unknown experiment %q (try -exp list)\n", name)
+		return 2
+	}
+	start := time.Now()
+	tab := r(quick)
+	fmt.Fprint(w, tab.String())
+	fmt.Fprintf(w, "(%s in %.1fs)\n\n", name, time.Since(start).Seconds())
+	if tab.Err != nil {
+		return 1
+	}
+	return 0
 }

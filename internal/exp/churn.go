@@ -6,6 +6,7 @@ import (
 	"f4t/internal/datapath"
 	"f4t/internal/netsim"
 	"f4t/internal/sim"
+	"f4t/internal/sock"
 	"f4t/internal/stack"
 	"f4t/internal/tcpproc"
 	"f4t/internal/telemetry"
@@ -79,6 +80,11 @@ type ChurnResult struct {
 	Digest string // fabric-comparable run fingerprint
 }
 
+// OpenRate is the mean dial rate over the whole run — ramp and sustain,
+// like Opened — in connections per cycle. The driver's burst cap bounds
+// it at churnDialsPerStep/churnStepCycles.
+func (r *ChurnResult) OpenRate() float64 { return float64(r.Opened) / float64(r.EndCycle) }
+
 // Churn rig constants: the driver acts on a fixed cycle grid so serial,
 // noskip and sharded runs make identical decisions at identical cycles.
 const (
@@ -94,121 +100,82 @@ const (
 	churnOvershoot = 2048
 )
 
-// churnNode drives one island's endpoints: received packets queue and
-// are handled on the node's own tick (queue-then-tick), so packet
-// processing happens at deterministic cycles on every fabric; the
-// delivery closure only enqueues and wakes.
-type churnNode struct {
-	k             *sim.Kernel
-	eps           []*stack.Endpoint
-	byIP          map[wire.Addr]*stack.Endpoint
-	rxq, inactive []*wire.Packet
-	Demux         int64 // packets dropped for an unknown destination IP
-}
+// churnNode is a stack.Node under this package's name. The benchmark
+// ledger charges a component to the stack layer when its Go type name
+// contains "exp.churn" (bench/fabric.go:layerOf, which only a benchmark
+// PR may edit); once that matches "stack." too, register the node bare.
+type churnNode struct{ *stack.Node }
 
-func newChurnNode(k *sim.Kernel, eps []*stack.Endpoint) *churnNode {
-	n := &churnNode{k: k, eps: eps, byIP: make(map[wire.Addr]*stack.Endpoint, len(eps))}
-	for _, ep := range eps {
-		n.byIP[ep.Opt.IP] = ep
-	}
-	return n
-}
+// churnServer is the server application, riding the server's node: it
+// closes a connection when its peer has, so CLOSE_WAIT never
+// accumulates and the client carries the TIME_WAIT.
+type churnServer struct{ h *stack.Host }
 
-// deliver is the link sink: enqueue and wake, nothing else.
-func (n *churnNode) deliver(pkt *wire.Packet) {
-	n.rxq = append(n.rxq, pkt)
-	n.k.Wake(n)
-}
-
-func (n *churnNode) Tick(int64) {
-	// Double-buffer swap: packets delivered while handling (ACK-triggered
-	// transmissions looping back same-cycle cannot happen across a link,
-	// but timers can enqueue) land in the next batch.
-	q := n.rxq
-	n.rxq = n.inactive[:0]
-	for _, pkt := range q {
-		ep := n.byIP[pkt.IP.Dst]
-		if ep == nil {
-			n.Demux++
-			continue
-		}
-		ep.HandlePacket(pkt)
-		if pkt.Kind == wire.KindTCP {
-			// The endpoint fully consumes TCP packets (events are value
-			// copies; CarryBytes=false means no payload aliasing), so the
-			// ~8M packets of a full churn run recycle instead of churning
-			// the heap. ARP/ICMP replies may alias the request — excluded.
-			wire.PutPacket(pkt)
+func (s churnServer) Tick(int64) {
+	for _, ev := range s.h.Poll() {
+		if ev.Kind == sock.EvHangup && !ev.Conn.Closed() {
+			ev.Conn.Close()
 		}
 	}
-	n.inactive = q[:0]
-	for _, ep := range n.eps {
-		ep.ExpireTimers()
-	}
 }
 
-// NextWork implements sim.Sleeper: queued packets want the next cycle;
-// otherwise the earliest endpoint timer bounds the sleep.
-func (n *churnNode) NextWork(now int64) int64 {
-	if len(n.rxq) > 0 {
-		return now + 1
-	}
-	next := sim.Dormant
-	for _, ep := range n.eps {
-		if d := ep.NextTimerNS(); d > 0 {
-			if c := sim.NSToCycles(d); c < next {
-				next = c
-			}
-		}
-	}
-	if next <= now {
-		return now + 1 // stale timer head: one tick pops it
-	}
-	return next
-}
+// NextWork implements sim.Sleeper: events queue earlier in the node's
+// own tick, so there is never one waiting across cycles.
+func (churnServer) NextWork(int64) int64 { return sim.Dormant }
 
 // churnDriver opens, expires and replaces connections on the fixed grid.
 // It reads only island-A state (its own counters and client conns), so
 // its decisions are identical on every fabric.
 type churnDriver struct {
 	cfg     ChurnConfig
-	clients []*stack.Endpoint
+	clients []*stack.Host // one thread per client endpoint
 	server  wire.Addr
 	rng     *sim.Rand
 	nextCli int
 
-	wheel map[int64][]*stack.Conn // expiry step → due connections
+	wheel map[int64][]sock.Conn // expiry step → due connections
 
-	opened, established, closedSeen int64
-	departed, closes, aborts        int64
-	dialRejected                    int64
-
-	estFn, closFn func() // shared callbacks (one closure, not one per conn)
+	opened, established      int64
+	departed, closes, aborts int64
+	dialRejected             int64
 }
 
-func newChurnDriver(cfg ChurnConfig, clients []*stack.Endpoint, server wire.Addr) *churnDriver {
-	d := &churnDriver{
+func newChurnDriver(cfg ChurnConfig, clients []*stack.Host, server wire.Addr) *churnDriver {
+	return &churnDriver{
 		cfg:     cfg,
 		clients: clients,
 		server:  server,
 		rng:     sim.NewRand(cfg.Seed + 1000),
-		wheel:   make(map[int64][]*stack.Conn),
+		wheel:   make(map[int64][]sock.Conn),
 	}
-	d.estFn = func() { d.established++ }
-	d.closFn = func() { d.closedSeen++ }
-	return d
+}
+
+// poll drains the clients' event queues, counting completed handshakes
+// (the only event the driver acts on: departures go by the wheel).
+func (d *churnDriver) poll() {
+	for _, h := range d.clients {
+		for _, ev := range h.Poll() {
+			if ev.Kind == sock.EvConnected {
+				d.established++
+			}
+		}
+	}
 }
 
 // live is the driver's deterministic lower bound on concurrency:
-// handshakes completed minus departures initiated (closes in flight
-// still count against it, so the bound is conservative).
-func (d *churnDriver) live() int64 { return d.established - d.departed }
+// handshakes completed by now minus departures initiated (closes in
+// flight still count against it, so the bound is conservative).
+func (d *churnDriver) live() int64 {
+	d.poll()
+	return d.established - d.departed
+}
 
 func (d *churnDriver) Tick(cycle int64) {
 	if cycle%churnStepCycles != 0 {
 		return
 	}
 	step := cycle / churnStepCycles
+	d.poll()
 
 	// Departures due this step. Connections still mid-handshake are
 	// re-armed rather than killed half-open; already-gone ones (reset by
@@ -218,7 +185,7 @@ func (d *churnDriver) Tick(cycle int64) {
 		for _, c := range due {
 			switch {
 			case c.Closed() || c.WasReset():
-				// Already gone; its slot was returned by OnClosed.
+				// Already gone.
 			case !c.Established():
 				d.wheel[step+churnRetrySteps] = append(d.wheel[step+churnRetrySteps], c)
 			default:
@@ -246,8 +213,6 @@ func (d *churnDriver) Tick(cycle int64) {
 			continue
 		}
 		d.opened++
-		c.OnEstablished = d.estFn
-		c.OnClosed = d.closFn
 		life := int64(d.rng.Pareto(float64(d.cfg.LifetimeXM), d.cfg.LifetimeAlpha))
 		if max := d.cfg.LifetimeXM * churnMaxLifeXM; life > max {
 			life = max
@@ -272,37 +237,36 @@ func churnClientAddr(i int) (wire.Addr, wire.MAC) {
 
 // ChurnOn runs the churn experiment on any fabric: build the testbed,
 // ramp to the target, sustain the plateau under churn, report counters
-// and a digest. The testbed is one server endpoint on island B, a fleet
-// of client endpoints on island A and the driver that opens, expires and
-// replaces connections on the fixed grid — bare endpoints, so not a
-// core.Build rig, but held to the same determinism contract (see
+// and a digest. The testbed is bare endpoints on a link, not a
+// core.Build rig, because one node carries many IPs, which core.Net
+// does not model; it is held to the same determinism contract (see
 // package core).
 func ChurnOn(f sim.Fabric, cfg ChurnConfig) *ChurnResult {
 	kA, kB := f.IslandKernel(IslandA), f.IslandKernel(IslandB)
 	link := netsim.NewLinkOn(f, IslandA, IslandB, churnLinkGbps, LinkPropNS, cfg.Seed*2+1)
 
 	// Server: island B. No data rings (CarryBytes=false) — the axis under
-	// test is control state. Passive close on peer FIN keeps CLOSE_WAIT
-	// from accumulating; the client carries the TIME_WAIT.
+	// test is control state.
 	srvOpt := stack.Options{
 		IP: AddrB, MAC: MACB, Cfg: tcpproc.DefaultConfig(), Alg: "newreno",
 		MaxFlows: cfg.TargetFlows + cfg.TargetFlows/4 + 65536,
 		Seed:     cfg.Seed + 500,
 	}
 	srv := stack.New(kB, srvOpt, link.BtoA.Send)
-	srv.Listen(80, func(c *stack.Conn) {
-		c.OnPeerClosed = func() { c.Close() }
-	})
-	serverNode := newChurnNode(kB, []*stack.Endpoint{srv})
-	link.AtoB.SetSink(serverNode.deliver)
+	srvHost := stack.NewHosts(srv, 1)[0]
+	srvHost.Listen(80)
+	serverNode := stack.NewNode(srv)
+	serverNode.Rider = churnServer{srvHost}
+	link.AtoB.SetSink(serverNode.DeliverPacket)
 
-	// Clients: island A, one endpoint per IP. Static ARP both ways so the
-	// ramp is pure TCP.
+	// Clients: island A, one endpoint per IP behind one node. Static ARP
+	// both ways so the ramp is pure TCP.
 	// Headroom above the per-client share covers connections parked in
 	// TIME_WAIT (the close half of departures holds the slot and port for
 	// TimeWaitDur after the flow goes quiet).
 	perClient := cfg.TargetFlows/cfg.Clients + 16384
 	clients := make([]*stack.Endpoint, cfg.Clients)
+	threads := make([]*stack.Host, cfg.Clients)
 	for i := range clients {
 		ip, mac := churnClientAddr(i)
 		opt := stack.Options{
@@ -312,14 +276,15 @@ func ChurnOn(f sim.Fabric, cfg ChurnConfig) *ChurnResult {
 		clients[i] = stack.New(kA, opt, link.AtoB.Send)
 		clients[i].LearnPeer(AddrB, MACB)
 		srv.LearnPeer(ip, mac)
+		threads[i] = stack.NewHosts(clients[i], 1)[0]
 	}
-	clientNode := newChurnNode(kA, clients)
-	link.BtoA.SetSink(clientNode.deliver)
+	clientNode := stack.NewNode(clients...)
+	link.BtoA.SetSink(clientNode.DeliverPacket)
 
-	driver := newChurnDriver(cfg, clients, AddrB)
+	driver := newChurnDriver(cfg, threads, AddrB)
 
-	f.RegisterOn(IslandB, serverNode)
-	f.RegisterOn(IslandA, clientNode)
+	f.RegisterOn(IslandB, churnNode{serverNode})
+	f.RegisterOn(IslandA, churnNode{clientNode})
 	f.RegisterOn(IslandA, driver)
 
 	res := &ChurnResult{}
@@ -337,13 +302,13 @@ func ChurnOn(f sim.Fabric, cfg ChurnConfig) *ChurnResult {
 	}
 	res.EndCycle = f.Now()
 
+	res.LiveAtEnd = driver.live() // polls: counts every handshake completed by now
 	res.Opened = driver.opened
 	res.Established = driver.established
 	res.Departed = driver.departed
 	res.Closes = driver.closes
 	res.Aborts = driver.aborts
 	res.DialRejected = driver.dialRejected
-	res.LiveAtEnd = driver.live()
 	res.ServerConnsEnd = srv.Conns()
 	res.ServerRejected = srv.FlowsRejected
 	res.ServerTable = srv.TableStats()
@@ -373,7 +338,7 @@ func ChurnOn(f sim.Fabric, cfg ChurnConfig) *ChurnResult {
 		res.ServerTable.Size, res.ServerTable.Kicks, res.ServerTable.Stashed,
 		res.ServerTable.Resizes, res.ServerTable.FullDrops,
 		link.AtoB.SentPkts, link.AtoB.SentBytes, link.BtoA.SentPkts, link.BtoA.SentBytes,
-		serverNode.Demux, clientNode.Demux)
+		serverNode.DemuxDrops, clientNode.DemuxDrops)
 	return res
 }
 
@@ -392,8 +357,7 @@ func Churn(quick bool) *Table {
 		Header: []string{"metric", "value"},
 	}
 	if !res.Reached {
-		tab.Notes = append(tab.Notes, fmt.Sprintf(
-			"FAILED: %d of %d live after %d cycles", res.LiveAtEnd, cfg.TargetFlows, cfg.Budget))
+		tab.Err = fmt.Errorf("%d of %d live after %d cycles", res.LiveAtEnd, cfg.TargetFlows, cfg.Budget)
 		return tab
 	}
 	rampNS := res.ReachedCycle * sim.CycleNS
@@ -402,7 +366,7 @@ func Churn(quick bool) *Table {
 	tab.AddRow("opened / established", fmt.Sprintf("%d / %d", res.Opened, res.Established))
 	tab.AddRow("departures (close/abort)", fmt.Sprintf("%d (%d/%d)", res.Departed, res.Closes, res.Aborts))
 	tab.AddRow("live at end (driver/server)", fmt.Sprintf("%d / %d", res.LiveAtEnd, res.ServerConnsEnd))
-	tab.AddRow("open rate over ramp", fmt.Sprintf("%.2f conns/ms", float64(res.Opened)/(float64(rampNS)/1e6)))
+	tab.AddRow("open rate over run", fmt.Sprintf("%.2f conns/ms", res.OpenRate()*1e6/sim.CycleNS))
 	tab.AddRow("rejected opens (client dial / server)", fmt.Sprintf("%d / %d", res.DialRejected, res.ServerRejected))
 	st := res.ServerTable
 	tab.AddRow("server flow table", fmt.Sprintf("size=%d slots=%d stash=%d(peak %d) kicks=%d resizes=%d fulldrops=%d",
@@ -415,5 +379,8 @@ func Churn(quick bool) *Table {
 		fmt.Sprintf("Pareto lifetimes: xm=%d cycles, alpha=%.1f, truncated at %dx xm", cfg.LifetimeXM, cfg.LifetimeAlpha, churnMaxLifeXM),
 		fmt.Sprintf("sustained %d cycles of churn at the plateau with every departure replaced", cfg.SustainCycles),
 		"digest "+res.Digest)
+	if res.LiveAtEnd < int64(cfg.TargetFlows) {
+		tab.Err = fmt.Errorf("plateau lost during sustain: %d of %d live at end", res.LiveAtEnd, cfg.TargetFlows)
+	}
 	return tab
 }

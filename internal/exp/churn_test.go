@@ -103,8 +103,13 @@ func TestChurnQuickReachesTarget(t *testing.T) {
 	if r.LiveAtEnd < int64(cfg.TargetFlows) {
 		t.Fatalf("plateau lost during sustain: live=%d < target=%d", r.LiveAtEnd, cfg.TargetFlows)
 	}
+	// The reported rate is opens over the cycles they were opened in, so
+	// the driver's burst cap bounds it.
+	if max := float64(churnDialsPerStep) / churnStepCycles; r.OpenRate() <= 0 || r.OpenRate() > max {
+		t.Fatalf("open rate %.4f conns/cycle, want (0, %.4f]", r.OpenRate(), max)
+	}
 	// Accounted server state (TCB + flow-table entry + reassembler) is
-	// machine-independent and measures ~650 B/flow; 1300 means a per-flow
+	// machine-independent and measures ~625 B/flow; 1300 means a per-flow
 	// structure doubled or an arena stopped being shared.
 	if r.ServerBytesFlow <= 0 || r.ServerBytesFlow > 1300 {
 		t.Fatalf("memory accounting reported %.0f bytes/flow, want (0, 1300]", r.ServerBytesFlow)

@@ -27,6 +27,7 @@ type Table struct {
 	Header []string
 	Rows   [][]string
 	Notes  []string
+	Err    error // the experiment failed: printed as a FAILED line, and f4tbench exits 1
 }
 
 // AddRow appends a formatted row.
@@ -63,6 +64,9 @@ func (t *Table) String() string {
 	}
 	for _, n := range t.Notes {
 		fmt.Fprintf(&b, "note: %s\n", n)
+	}
+	if t.Err != nil {
+		fmt.Fprintf(&b, "FAILED: %v\n", t.Err)
 	}
 	return b.String()
 }

@@ -193,7 +193,7 @@ func HTTPLoad(quick bool) *Table {
 		Header: []string{"metric", "value"},
 	}
 	if err != nil {
-		tab.Notes = append(tab.Notes, fmt.Sprintf("FAILED: %v", err))
+		tab.Err = err
 		return tab
 	}
 	doneNS := res.DoneCycle * sim.CycleNS

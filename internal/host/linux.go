@@ -179,13 +179,8 @@ func (m *LinuxMachine) NextWork(now int64) int64 {
 			next = w
 		}
 	}
-	if d := m.ep.NextTimerNS(); d > 0 {
-		if c := sim.NSToCycles(d); c < next {
-			next = c
-		}
-	}
-	if next <= now {
-		return now + 1 // stale timer head: one tick pops it
+	if c := m.ep.NextTimerCycle(now); c < next {
+		next = c
 	}
 	return next
 }

@@ -10,6 +10,7 @@ import (
 
 	"f4t/internal/netsim"
 	"f4t/internal/sim"
+	"f4t/internal/sock"
 	"f4t/internal/stack"
 	"f4t/internal/tcpproc"
 	"f4t/internal/wire"
@@ -44,23 +45,34 @@ func echoCapture(t *testing.T, faults netsim.Faults) *Capture {
 	k.Register(b)
 
 	msg := []byte("f4t pcap golden fixture: the quick brown fox jumps over the lazy dog")
-	var srv *stack.Conn
+	ha, hb := stack.NewHosts(a, 1)[0], stack.NewHosts(b, 1)[0]
+	hb.Listen(80)
+	cli := ha.Dial(optB.IP, 80)
+	var srv sock.Conn
 	var echoed []byte
-	b.Listen(80, func(c *stack.Conn) {
-		srv = c
-		c.OnData = func() {
-			got, n := c.Recv(1024)
-			if n > 0 {
-				c.Send(got[:n])
+	// The two applications, polling after the endpoints each cycle: the
+	// server echoes what it reads, the client sends msg once connected.
+	k.Register(sim.TickerFunc(func(int64) {
+		for _, ev := range hb.Poll() {
+			switch ev.Kind {
+			case sock.EvAccepted:
+				srv = ev.Conn
+			case sock.EvReadable:
+				if got, n := ev.Conn.Recv(1024); n > 0 {
+					ev.Conn.Send(got[:n])
+				}
 			}
 		}
-	})
-	cli := a.Dial(optB.IP, 80)
-	cli.OnData = func() {
-		got, n := cli.Recv(1024)
-		echoed = append(echoed, got[:n]...)
-	}
-	cli.OnEstablished = func() { cli.Send(msg) }
+		for _, ev := range ha.Poll() {
+			switch ev.Kind {
+			case sock.EvConnected:
+				cli.Send(msg)
+			case sock.EvReadable:
+				got, n := cli.Recv(1024)
+				echoed = append(echoed, got[:n]...)
+			}
+		}
+	}))
 
 	done := func() bool { return len(echoed) >= len(msg) }
 	if !k.RunUntil(done, 5_000_000) {

@@ -28,14 +28,15 @@ var (
 )
 
 // substrate builds a two-host rig (A at addrA, B at addrB) on the link
-// and returns each host's socket surface.
+// and returns each host's socket surface, plus B's count of flows it
+// still holds state for.
 type substrate struct {
 	name string
-	mk   func(k *sim.Kernel, link *netsim.Link) (a, b sock.Host)
+	mk   func(k *sim.Kernel, link *netsim.Link) (a, b sock.Host, flowsB func() int)
 }
 
 var substrates = []substrate{
-	{"softstack", func(k *sim.Kernel, link *netsim.Link) (sock.Host, sock.Host) {
+	{"softstack", func(k *sim.Kernel, link *netsim.Link) (sock.Host, sock.Host, func() int) {
 		cfgA := engine.DefaultConfig()
 		cfgA.IP, cfgA.MAC, cfgA.Seed, cfgA.Channels, cfgA.CarryBytes = addrA, macA, 1, 1, true
 		cfgB := cfgA
@@ -47,9 +48,9 @@ var substrates = []substrate{
 		eb.LearnPeer(addrA, macA)
 		k.Register(ea)
 		k.Register(eb)
-		return softstack.NewLib(k, ea, 0), softstack.NewLib(k, eb, 0)
+		return softstack.NewLib(k, ea, 0), softstack.NewLib(k, eb, 0), eb.FlowCount
 	}},
-	{"stack", func(k *sim.Kernel, link *netsim.Link) (sock.Host, sock.Host) {
+	{"stack", func(k *sim.Kernel, link *netsim.Link) (sock.Host, sock.Host, func() int) {
 		mk := func(ip wire.Addr, mac wire.MAC, seed uint64, pipe *netsim.Pipe) *stack.Node {
 			ep := stack.New(k, stack.Options{
 				IP: ip, MAC: mac, Cfg: tcpproc.DefaultConfig(), CarryBytes: true, MaxFlows: 4, Seed: seed,
@@ -63,7 +64,7 @@ var substrates = []substrate{
 		link.BtoA.SetSink(na.DeliverPacket)
 		na.Endpoint().LearnPeer(addrB, macB)
 		nb.Endpoint().LearnPeer(addrA, macA)
-		return stack.NewHosts(na.Endpoint(), 1)[0], stack.NewHosts(nb.Endpoint(), 1)[0]
+		return stack.NewHosts(na.Endpoint(), 1)[0], stack.NewHosts(nb.Endpoint(), 1)[0], nb.Endpoint().Conns
 	}},
 }
 
@@ -74,15 +75,20 @@ type rig struct {
 	k    *sim.Kernel
 	a, b sock.Host
 	log  map[sock.Conn][]sock.EventKind
-	acc  []sock.Conn // B's accepted connections, in order
+	acc  []sock.Conn // accepted connections, in order
+
+	onHangup func(sock.Conn) // the app's reaction, run as it handles the event
 }
 
 func (r *rig) poll() {
 	for _, h := range []sock.Host{r.a, r.b} {
 		for _, ev := range h.Poll() {
 			r.log[ev.Conn] = append(r.log[ev.Conn], ev.Kind)
-			if ev.Kind == sock.EvAccepted {
+			switch {
+			case ev.Kind == sock.EvAccepted:
 				r.acc = append(r.acc, ev.Conn)
+			case ev.Kind == sock.EvHangup && r.onHangup != nil:
+				r.onHangup(ev.Conn)
 			}
 		}
 	}
@@ -141,7 +147,7 @@ func TestContract(t *testing.T) {
 	for _, sub := range substrates {
 		t.Run(sub.name, func(t *testing.T) {
 			k := sim.New()
-			a, b := sub.mk(k, netsim.NewLink(k, 100, 600, 7))
+			a, b, flowsB := sub.mk(k, netsim.NewLink(k, 100, 600, 7))
 			r := &rig{t: t, k: k, a: a, b: b, log: make(map[sock.Conn][]sock.EventKind)}
 			if !b.Listen(80) {
 				t.Fatal("listen refused")
@@ -224,14 +230,31 @@ func TestContract(t *testing.T) {
 			r.checkOrder("dialer", cli, sock.EvConnected)
 			r.checkOrder("acceptor", srv, sock.EvAccepted)
 
-			// Abort: the peer learns of the reset.
+			// Abort: the peer learns of the reset — and its app dials a
+			// replacement while handling that Hangup (the churn pattern).
+			// Both flows stay accounted: the old one is freed, the new
+			// one connects. An app running inside the stack's processing
+			// pass would re-enter it here; events cannot.
 			cli, srv = r.connect()
+			if !a.Listen(81) {
+				t.Fatal("listen refused")
+			}
+			var repl sock.Conn
+			r.onHangup = func(c sock.Conn) {
+				if c == srv && repl == nil {
+					repl = b.Dial(addrA, 81)
+				}
+			}
 			cli.Abort()
 			r.until("reset", srv.WasReset)
 			if !srv.Closed() {
 				t.Fatal("reset connection not Closed")
 			}
 			r.checkOrder("reset acceptor", srv, sock.EvAccepted)
+			r.until("replacement handshake", func() bool { return repl != nil && repl.Established() })
+			if n := flowsB(); n != 1 {
+				t.Fatalf("B holds %d flows after replacing its reset one, want 1", n)
+			}
 		})
 	}
 }
@@ -242,7 +265,7 @@ func TestDialRefusalIsUntypedNil(t *testing.T) {
 	for _, sub := range substrates {
 		t.Run(sub.name, func(t *testing.T) {
 			k := sim.New()
-			a, _ := sub.mk(k, netsim.NewLink(k, 100, 600, 7))
+			a, _, _ := sub.mk(k, netsim.NewLink(k, 100, 600, 7))
 			// Never run the clock: the library's command queue fills, the
 			// software endpoint hits MaxFlows.
 			for i := 0; a.Dial(addrB, 80) != nil; i++ {

@@ -92,7 +92,7 @@ func New(k *sim.Kernel, opt Options, tx func(*wire.Packet)) *Endpoint {
 		listeners: make(map[uint16]func(*Conn)),
 		rng:       sim.NewRand(opt.Seed + 2),
 		arpWait:   make(map[wire.Addr][]*wire.Packet),
-		nextPort:  32768,
+		nextPort:  ephemeralBase,
 	}
 	if opt.Cfg.ECN {
 		e.gen.EnableECN()
@@ -129,9 +129,10 @@ func (e *Endpoint) Listen(port uint16, accept func(*Conn)) {
 const ephemeralBase = 32768
 
 // Dial starts an active open and returns the new connection. The
-// three-way handshake proceeds in simulated time; OnEstablished fires on
-// completion. Returns nil when every ephemeral port toward this remote
-// endpoint is occupied by a live connection.
+// three-way handshake proceeds in simulated time; completion sets
+// Established and, on a Host's connection, queues EvConnected. Returns
+// nil when every ephemeral port toward this remote endpoint is occupied
+// by a live connection.
 func (e *Endpoint) Dial(remote wire.Addr, remotePort uint16) *Conn {
 	for i := 0; i < 65536-ephemeralBase; i++ {
 		e.nextPort++
@@ -268,8 +269,8 @@ func (e *Endpoint) transmit(pkt *wire.Packet) {
 	}
 }
 
-// applyNote updates the connection's host-visible mirrors and fires app
-// callbacks.
+// applyNote updates the connection's host-visible mirrors and queues
+// the matching readiness event on its thread.
 func (e *Endpoint) applyNote(c *Conn, n *tcpproc.Note) {
 	switch n.Kind {
 	case tcpproc.NoteEstablished:
@@ -284,24 +285,24 @@ func (e *Endpoint) applyNote(c *Conn, n *tcpproc.Note) {
 			}
 		}
 		if c.passive {
-			c.notify(sock.EvAccepted, c.OnEstablished)
+			c.notify(sock.EvAccepted)
 		} else {
-			c.notify(sock.EvConnected, c.OnEstablished)
+			c.notify(sock.EvConnected)
 		}
 	case tcpproc.NoteDataAcked:
 		c.ackedTo = n.Seq
-		c.notify(sock.EvWritable, c.OnAcked)
+		c.notify(sock.EvWritable)
 	case tcpproc.NoteDataDelivered:
 		c.deliveredTo = n.Seq
-		c.notify(sock.EvReadable, c.OnData)
+		c.notify(sock.EvReadable)
 	case tcpproc.NotePeerClosed:
 		c.peerClosed = true
-		c.notify(sock.EvHangup, c.OnPeerClosed)
+		c.notify(sock.EvHangup)
 	case tcpproc.NoteReset:
 		c.wasReset = true
 	case tcpproc.NoteClosed:
 		c.closed = true
-		c.notify(sock.EvHangup, c.OnClosed)
+		c.notify(sock.EvHangup)
 	}
 }
 
@@ -312,10 +313,11 @@ func (e *Endpoint) free(c *Conn) {
 	c.freed = true
 }
 
-// HandlePacket processes one received frame: ARP and ICMP are answered
-// in place; TCP packets are parsed into events and processed. Returns the
-// connection the packet belonged to (nil for non-TCP or unknown flows).
-func (e *Endpoint) HandlePacket(pkt *wire.Packet) *Conn {
+// HandlePacket processes one received frame and takes ownership of it:
+// ARP and ICMP are answered in place; a TCP frame is parsed into an
+// event, processed and recycled — the software substrate's one
+// PutPacket site (wire/pool.go has the ownership rule).
+func (e *Endpoint) HandlePacket(pkt *wire.Packet) {
 	e.RxPkts++
 	switch pkt.Kind {
 	case wire.KindARP:
@@ -323,14 +325,18 @@ func (e *Endpoint) HandlePacket(pkt *wire.Packet) *Conn {
 			e.transmit(reply)
 		}
 		e.flushARPWait(pkt.ARP.SenderIP)
-		return nil
 	case wire.KindICMP:
 		if reply := datapath.HandleICMP(pkt, e.Opt.IP, e.Opt.MAC); reply != nil {
 			e.transmit(reply)
 		}
-		return nil
+	default:
+		e.handleTCP(pkt)
+		wire.PutPacket(pkt)
 	}
+}
 
+// handleTCP runs one TCP frame through the parser and the protocol.
+func (e *Endpoint) handleTCP(pkt *wire.Packet) {
 	res := e.parser.Parse(pkt)
 	if res.NoFlow {
 		// New passive connection? Only a SYN to a listening port counts.
@@ -341,22 +347,16 @@ func (e *Endpoint) HandlePacket(pkt *wire.Packet) *Conn {
 					// Endpoint full: refuse the open with a RST so the
 					// client aborts instead of retransmitting its SYN.
 					e.sendRST(pkt)
-					return nil
+					return
 				}
 				c.passive = true
 				c.TCB.State = flow.StateListen
 				c.meta.PeerMAC = pkt.Eth.Src
 				e.arp.Learn(pkt.IP.Src, pkt.Eth.Src)
-				res = e.parser.Parse(pkt)
-				if res.NoFlow {
-					return nil
+				if res = e.parser.Parse(pkt); !res.NoFlow {
+					e.Inject(c, &res.Event)
 				}
-				e.ProcessedEvents++
-				var row flow.EventRow
-				row.Accumulate(&res.Event)
-				row.MergeInto(c.TCB)
-				e.runProcess(c)
-				return c
+				return
 			}
 		}
 		e.RxNoFlow++
@@ -364,17 +364,14 @@ func (e *Endpoint) HandlePacket(pkt *wire.Packet) *Conn {
 		if pkt.TCP.Flags&wire.FlagRST == 0 {
 			e.sendRST(pkt)
 		}
-		return nil
+		return
 	}
 	if res.Dropped {
 		e.RxDropped++
 	}
-	c := e.conns[res.Event.Flow]
-	if c == nil {
-		return nil
+	if c := e.conns[res.Event.Flow]; c != nil {
+		e.Inject(c, &res.Event)
 	}
-	e.Inject(c, &res.Event)
-	return c
 }
 
 // flushARPWait transmits packets parked for the now-resolved address.
@@ -424,15 +421,20 @@ func (e *Endpoint) ExpireTimers() {
 // in immediate mode.
 func (e *Endpoint) Tick(int64) { e.ExpireTimers() }
 
-// NextTimerNS returns the earliest pending timer deadline in
-// nanoseconds, or 0 when none. The value may be stale (lazy-deletion
-// heap); stale heads are popped by the next ExpireTimers call, so a
-// past deadline costs at most one extra tick.
-func (e *Endpoint) NextTimerNS() int64 { return e.timers.NextDeadline() }
-
-// Mem reports the parser-side per-connection footprint (flow table,
-// parser-flow arena, reassembly buffers). O(flows); snapshot-time only.
-func (e *Endpoint) Mem() datapath.ParserMem { return e.parser.Mem() }
+// NextTimerCycle returns the cycle of the earliest pending timer
+// deadline, or sim.Dormant when none: what a component driving the
+// endpoint folds into its NextWork. A deadline already due reads as
+// now+1, the tick whose ExpireTimers fires it.
+func (e *Endpoint) NextTimerCycle(now int64) int64 {
+	ns := e.timers.NextDeadline()
+	if ns <= 0 {
+		return sim.Dormant
+	}
+	if c := sim.NSToCycles(ns); c > now {
+		return c
+	}
+	return now + 1
+}
 
 // TableStats exposes the flow table's occupancy and displacement
 // counters (size, kicks, stash residency, resizes, refused inserts).

@@ -7,10 +7,11 @@ import (
 )
 
 // Host is one application thread's socket surface over an Endpoint:
-// sock.Host for the software stack. The endpoint notifies through
-// per-connection callbacks fired inside packet and timer processing;
-// Host is the one place those become an epoll-style event queue, the
-// same sock.Queue softstack.Lib fills from completions.
+// sock.Host for the software stack. The endpoint's notifications, raised
+// inside packet and timer processing, queue here as epoll-style events —
+// the same sock.Queue softstack.Lib fills from completions — and that
+// queue is the only way out of the stack: nothing the application does
+// runs until it polls.
 type Host struct {
 	ep    *Endpoint
 	group []*Host // every thread of the endpoint; accepts route among them
@@ -70,33 +71,47 @@ func (h *Host) Poll() []sock.Event { return h.Events.Take() }
 // Pending implements sock.Host.
 func (h *Host) Pending() bool { return h.Events.Len() > 0 }
 
-// Node drives one Endpoint as a simulation component. Frames from the
-// network queue and are processed on the node's own tick — a delivery
-// may be a cross-shard injection running under a foreign slot, which
-// must not synchronously schedule local timers, so responses transmit
-// from Tick instead — and then the stack's timers expire.
+// Node drives one machine's endpoints as a simulation component. Frames
+// from the network queue and are processed on the node's own tick — a
+// delivery may be a cross-shard injection running under a foreign slot,
+// which must not synchronously schedule local timers, so responses
+// transmit from Tick instead — and then the stacks' timers expire. A
+// node with several endpoints (the churn rig's client addresses behind
+// one link) hands each frame to the owner of its destination address.
 type Node struct {
-	ep    *Endpoint
+	eps   []*Endpoint
+	byIP  map[wire.Addr]*Endpoint // nil with one endpoint: it takes every frame
 	rxq   []*wire.Packet
 	spare []*wire.Packet
 
-	// Rider, when set, ticks after the endpoint every stepped cycle and
-	// shares the node's NextWork (netapi's facade pump rides here so the
-	// per-cycle order endpoint → facade is fixed).
+	DemuxDrops int64 // frames for an address no endpoint of the node owns
+
+	// Rider, when set, ticks after the endpoints every stepped cycle and
+	// shares the node's NextWork: the machine's application, so the
+	// per-cycle order stack → app is fixed (netapi's pump, churn's server).
 	Rider sim.Sleeper
 }
 
-// NewNode wraps the endpoint; the caller registers the node on the
-// endpoint's island and attaches DeliverPacket as the network sink.
-func NewNode(ep *Endpoint) *Node { return &Node{ep: ep} }
+// NewNode wraps endpoints of one kernel; the caller registers the node
+// on their island and attaches DeliverPacket as the network sink.
+func NewNode(eps ...*Endpoint) *Node {
+	n := &Node{eps: eps}
+	if len(eps) > 1 {
+		n.byIP = make(map[wire.Addr]*Endpoint, len(eps))
+		for _, ep := range eps {
+			n.byIP[ep.Opt.IP] = ep
+		}
+	}
+	return n
+}
 
-// Endpoint exposes the stack (core.AttachSoft wires it to a network).
-func (n *Node) Endpoint() *Endpoint { return n.ep }
+// Endpoint exposes the first (usually only) stack, for core.AttachSoft.
+func (n *Node) Endpoint() *Endpoint { return n.eps[0] }
 
 // DeliverPacket is the network sink.
 func (n *Node) DeliverPacket(p *wire.Packet) {
 	n.rxq = append(n.rxq, p)
-	n.ep.K.Wake(n)
+	n.eps[0].K.Wake(n)
 }
 
 // Tick implements sim.Ticker.
@@ -105,19 +120,37 @@ func (n *Node) Tick(cycle int64) {
 		q := n.rxq
 		n.rxq = n.spare[:0]
 		for _, p := range q {
-			n.ep.HandlePacket(p)
+			if ep := n.owner(p); ep != nil {
+				ep.HandlePacket(p)
+			} else {
+				n.DemuxDrops++
+			}
 		}
 		n.spare = q
 	}
-	n.ep.ExpireTimers()
+	for _, ep := range n.eps {
+		ep.ExpireTimers()
+	}
 	if n.Rider != nil {
 		n.Rider.Tick(cycle)
 	}
 }
 
+// owner returns the endpoint a frame is addressed to: by IP destination,
+// or for ARP (no IP header) by the address being resolved.
+func (n *Node) owner(p *wire.Packet) *Endpoint {
+	if n.byIP == nil {
+		return n.eps[0]
+	}
+	if p.Kind == wire.KindARP {
+		return n.byIP[p.ARP.TargetIP]
+	}
+	return n.byIP[p.IP.Dst]
+}
+
 // NextWork implements sim.Sleeper: queued frames are due next cycle,
-// timers at their deadline (a stale heap head costs one tick to pop);
-// frames in flight arrive by kernel timer and wake the node.
+// timers at their deadline; frames in flight arrive by kernel timer and
+// wake the node.
 func (n *Node) NextWork(now int64) int64 {
 	if len(n.rxq) > 0 {
 		return now + 1
@@ -126,12 +159,8 @@ func (n *Node) NextWork(now int64) int64 {
 	if n.Rider != nil {
 		next = n.Rider.NextWork(now)
 	}
-	if ns := n.ep.NextTimerNS(); ns > 0 {
-		c := sim.NSToCycles(ns)
-		if c <= now {
-			c = now + 1
-		}
-		if c < next {
+	for _, ep := range n.eps {
+		if c := ep.NextTimerCycle(now); c < next {
 			next = c
 		}
 	}

@@ -6,6 +6,7 @@ import (
 
 	"f4t/internal/netsim"
 	"f4t/internal/sim"
+	"f4t/internal/sock"
 	"f4t/internal/tcpproc"
 	"f4t/internal/wire"
 )
@@ -15,6 +16,26 @@ type pair struct {
 	k    *sim.Kernel
 	link *netsim.Link
 	a, b *Endpoint
+	ha   *Host // a's one thread, for the tests that act on a's events
+}
+
+// dial opens a→b:80 through a's Host, so the connection's notifications
+// queue there as events.
+func (p *pair) dial() *Conn { return p.ha.Dial(p.b.Opt.IP, 80).(*Conn) }
+
+// onWritable runs fn now and then whenever h reports send-buffer space
+// released — every bulk sender below: fill the buffer, refill on
+// EvWritable. The poll is an application's: a component of its own,
+// ticking after the endpoints, never inside packet processing.
+func onWritable(k *sim.Kernel, h *Host, fn func()) {
+	k.Register(sim.TickerFunc(func(int64) {
+		for _, ev := range h.Poll() {
+			if ev.Kind == sock.EvWritable {
+				fn()
+			}
+		}
+	}))
+	fn()
 }
 
 func newPair(t *testing.T, carryBytes bool, alg string) *pair {
@@ -35,7 +56,7 @@ func newPair(t *testing.T, carryBytes bool, alg string) *pair {
 	link.BtoA.SetSink(func(p *wire.Packet) { a.HandlePacket(p) })
 	k.Register(a)
 	k.Register(b)
-	return &pair{k: k, link: link, a: a, b: b}
+	return &pair{k: k, link: link, a: a, b: b, ha: NewHosts(a, 1)[0]}
 }
 
 func (p *pair) run(t *testing.T, pred func() bool, budget int64, what string) {
@@ -91,7 +112,7 @@ func TestLargeTransferSplitsAtMSS(t *testing.T) {
 	p := newPair(t, true, "newreno")
 	var srv *Conn
 	p.b.Listen(80, func(c *Conn) { srv = c })
-	cli := p.a.Dial(p.b.Opt.IP, 80)
+	cli := p.dial()
 	p.run(t, func() bool { return cli.Established() && srv != nil }, 100_000, "handshake")
 
 	// 100 KB: exceeds one MSS by far and exercises window growth.
@@ -100,7 +121,7 @@ func TestLargeTransferSplitsAtMSS(t *testing.T) {
 		data[i] = byte(i * 31)
 	}
 	sent := 0
-	cli.OnAcked = func() {
+	onWritable(p.k, p.ha, func() {
 		for sent < len(data) {
 			n := cli.Send(data[sent:])
 			if n == 0 {
@@ -108,14 +129,7 @@ func TestLargeTransferSplitsAtMSS(t *testing.T) {
 			}
 			sent += n
 		}
-	}
-	for sent < len(data) {
-		n := cli.Send(data[sent:])
-		if n == 0 {
-			break
-		}
-		sent += n
-	}
+	})
 	p.run(t, func() bool { return srv.Available() >= len(data) }, 3_000_000, "bulk delivery")
 	got, n := srv.Recv(len(data))
 	if n != len(data) {
@@ -183,7 +197,7 @@ func TestLossRecoveryFastRetransmit(t *testing.T) {
 	p.link.AtoB.SetFaults(netsim.Faults{DropOnce: 20})
 	var srv *Conn
 	p.b.Listen(80, func(c *Conn) { srv = c })
-	cli := p.a.Dial(p.b.Opt.IP, 80)
+	cli := p.dial()
 	p.run(t, func() bool { return cli.Established() && srv != nil }, 100_000, "handshake")
 
 	data := make([]byte, 200*1024)
@@ -200,8 +214,7 @@ func TestLossRecoveryFastRetransmit(t *testing.T) {
 			sent += n
 		}
 	}
-	cli.OnAcked = pump
-	pump()
+	onWritable(p.k, p.ha, pump)
 	p.run(t, func() bool { return srv.Available() >= len(data) }, 20_000_000, "delivery despite loss")
 	got, n := srv.Recv(len(data))
 	if n != len(data) || !bytes.Equal(got, data) {
@@ -220,7 +233,7 @@ func TestLossyLinkAllAlgorithms(t *testing.T) {
 			p.link.BtoA.SetFaults(netsim.Faults{LossProb: 0.02})
 			var srv *Conn
 			p.b.Listen(80, func(c *Conn) { srv = c })
-			cli := p.a.Dial(p.b.Opt.IP, 80)
+			cli := p.dial()
 			p.run(t, func() bool { return cli.Established() && srv != nil }, 30_000_000, "handshake on lossy link")
 
 			data := make([]byte, 64*1024)
@@ -237,8 +250,7 @@ func TestLossyLinkAllAlgorithms(t *testing.T) {
 					sent += n
 				}
 			}
-			cli.OnAcked = pump
-			pump()
+			onWritable(p.k, p.ha, pump)
 			p.run(t, func() bool { return srv.Available() >= len(data) }, 400_000_000, "delivery on lossy link")
 			got, n := srv.Recv(len(data))
 			if n != len(data) || !bytes.Equal(got, data) {
@@ -253,7 +265,7 @@ func TestReorderedLink(t *testing.T) {
 	p.link.AtoB.SetFaults(netsim.Faults{ReorderProb: 0.1, ReorderNS: 5_000})
 	var srv *Conn
 	p.b.Listen(80, func(c *Conn) { srv = c })
-	cli := p.a.Dial(p.b.Opt.IP, 80)
+	cli := p.dial()
 	p.run(t, func() bool { return cli.Established() && srv != nil }, 1_000_000, "handshake")
 
 	data := make([]byte, 128*1024)
@@ -270,8 +282,7 @@ func TestReorderedLink(t *testing.T) {
 			sent += n
 		}
 	}
-	cli.OnAcked = pump
-	pump()
+	onWritable(p.k, p.ha, pump)
 	p.run(t, func() bool { return srv.Available() >= len(data) }, 100_000_000, "delivery with reordering")
 	got, n := srv.Recv(len(data))
 	if n != len(data) || !bytes.Equal(got, data) {
@@ -284,7 +295,7 @@ func TestDuplicatedPackets(t *testing.T) {
 	p.link.AtoB.SetFaults(netsim.Faults{DupProb: 0.2})
 	var srv *Conn
 	p.b.Listen(80, func(c *Conn) { srv = c })
-	cli := p.a.Dial(p.b.Opt.IP, 80)
+	cli := p.dial()
 	p.run(t, func() bool { return cli.Established() && srv != nil }, 1_000_000, "handshake")
 
 	data := make([]byte, 32*1024)
@@ -301,8 +312,7 @@ func TestDuplicatedPackets(t *testing.T) {
 			sent += n
 		}
 	}
-	cli.OnAcked = pump
-	pump()
+	onWritable(p.k, p.ha, pump)
 	p.run(t, func() bool { return srv.Available() >= len(data) }, 50_000_000, "delivery with duplicates")
 	got, n := srv.Recv(len(data))
 	if n != len(data) || !bytes.Equal(got, data) {
@@ -314,7 +324,7 @@ func TestZeroWindowAndProbe(t *testing.T) {
 	p := newPair(t, true, "newreno")
 	var srv *Conn
 	p.b.Listen(80, func(c *Conn) { srv = c })
-	cli := p.a.Dial(p.b.Opt.IP, 80)
+	cli := p.dial()
 	p.run(t, func() bool { return cli.Established() && srv != nil }, 100_000, "handshake")
 
 	// Fill the receiver's 512 KB buffer without consuming.
@@ -333,8 +343,7 @@ func TestZeroWindowAndProbe(t *testing.T) {
 			sent += n
 		}
 	}
-	cli.OnAcked = pump
-	pump()
+	onWritable(p.k, p.ha, pump)
 
 	// The receiver's window must pinch shut near its buffer size.
 	p.run(t, func() bool { return srv.Available() >= 500*1024 }, 50_000_000, "buffer fill")
@@ -548,7 +557,7 @@ func TestWireCodecCarriesWholeProtocol(t *testing.T) {
 
 	var srv *Conn
 	p.b.Listen(80, func(c *Conn) { srv = c })
-	cli := p.a.Dial(p.b.Opt.IP, 80)
+	cli := p.dial()
 	p.run(t, func() bool { return cli.Established() && srv != nil }, 300_000, "handshake over byte wire")
 
 	data := make([]byte, 64*1024)
@@ -565,8 +574,7 @@ func TestWireCodecCarriesWholeProtocol(t *testing.T) {
 			sent += n
 		}
 	}
-	cli.OnAcked = pump
-	pump()
+	onWritable(p.k, p.ha, pump)
 	p.run(t, func() bool { return srv.Available() >= len(data) }, 5_000_000, "bulk over byte wire")
 	got, n := srv.Recv(len(data))
 	if n != len(data) || !bytes.Equal(got, data) {
@@ -605,7 +613,8 @@ func TestDCTCPOverECNMarkingLink(t *testing.T) {
 
 	var srv *Conn
 	b.Listen(80, func(c *Conn) { srv = c })
-	cli := a.Dial(optsB.IP, 80)
+	ha := NewHosts(a, 1)[0]
+	cli := ha.Dial(optsB.IP, 80).(*Conn)
 	if !k.RunUntil(func() bool { return cli.Established() && srv != nil }, 1_000_000) {
 		t.Fatal("handshake timed out")
 	}
@@ -624,8 +633,7 @@ func TestDCTCPOverECNMarkingLink(t *testing.T) {
 			sent += n
 		}
 	}
-	cli.OnAcked = pump
-	pump()
+	onWritable(k, ha, pump)
 	if !k.RunUntil(func() bool { return srv.Available() >= len(data) }, 100_000_000) {
 		t.Fatal("bulk over marking link timed out")
 	}
@@ -642,5 +650,64 @@ func TestDCTCPOverECNMarkingLink(t *testing.T) {
 	// The sender saw the feedback: alpha must be non-zero.
 	if alpha := cli.TCB.CCVars[0]; alpha == 0 {
 		t.Fatal("DCTCP alpha never moved — ECE feedback path broken")
+	}
+}
+
+// TestNodeDemux: one Node serving two addresses behind one sink hands
+// each frame — TCP by IP destination, ARP by the address resolved — to
+// the endpoint that owns it and counts what nobody owns; a one-endpoint
+// Node takes every frame, as it always did.
+func TestNodeDemux(t *testing.T) {
+	k := sim.New()
+	link := netsim.NewLink(k, 100, 600, 42)
+	mk := func(last byte, tx func(*wire.Packet)) *Endpoint {
+		return New(k, Options{
+			IP: wire.MakeAddr(10, 0, 0, last), MAC: wire.MAC{2, 0, 0, 0, 0, last},
+			Cfg: tcpproc.DefaultConfig(), Seed: uint64(last),
+		}, tx)
+	}
+	x1, x3 := mk(1, link.AtoB.Send), mk(3, link.AtoB.Send)
+	y := mk(2, link.BtoA.Send)
+	nx, ny := NewNode(x1, x3), NewNode(y)
+	link.BtoA.SetSink(nx.DeliverPacket)
+	link.AtoB.SetSink(ny.DeliverPacket)
+	k.Register(nx)
+	k.Register(ny)
+
+	// No static ARP on the dialers: each resolves y first, so the
+	// replies exercise the ARP side of the demux too.
+	accepted := 0
+	y.Listen(80, func(*Conn) { accepted++ })
+	c1, c3 := x1.Dial(y.Opt.IP, 80), x3.Dial(y.Opt.IP, 80)
+	if !k.RunUntil(func() bool { return c1.Established() && c3.Established() && accepted == 2 }, 1_000_000) {
+		t.Fatalf("handshakes through the shared sink timed out (est %v/%v, accepted %d)",
+			c1.Established(), c3.Established(), accepted)
+	}
+	if x1.Conns() != 1 || x3.Conns() != 1 || nx.DemuxDrops != 0 || ny.DemuxDrops != 0 {
+		t.Fatalf("conns %d/%d, demux drops %d/%d; want 1/1, 0/0", x1.Conns(), x3.Conns(), nx.DemuxDrops, ny.DemuxDrops)
+	}
+
+	// A frame for an address neither node owns: the two-endpoint node
+	// counts and drops it, the one-endpoint node passes it to its stack
+	// (which answers the orphan with a RST).
+	stray := func() *wire.Packet {
+		return &wire.Packet{
+			Kind: wire.KindTCP,
+			Eth:  wire.EthHeader{Type: wire.EtherTypeIPv4},
+			IP:   wire.IPv4Header{Src: wire.MakeAddr(10, 0, 0, 8), Dst: wire.MakeAddr(10, 0, 0, 9), TTL: 64, Protocol: wire.ProtoTCP},
+			TCP:  wire.TCPHeader{SrcPort: 5555, DstPort: 4444, Seq: 1000, Ack: 2000, Flags: wire.FlagACK},
+		}
+	}
+	rx1, rx3, rxY := x1.RxPkts, x3.RxPkts, y.RxPkts
+	nx.DeliverPacket(stray())
+	ny.DeliverPacket(stray())
+	k.Run(10)
+	if nx.DemuxDrops != 1 || x1.RxPkts != rx1 || x3.RxPkts != rx3 {
+		t.Fatalf("two-endpoint node: drops=%d rx %d→%d / %d→%d; want 1 drop and no endpoint touched",
+			nx.DemuxDrops, rx1, x1.RxPkts, rx3, x3.RxPkts)
+	}
+	if ny.DemuxDrops != 0 || y.RxPkts != rxY+1 || y.RxNoFlow != 1 {
+		t.Fatalf("one-endpoint node: drops=%d rx %d→%d noflow=%d; want the frame handed to its endpoint",
+			ny.DemuxDrops, rxY, y.RxPkts, y.RxNoFlow)
 	}
 }

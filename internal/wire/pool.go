@@ -3,12 +3,15 @@ package wire
 import "sync"
 
 // pktPool recycles Packet structs on the steady-state data path. The
-// ownership rule is single-freer: the engine's RX stage is the only
-// component that calls PutPacket (a frame's last reader once the parser
-// has copied payload bytes and header fields out), so every other drop
-// point — link loss, software-stack sinks, test harnesses — simply lets
-// the garbage collector take the packet. That keeps the invariant
-// trivially checkable: no packet ever has two owners, and a pooled
+// ownership rule is single-freer: whoever runs the parser over a TCP
+// frame frees it, as the frame's last reader once payload bytes and
+// header fields have been copied out — the engine's RX stage (and its
+// RX-queue overrun drop) and stack.Endpoint.HandlePacket, the software
+// substrate's one site. ARP and ICMP frames are never put back: their
+// replies may alias the request's payload slice. Every other drop
+// point — link loss, demux misses, full NIC queues, test harnesses —
+// simply lets the garbage collector take the packet. That keeps the
+// invariant checkable: no packet ever has two owners, and a pooled
 // packet can never still be referenced.
 var pktPool = sync.Pool{New: func() any { return new(Packet) }}
 
