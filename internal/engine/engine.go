@@ -165,7 +165,8 @@ type Engine struct {
 	// (§5.1: slower packet generation ⇒ more event accumulation).
 	txRate *sim.ByteRate
 
-	flows     map[flow.ID]*flowMeta
+	flows     flow.Table[*flowMeta] // the flow directory (nil = no such flow)
+	live      int                   // non-nil entries of flows
 	listeners map[uint16]*listener
 	freeIDs   []flow.ID
 	nextID    flow.ID
@@ -186,7 +187,7 @@ type Engine struct {
 	// order. Timeout bits dedupe per flow so backpressure cannot grow
 	// the backlog beyond one entry per flow.
 	retryQ    *sim.Queue[flow.Event]
-	toPending map[flow.ID]uint8
+	toPending flow.Table[uint8] // bounced timeout bits per flow (0 = none waiting)
 	toOrder   *sim.Queue[flow.ID]
 	compBatch [][]hostif.Completion
 
@@ -237,12 +238,10 @@ func New(k *sim.Kernel, cfg Config, tx func(*wire.Packet)) *Engine {
 		K:         k,
 		cfg:       cfg,
 		tx:        tx,
-		flows:     make(map[flow.ID]*flowMeta),
 		listeners: make(map[uint16]*listener),
 		rng:       sim.NewRand(cfg.Seed + 11),
 		rxQueue:   sim.NewQueue[*wire.Packet](4096),
 		retryQ:    sim.NewQueue[flow.Event](0),
-		toPending: make(map[flow.ID]uint8),
 		toOrder:   sim.NewQueue[flow.ID](0),
 		arpWait:   make(map[wire.Addr][]*wire.Packet),
 		timers:    timerq.New(),
@@ -304,7 +303,7 @@ func New(k *sim.Kernel, cfg Config, tx func(*wire.Packet)) *Engine {
 	e.transmitFn = func(arg any) { e.transmit(arg.(*wire.Packet)) }
 	e.txFn = func(arg any) { e.tx(arg.(*wire.Packet)) }
 	e.timerLookT = func(id flow.ID) *flow.TCB {
-		if fm := e.flows[id]; fm != nil {
+		if fm := e.flows.Get(id); fm != nil {
 			return fm.tcb
 		}
 		return nil
@@ -331,11 +330,11 @@ func (e *Engine) Mem() *memmgr.Manager { return e.mem }
 func (e *Engine) FPCs() []*fpc.FPC { return e.fpcs }
 
 // FlowCount returns live flows across all locations.
-func (e *Engine) FlowCount() int { return len(e.flows) }
+func (e *Engine) FlowCount() int { return e.live }
 
 // TCB returns a flow's TCB (tests/diagnostics).
 func (e *Engine) TCB(id flow.ID) *flow.TCB {
-	if fm := e.flows[id]; fm != nil {
+	if fm := e.flows.Get(id); fm != nil {
 		return fm.tcb
 	}
 	return nil
@@ -349,7 +348,7 @@ func (e *Engine) TxRingSize() uint32 { return e.cfg.Proto.RcvBuf }
 // TxRing returns a flow's TX data buffer (host library writes send bytes
 // here before posting the Send command). Nil in modelled mode.
 func (e *Engine) TxRing(id flow.ID) *datapath.Ring {
-	if fm := e.flows[id]; fm != nil {
+	if fm := e.flows.Get(id); fm != nil {
 		return fm.txRing
 	}
 	return nil
@@ -358,7 +357,7 @@ func (e *Engine) TxRing(id flow.ID) *datapath.Ring {
 // RxRing returns a flow's RX data buffer (host library reads received
 // bytes from here). Nil in modelled mode.
 func (e *Engine) RxRing(id flow.ID) *datapath.Ring {
-	if fm := e.flows[id]; fm != nil {
+	if fm := e.flows.Get(id); fm != nil {
 		return fm.rxRing
 	}
 	return nil
@@ -418,20 +417,22 @@ func (e *Engine) newFlow(tuple wire.FourTuple, channel int, state flow.State) (*
 		e.freeIDs = append(e.freeIDs, id)
 		return nil, false
 	}
-	e.flows[id] = fm
+	e.flows.Set(id, fm)
+	e.live++
 	e.sch.AllocateFlow(t)
 	return fm, true
 }
 
 // freeFlow releases every trace of a terminated connection.
 func (e *Engine) freeFlow(id flow.ID) {
-	fm := e.flows[id]
+	fm := e.flows.Get(id)
 	if fm == nil {
 		return
 	}
 	e.parser.Deregister(fm.meta.Tuple, id)
 	e.sch.FlowFreed(id)
-	delete(e.flows, id)
+	e.flows.Clear(id)
+	e.live--
 	e.freeIDs = append(e.freeIDs, id)
 }
 
@@ -521,11 +522,11 @@ func (e *Engine) Tick(cycle int64) {
 func (e *Engine) drainCommands() {
 	budget := cmdBudgetPerCycle
 	for _, ch := range e.Channels {
-		for budget > 0 {
-			cmd, ok := ch.PeekCommand()
-			if !ok {
-				break
-			}
+		// Test the backlog before peeking: most channels are empty on most
+		// cycles, and a by-value peek of an empty queue builds a zero
+		// Command on the stack only to discard it.
+		for budget > 0 && ch.DeviceBacklog() > 0 {
+			cmd, _ := ch.PeekCommand()
 			// Backpressure: leave flow commands in this queue while the
 			// scheduler's coalesce FIFO for that flow is full; other
 			// channels may still drain.
@@ -606,10 +607,11 @@ func (e *Engine) submit(ev flow.Event) {
 		return
 	}
 	if ev.Kind == flow.EvTimeout {
-		if _, pending := e.toPending[ev.Flow]; !pending {
+		bits := e.toPending.At(ev.Flow)
+		if *bits == 0 {
 			e.toOrder.Push(ev.Flow)
 		}
-		e.toPending[ev.Flow] |= ev.Timeouts
+		*bits |= ev.Timeouts
 		return
 	}
 	e.retryQ.Push(ev)
@@ -729,17 +731,16 @@ func (e *Engine) fireTimers() {
 		if !ok {
 			break
 		}
-		bits := e.toPending[id]
+		bits := e.toPending.Get(id)
 		if bits == 0 {
 			e.toOrder.Pop()
-			delete(e.toPending, id)
 			continue
 		}
 		if !e.sch.Submit(flow.Event{Kind: flow.EvTimeout, Flow: id, Timeouts: bits, Coalescable: true}) {
 			break
 		}
 		e.toOrder.Pop()
-		delete(e.toPending, id)
+		e.toPending.Clear(id)
 	}
 	// Event-driven fast path: scanning the timer module costs nothing
 	// while the earliest deadline is in the future — the common case on
@@ -752,7 +753,7 @@ func (e *Engine) fireTimers() {
 // applyActions is the FPU output stage: segments to the packet
 // generator, notes to the completion path, timers to the timer module.
 func (e *Engine) applyActions(t *flow.TCB, a *tcpproc.Actions) {
-	fm := e.flows[t.FlowID]
+	fm := e.flows.Get(t.FlowID)
 	if fm == nil {
 		return
 	}
@@ -904,5 +905,5 @@ func (e *Engine) flushCompletions() {
 
 // String summarizes engine state.
 func (e *Engine) String() string {
-	return fmt.Sprintf("engine{flows=%d fpcs=%d dram=%d}", len(e.flows), len(e.fpcs), e.mem.FlowCount())
+	return fmt.Sprintf("engine{flows=%d fpcs=%d dram=%d}", e.live, len(e.fpcs), e.mem.FlowCount())
 }

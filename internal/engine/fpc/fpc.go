@@ -13,6 +13,7 @@ package fpc
 
 import (
 	"fmt"
+	"math/bits"
 
 	"f4t/internal/cc"
 	"f4t/internal/flow"
@@ -36,9 +37,9 @@ const (
 
 // Config parameterizes one FPC.
 type Config struct {
-	Slots      int  // TCB table entries (reference design: 128)
-	FPULatency int  // FPU pipeline depth in cycles (from the CC algorithm)
-	II         int  // initiation interval in cycles (paper: 2)
+	Slots      int // TCB table entries (reference design: 128)
+	FPULatency int // FPU pipeline depth in cycles (from the CC algorithm)
+	II         int // initiation interval in cycles (paper: 2)
 	Mode       Mode
 
 	// ModeStall: total cycles one event occupies the unit, expressed as a
@@ -82,8 +83,11 @@ type slot struct {
 	inFPU bool
 	evict bool
 	ready bool // queued for the TCB manager (issue bookkeeping)
-	lastActive int64
 }
+
+// ageNever is the age of a slot ColdestFlow must not pick: unused, or
+// already marked for eviction.
+const ageNever = int64(1) << 62
 
 type inflight struct {
 	idx    int
@@ -97,16 +101,24 @@ type FPC struct {
 	hooks Hooks
 
 	slots []slot
-	cam   map[flow.ID]int // CAM: global flow ID → table index (§4.4.2)
+	cam   flow.Table[uint16] // CAM: global flow ID → table index + 1, 0 = miss (§4.4.2)
+	flows int                // resident flows (CAM entries set)
+	// The victim and free-slot searches read these compact per-slot arrays
+	// instead of walking the slot structs (event rows included).
+	age  []int64  // cycle of the slot's last event; ageNever when unused or evicting
+	free []uint64 // bitmap of unused slots, bit i%64 of word i/64
 
-	input    *sim.Queue[flow.Event] // routed events awaiting handling
-	incoming *sim.Queue[*flow.TCB]  // swap-ins via the dedicated write port
-	reserved int                    // slots held for migrations in flight
+	// The four work queues are embedded by value so idleAt, polled for
+	// every FPC every cycle, reads their lengths off the FPC's own cache
+	// lines.
+	input    sim.Queue[flow.Event] // routed events awaiting handling
+	incoming sim.Queue[*flow.TCB]  // swap-ins via the dedicated write port (bounded by reservations)
+	reserved int                   // slots held for migrations in flight
 
-	ready     *sim.Queue[int] // slots awaiting issue, FIFO ≈ round-robin
-	lastIssue int64           // cycle of the last FPU issue (II enforcement)
-	lastHandle int64 // cycle of the last event handled (2-cycle schedule)
-	pipe      *sim.Queue[inflight]
+	ready      sim.Queue[int] // slots awaiting issue, FIFO ≈ round-robin
+	lastIssue  int64          // cycle of the last FPU issue (II enforcement)
+	lastHandle int64          // cycle of the last event handled (2-cycle schedule)
+	pipe       sim.Queue[inflight]
 
 	// ModeStall state.
 	stallBusyUntil int64
@@ -142,29 +154,41 @@ func New(k *sim.Kernel, cfg Config, hooks Hooks) *FPC {
 	if cfg.Mode == ModeStall && cfg.StallDen == 0 {
 		cfg.StallNum, cfg.StallDen = int64(cfg.FPULatency), 1
 	}
-	return &FPC{
-		k:        k,
-		cfg:      cfg,
-		hooks:    hooks,
-		slots:    make([]slot, cfg.Slots),
-		cam:      make(map[flow.ID]int, cfg.Slots),
-		input:    sim.NewQueue[flow.Event](inputDepth),
-		incoming: sim.NewQueue[*flow.TCB](0), // bounded by reservations
-		pipe:     sim.NewQueue[inflight](0),
-		ready:    sim.NewQueue[int](0),
-		lastIssue: -10,
+	if cfg.Slots >= 1<<16 {
+		panic("fpc: Slots exceeds the CAM's 16-bit table index")
+	}
+	f := &FPC{
+		k:          k,
+		cfg:        cfg,
+		hooks:      hooks,
+		slots:      make([]slot, cfg.Slots),
+		age:        make([]int64, cfg.Slots),
+		free:       make([]uint64, (cfg.Slots+63)/64),
+		input:      sim.MakeQueue[flow.Event](inputDepth),
+		lastIssue:  -10,
 		lastHandle: -10,
 	}
+	for i := range f.slots {
+		f.age[i] = ageNever
+		f.free[i/64] |= 1 << (i % 64)
+	}
+	return f
 }
 
 // FlowCount returns resident flows.
-func (f *FPC) FlowCount() int { return len(f.cam) }
+func (f *FPC) FlowCount() int { return f.flows }
+
+// lookup is the CAM search: the flow's table index, or false on a miss.
+func (f *FPC) lookup(id flow.ID) (int, bool) {
+	n := f.cam.Get(id)
+	return int(n) - 1, n != 0
+}
 
 // HasSlot reports whether a free TCB table entry exists, accounting for
 // swap-ins already in the incoming queue and reservations held by
 // migrations in flight.
 func (f *FPC) HasSlot() bool {
-	return len(f.cam)+f.incoming.Len()+f.reserved < f.cfg.Slots
+	return f.flows+f.incoming.Len()+f.reserved < f.cfg.Slots
 }
 
 // ReserveSlot holds one slot for a migration in flight, so a TCB read
@@ -188,7 +212,7 @@ func (f *FPC) ReleaseReservation() {
 
 // Has reports whether the flow is resident.
 func (f *FPC) Has(id flow.ID) bool {
-	_, ok := f.cam[id]
+	_, ok := f.lookup(id)
 	return ok
 }
 
@@ -244,45 +268,61 @@ func (f *FPC) InstallNew(t *flow.TCB) bool {
 	return true
 }
 
+// install places a TCB in the lowest-indexed free slot.
 func (f *FPC) install(t *flow.TCB) {
-	for i := range f.slots {
-		if !f.slots[i].used {
-			f.slots[i] = slot{used: true, tcb: t, lastActive: f.k.Now()}
-			f.cam[t.FlowID] = i
-			// A migrated-in TCB may carry event inputs accumulated while
-			// it lived in DRAM; those demand a processing pass (§4.3.1).
-			if t.In.Valid != 0 {
-				f.markReady(i)
-			}
-			return
+	for w, word := range f.free {
+		if word == 0 {
+			continue
 		}
+		i := w*64 + bits.TrailingZeros64(word)
+		f.free[w] &^= 1 << (i % 64)
+		f.slots[i] = slot{used: true, tcb: t}
+		f.age[i] = f.k.Now()
+		row := f.cam.At(t.FlowID)
+		if *row == 0 {
+			f.flows++
+		}
+		*row = uint16(i + 1)
+		// A migrated-in TCB may carry event inputs accumulated while
+		// it lived in DRAM; those demand a processing pass (§4.3.1).
+		if t.In.Valid != 0 {
+			f.markReady(i)
+		}
+		return
 	}
 	panic("fpc: install with no free slot")
 }
 
 // ColdestFlow returns the least recently active resident flow that is not
 // already marked for eviction (§4.3.2), or NoFlow when none qualifies.
+// Ties go to the lowest table index.
 func (f *FPC) ColdestFlow() flow.ID {
-	best := flow.NoFlow
-	var bestAge int64 = 1 << 62
-	for i := range f.slots {
-		s := &f.slots[i]
-		if s.used && !s.evict && s.lastActive < bestAge {
-			bestAge = s.lastActive
-			best = s.tcb.FlowID
+	if f.flows == 0 {
+		// Every slot reserved for swap-ins still in flight: the scheduler
+		// asks each cycle it stays blocked, so skip the scan.
+		return flow.NoFlow
+	}
+	best, bestAge := -1, ageNever
+	for i, a := range f.age {
+		if a < bestAge {
+			best, bestAge = i, a
 		}
 	}
-	return best
+	if best < 0 {
+		return flow.NoFlow
+	}
+	return f.slots[best].tcb.FlowID
 }
 
 // RequestEvict sets the evict flag on a resident flow's TCB; the evict
 // checker captures it after its next FPU pass. False when not resident.
 func (f *FPC) RequestEvict(id flow.ID) bool {
-	idx, ok := f.cam[id]
+	idx, ok := f.lookup(id)
 	if !ok {
 		return false
 	}
 	f.slots[idx].evict = true
+	f.age[idx] = ageNever
 	f.slots[idx].tcb.EvictFlag = true
 	f.markReady(idx)
 	return true
@@ -377,7 +417,7 @@ func (f *FPC) handleEvent(cycle int64) {
 	if !ok {
 		return
 	}
-	idx, resident := f.cam[ev.Flow]
+	idx, resident := f.lookup(ev.Flow)
 	if !resident {
 		// The scheduler guarantees routing correctness (§4.3.2); a miss
 		// here means the flow was freed while the event was in flight.
@@ -388,8 +428,7 @@ func (f *FPC) handleEvent(cycle int64) {
 	f.lastHandle = cycle
 	s := &f.slots[idx]
 	s.row.Accumulate(&ev)
-	s.lastActive = cycle
-	s.tcb.LastActive = cycle
+	f.touch(idx, cycle)
 	f.EventsHandled.Inc()
 	f.markReady(idx)
 }
@@ -476,8 +515,23 @@ func (f *FPC) complete(cycle int64) {
 // events were merged in the final pass, so nothing is lost (§4.3.2).
 func (f *FPC) remove(idx int) {
 	s := &f.slots[idx]
-	delete(f.cam, s.tcb.FlowID)
+	if id := s.tcb.FlowID; f.cam.Get(id) != 0 {
+		f.cam.Clear(id)
+		f.flows--
+	}
 	*s = slot{}
+	f.age[idx] = ageNever
+	f.free[idx/64] |= 1 << (idx % 64)
+}
+
+// touch records an event handled into slot idx at cycle: the slot's age
+// for victim selection (a slot already marked for eviction stays out of
+// it) and the TCB's own activity stamp.
+func (f *FPC) touch(idx int, cycle int64) {
+	if !f.slots[idx].evict {
+		f.age[idx] = cycle
+	}
+	f.slots[idx].tcb.LastActive = cycle
 }
 
 // tickStall is the baseline design: each event is an atomic RMW that
@@ -493,7 +547,7 @@ func (f *FPC) tickStall(cycle int64) {
 	if !ok {
 		return
 	}
-	idx, resident := f.cam[ev.Flow]
+	idx, resident := f.lookup(ev.Flow)
 	if !resident {
 		return
 	}
@@ -502,8 +556,7 @@ func (f *FPC) tickStall(cycle int64) {
 	row.Accumulate(&ev)
 	row.MergeInto(s.tcb)
 	f.EventsHandled.Inc()
-	s.lastActive = cycle
-	s.tcb.LastActive = cycle
+	f.touch(idx, cycle)
 
 	f.actions.Reset()
 	tcpproc.Process(s.tcb, f.cfg.Alg, f.cfg.Proto, f.k.NowNS(), &f.actions)
@@ -538,5 +591,5 @@ func (f *FPC) tickStall(cycle int64) {
 
 // String summarizes occupancy.
 func (f *FPC) String() string {
-	return fmt.Sprintf("fpc{flows=%d/%d in=%d pipe=%d}", len(f.cam), f.cfg.Slots, f.input.Len(), f.pipe.Len())
+	return fmt.Sprintf("fpc{flows=%d/%d in=%d pipe=%d}", f.flows, f.cfg.Slots, f.input.Len(), f.pipe.Len())
 }

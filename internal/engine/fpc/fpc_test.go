@@ -1,6 +1,7 @@
 package fpc
 
 import (
+	"fmt"
 	"testing"
 
 	"f4t/internal/cc"
@@ -48,6 +49,16 @@ func newRig(cfg Config) *fpcRig {
 	})
 	r.k.Register(sim.TickerFunc(r.f.Tick))
 	return r
+}
+
+// tcb returns a resident flow's TCB through the CAM lookup.
+func (r *fpcRig) tcb(t *testing.T, id flow.ID) *flow.TCB {
+	t.Helper()
+	idx, ok := r.f.lookup(id)
+	if !ok {
+		t.Fatalf("flow %d not resident", id)
+	}
+	return r.f.slots[idx].tcb
 }
 
 func reqEvent(id flow.ID, req seqnum.Value) flow.Event {
@@ -149,7 +160,7 @@ func TestAccumulatedEventsOneFPUPass(t *testing.T) {
 		t.Fatalf("%d FPU passes for 8 accumulated events, want ≤3", passes)
 	}
 	// All 400 bytes must have been sent despite the batching.
-	tcb := r.f.slots[r.f.cam[1]].tcb
+	tcb := r.tcb(t, 1)
 	if tcb.SndNxt != seqnum.Value(1001).Add(400) {
 		t.Fatalf("SndNxt = %d, want %d", tcb.SndNxt, seqnum.Value(1001).Add(400))
 	}
@@ -227,7 +238,7 @@ func TestSwapInInstallsThroughPort(t *testing.T) {
 		t.Fatalf("install signal = %v", r.inst)
 	}
 	// The carried input demanded a pass: data must have been sent.
-	tcb := r.f.slots[r.f.cam[7]].tcb
+	tcb := r.tcb(t, 7)
 	if tcb.SndNxt != 1101 {
 		t.Fatalf("swapped-in TCB not processed: SndNxt=%d", tcb.SndNxt)
 	}
@@ -296,5 +307,112 @@ func TestFreeFlowReleasesSlot(t *testing.T) {
 	}
 	if !r.f.HasSlot() {
 		t.Fatal("slot not reclaimed")
+	}
+}
+
+// TestVictimAndSlotChoiceMatchFullScans drives random install / swap-in /
+// handle / RequestEvict / terminate sequences and checks, every cycle,
+// that the age array and free bitmap answer exactly what walking the
+// slot structs would: ColdestFlow is the first least-recently-active
+// resident slot not marked for eviction, a TCB lands in the lowest free
+// index, and FlowCount is the number of used slots.
+func TestVictimAndSlotChoiceMatchFullScans(t *testing.T) {
+	// 70 slots span two bitmap words; with 3 the coldest slot is often a
+	// just-installed, just-touched or tied one, which is where a wrong
+	// tie-break or a stale age would show.
+	for _, slots := range []int{3, 70} {
+		t.Run(fmt.Sprint(slots, "slots"), func(t *testing.T) { victimAndSlotChoice(t, slots) })
+	}
+}
+
+func victimAndSlotChoice(t *testing.T, slots int) {
+	r := newRig(Config{Slots: slots, FPULatency: 6})
+	rng := sim.NewRand(3)
+
+	// The oracle's own activity record: a slot's age is the later of its
+	// install cycle and its TCB's last handled event.
+	installedAt := map[flow.ID]int64{}
+	age := func(s *slot) int64 { return max(installedAt[s.tcb.FlowID], s.tcb.LastActive) }
+	naiveColdest := func() flow.ID {
+		best, bestAge := flow.NoFlow, int64(1)<<62
+		for i := range r.f.slots {
+			if s := &r.f.slots[i]; s.used && !s.evict && age(s) < bestAge {
+				best, bestAge = s.tcb.FlowID, age(s)
+			}
+		}
+		return best
+	}
+	naiveFree := func() int {
+		for i := range r.f.slots {
+			if !r.f.slots[i].used {
+				return i
+			}
+		}
+		return -1
+	}
+	resident := func() []flow.ID {
+		var ids []flow.ID
+		for i := range r.f.slots {
+			if r.f.slots[i].used {
+				ids = append(ids, r.f.slots[i].tcb.FlowID)
+			}
+		}
+		return ids
+	}
+	check := func(step int) {
+		t.Helper()
+		if got, want := r.f.ColdestFlow(), naiveColdest(); got != want {
+			t.Fatalf("step %d cycle %d: ColdestFlow = %d, full scan says %d", step, r.k.Now(), got, want)
+		}
+		if got, want := r.f.FlowCount(), len(resident()); got != want {
+			t.Fatalf("step %d: FlowCount = %d, %d slots used", step, got, want)
+		}
+	}
+	landed := func(step int, id flow.ID, want int) {
+		t.Helper()
+		if got, ok := r.f.lookup(id); !ok || got != want {
+			t.Fatalf("step %d: flow %d landed in slot %d (resident %v), lowest free was %d", step, id, got, ok, want)
+		}
+	}
+
+	nextID := flow.ID(1)
+	var evicts, frees, swapIns int
+	for step := 0; step < 4000; step++ {
+		ids := resident()
+		switch op := rng.Intn(10); {
+		case op < 2 && r.f.HasSlot(): // new flow
+			want := naiveFree()
+			installedAt[nextID] = r.k.Now()
+			r.f.InstallNew(newTCB(nextID))
+			landed(step, nextID, want)
+			nextID++
+		case op < 4 && r.f.ReserveSlot(): // swap-in through the write port
+			r.f.AcceptTCB(newTCB(nextID))
+			nextID++
+			swapIns++
+		case op < 7 && len(ids) > 0: // an event touches a resident flow
+			r.f.EnqueueEvent(flow.Event{Kind: flow.EvRx, Flow: ids[rng.Intn(len(ids))], HasWnd: true, Wnd: 1 << 20})
+		case op < 8 && len(ids) > 0:
+			if r.f.RequestEvict(ids[rng.Intn(len(ids))]) {
+				evicts++
+			}
+		case op < 9 && len(ids) > 0: // an in-window RST terminates the flow
+			r.f.EnqueueEvent(flow.Event{Kind: flow.EvRx, Flow: ids[rng.Intn(len(ids))], RxFlags: flow.RxRST, RstSeq: 5001})
+			frees++
+		}
+		check(step)
+		for n := rng.Intn(4); n > 0; n-- {
+			want, seen := naiveFree(), len(r.inst)
+			r.k.Run(1)
+			if len(r.inst) > seen { // drainIncoming runs first in the tick
+				id := r.inst[seen]
+				installedAt[id] = r.k.Now()
+				landed(step, id, want)
+			}
+			check(step)
+		}
+	}
+	if evicts < 100 || frees < 100 || swapIns < 100 || len(r.evd) < 50 {
+		t.Fatalf("test ineffective: %d evict requests (%d captured), %d terminations, %d swap-ins", evicts, len(r.evd), frees, swapIns)
 	}
 }

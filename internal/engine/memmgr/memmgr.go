@@ -68,20 +68,21 @@ type Manager struct {
 	cfg   Config
 	hooks Hooks
 
-	tcbs  map[flow.ID]*flow.TCB
-	cache []flow.ID // direct-mapped: cache[i] = resident flow (NoFlow = empty)
-	rate  *sim.ByteRate
-	lat   int64 // access latency in cycles
+	tcbs     flow.Table[*flow.TCB] // the DRAM TCB store (nil = not resident)
+	resident int                   // non-nil entries of tcbs
+	cache    []flow.ID             // direct-mapped: cache[i] = resident flow (NoFlow = empty)
+	rate     *sim.ByteRate
+	lat      int64 // access latency in cycles
 
 	input    *sim.Queue[flow.Event]
 	inFlight *sim.Queue[pendingEvent]
-	queued   map[flow.ID]int // events per flow across input+inFlight
+	queued   flow.Table[int32] // events per flow across input+inFlight
 
 	// Stats.
-	Handled    sim.Counter
-	CacheHits  sim.Counter
-	CacheMiss  sim.Counter
-	SwapReqs   sim.Counter
+	Handled   sim.Counter
+	CacheHits sim.Counter
+	CacheMiss sim.Counter
+	SwapReqs  sim.Counter
 }
 
 // New builds a manager.
@@ -102,12 +103,10 @@ func New(k *sim.Kernel, cfg Config, hooks Hooks) *Manager {
 		k:        k,
 		cfg:      cfg,
 		hooks:    hooks,
-		tcbs:     make(map[flow.ID]*flow.TCB),
 		rate:     sim.NewByteRate(num, 100),
 		lat:      sim.NSToCycles(cfg.LatencyNS),
 		input:    sim.NewQueue[flow.Event](0),
 		inFlight: sim.NewQueue[pendingEvent](0),
-		queued:   make(map[flow.ID]int),
 	}
 	if cfg.CacheSize > 0 {
 		m.cache = make([]flow.ID, cfg.CacheSize)
@@ -119,19 +118,20 @@ func New(k *sim.Kernel, cfg Config, hooks Hooks) *Manager {
 }
 
 // FlowCount returns DRAM-resident flows.
-func (m *Manager) FlowCount() int { return len(m.tcbs) }
+func (m *Manager) FlowCount() int { return m.resident }
 
 // Has reports residency.
-func (m *Manager) Has(id flow.ID) bool {
-	_, ok := m.tcbs[id]
-	return ok
-}
+func (m *Manager) Has(id flow.ID) bool { return m.tcbs.Get(id) != nil }
 
 // Insert stores an evicted TCB (charging a DRAM write).
 func (m *Manager) Insert(t *flow.TCB) {
-	m.tcbs[t.FlowID] = t
+	row := m.tcbs.At(t.FlowID)
+	if *row == nil {
+		m.resident++
+	}
+	*row = t
 	t.EvictFlag = false
-	m.chargeAccess(t.FlowID, true)
+	m.chargeAccess()
 }
 
 // Extract removes a TCB for swap-in, returning it and the cycle at which
@@ -140,59 +140,62 @@ func (m *Manager) Insert(t *flow.TCB) {
 // into the TCB first so they migrate with it — the "handled events are
 // later processed in FPC" guarantee (§4.3.1).
 func (m *Manager) Extract(id flow.ID) (*flow.TCB, int64, bool) {
-	t, ok := m.tcbs[id]
-	if !ok {
+	t := m.tcbs.Get(id)
+	if t == nil {
 		return nil, 0, false
 	}
 	m.absorbQueued(t)
-	delete(m.tcbs, id)
-	m.uncache(id)
-	done := m.chargeAccess(id, false)
-	return t, done, true
+	m.Drop(id)
+	return t, m.chargeAccess(), true
 }
 
 // absorbQueued folds every queued/in-flight event of the flow into its
 // TCB's event-input row and removes them from the queues. The per-flow
-// pending count makes the common case (no queued events) free; the
-// queue rebuild only runs when events are actually present.
+// pending count makes the common case (no queued events) free; otherwise
+// each queue is compacted in place — the other flows' events slide down
+// over the absorbed ones in FIFO order — so a swap-in allocates nothing.
 func (m *Manager) absorbQueued(t *flow.TCB) {
-	if m.queued[t.FlowID] == 0 {
+	if m.queued.Get(t.FlowID) == 0 {
 		return
 	}
-	delete(m.queued, t.FlowID)
-	keepIn := m.input
-	m.input = sim.NewQueue[flow.Event](0)
-	for {
-		ev, ok := keepIn.Pop()
-		if !ok {
-			break
-		}
+	m.queued.Clear(t.FlowID)
+	kept := 0
+	for i, n := 0, m.input.Len(); i < n; i++ {
+		ev := m.input.AtPtr(i)
 		if ev.Flow == t.FlowID {
-			t.In.Accumulate(&ev)
+			t.In.Accumulate(ev)
 			m.Handled.Inc()
-		} else {
-			m.input.Push(ev)
+			continue
 		}
+		if kept != i {
+			*m.input.AtPtr(kept) = *ev
+		}
+		kept++
 	}
-	keepFl := m.inFlight
-	m.inFlight = sim.NewQueue[pendingEvent](0)
-	for {
-		pe, ok := keepFl.Pop()
-		if !ok {
-			break
-		}
+	m.input.Truncate(kept)
+	kept = 0
+	for i, n := 0, m.inFlight.Len(); i < n; i++ {
+		pe := m.inFlight.AtPtr(i)
 		if pe.ev.Flow == t.FlowID {
 			t.In.Accumulate(&pe.ev)
 			m.Handled.Inc()
-		} else {
-			m.inFlight.Push(pe)
+			continue
 		}
+		if kept != i {
+			*m.inFlight.AtPtr(kept) = *pe
+		}
+		kept++
 	}
+	m.inFlight.Truncate(kept)
 }
 
-// Drop discards a DRAM-resident flow (connection freed while swapped out).
+// Drop discards a DRAM-resident flow (connection freed while swapped
+// out): its store entry and its cache line.
 func (m *Manager) Drop(id flow.ID) {
-	delete(m.tcbs, id)
+	if m.tcbs.Get(id) != nil {
+		m.tcbs.Clear(id)
+		m.resident--
+	}
 	m.uncache(id)
 }
 
@@ -201,16 +204,14 @@ func (m *Manager) EnqueueEvent(ev flow.Event) bool {
 	if !m.input.Push(ev) {
 		return false
 	}
-	m.queued[ev.Flow]++
+	*m.queued.At(ev.Flow)++
 	return true
 }
 
 // unqueue decrements the per-flow pending count.
 func (m *Manager) unqueue(id flow.ID) {
-	if n := m.queued[id]; n <= 1 {
-		delete(m.queued, id)
-	} else {
-		m.queued[id] = n - 1
+	if n := m.queued.At(id); *n > 0 {
+		*n--
 	}
 }
 
@@ -218,9 +219,8 @@ func (m *Manager) unqueue(id flow.ID) {
 func (m *Manager) Backlog() int { return m.input.Len() + m.inFlight.Len() }
 
 // chargeAccess books one TCB transfer against DRAM bandwidth and
-// latency. Cache hits (when tracking an access, not an insert/extract)
-// bypass the charge.
-func (m *Manager) chargeAccess(id flow.ID, write bool) int64 {
+// latency.
+func (m *Manager) chargeAccess() int64 {
 	return m.rate.Reserve(m.k.Now(), TCBBytes) + m.lat
 }
 
@@ -264,7 +264,7 @@ func (m *Manager) Tick(cycle int64) {
 	}
 	// Start at most one new access per cycle.
 	if ev, ok := m.input.Peek(); ok {
-		if t := m.tcbs[ev.Flow]; t == nil {
+		if m.tcbs.Get(ev.Flow) == nil {
 			m.input.Pop() // flow left DRAM while the event was queued
 			m.unqueue(ev.Flow)
 		} else {
@@ -294,7 +294,7 @@ func (m *Manager) Tick(cycle int64) {
 		}
 		m.inFlight.Pop()
 		m.unqueue(pe.ev.Flow)
-		t := m.tcbs[pe.ev.Flow]
+		t := m.tcbs.Get(pe.ev.Flow)
 		if t == nil {
 			continue
 		}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"f4t/internal/flow"
+	"f4t/internal/seqnum"
 	"f4t/internal/sim"
 )
 
@@ -94,6 +95,112 @@ func TestExtractAbsorbsQueuedEvents(t *testing.T) {
 	if got.In.Req != 1301 {
 		t.Fatalf("unrelated event disturbed: %+v", got.In)
 	}
+}
+
+// TestExtractAbsorbsInPlace checks the in-place absorb against a
+// rebuild-style reference over random enqueue / tick / extract steps: the
+// extracted TCB's input row, the surviving events of both queues (other
+// flows', in FIFO order), Handled, and every flow's queued count must be
+// what filtering copies of the queues into fresh ones gives.
+func TestExtractAbsorbsInPlace(t *testing.T) {
+	const flows = 12
+	k := sim.New()
+	m := New(k, DefaultConfig(DDR), Hooks{})
+	k.Register(sim.TickerFunc(m.Tick))
+	for id := flow.ID(0); id < flows; id++ {
+		m.Insert(estTCB(id))
+	}
+	rng := sim.NewRand(7)
+	req := uint32(2000)
+	absorbedIn, absorbedFl := 0, 0 // events absorbed out of each queue
+
+	checkQueued := func(step int) {
+		t.Helper()
+		var want [flows]int32
+		for i := 0; i < m.input.Len(); i++ {
+			want[m.input.AtPtr(i).Flow]++
+		}
+		for i := 0; i < m.inFlight.Len(); i++ {
+			want[m.inFlight.AtPtr(i).ev.Flow]++
+		}
+		for id := flow.ID(0); id < flows; id++ {
+			if got := m.queued.Get(id); got != want[id] {
+				t.Fatalf("step %d: queued[%d] = %d, queues hold %d", step, id, got, want[id])
+			}
+		}
+	}
+
+	for step := 0; step < 600; step++ {
+		switch rng.Intn(4) {
+		case 0, 1: // a burst of events, some for flows that are not resident
+			for n := rng.Intn(6); n >= 0; n-- {
+				req += 10
+				m.EnqueueEvent(flow.Event{Kind: flow.EvUser, Flow: flow.ID(rng.Intn(flows)), HasReq: true, Req: seqnum.Value(req)})
+			}
+		case 2: // let accesses start and retire
+			k.Run(int64(rng.Intn(40)))
+		case 3:
+			id := flow.ID(rng.Intn(flows))
+			if !m.Has(id) {
+				m.Insert(estTCB(id))
+				break
+			}
+			// Reference: filter copies of both queues, input first.
+			var wantIn []flow.Event
+			var wantFl []pendingEvent
+			wantRow := m.tcbs.Get(id).In
+			handled := m.Handled.Total()
+			for i := 0; i < m.input.Len(); i++ {
+				if ev := *m.input.AtPtr(i); ev.Flow == id {
+					wantRow.Accumulate(&ev)
+					handled++
+					absorbedIn++
+				} else {
+					wantIn = append(wantIn, ev)
+				}
+			}
+			for i := 0; i < m.inFlight.Len(); i++ {
+				if pe := *m.inFlight.AtPtr(i); pe.ev.Flow == id {
+					wantRow.Accumulate(&pe.ev)
+					handled++
+					absorbedFl++
+				} else {
+					wantFl = append(wantFl, pe)
+				}
+			}
+
+			tcb, _, ok := m.Extract(id)
+			if !ok || tcb.In != wantRow {
+				t.Fatalf("step %d: extracted row %+v, want %+v", step, tcb.In, wantRow)
+			}
+			if m.Handled.Total() != handled {
+				t.Fatalf("step %d: Handled = %d, want %d", step, m.Handled.Total(), handled)
+			}
+			if m.input.Len() != len(wantIn) || m.inFlight.Len() != len(wantFl) {
+				t.Fatalf("step %d: queues hold %d+%d events, want %d+%d", step, m.input.Len(), m.inFlight.Len(), len(wantIn), len(wantFl))
+			}
+			for i, ev := range wantIn {
+				if *m.input.AtPtr(i) != ev {
+					t.Fatalf("step %d: input[%d] = %+v, want %+v", step, i, *m.input.AtPtr(i), ev)
+				}
+			}
+			for i, pe := range wantFl {
+				if *m.inFlight.AtPtr(i) != pe {
+					t.Fatalf("step %d: inFlight[%d] = %+v, want %+v", step, i, *m.inFlight.AtPtr(i), pe)
+				}
+			}
+		}
+		checkQueued(step)
+	}
+	if absorbedIn < 20 || absorbedFl < 20 {
+		t.Fatalf("only %d+%d events absorbed — test ineffective", absorbedIn, absorbedFl)
+	}
+	// The survivors still drain normally.
+	k.Run(100_000)
+	if m.Backlog() != 0 {
+		t.Fatalf("backlog %d after drain", m.Backlog())
+	}
+	checkQueued(-1)
 }
 
 func TestCacheHitsSkipDRAM(t *testing.T) {

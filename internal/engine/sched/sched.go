@@ -24,16 +24,27 @@ const (
 	locMoving
 )
 
-type locEntry struct {
-	kind locKind
-	fpc  int8
+// lutEntry is one row of the location LUT: everything the scheduler
+// keeps per flow, in one 8-byte record indexed by flow ID. The zero entry
+// is a free flow with nothing queued.
+type lutEntry struct {
+	kind       locKind
+	fpc        int8   // kind == locFPC: the FPC holding the TCB
+	mig        int8   // migration in flight: 0 none, toDRAM, or toFPC(target)
+	swapQueued bool   // a swap-in request is queued (dedupe: at most one per flow)
+	pending    uint32 // events in the pending queue (order guard)
 }
 
-// migTarget records where an in-flight migration is headed.
-type migTarget struct {
-	toDRAM   bool
-	fpc      int
-	reserved bool // a slot reservation is held at fpc
+// Migration targets as stored in lutEntry.mig. Every FPC-bound migration
+// holds a slot reservation at its target.
+const toDRAM int8 = -1
+
+func toFPC(i int) int8 { return int8(i + 1) }
+
+// reservation returns the FPC at which the flow's in-flight migration
+// holds a slot reservation, if it is FPC-bound.
+func (e lutEntry) reservation() (fpc int, held bool) {
+	return int(e.mig) - 1, e.mig > 0
 }
 
 // pendingEv is an event waiting out a migration (§4.3.2).
@@ -77,22 +88,23 @@ type Scheduler struct {
 	fpcs []*fpc.FPC
 	mem  *memmgr.Manager
 
-	lut        []locEntry
-	fifos      []*sim.Queue[flow.Event]
-	pending    *sim.Queue[pendingEv]
-	pendingCnt map[flow.ID]int // flows with events in the pending queue (order guard)
+	lut     flow.Table[lutEntry]
+	fifos   []*sim.Queue[flow.Event]
+	pending *sim.Queue[pendingEv]
 
-	migrations map[flow.ID]migTarget
-	swapReqs   *sim.Queue[flow.ID]
-	swapQueued map[flow.ID]bool // dedupe: at most one queued request per flow
-	evictBusy  []bool           // one outstanding eviction per FPC
+	inFlight  int // LUT entries with a migration recorded
+	swapReqs  *sim.Queue[flow.ID]
+	evictBusy []bool // one outstanding eviction per FPC
+	// acceptFn delivers a swapped-in TCB to its target FPC when the DRAM
+	// read completes; pre-bound so a swap-in schedules no closure.
+	acceptFn func(any)
 
 	// Stats.
-	Routed       sim.Counter
-	Coalesced    sim.Counter
-	Backpressure sim.Counter
-	Migrations   sim.Counter
-	SwapIns      sim.Counter
+	Routed        sim.Counter
+	Coalesced     sim.Counter
+	Backpressure  sim.Counter
+	Migrations    sim.Counter
+	SwapIns       sim.Counter
 	DroppedEvents sim.Counter
 }
 
@@ -108,28 +120,56 @@ func New(k *sim.Kernel, cfg Config, fpcs []*fpc.FPC, mem *memmgr.Manager) *Sched
 		cfg.LUTGroups = 1
 	}
 	s := &Scheduler{
-		k:          k,
-		cfg:        cfg,
-		fpcs:       fpcs,
-		mem:        mem,
-		lut:        make([]locEntry, cfg.MaxFlows),
-		fifos:      make([]*sim.Queue[flow.Event], cfg.CoalesceFIFOs),
-		pending:    sim.NewQueue[pendingEv](0),
-		pendingCnt: make(map[flow.ID]int),
-		migrations: make(map[flow.ID]migTarget),
-		swapReqs:   sim.NewQueue[flow.ID](0),
-		swapQueued: make(map[flow.ID]bool),
-		evictBusy:  make([]bool, len(fpcs)),
+		k:         k,
+		cfg:       cfg,
+		fpcs:      fpcs,
+		mem:       mem,
+		fifos:     make([]*sim.Queue[flow.Event], cfg.CoalesceFIFOs),
+		pending:   sim.NewQueue[pendingEv](0),
+		swapReqs:  sim.NewQueue[flow.ID](0),
+		evictBusy: make([]bool, len(fpcs)),
 	}
 	for i := range s.fifos {
 		s.fifos[i] = sim.NewQueue[flow.Event](cfg.FIFODepth)
 	}
+	// The reservation taken in processSwapIns guarantees capacity. The
+	// target travels in the TCB, not the LUT, so the TCB still lands where
+	// its slot was reserved if FlowFreed clears the entry mid-move.
+	s.acceptFn = func(arg any) {
+		t := arg.(*flow.TCB)
+		s.fpcs[t.SwapTo].AcceptTCB(t)
+	}
 	return s
+}
+
+// place records a flow's location; the migration record, swap-request
+// bit and pending count in the same LUT entry are left alone.
+func (s *Scheduler) place(id flow.ID, kind locKind, fpc int) {
+	e := s.lut.At(id)
+	e.kind, e.fpc = kind, int8(fpc)
+}
+
+// beginMigration records the flow's migration in flight (toDRAM or
+// toFPC(target)).
+func (s *Scheduler) beginMigration(id flow.ID, target int8) {
+	e := s.lut.At(id)
+	if e.mig == 0 {
+		s.inFlight++
+	}
+	e.mig = target
+}
+
+// endMigration clears the flow's migration record, if any.
+func (s *Scheduler) endMigration(id flow.ID) {
+	if e := s.lut.At(id); e.mig != 0 {
+		s.inFlight--
+		e.mig = 0
+	}
 }
 
 // Location reports where a flow currently lives (testing/diagnostics).
 func (s *Scheduler) Location(id flow.ID) (inFPC bool, fpcIdx int, inDRAM, moving bool) {
-	e := s.lut[id]
+	e := s.lut.Get(id)
 	switch e.kind {
 	case locFPC:
 		return true, int(e.fpc), false, false
@@ -152,23 +192,27 @@ func (s *Scheduler) AllocateFlow(t *flow.TCB) {
 		}
 	}
 	if best >= 0 && s.fpcs[best].InstallNew(t) {
-		s.lut[t.FlowID] = locEntry{kind: locFPC, fpc: int8(best)}
+		s.place(t.FlowID, locFPC, best)
 		return
 	}
 	s.mem.Insert(t)
-	s.lut[t.FlowID] = locEntry{kind: locDRAM}
+	s.place(t.FlowID, locDRAM, 0)
 }
 
-// FlowFreed clears all state for a terminated flow.
+// FlowFreed clears a terminated flow's location and migration record, so
+// a reused ID starts from a free entry. The swap-request bit and pending
+// count describe entries still sitting in their queues and clear when
+// those drain.
 func (s *Scheduler) FlowFreed(id flow.ID) {
-	if s.lut[id].kind == locDRAM {
+	e := s.lut.Get(id)
+	if e.kind == locDRAM {
 		s.mem.Drop(id)
 	}
-	if tgt, ok := s.migrations[id]; ok && tgt.reserved && !tgt.toDRAM {
-		s.fpcs[tgt.fpc].ReleaseReservation()
+	if fpc, held := e.reservation(); held {
+		s.fpcs[fpc].ReleaseReservation()
 	}
-	s.lut[id] = locEntry{}
-	delete(s.migrations, id)
+	s.place(id, locFree, 0)
+	s.endMigration(id)
 }
 
 // Submit pushes one event into the coalesce stage. It reports false when
@@ -229,10 +273,11 @@ func (s *Scheduler) SubmitSpace(id flow.ID) bool {
 // Requests dedupe per flow: the check logic fires per handled event, but
 // one pending swap-in per flow suffices.
 func (s *Scheduler) RequestSwapIn(id flow.ID) {
-	if s.swapQueued[id] {
+	e := s.lut.At(id)
+	if e.swapQueued {
 		return
 	}
-	s.swapQueued[id] = true
+	e.swapQueued = true
 	s.swapReqs.Push(id)
 }
 
@@ -287,22 +332,22 @@ func (s *Scheduler) route(cycle int64) {
 		if routes >= s.cfg.LUTGroups {
 			break
 		}
-		ev, ok := q.Peek()
-		if !ok {
+		if q.Len() == 0 {
 			continue
 		}
+		ev := *q.AtPtr(0)
+		loc := s.lut.Get(ev.Flow)
 		// Order guard: a flow with events already waiting in the pending
 		// queue must not have later events overtake them.
-		if s.pendingCnt[ev.Flow] > 0 {
+		if loc.pending > 0 {
 			q.Pop()
 			s.toPending(ev, cycle)
 			routes++
 			continue
 		}
-		switch s.lut[ev.Flow].kind {
+		switch loc.kind {
 		case locFPC:
-			f := s.fpcs[s.lut[ev.Flow].fpc]
-			if f.EnqueueEvent(ev) {
+			if s.fpcs[loc.fpc].EnqueueEvent(ev) {
 				q.Pop()
 				s.Routed.Inc()
 				routes++
@@ -310,7 +355,7 @@ func (s *Scheduler) route(cycle int64) {
 				// Congested FPC: head-of-line wait, plus a load-balancing
 				// migration of this flow to the idlest FPC (§4.4.2).
 				s.Backpressure.Inc()
-				s.maybeRebalance(ev.Flow, int(s.lut[ev.Flow].fpc))
+				s.maybeRebalance(ev.Flow, int(loc.fpc))
 			}
 		case locDRAM:
 			if s.mem.EnqueueEvent(ev) {
@@ -332,7 +377,7 @@ func (s *Scheduler) route(cycle int64) {
 
 func (s *Scheduler) toPending(ev flow.Event, cycle int64) {
 	s.pending.Push(pendingEv{ev: ev, retryAt: cycle + retryCycles})
-	s.pendingCnt[ev.Flow]++
+	s.lut.At(ev.Flow).pending++
 }
 
 // retryPending re-routes events whose retry interval elapsed (§4.3.2).
@@ -343,9 +388,10 @@ func (s *Scheduler) retryPending(cycle int64) {
 			return
 		}
 		ev := pe.ev
-		switch s.lut[ev.Flow].kind {
+		loc := s.lut.At(ev.Flow)
+		switch loc.kind {
 		case locFPC:
-			if !s.fpcs[s.lut[ev.Flow].fpc].EnqueueEvent(ev) {
+			if !s.fpcs[loc.fpc].EnqueueEvent(ev) {
 				return // destination congested: hold position, retry later
 			}
 		case locDRAM:
@@ -359,18 +405,12 @@ func (s *Scheduler) retryPending(cycle int64) {
 			return
 		default:
 			s.pending.Pop()
-			s.pendingCnt[ev.Flow]--
-			if s.pendingCnt[ev.Flow] <= 0 {
-				delete(s.pendingCnt, ev.Flow)
-			}
+			loc.pending--
 			s.DroppedEvents.Inc()
 			continue
 		}
 		s.pending.Pop()
-		s.pendingCnt[ev.Flow]--
-		if s.pendingCnt[ev.Flow] <= 0 {
-			delete(s.pendingCnt, ev.Flow)
-		}
+		loc.pending--
 		s.Routed.Inc()
 	}
 }
@@ -393,7 +433,7 @@ func (s *Scheduler) maybeRebalance(id flow.ID, from int) {
 	if !s.fpcs[best].ReserveSlot() {
 		return
 	}
-	s.startMigration(id, from, migTarget{fpc: best, reserved: true})
+	s.startMigration(id, from, toFPC(best))
 }
 
 // processSwapIns services check-logic requests: extract the TCB from
@@ -406,8 +446,9 @@ func (s *Scheduler) processSwapIns(cycle int64) {
 		if !ok {
 			return
 		}
-		delete(s.swapQueued, id)
-		if s.lut[id].kind != locDRAM || !s.mem.Has(id) {
+		e := s.lut.At(id)
+		e.swapQueued = false
+		if e.kind != locDRAM || !s.mem.Has(id) {
 			continue // already moved or freed
 		}
 		best, bestCount := -1, 1<<30
@@ -419,25 +460,19 @@ func (s *Scheduler) processSwapIns(cycle int64) {
 		if best < 0 || !s.fpcs[best].ReserveSlot() {
 			// Every FPC full: make room by evicting a cold flow, recycle
 			// the request to the tail, and retry later.
-			s.swapQueued[id] = true
+			e.swapQueued = true
 			s.swapReqs.Push(id)
 			s.makeRoom()
 			return
 		}
 		s.SwapIns.Inc()
-		s.lut[id] = locEntry{kind: locMoving}
-		tcb, readyAt, found := s.mem.Extract(id)
-		if !found {
-			s.fpcs[best].ReleaseReservation()
-			s.lut[id] = locEntry{}
-			continue
-		}
-		target := best
-		s.migrations[tcb.FlowID] = migTarget{fpc: target, reserved: true}
-		s.k.At(readyAt, func() {
-			// The reservation guarantees capacity.
-			s.fpcs[target].AcceptTCB(tcb)
-		})
+		s.place(id, locMoving, 0)
+		s.beginMigration(id, toFPC(best))
+		// Has(id) held above and nothing since touched the TCB store, so
+		// the extract finds the flow.
+		tcb, readyAt, _ := s.mem.Extract(id)
+		tcb.SwapTo = int8(best)
+		s.k.AtCall(readyAt, s.acceptFn, tcb)
 	}
 }
 
@@ -457,13 +492,13 @@ func (s *Scheduler) makeRoom() {
 	if victim == flow.NoFlow {
 		return
 	}
-	s.startMigration(victim, best, migTarget{toDRAM: true})
+	s.startMigration(victim, best, toDRAM)
 }
 
 // startMigration sets the moving state and the evict flag (§4.3.2: both
 // at the same time, which blocks routing of new input events).
-func (s *Scheduler) startMigration(id flow.ID, from int, tgt migTarget) {
-	if s.lut[id].kind != locFPC {
+func (s *Scheduler) startMigration(id flow.ID, from int, target int8) {
+	if s.lut.Get(id).kind != locFPC {
 		return
 	}
 	if !s.fpcs[from].RequestEvict(id) {
@@ -471,19 +506,19 @@ func (s *Scheduler) startMigration(id flow.ID, from int, tgt migTarget) {
 	}
 	s.Migrations.Inc()
 	s.evictBusy[from] = true
-	s.migrations[id] = tgt
-	s.lut[id] = locEntry{kind: locMoving}
+	s.beginMigration(id, target)
+	s.place(id, locMoving, 0)
 }
 
 // Evicted receives a TCB captured by an FPC's evict checker and forwards
 // it to its migration target.
 func (s *Scheduler) Evicted(from int, t *flow.TCB) {
 	s.evictBusy[from] = false
-	tgt, ok := s.migrations[t.FlowID]
-	if !ok || tgt.toDRAM {
-		delete(s.migrations, t.FlowID)
+	target, fpcBound := s.lut.Get(t.FlowID).reservation()
+	if !fpcBound {
+		s.endMigration(t.FlowID)
 		s.mem.Insert(t)
-		s.lut[t.FlowID] = locEntry{kind: locDRAM}
+		s.place(t.FlowID, locDRAM, 0)
 		// Events that were handled during the eviction window travel with
 		// the TCB; the check logic decides whether they warrant a swap
 		// back in (§4.3.1) — a bare window update does not.
@@ -493,29 +528,29 @@ func (s *Scheduler) Evicted(from int, t *flow.TCB) {
 		return
 	}
 	// FPC→FPC rebalancing move; the reservation guarantees capacity.
-	if s.fpcs[tgt.fpc].AcceptTCB(t) {
+	if s.fpcs[target].AcceptTCB(t) {
 		return // Installed() will finalize
 	}
-	delete(s.migrations, t.FlowID)
+	s.endMigration(t.FlowID)
 	s.mem.Insert(t)
-	s.lut[t.FlowID] = locEntry{kind: locDRAM}
+	s.place(t.FlowID, locDRAM, 0)
 }
 
 // EvictAborted releases an eviction slot whose flow terminated during
 // its final FPU pass, returning any reservation held at the target.
 func (s *Scheduler) EvictAborted(from int, id flow.ID) {
 	s.evictBusy[from] = false
-	if tgt, ok := s.migrations[id]; ok && tgt.reserved && !tgt.toDRAM {
-		s.fpcs[tgt.fpc].ReleaseReservation()
+	if fpc, held := s.lut.Get(id).reservation(); held {
+		s.fpcs[fpc].ReleaseReservation()
 	}
-	delete(s.migrations, id)
+	s.endMigration(id)
 }
 
 // Installed is the FPC's signal that a migrated TCB landed in its table;
 // the LUT flips to the new location and routing resumes (§4.3.2).
 func (s *Scheduler) Installed(fpcIdx int, id flow.ID) {
-	delete(s.migrations, id)
-	s.lut[id] = locEntry{kind: locFPC, fpc: int8(fpcIdx)}
+	s.endMigration(id)
+	s.place(id, locFPC, fpcIdx)
 }
 
 // PendingEvents returns the pending-queue depth (bounded-queue invariant

@@ -17,6 +17,9 @@ type rig struct {
 	s    *Scheduler
 	fpcs []*fpc.FPC
 	mem  *memmgr.Manager
+	// freed collects flows whose final FPU pass terminated them; the rig
+	// tells the scheduler first, as the engine's applyActions does.
+	freed []flow.ID
 }
 
 func newRig(numFPCs, slots int) *rig {
@@ -30,7 +33,12 @@ func newRig(numFPCs, slots int) *rig {
 	for i := 0; i < numFPCs; i++ {
 		idx := i
 		f := fpc.New(k, fpc.Config{Slots: slots, Alg: alg, Proto: &proto}, fpc.Hooks{
-			OnActions:    func(t *flow.TCB, a *tcpproc.Actions) {},
+			OnActions: func(t *flow.TCB, a *tcpproc.Actions) {
+				if a.FreeFlow {
+					r.s.FlowFreed(t.FlowID)
+					r.freed = append(r.freed, t.FlowID)
+				}
+			},
 			OnEvict:      func(t *flow.TCB) { r.s.Evicted(idx, t) },
 			OnInstall:    func(id flow.ID) { r.s.Installed(idx, id) },
 			OnEvictAbort: func(id flow.ID) { r.s.EvictAborted(idx, id) },
@@ -46,6 +54,25 @@ func newRig(numFPCs, slots int) *rig {
 		r.mem.Tick(c)
 	}))
 	return r
+}
+
+// rst is an in-window reset: the flow's next FPU pass terminates it.
+func rst(id flow.ID) flow.Event {
+	return flow.Event{Kind: flow.EvRx, Flow: id, RxFlags: flow.RxRST, RstSeq: 5001}
+}
+
+// checkSettled asserts that no migration state is left anywhere: no
+// record in flight, no reservation held, no eviction slot busy.
+func (r *rig) checkSettled(t *testing.T) {
+	t.Helper()
+	if r.s.inFlight != 0 {
+		t.Fatalf("%d migration records still in flight", r.s.inFlight)
+	}
+	for i, f := range r.fpcs {
+		if f.Reserved() != 0 || f.IncomingLen() != 0 || f.EvictsPending() != 0 || r.s.evictBusy[i] {
+			t.Fatalf("fpc %d: reserved=%d incoming=%d evicting=%d evictBusy=%v", i, f.Reserved(), f.IncomingLen(), f.EvictsPending(), r.s.evictBusy[i])
+		}
+	}
 }
 
 func estTCB(id flow.ID) *flow.TCB {
@@ -224,9 +251,122 @@ func TestFlowFreedClearsEverything(t *testing.T) {
 	}
 }
 
+// TestFlowFreedMidMigration terminates a flow while its eviction is in
+// flight — to DRAM, and to another FPC holding a slot reservation — and
+// hands the ID straight to a new flow: the whole LUT entry must read as
+// free in between (what the deleted map keys read as), the reservation
+// must return exactly once, and the new flow must route normally.
+func TestFlowFreedMidMigration(t *testing.T) {
+	for _, target := range []int8{toDRAM, toFPC(1)} {
+		r := newRig(2, 2)
+		for id := flow.ID(0); id < 3; id++ { // 0 and 2 on FPC 0, 1 on FPC 1
+			r.s.AllocateFlow(estTCB(id))
+		}
+		if inFPC, at, _, _ := r.s.Location(0); !inFPC || at != 0 {
+			t.Fatalf("flow 0 not on fpc 0")
+		}
+		if target != toDRAM && !r.fpcs[1].ReserveSlot() { // as maybeRebalance does
+			t.Fatal("no slot to reserve at the target")
+		}
+		r.s.startMigration(0, 0, target)
+		if _, _, _, moving := r.s.Location(0); !moving || r.s.inFlight != 1 || !r.s.evictBusy[0] {
+			t.Fatalf("target %d: migration did not start: %+v", target, r.s.lut.Get(0))
+		}
+		// The reset reaches the FPC ahead of the flow's final pass (routing
+		// is blocked while moving, so it goes in directly).
+		r.fpcs[0].EnqueueEvent(rst(0))
+		r.k.Run(200)
+		if len(r.freed) != 1 || r.freed[0] != 0 {
+			t.Fatalf("target %d: freed = %v", target, r.freed)
+		}
+		if got := r.s.lut.Get(0); got != (lutEntry{}) {
+			t.Fatalf("target %d: freed flow's LUT entry = %+v, want zero", target, got)
+		}
+		if r.fpcs[0].Has(0) || r.mem.Has(0) {
+			t.Fatalf("target %d: freed flow still resident", target)
+		}
+		r.checkSettled(t)
+
+		// Same ID, new flow: lands on the emptier FPC 0 and routes.
+		r.s.AllocateFlow(estTCB(0))
+		r.s.Submit(flow.Event{Kind: flow.EvUser, Flow: 0, HasReq: true, Req: 1101})
+		r.k.Run(200)
+		if inFPC, at, _, _ := r.s.Location(0); !inFPC || at != 0 || !r.fpcs[0].Has(0) {
+			t.Fatalf("target %d: reallocated flow misplaced: %+v", target, r.s.lut.Get(0))
+		}
+		if r.s.Routed.Total() != 1 || r.s.DroppedEvents.Total() != 0 || r.s.PendingEvents() != 0 {
+			t.Fatalf("target %d: routed=%d dropped=%d pending=%d", target, r.s.Routed.Total(), r.s.DroppedEvents.Total(), r.s.PendingEvents())
+		}
+		r.checkSettled(t)
+	}
+}
+
+// TestFlowFreedWithSwapRequestQueued frees a DRAM flow whose swap-in
+// request is still queued and reallocates the ID: the request bit outlives
+// the free until its queue entry drains (so the new flow's own request
+// dedupes against it), and the stale entry then serves the new flow.
+func TestFlowFreedWithSwapRequestQueued(t *testing.T) {
+	r := newRig(1, 2)
+	for id := flow.ID(1); id <= 3; id++ { // 1, 2 on the FPC; 3 in DRAM
+		r.s.AllocateFlow(estTCB(id))
+	}
+	r.s.RequestSwapIn(3)
+	r.s.FlowFreed(3)
+	if got := r.s.lut.Get(3); got != (lutEntry{swapQueued: true}) {
+		t.Fatalf("after free: %+v, want only the queued-request bit", got)
+	}
+	if r.mem.Has(3) {
+		t.Fatal("freed DRAM flow kept state")
+	}
+
+	fresh := estTCB(3)
+	r.s.AllocateFlow(fresh) // FPC full: DRAM again
+	r.s.RequestSwapIn(3)
+	if r.s.swapReqs.Len() != 1 {
+		t.Fatalf("%d swap requests queued for one flow", r.s.swapReqs.Len())
+	}
+	ok := r.k.RunUntil(func() bool {
+		inFPC, _, _, _ := r.s.Location(3)
+		return inFPC
+	}, 50_000)
+	if !ok || r.s.SwapIns.Total() != 1 {
+		t.Fatalf("stale request did not bring the new flow in (swap-ins=%d, lut=%+v)", r.s.SwapIns.Total(), r.s.lut.Get(3))
+	}
+	r.k.Run(1_000)
+	if got := r.s.lut.Get(3); got != (lutEntry{kind: locFPC}) {
+		t.Fatalf("settled entry = %+v", got)
+	}
+	r.checkSettled(t)
+
+	// A request whose flow is gone by the time it is served just drains.
+	evicted := flow.ID(1) // whichever of 1, 2 made room for 3
+	if r.mem.Has(2) {
+		evicted = 2
+	}
+	if !r.mem.Has(evicted) {
+		t.Fatal("nothing was evicted to DRAM")
+	}
+	r.s.RequestSwapIn(evicted)
+	r.s.FlowFreed(evicted)
+	r.k.Run(1_000)
+	if got := r.s.lut.Get(evicted); got != (lutEntry{}) {
+		t.Fatalf("drained entry = %+v, want zero", got)
+	}
+	if r.s.SwapIns.Total() != 1 || r.s.swapReqs.Len() != 0 {
+		t.Fatalf("stale request for a freed flow was served (swap-ins=%d, queued=%d)", r.s.SwapIns.Total(), r.s.swapReqs.Len())
+	}
+}
+
 func TestReservationAccountingUnderChurn(t *testing.T) {
 	// Sustained swap-in pressure must not leak reservations: the FPC's
-	// flow count plus free slots must stay consistent.
+	// flow count plus free slots must stay consistent. The second row
+	// also terminates flows wherever they are — resident, in DRAM, mid-move,
+	// events pending — and reuses each ID at once.
+	t.Run("swap", func(t *testing.T) { reservationChurn(t, false) })
+	t.Run("swap+free", func(t *testing.T) { reservationChurn(t, true) })
+}
+
+func reservationChurn(t *testing.T, freeFlows bool) {
 	r := newRig(2, 4)
 	for i := 0; i < 32; i++ {
 		r.s.AllocateFlow(estTCB(flow.ID(i)))
@@ -235,14 +375,24 @@ func TestReservationAccountingUnderChurn(t *testing.T) {
 	for i := range req {
 		req[i] = 1001
 	}
-	n := 0
+	n, reused := 0, 0
 	feeding := true
 	r.k.Register(sim.TickerFunc(func(int64) {
+		for _, id := range r.freed { // the engine reuses a freed ID first
+			r.s.AllocateFlow(estTCB(id))
+			req[id] = 1001
+			reused++
+		}
+		r.freed = r.freed[:0]
 		if !feeding {
 			return
 		}
 		id := flow.ID(n % 32)
 		n++
+		if freeFlows && n%97 == 0 {
+			r.s.Submit(rst(id))
+			return
+		}
 		req[id] = req[id].Add(10)
 		r.s.Submit(flow.Event{Kind: flow.EvUser, Flow: id, HasReq: true, Req: req[id], Coalescable: true})
 	}))
@@ -259,13 +409,25 @@ func TestReservationAccountingUnderChurn(t *testing.T) {
 		for i := flow.ID(0); i < 32; i++ {
 			inFPC, fi, inDRAM, moving := r.s.Location(i)
 			if !inFPC && !inDRAM {
-				t.Logf("flow %d: fpc=%v(%d) dram=%v moving=%v migTarget=%+v", i, inFPC, fi, inDRAM, moving, r.s.migrations[i])
+				t.Logf("flow %d: fpc=%v(%d) dram=%v moving=%v lut=%+v", i, inFPC, fi, inDRAM, moving, r.s.lut.Get(i))
 			}
 		}
 		t.Fatalf("flows accounted after quiesce = %d/32 (pending=%d swapQ=%d)", total, r.s.PendingEvents(), r.s.swapReqs.Len())
 	}
+	r.checkSettled(t)
+	for i := flow.ID(0); i < 32; i++ {
+		if e := r.s.lut.Get(i); e.kind != locFPC && e.kind != locDRAM || e.mig != 0 || e.swapQueued || e.pending != 0 {
+			t.Fatalf("flow %d not at rest: %+v", i, e)
+		}
+	}
 	if r.s.SwapIns.Total() == 0 || r.s.Migrations.Total() == 0 {
 		t.Fatal("no migration churn happened — test ineffective")
+	}
+	if freeFlows {
+		if reused < 100 {
+			t.Fatalf("only %d flow IDs reused — test ineffective", reused)
+		}
+		return // an event can reach a freed ID before its reuse and is dropped
 	}
 	if r.s.DroppedEvents.Total() != 0 {
 		t.Fatalf("events dropped: %d", r.s.DroppedEvents.Total())

@@ -23,7 +23,7 @@ func (e *Engine) Instrument(reg *telemetry.Registry, prefix string) {
 	reg.Counter(prefix+".flows_rejected", &e.FlowsRejected)
 	reg.Counter(prefix+".retrans_segs", &e.RetransSegs)
 	reg.Counter(prefix+".oow_rst_drops", &e.OowRstDrops)
-	reg.Gauge(prefix+".flows", func() int64 { return int64(len(e.flows)) })
+	reg.Gauge(prefix+".flows", func() int64 { return int64(e.live) })
 	reg.Gauge(prefix+".rx_queue", func() int64 { return int64(e.rxQueue.Len()) })
 
 	e.sch.Instrument(reg, prefix+".sched")
@@ -43,7 +43,7 @@ func (e *Engine) Instrument(reg *telemetry.Registry, prefix string) {
 // reassembly buffers. Probes are evaluated only at snapshot time.
 func (e *Engine) InstrumentMem(fp *telemetry.Footprint, prefix string) {
 	fp.Add(prefix+".tcb_arena", func() (int64, int64) {
-		return int64(len(e.flows)), e.tcbs.memBytes()
+		return int64(e.live), e.tcbs.memBytes()
 	})
 	fp.Add(prefix+".flow_table", func() (int64, int64) {
 		m := e.parser.Mem()
@@ -87,11 +87,13 @@ func (e *Engine) SetTracer(trc *telemetry.Trace, name string, baseTID int32) int
 // refresh cwnd/RTT/byte-pointer snapshots periodically.
 func (e *Engine) SetFlowTable(ft *telemetry.FlowTable) { e.ft = ft }
 
-// VisitTCBs invokes fn for every live flow's TCB (iteration order is
-// unspecified). Telemetry collectors use this to observe per-flow state;
-// fn must not mutate the TCB.
+// VisitTCBs invokes fn for every live flow's TCB, in ascending flow ID.
+// Telemetry collectors use this to observe per-flow state; fn must not
+// mutate the TCB.
 func (e *Engine) VisitTCBs(fn func(*flow.TCB)) {
-	for _, fm := range e.flows {
-		fn(fm.tcb)
+	for id := 0; id < e.flows.Len(); id++ {
+		if fm := e.flows.Get(flow.ID(id)); fm != nil {
+			fn(fm.tcb)
+		}
 	}
 }

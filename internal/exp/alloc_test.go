@@ -5,12 +5,15 @@ import (
 
 	"f4t/internal/apps"
 	"f4t/internal/cpu"
+	"f4t/internal/engine"
+	"f4t/internal/engine/memmgr"
 )
 
 // bulkRig builds the saturated bulk-transfer pair (the Fig 8a shape) and
-// runs it past connection setup into steady state.
-func bulkRig() (*F4TPair, *apps.BulkSender) {
-	p := NewF4TPair(2, 2, cpu.DefaultCosts(), nil)
+// runs it past connection setup into steady state. carryBytes moves real
+// payload end to end, as the bench's bulk_sat does.
+func bulkRig(carryBytes bool) (*F4TPair, *apps.BulkSender) {
+	p := NewF4TPair(2, 2, cpu.DefaultCosts(), func(c *engine.Config) { c.CarryBytes = carryBytes })
 	sink := apps.NewSink(p.MachB.Threads(), 7003)
 	p.K.Register(sink)
 	p.K.Run(2_000)
@@ -26,7 +29,7 @@ func bulkRig() (*F4TPair, *apps.BulkSender) {
 // the steady-state guard is TestBulkSteadyStateAllocs below.
 func BenchmarkBulkSaturated(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		p, _ := bulkRig()
+		p, _ := bulkRig(false)
 		p.K.Run(500_000)
 	}
 }
@@ -35,8 +38,44 @@ func BenchmarkBulkSaturated(b *testing.B) {
 // with rig construction and warmup excluded — the number schema/4's
 // ns_per_stepped_cycle tracks.
 func BenchmarkBulkSteady(b *testing.B) {
-	p, _ := bulkRig()
+	p, _ := bulkRig(false)
 	p.K.Run(1_000_000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p.K.Run(1_000)
+	}
+}
+
+// echoSwapRig builds the over-subscribed echo pair (Fig 13 past the knee,
+// the bench's echo_swap shape): flows ping-pong 128 B over 1 024 FPC slots
+// on DDR, so every round trip forces a memmgr swap and a sched migration.
+// It returns with every flow established and the swap path warm.
+func echoSwapRig(tb testing.TB) *F4TPair {
+	const cores, port, flows = 8, 9001, 1536 // bench -quick's flow count
+	p := NewF4TPair(cores, cores, cpu.DefaultCosts(), func(c *engine.Config) {
+		c.Memory = memmgr.DDR
+		c.CarryBytes = false
+	})
+	p.K.Register(apps.NewEchoServer(p.MachB.Threads(), port, 128))
+	p.K.Run(2_000)
+	cli := apps.NewEchoClient(p.KA, p.MachA.Threads(), 0, port, 128, flows/cores)
+	p.K.Register(cli)
+	if !RunUntilCoarse(p.K, cli.Ready, 50_000, 5_000_000+int64(flows)*400) {
+		tb.Fatalf("echo ramp: %d/%d flows established", cli.Established(), flows)
+	}
+	// Warm: queues and tables reach steady size within 1 M cycles; the timer
+	// wheel keeps ratcheting its slot arrays up (≈ 25 allocations per 10 k
+	// cycles at 1 M, ≈ 4 at 3 M).
+	p.K.Run(3_000_000)
+	return p
+}
+
+// BenchmarkEchoSwapSteady is BenchmarkBulkSteady for the swap/migration
+// path: the marginal cost of 1 000 cycles of the warmed over-subscribed
+// echo rig.
+func BenchmarkEchoSwapSteady(b *testing.B) {
+	p := echoSwapRig(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -54,16 +93,51 @@ func TestBulkSteadyStateAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation guard needs a warmed rig")
 	}
-	p, _ := bulkRig()
-	p.K.Run(1_000_000) // warm: pools primed, queues at steady depth
+	// CarryBytes on is the bench's bulk_sat, so this guard and the
+	// ledger's host_allocs_per_sim_kcycle measure the same thing.
+	for _, row := range []struct {
+		name       string
+		carryBytes bool
+	}{{"modelled", false}, {"carry-bytes", true}} {
+		t.Run(row.name, func(t *testing.T) {
+			p, _ := bulkRig(row.carryBytes)
+			p.K.Run(1_000_000) // warm: pools primed, queues at steady depth
+
+			avg := testing.AllocsPerRun(20, func() {
+				p.K.Run(10_000)
+			})
+			t.Logf("steady-state allocs per 10k-cycle window: %.2f", avg)
+			// ~7 segments/10k cycles/direction at 1460 B over 100G — anything
+			// near 1 alloc per window means a hot path regressed.
+			if avg > 8 {
+				t.Fatalf("steady-state bulk run allocates %.1f objects per 10k cycles, want ~0", avg)
+			}
+		})
+	}
+}
+
+// TestEchoSwapSteadyStateAllocs pins the zero-allocation swap path: once
+// the over-subscribed echo rig is warm, TCB swap-ins, evictions and
+// DRAM-queue absorbs must not allocate. What remains is amortized growth
+// (latency histogram, timer wheel). The same windows must see swap-ins and
+// migrations advance, so the guard cannot pass on an idle rig.
+func TestEchoSwapSteadyStateAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation guard needs a warmed rig")
+	}
+	p := echoSwapRig(t)
+	sch := p.EngA.Scheduler()
+	swapIns, migrations := sch.SwapIns.Total(), sch.Migrations.Total()
 
 	avg := testing.AllocsPerRun(20, func() {
 		p.K.Run(10_000)
 	})
-	t.Logf("steady-state allocs per 10k-cycle window: %.2f", avg)
-	// ~7 segments/10k cycles/direction at 1460 B over 100G — anything
-	// near 1 alloc per window means a hot path regressed.
+	swapIns, migrations = sch.SwapIns.Total()-swapIns, sch.Migrations.Total()-migrations
+	t.Logf("steady-state allocs per 10k-cycle window: %.2f (%d swap-ins, %d migrations over the windows)", avg, swapIns, migrations)
+	if swapIns < 100 || migrations < 100 {
+		t.Fatalf("swap path idle during the guard: %d swap-ins, %d migrations", swapIns, migrations)
+	}
 	if avg > 8 {
-		t.Fatalf("steady-state bulk run allocates %.1f objects per 10k cycles, want ~0", avg)
+		t.Fatalf("steady-state echo-swap run allocates %.1f objects per 10k cycles, want ~0", avg)
 	}
 }

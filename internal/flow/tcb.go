@@ -91,24 +91,24 @@ type TCB struct {
 	// --- Group A: protocol state owned by the FPU ---
 
 	// Transmit byte-stream pointers (sequence space).
-	ISS    seqnum.Value // initial send sequence
-	SndUna seqnum.Value // oldest unacknowledged byte
-	SndNxt seqnum.Value // next byte to send
-	Req    seqnum.Value // user send-request boundary (paper's REQ)
-	SndWnd uint32       // peer's advertised window (bytes)
-	FinSent bool        // our FIN occupies sequence Req (after data)
-	FinSeq  seqnum.Value // sequence number our FIN occupies, valid when FinSent
-	ClosePending bool   // app called close(); emit FIN once all data is sent
+	ISS          seqnum.Value // initial send sequence
+	SndUna       seqnum.Value // oldest unacknowledged byte
+	SndNxt       seqnum.Value // next byte to send
+	Req          seqnum.Value // user send-request boundary (paper's REQ)
+	SndWnd       uint32       // peer's advertised window (bytes)
+	FinSent      bool         // our FIN occupies sequence Req (after data)
+	FinSeq       seqnum.Value // sequence number our FIN occupies, valid when FinSent
+	ClosePending bool         // app called close(); emit FIN once all data is sent
 
 	// Receive byte-stream pointers.
-	IRS     seqnum.Value // initial receive sequence
-	RcvNxt  seqnum.Value // next in-order byte expected
-	AppRead seqnum.Value // boundary consumed by the application (recv())
-	RcvBuf  uint32       // receive buffer size (advertised window base)
-	RcvFin  bool         // peer's FIN has been received in order
-	PeerFinKnown bool        // a FIN was seen (possibly out of order)
+	IRS          seqnum.Value // initial receive sequence
+	RcvNxt       seqnum.Value // next in-order byte expected
+	AppRead      seqnum.Value // boundary consumed by the application (recv())
+	RcvBuf       uint32       // receive buffer size (advertised window base)
+	RcvFin       bool         // peer's FIN has been received in order
+	PeerFinKnown bool         // a FIN was seen (possibly out of order)
 	PeerFinSeq   seqnum.Value // sequence the peer's FIN occupies
-	DeliveredTo seqnum.Value // boundary already announced to the app
+	DeliveredTo  seqnum.Value // boundary already announced to the app
 
 	// Congestion control.
 	Cwnd       uint32 // congestion window (bytes)
@@ -119,13 +119,13 @@ type TCB struct {
 	CCVars     [CCVarCount]uint64
 
 	// RTT estimation (nanoseconds) and retransmission state.
-	SRTT    int64
-	RTTVar  int64
-	RTO     int64 // current retransmission timeout (ns)
-	Backoff uint8 // exponential backoff shift applied to RTO
-	RTTSeq  seqnum.Value // sequence being timed for an RTT sample
-	RTTSentAt int64      // ns timestamp when RTTSeq was sent
-	RTTTiming bool       // an RTT sample is in flight
+	SRTT      int64
+	RTTVar    int64
+	RTO       int64        // current retransmission timeout (ns)
+	Backoff   uint8        // exponential backoff shift applied to RTO
+	RTTSeq    seqnum.Value // sequence being timed for an RTT sample
+	RTTSentAt int64        // ns timestamp when RTTSeq was sent
+	RTTTiming bool         // an RTT sample is in flight
 
 	// Timer deadlines in ns (0 = disarmed). The FPU arms/disarms these;
 	// the timer module fires Timeout events when they expire.
@@ -160,6 +160,7 @@ type TCB struct {
 	// --- Scheduling metadata (engine bookkeeping, not protocol) ---
 	LastActive int64 // cycle of last event, for coldest-flow eviction
 	EvictFlag  bool  // set when the scheduler requested eviction (§4.3.2)
+	SwapTo     int8  // FPC holding the slot reservation while a DRAM→FPC swap-in's read is in flight
 }
 
 // SndBufBytes returns the bytes of app data queued but not yet sent.

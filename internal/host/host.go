@@ -12,6 +12,7 @@ package host
 
 import (
 	"f4t/internal/cpu"
+	"f4t/internal/seqnum"
 	"f4t/internal/sock"
 	"f4t/internal/wire"
 )
@@ -232,6 +233,19 @@ func (g *gate) recv(max int, try bool) int {
 		return 0
 	}
 	g.th.cost.bill(g.th, callRecv, g.s, n)
+	// Apps take the byte count only, so consume through the count-only
+	// half of the seam: Recv would copy the payload out of the ring into
+	// a fresh slice (with CarryBytes on, one allocation per read) just to
+	// have it dropped here.
+	ptr := g.s.ReadPtr().Add(seqnum.Size(n))
+	if !g.s.PostRecv(ptr) {
+		return 0 // command queue full: nothing consumed, the caller retries
+	}
+	if g.s.ReadPtr() == ptr {
+		return n
+	}
+	// PostRecv declines to advance a closed socket or a freed connection;
+	// Recv still consumes there.
 	_, got := g.s.Recv(n)
 	return got
 }

@@ -10,7 +10,17 @@ type Queue[T any] struct {
 
 // NewQueue returns a FIFO with the given capacity (0 = unbounded).
 func NewQueue[T any](capacity int) *Queue[T] {
-	return &Queue[T]{cap: capacity}
+	q := MakeQueue[T](capacity)
+	return &q
+}
+
+// MakeQueue is NewQueue by value, for a queue embedded in a component
+// that is polled every cycle: its idle predicate then reads the queue
+// lengths off the component's own cache lines instead of chasing one
+// pointer per queue. The zero Queue is a ready unbounded FIFO. A Queue
+// must not be copied once in use.
+func MakeQueue[T any](capacity int) Queue[T] {
+	return Queue[T]{cap: capacity}
 }
 
 // Len returns the number of queued elements.
@@ -76,6 +86,15 @@ func (q *Queue[T]) Scan(fn func(*T) bool) {
 // without the closure Scan requires, which would force its captured
 // locals to escape. The pointer is invalidated by the next Push or Pop.
 func (q *Queue[T]) AtPtr(i int) *T { return &q.buf[q.head+i] }
+
+// Truncate keeps the n oldest elements and discards the rest. Together
+// with AtPtr it lets a caller filter a queue in place — copy each kept
+// element down over the removed ones, then truncate to the kept count —
+// with the survivors' FIFO order intact and no second queue.
+func (q *Queue[T]) Truncate(n int) {
+	clear(q.buf[q.head+n:]) // allow GC of the elements
+	q.buf = q.buf[:q.head+n]
+}
 
 // Reset discards all elements.
 func (q *Queue[T]) Reset() {

@@ -164,3 +164,68 @@ func TestQueueVsOracle(t *testing.T) {
 		}
 	}
 }
+
+// TestQueueFilterInPlace is the AtPtr + Truncate idiom the memory manager
+// uses to drop one flow's events from a queue: with a non-zero head (and
+// across the compaction threshold) the survivors keep FIFO order, the
+// length is exact, the queue still enforces its capacity and accepts
+// pushes, and a by-value queue behaves like a NewQueue one.
+func TestQueueFilterInPlace(t *testing.T) {
+	for _, popped := range []int{0, 3, 70} {
+		q := MakeQueue[int](0)
+		for i := 0; i < 200; i++ {
+			q.Push(i)
+		}
+		for i := 0; i < popped; i++ {
+			q.Pop()
+		}
+		kept := 0
+		for i, n := 0, q.Len(); i < n; i++ {
+			if v := *q.AtPtr(i); v%3 != 0 {
+				*q.AtPtr(kept) = v
+				kept++
+			}
+		}
+		q.Truncate(kept)
+		q.Push(1000)
+		var got, want []int
+		for v, ok := q.Pop(); ok; v, ok = q.Pop() {
+			got = append(got, v)
+		}
+		for i := popped; i < 200; i++ {
+			if i%3 != 0 {
+				want = append(want, i)
+			}
+		}
+		want = append(want, 1000)
+		if len(got) != len(want) {
+			t.Fatalf("popped %d: %d survivors, want %d", popped, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("popped %d: survivor %d = %d, want %d", popped, i, got[i], want[i])
+			}
+		}
+	}
+
+	q := MakeQueue[int](4)
+	for i := 0; i < 4; i++ {
+		q.Push(i)
+	}
+	q.Truncate(1)
+	if q.Len() != 1 || q.Full() {
+		t.Fatalf("after truncate: len=%d full=%v", q.Len(), q.Full())
+	}
+	for i := 0; i < 3; i++ {
+		if !q.Push(i) {
+			t.Fatalf("push %d rejected after truncate", i)
+		}
+	}
+	if q.Push(99) {
+		t.Fatal("capacity not enforced after truncate")
+	}
+	q.Truncate(0)
+	if !q.Empty() {
+		t.Fatal("truncate to zero left elements")
+	}
+}
