@@ -6,6 +6,7 @@ import (
 
 	"f4t/internal/cc"
 	"f4t/internal/flow"
+	"f4t/internal/seqnum"
 	"f4t/internal/wire"
 )
 
@@ -174,6 +175,45 @@ func TestTrackerFlowIDReuseResetsHistory(t *testing.T) {
 	tr.observe(fresh, 200)
 	if len(s.got) != 0 {
 		t.Fatalf("tuple change should reset tracking, got: %v", s.got)
+	}
+}
+
+// TestTrackerSameTupleReincarnation: a flow ID recycled to a new
+// connection on the same tuple (a client reusing its port) is told apart
+// by its ISS, so the new handshake is not checked against the old
+// connection's pointers and state.
+func TestTrackerSameTupleReincarnation(t *testing.T) {
+	var s sinkT
+	tr := newTracker("X", "newreno", 1460, s.sink)
+	tcb := goodTCB(1)
+	tcb.ISS = 999
+	tr.observe(tcb, 100)
+	fresh := goodTCB(1)
+	fresh.ISS = 40
+	fresh.State = flow.StateSynSent
+	fresh.SndUna, fresh.SndNxt, fresh.Req = 40, 41, 41
+	fresh.RcvNxt, fresh.DeliveredTo = 0, 0
+	tr.observe(fresh, 200)
+	if len(s.got) != 0 {
+		t.Fatalf("a new incarnation on the same ID and tuple was checked against its predecessor: %v", s.got)
+	}
+}
+
+// TestTrackerReportsEachIncarnation: the report dedup follows the same
+// incarnation rule, so one violation on a recycled ID does not hide the
+// same invariant on the connections that later carry that ID.
+func TestTrackerReportsEachIncarnation(t *testing.T) {
+	var s sinkT
+	tr := newTracker("X", "newreno", 1460, s.sink)
+	for i, iss := range []seqnum.Value{999, 40} {
+		tcb := goodTCB(1)
+		tcb.ISS = iss
+		tcb.SndUna = 3000 // beyond SndNxt=2000
+		tr.observe(tcb, int64(100*(i+1)))
+		tr.observe(tcb, int64(100*(i+1)+50)) // same incarnation: deduplicated
+	}
+	if len(s.got) != 2 || s.got[0].Cycle != 100 || s.got[1].Cycle != 200 {
+		t.Fatalf("want one snd-una-beyond-nxt per incarnation (cycles 100, 200), got: %v", s.got)
 	}
 }
 

@@ -72,9 +72,10 @@ func init() {
 }
 
 // snap is the per-flow state the tracker compares successive samples
-// against.
+// against. tuple and iss identify the connection incarnation.
 type snap struct {
 	tuple       wire.FourTuple
+	iss         seqnum.Value
 	state       flow.State
 	sndUna      seqnum.Value
 	rcvNxt      seqnum.Value
@@ -98,8 +99,10 @@ func ccActive(st flow.State) bool {
 }
 
 // tracker checks protocol invariants over a stream of TCB observations
-// from one endpoint. Flow IDs may be reused (the engine recycles slots);
-// a tuple change resets that flow's history. alg and mss parameterize
+// from one endpoint. Flow IDs are reused (both substrates recycle them,
+// most recently freed first), and a new connection may reuse its
+// predecessor's tuple too, so an incarnation is the (tuple, ISS) pair: a
+// change of either resets that flow's history. alg and mss parameterize
 // the congestion-control invariants: which program the endpoint runs
 // decides what its Ssthresh is allowed to do.
 type tracker struct {
@@ -108,7 +111,7 @@ type tracker struct {
 	mss      uint32
 	prev     map[flow.ID]snap
 	sink     func(Violation)
-	reported map[string]bool // dedup: one report per (flow, invariant)
+	reported map[reportKey]bool // dedup: one report per (incarnation, invariant)
 
 	// passSeen maps CCVars base addresses to flow IDs within one
 	// VisitTCBs pass (beginPass resets it). Two live flows resolving to
@@ -124,8 +127,17 @@ func newTracker(endpoint, alg string, mss uint32, sink func(Violation)) *tracker
 		mss:      mss,
 		prev:     make(map[flow.ID]snap),
 		sink:     sink,
-		reported: make(map[string]bool),
+		reported: make(map[reportKey]bool),
 	}
+}
+
+// reportKey names one invariant on one incarnation: the same rule the
+// tracker uses for prev, so a recycled ID reports its own violations.
+type reportKey struct {
+	id        flow.ID
+	tuple     wire.FourTuple
+	iss       seqnum.Value
+	invariant string
 }
 
 // beginPass starts a new aliasing-detection window. Call once before
@@ -136,7 +148,7 @@ func (tr *tracker) beginPass() {
 }
 
 func (tr *tracker) report(t *flow.TCB, cycle int64, invariant, detail string) {
-	key := fmt.Sprintf("%d/%s", t.FlowID, invariant)
+	key := reportKey{t.FlowID, t.Tuple, t.ISS, invariant}
 	if tr.reported[key] {
 		return
 	}
@@ -207,8 +219,8 @@ func (tr *tracker) observe(t *flow.TCB, cycle int64) {
 	}
 
 	s, known := tr.prev[t.FlowID]
-	if known && s.tuple != t.Tuple {
-		known = false // slot reused for a different connection
+	if known && (s.tuple != t.Tuple || s.iss != t.ISS) {
+		known = false // ID reused for a different connection
 	}
 	// The receive-side anchors only exist once the handshake has taught
 	// us the peer's ISN: a sample taken in SYN-SENT (or earlier) holds
@@ -258,7 +270,7 @@ func (tr *tracker) observe(t *flow.TCB, cycle int64) {
 		}
 	}
 	tr.prev[t.FlowID] = snap{
-		tuple: t.Tuple, state: t.State,
+		tuple: t.Tuple, iss: t.ISS, state: t.State,
 		sndUna: t.SndUna, rcvNxt: t.RcvNxt,
 		deliveredTo: t.DeliveredTo, backoff: t.Backoff,
 		ssthresh: t.Ssthresh,

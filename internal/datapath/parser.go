@@ -81,7 +81,7 @@ type ParseResult struct {
 // software stack (with CPU costs) drive this same logic.
 type Parser struct {
 	table    *CuckooTable
-	flows    map[flow.ID]*parserFlow
+	flows    flow.Table[*parserFlow]
 	arena    pfArena
 	wndScale uint8
 	rcvBuf   uint32
@@ -93,7 +93,6 @@ type Parser struct {
 func NewParser(maxFlows int, rcvBuf uint32, wndScale uint8, seed uint64) *Parser {
 	return &Parser{
 		table:    NewCuckooTable(maxFlows, seed),
-		flows:    make(map[flow.ID]*parserFlow),
 		wndScale: wndScale,
 		rcvBuf:   rcvBuf,
 	}
@@ -108,7 +107,7 @@ func (p *Parser) Register(t wire.FourTuple, id flow.ID, ring *Ring) bool {
 	}
 	pf := p.arena.alloc()
 	pf.id, pf.ring, pf.rcvBuf = id, ring, p.rcvBuf
-	p.flows[id] = pf
+	p.flows.Set(id, pf)
 	return true
 }
 
@@ -116,21 +115,18 @@ func (p *Parser) Register(t wire.FourTuple, id flow.ID, ring *Ring) bool {
 // arena slot.
 func (p *Parser) Deregister(t wire.FourTuple, id flow.ID) {
 	p.table.Delete(t)
-	if pf := p.flows[id]; pf != nil {
+	if pf := p.flows.Get(id); pf != nil {
 		p.arena.release(pf)
+		p.flows.Clear(id)
 	}
-	delete(p.flows, id)
 }
 
 // Lookup exposes the flow table (used by tests and the engine's RSS).
 func (p *Parser) Lookup(t wire.FourTuple) (flow.ID, bool) { return p.table.Lookup(t) }
 
-// Flows returns the number of registered flows.
-func (p *Parser) Flows() int { return len(p.flows) }
-
 // Ring returns a flow's receive ring (nil in modelled-only mode).
 func (p *Parser) Ring(id flow.ID) *Ring {
-	if f := p.flows[id]; f != nil {
+	if f := p.flows.Get(id); f != nil {
 		return f.ring
 	}
 	return nil
@@ -144,21 +140,23 @@ type ParserMem struct {
 	TableEntries int64 // resident flow-table entries
 	TableBytes   int64 // flow-table slots + stash (allocated, not just used)
 	FlowCount    int64 // registered flows
-	FlowBytes    int64 // parser-flow arena chunks (embedded reassemblers included)
+	FlowBytes    int64 // parser-flow arena chunks (embedded reassemblers included) + the per-ID table
 	ReasmBytes   int64 // out-of-order chunk buffers beyond the embedded structs
 }
 
-// Mem reports the parser's memory accounting. The reassembler scan is
-// O(flows); call it from snapshots, not per packet.
+// Mem reports the parser's memory accounting. The flow scan is O(flows);
+// call it from snapshots, not per packet.
 func (p *Parser) Mem() ParserMem {
 	m := ParserMem{
 		TableEntries: int64(p.table.Len()),
 		TableBytes:   p.table.MemBytes(),
-		FlowCount:    int64(len(p.flows)),
-		FlowBytes:    p.arena.chunks * pfArenaChunk * int64(unsafe.Sizeof(parserFlow{})),
+		FlowBytes:    p.arena.chunks*pfArenaChunk*int64(unsafe.Sizeof(parserFlow{})) + p.flows.MemBytes(),
 	}
-	for _, pf := range p.flows {
-		m.ReasmBytes += pf.reasmStore.MemBytes()
+	for id := 0; id < p.flows.Len(); id++ {
+		if pf := p.flows.Get(flow.ID(id)); pf != nil {
+			m.FlowCount++
+			m.ReasmBytes += pf.reasmStore.MemBytes()
+		}
 	}
 	return m
 }
@@ -174,7 +172,7 @@ func (p *Parser) Parse(pkt *wire.Packet) ParseResult {
 	if !ok {
 		return ParseResult{NoFlow: true}
 	}
-	pf := p.flows[id]
+	pf := p.flows.Get(id)
 	if pf == nil {
 		return ParseResult{NoFlow: true}
 	}

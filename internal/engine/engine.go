@@ -166,10 +166,8 @@ type Engine struct {
 	txRate *sim.ByteRate
 
 	flows     flow.Table[*flowMeta] // the flow directory (nil = no such flow)
-	live      int                   // non-nil entries of flows
 	listeners map[uint16]*listener
-	freeIDs   []flow.ID
-	nextID    flow.ID
+	ids       flow.IDs // live IDs are exactly the non-nil entries of flows
 	rng       *sim.Rand
 	tcbs      tcbArena
 
@@ -330,7 +328,7 @@ func (e *Engine) Mem() *memmgr.Manager { return e.mem }
 func (e *Engine) FPCs() []*fpc.FPC { return e.fpcs }
 
 // FlowCount returns live flows across all locations.
-func (e *Engine) FlowCount() int { return e.live }
+func (e *Engine) FlowCount() int { return e.ids.Live() }
 
 // TCB returns a flow's TCB (tests/diagnostics).
 func (e *Engine) TCB(id flow.ID) *flow.TCB {
@@ -363,25 +361,10 @@ func (e *Engine) RxRing(id flow.ID) *datapath.Ring {
 	return nil
 }
 
-// allocID draws a flow ID from the free list.
-func (e *Engine) allocID() (flow.ID, bool) {
-	if n := len(e.freeIDs); n > 0 {
-		id := e.freeIDs[n-1]
-		e.freeIDs = e.freeIDs[:n-1]
-		return id, true
-	}
-	if int(e.nextID) >= e.cfg.MaxFlows {
-		return 0, false
-	}
-	id := e.nextID
-	e.nextID++
-	return id, true
-}
-
 // newFlow allocates the TCB, directory entry, parser registration and
 // data rings for one connection and places it via the scheduler.
 func (e *Engine) newFlow(tuple wire.FourTuple, channel int, state flow.State) (*flowMeta, bool) {
-	id, ok := e.allocID()
+	id, ok := e.ids.Alloc(e.cfg.MaxFlows)
 	if !ok {
 		return nil, false
 	}
@@ -414,11 +397,10 @@ func (e *Engine) newFlow(tuple wire.FourTuple, channel int, state flow.State) (*
 		fm.fetch = func(seq seqnum.Value, buf []byte) { ring.ReadInto(seq, buf) }
 	}
 	if !e.parser.Register(tuple, id, fm.rxRing) {
-		e.freeIDs = append(e.freeIDs, id)
+		e.ids.Free(id)
 		return nil, false
 	}
 	e.flows.Set(id, fm)
-	e.live++
 	e.sch.AllocateFlow(t)
 	return fm, true
 }
@@ -432,8 +414,7 @@ func (e *Engine) freeFlow(id flow.ID) {
 	e.parser.Deregister(fm.meta.Tuple, id)
 	e.sch.FlowFreed(id)
 	e.flows.Clear(id)
-	e.live--
-	e.freeIDs = append(e.freeIDs, id)
+	e.ids.Free(id)
 }
 
 // DeliverPacket is the wire RX entry point (attach as the link sink).
@@ -905,5 +886,5 @@ func (e *Engine) flushCompletions() {
 
 // String summarizes engine state.
 func (e *Engine) String() string {
-	return fmt.Sprintf("engine{flows=%d fpcs=%d dram=%d}", e.live, len(e.fpcs), e.mem.FlowCount())
+	return fmt.Sprintf("engine{flows=%d fpcs=%d dram=%d}", e.FlowCount(), len(e.fpcs), e.mem.FlowCount())
 }

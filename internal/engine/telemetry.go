@@ -23,7 +23,7 @@ func (e *Engine) Instrument(reg *telemetry.Registry, prefix string) {
 	reg.Counter(prefix+".flows_rejected", &e.FlowsRejected)
 	reg.Counter(prefix+".retrans_segs", &e.RetransSegs)
 	reg.Counter(prefix+".oow_rst_drops", &e.OowRstDrops)
-	reg.Gauge(prefix+".flows", func() int64 { return int64(e.live) })
+	reg.Gauge(prefix+".flows", func() int64 { return int64(e.FlowCount()) })
 	reg.Gauge(prefix+".rx_queue", func() int64 { return int64(e.rxQueue.Len()) })
 
 	e.sch.Instrument(reg, prefix+".sched")
@@ -43,7 +43,7 @@ func (e *Engine) Instrument(reg *telemetry.Registry, prefix string) {
 // reassembly buffers. Probes are evaluated only at snapshot time.
 func (e *Engine) InstrumentMem(fp *telemetry.Footprint, prefix string) {
 	fp.Add(prefix+".tcb_arena", func() (int64, int64) {
-		return int64(e.live), e.tcbs.memBytes()
+		return int64(e.FlowCount()), e.tcbs.memBytes()
 	})
 	fp.Add(prefix+".flow_table", func() (int64, int64) {
 		m := e.parser.Mem()

@@ -7,6 +7,7 @@ import (
 	"f4t/internal/cpu"
 	"f4t/internal/engine"
 	"f4t/internal/engine/memmgr"
+	"f4t/internal/sim"
 )
 
 // bulkRig builds the saturated bulk-transfer pair (the Fig 8a shape) and
@@ -80,6 +81,24 @@ func BenchmarkEchoSwapSteady(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p.K.Run(1_000)
+	}
+}
+
+// BenchmarkChurnSteady is BenchmarkBulkSteady for the connection life
+// cycle: the quick churn rig (2^17 connections over 16 client endpoints)
+// ramped to its plateau, then 10 000 cycles of churn per op — dials,
+// handshakes, FIN and RST teardowns, TIME_WAIT expiries.
+func BenchmarkChurnSteady(b *testing.B) {
+	cfg := QuickChurnConfig()
+	k := sim.New()
+	r := newChurnRig(k, cfg)
+	if !RunUntilCoarse(k, r.rampDone, 25_000, cfg.Budget) {
+		b.Fatalf("churn ramp: %d of %d live after %d cycles", r.driver.live(), cfg.TargetFlows, cfg.Budget)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k.Run(10_000)
 	}
 }
 

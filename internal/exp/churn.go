@@ -235,13 +235,21 @@ func churnClientAddr(i int) (wire.Addr, wire.MAC) {
 		wire.MAC{2, 1, 0, 0, byte(i >> 8), byte(i)}
 }
 
-// ChurnOn runs the churn experiment on any fabric: build the testbed,
-// ramp to the target, sustain the plateau under churn, report counters
-// and a digest. The testbed is bare endpoints on a link, not a
-// core.Build rig, because one node carries many IPs, which core.Net
-// does not model; it is held to the same determinism contract (see
-// package core).
-func ChurnOn(f sim.Fabric, cfg ChurnConfig) *ChurnResult {
+// churnRig is the churn testbed: bare endpoints on a link, not a
+// core.Build rig, because one node carries many IPs, which core.Net does
+// not model; it is held to the same determinism contract (see package
+// core).
+type churnRig struct {
+	cfg                    ChurnConfig
+	link                   *netsim.Link
+	srv                    *stack.Endpoint
+	clients                []*stack.Endpoint
+	serverNode, clientNode *stack.Node
+	driver                 *churnDriver
+}
+
+// newChurnRig builds the testbed on f and registers its components.
+func newChurnRig(f sim.Fabric, cfg ChurnConfig) *churnRig {
 	kA, kB := f.IslandKernel(IslandA), f.IslandKernel(IslandB)
 	link := netsim.NewLinkOn(f, IslandA, IslandB, churnLinkGbps, LinkPropNS, cfg.Seed*2+1)
 
@@ -286,16 +294,27 @@ func ChurnOn(f sim.Fabric, cfg ChurnConfig) *ChurnResult {
 	f.RegisterOn(IslandB, churnNode{serverNode})
 	f.RegisterOn(IslandA, churnNode{clientNode})
 	f.RegisterOn(IslandA, driver)
+	return &churnRig{cfg: cfg, link: link, srv: srv, clients: clients,
+		serverNode: serverNode, clientNode: clientNode, driver: driver}
+}
+
+// rampDone reports the plateau: the driver's conservative live bound and
+// the server's own connection count are both at target. The predicate is
+// observed on a fixed coarse grid; both sides of the rig are
+// deterministic at those cycles on every fabric.
+func (r *churnRig) rampDone() bool {
+	return r.driver.live() >= int64(r.cfg.TargetFlows) && r.srv.Conns() >= r.cfg.TargetFlows
+}
+
+// ChurnOn runs the churn experiment on any fabric: build the testbed,
+// ramp to the target, sustain the plateau under churn, report counters
+// and a digest.
+func ChurnOn(f sim.Fabric, cfg ChurnConfig) *ChurnResult {
+	r := newChurnRig(f, cfg)
+	driver, srv, link := r.driver, r.srv, r.link
 
 	res := &ChurnResult{}
-	// Ramp is done when the driver's conservative live bound and the
-	// server's own connection count are both at target. The predicate is
-	// observed on a fixed coarse grid; both sides of the rig are
-	// deterministic at those cycles on every fabric.
-	rampDone := func() bool {
-		return driver.live() >= int64(cfg.TargetFlows) && srv.Conns() >= cfg.TargetFlows
-	}
-	res.Reached = RunUntilCoarse(f, rampDone, 25_000, cfg.Budget)
+	res.Reached = RunUntilCoarse(f, r.rampDone, 25_000, cfg.Budget)
 	if res.Reached {
 		res.ReachedCycle = f.Now()
 		f.Run(cfg.SustainCycles)
@@ -319,7 +338,7 @@ func ChurnOn(f sim.Fabric, cfg ChurnConfig) *ChurnResult {
 	res.ServerBytesFlow = fp.BytesPerFlow(int64(srv.Conns()))
 
 	var cliRx, cliTx, cliEv, cliRej int64
-	for _, c := range clients {
+	for _, c := range r.clients {
 		cliRx += c.RxPkts
 		cliTx += c.TxPkts
 		cliEv += c.ProcessedEvents
@@ -338,7 +357,7 @@ func ChurnOn(f sim.Fabric, cfg ChurnConfig) *ChurnResult {
 		res.ServerTable.Size, res.ServerTable.Kicks, res.ServerTable.Stashed,
 		res.ServerTable.Resizes, res.ServerTable.FullDrops,
 		link.AtoB.SentPkts, link.AtoB.SentBytes, link.BtoA.SentPkts, link.BtoA.SentBytes,
-		serverNode.DemuxDrops, clientNode.DemuxDrops)
+		r.serverNode.DemuxDrops, r.clientNode.DemuxDrops)
 	return res
 }
 

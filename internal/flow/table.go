@@ -1,5 +1,7 @@
 package flow
 
+import "unsafe"
+
 // Table is a dense per-flow memory: one T per flow ID, indexed directly,
 // as the hardware's location LUT, CAM and TCB store are (§4.3.1–4.3.2,
 // §4.4.2). The zero T means "absent", which is what a missing map key
@@ -41,3 +43,40 @@ func (t *Table[T]) Clear(id ID) {
 // Len is one past the highest ID ever written: every present entry has
 // an ID below it.
 func (t *Table[T]) Len() int { return len(t.rows) }
+
+// MemBytes is the row storage below Len (memory accounting).
+func (t *Table[T]) MemBytes() int64 {
+	var zero T
+	return int64(len(t.rows)) * int64(unsafe.Sizeof(zero))
+}
+
+// IDs allocates the flow IDs that index Tables: freed IDs are reused,
+// most recently freed first, before a new one is drawn, so the ID space —
+// and every Table over it — stays as dense as the live population.
+type IDs struct {
+	free []ID
+	next ID // IDs below next have been drawn
+}
+
+// Alloc draws an ID. It reports false when no freed ID is waiting and
+// ceiling IDs have already been drawn.
+func (a *IDs) Alloc(ceiling int) (ID, bool) {
+	if n := len(a.free); n > 0 {
+		id := a.free[n-1]
+		a.free = a.free[:n-1]
+		return id, true
+	}
+	if int(a.next) >= ceiling {
+		return 0, false
+	}
+	id := a.next
+	a.next++
+	return id, true
+}
+
+// Free returns an ID for reuse; it must be live (drawn and not yet freed).
+func (a *IDs) Free(id ID) { a.free = append(a.free, id) }
+
+// Live is the number of IDs drawn and not yet freed: the live flow count
+// of an owner that frees an ID exactly when it drops the flow.
+func (a *IDs) Live() int { return int(a.next) - len(a.free) }

@@ -100,3 +100,63 @@ func TestTableAgainstMap(t *testing.T) {
 		t.Fatalf("table grew to %d rows for IDs below 300", tb.Len())
 	}
 }
+
+// TestIDsAgainstReference checks the allocator against a restatement of
+// its contract: Alloc returns the most recently freed ID still waiting,
+// else the lowest ID never drawn, else — ceiling IDs drawn — fails; no
+// ID is ever live twice, and Live counts the IDs held.
+func TestIDsAgainstReference(t *testing.T) {
+	const ceiling = 40
+	var ids IDs
+	var live []ID           // allocated, not freed
+	freedAt := map[ID]int{} // freed and waiting → step it was freed at
+	drawn := 0              // IDs below drawn have been handed out once
+	refused := 0
+	seed := uint32(7)
+	next := func(n uint32) uint32 {
+		seed = seed*1664525 + 1013904223
+		return (seed >> 8) % n
+	}
+	for step := 0; step < 5000; step++ {
+		if ids.Live() != len(live) {
+			t.Fatalf("step %d: Live = %d, %d IDs held", step, ids.Live(), len(live))
+		}
+		if len(live) > 0 && next(5) < 2 {
+			i := int(next(uint32(len(live))))
+			id := live[i]
+			live = append(live[:i], live[i+1:]...)
+			ids.Free(id)
+			freedAt[id] = step
+			continue
+		}
+		want, wantOK, last := ID(0), false, -1
+		for id, at := range freedAt {
+			if at > last {
+				want, wantOK, last = id, true, at
+			}
+		}
+		if wantOK {
+			delete(freedAt, want)
+		} else if drawn < ceiling {
+			want, wantOK = ID(drawn), true
+			drawn++
+		}
+		got, ok := ids.Alloc(ceiling)
+		if ok != wantOK || (ok && got != want) {
+			t.Fatalf("step %d: Alloc = %d, %v; want %d, %v", step, got, ok, want, wantOK)
+		}
+		if !ok {
+			refused++
+		} else {
+			for _, id := range live {
+				if id == got {
+					t.Fatalf("step %d: ID %d handed out while live", step, got)
+				}
+			}
+			live = append(live, got)
+		}
+	}
+	if drawn != ceiling || refused == 0 {
+		t.Fatalf("the schedule drew %d of %d IDs and was refused %d times: it must reach the ceiling", drawn, ceiling, refused)
+	}
+}

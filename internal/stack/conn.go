@@ -11,10 +11,12 @@ import (
 
 // Conn is one TCP connection's host-side view: the byte-stream pointers
 // the application manipulates (write/consume) plus the mirrors maintained
-// from stack notifications. It implements sock.Conn.
+// from stack notifications. It implements sock.Conn. The connection's TCB
+// lives inside it, so one connection end is one allocation; applications
+// keep and query a Conn after its flow is freed (and its ID recycled), so
+// Conns are never pooled.
 type Conn struct {
 	ep   *Endpoint
-	TCB  *flow.TCB
 	alg  cc.Algorithm
 	meta datapath.FlowMeta
 
@@ -31,7 +33,7 @@ type Conn struct {
 	// App-side pointers.
 	writePtr    seqnum.Value // next send byte the app will queue
 	readPtr     seqnum.Value // next received byte the app will consume
-	ID          flow.ID      // here among the 4-byte words, no padding: Conn is 104 B (112 B size class)
+	ID          flow.ID      // here among the 4-byte words, no padding: with tcb, Conn is 472 B (480 B size class)
 	ptrsInit    bool
 	closeCalled bool
 
@@ -43,6 +45,8 @@ type Conn struct {
 	// Host.Dial or as a listener's group adopts a passive connection.
 	// Nil on a bare endpoint (tests that only watch the mirrors).
 	host *Host
+
+	tcb flow.TCB
 }
 
 // notify queues one readiness event on the owning thread. Whatever the
@@ -52,6 +56,10 @@ func (c *Conn) notify(kind sock.EventKind) {
 		c.host.Events.Push(kind, c)
 	}
 }
+
+// TCB returns the connection's control block. It stays readable after
+// the flow is freed.
+func (c *Conn) TCB() *flow.TCB { return &c.tcb }
 
 // Established reports handshake completion.
 func (c *Conn) Established() bool { return c.established }
@@ -72,11 +80,11 @@ func (c *Conn) AckedTo() seqnum.Value { return c.ackedTo }
 func (c *Conn) DeliveredTo() seqnum.Value { return c.deliveredTo }
 
 // LocalPort returns the port this connection is bound to.
-func (c *Conn) LocalPort() uint16 { return c.TCB.Tuple.LocalPort }
+func (c *Conn) LocalPort() uint16 { return c.tcb.Tuple.LocalPort }
 
 // Remote returns the peer's address and port.
 func (c *Conn) Remote() (wire.Addr, uint16) {
-	return c.TCB.Tuple.RemoteAddr, c.TCB.Tuple.RemotePort
+	return c.tcb.Tuple.RemoteAddr, c.tcb.Tuple.RemotePort
 }
 
 // SendCap returns the send-buffer capacity.
@@ -88,8 +96,8 @@ func (c *Conn) initPtrs() {
 	if c.ptrsInit {
 		return
 	}
-	c.writePtr = c.TCB.ISS.Add(1)
-	c.readPtr = c.TCB.IRS.Add(1)
+	c.writePtr = c.tcb.ISS.Add(1)
+	c.readPtr = c.tcb.IRS.Add(1)
 	if c.ackedTo == 0 {
 		c.ackedTo = c.writePtr
 	}
@@ -141,6 +149,15 @@ func (c *Conn) send(n int, data []byte) int {
 	return n
 }
 
+// rxRing returns the receive ring the parser fills (nil in modelled
+// mode). A freed connection has none: its ID may belong to another flow.
+func (c *Conn) rxRing() *datapath.Ring {
+	if c.freed {
+		return nil
+	}
+	return c.ep.parser.Ring(c.ID)
+}
+
 // Available returns the in-order received bytes not yet consumed.
 func (c *Conn) Available() int {
 	c.initPtrs()
@@ -161,7 +178,7 @@ func (c *Conn) Recv(max int) ([]byte, int) {
 		return nil, 0
 	}
 	var out []byte
-	if ring := c.ep.parser.Ring(c.ID); ring != nil {
+	if ring := c.rxRing(); ring != nil {
 		out = ring.ReadAt(c.readPtr, n)
 	}
 	c.readPtr = c.readPtr.Add(seqnum.Size(n))
@@ -187,7 +204,7 @@ func (c *Conn) ReadPtr() seqnum.Value { c.initPtrs(); return c.readPtr }
 // consuming them (the consume is PostRecv). The caller must keep
 // [ptr, ptr+len(buf)) within [readPtr, DeliveredTo).
 func (c *Conn) ReadAt(ptr seqnum.Value, buf []byte) {
-	if ring := c.ep.parser.Ring(c.ID); ring != nil {
+	if ring := c.rxRing(); ring != nil {
 		ring.ReadInto(ptr, buf)
 	}
 }

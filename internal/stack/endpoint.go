@@ -49,9 +49,9 @@ type Endpoint struct {
 	timers *timerq.Queue
 	tx     func(*wire.Packet)
 
-	conns     map[flow.ID]*Conn
+	ids       flow.IDs // live IDs are exactly the non-nil rows of conns
+	conns     flow.Table[*Conn]
 	listeners map[uint16]func(*Conn)
-	nextID    flow.ID
 	nextPort  uint16
 	rng       *sim.Rand
 
@@ -61,11 +61,11 @@ type Endpoint struct {
 	actions tcpproc.Actions // scratch, reused across processing passes
 
 	// Stats.
-	RxPkts, TxPkts       int64
-	RxNoFlow, RxDropped  int64
-	RxOowRsts            int64 // inbound RSTs dropped by sequence validation
-	FlowsRejected        int64 // opens refused: MaxFlows reached or flow table full
-	ProcessedEvents      int64
+	RxPkts, TxPkts      int64
+	RxNoFlow, RxDropped int64
+	RxOowRsts           int64 // inbound RSTs dropped by sequence validation
+	FlowsRejected       int64 // opens refused: MaxFlows reached or flow table full
+	ProcessedEvents     int64
 }
 
 // New builds an endpoint. tx is the wire transmit function (attach the
@@ -88,7 +88,6 @@ func New(k *sim.Kernel, opt Options, tx func(*wire.Packet)) *Endpoint {
 		arp:       datapath.NewARP(opt.IP, opt.MAC),
 		timers:    timerq.New(),
 		tx:        tx,
-		conns:     make(map[flow.ID]*Conn),
 		listeners: make(map[uint16]func(*Conn)),
 		rng:       sim.NewRand(opt.Seed + 2),
 		arpWait:   make(map[wire.Addr][]*wire.Packet),
@@ -108,13 +107,15 @@ func (e *Endpoint) SetTx(tx func(*wire.Packet)) { e.tx = tx }
 func (e *Endpoint) LearnPeer(ip wire.Addr, mac wire.MAC) { e.arp.Learn(ip, mac) }
 
 // Conns returns the number of live connections.
-func (e *Endpoint) Conns() int { return len(e.conns) }
+func (e *Endpoint) Conns() int { return e.ids.Live() }
 
-// VisitTCBs visits every live connection's TCB (conformance trackers;
-// same shape as engine.VisitTCBs). Iteration order is unspecified.
+// VisitTCBs visits every live connection's TCB in ascending flow ID
+// (conformance trackers; same shape as engine.VisitTCBs).
 func (e *Endpoint) VisitTCBs(visit func(*flow.TCB)) {
-	for _, c := range e.conns {
-		visit(c.TCB)
+	for id := 0; id < e.conns.Len(); id++ {
+		if c := e.conns.Get(flow.ID(id)); c != nil {
+			visit(&c.tcb)
+		}
 	}
 }
 
@@ -162,22 +163,12 @@ func (e *Endpoint) Dial(remote wire.Addr, remotePort uint16) *Conn {
 // the flow table refuses the tuple; callers must abort the open cleanly
 // (Dial returns nil, the passive path answers the SYN with a RST).
 func (e *Endpoint) newConn(tuple wire.FourTuple) *Conn {
-	if len(e.conns) >= e.Opt.MaxFlows {
+	if e.Conns() >= e.Opt.MaxFlows {
 		e.FlowsRejected++
 		return nil
 	}
-	e.nextID++
-	id := e.nextID
+	id, _ := e.ids.Alloc(e.Opt.MaxFlows) // cannot fail: fewer than MaxFlows drawn IDs are live
 	iss := seqnum.Value(e.rng.Uint32())
-	t := &flow.TCB{
-		FlowID: id,
-		Tuple:  tuple,
-		State:  flow.StateClosed,
-		ISS:    iss,
-		SndUna: iss, SndNxt: iss, Req: iss,
-		RcvBuf: e.Opt.Cfg.RcvBuf,
-	}
-	t.AckedToHost = iss.Add(1)
 	var rxRing, txRing *datapath.Ring
 	if e.Opt.CarryBytes {
 		size := 1
@@ -187,19 +178,28 @@ func (e *Endpoint) newConn(tuple wire.FourTuple) *Conn {
 		rxRing = datapath.NewRing(size)
 		txRing = datapath.NewRing(size)
 	}
-	c := &Conn{
-		ep:     e,
-		ID:     id,
-		TCB:    t,
-		alg:    cc.MustNew(e.Opt.Alg),
-		txRing: txRing,
-	}
-	c.meta = datapath.FlowMeta{Tuple: tuple, LocalMAC: e.Opt.MAC}
 	if !e.parser.Register(tuple, id, rxRing) {
+		e.ids.Free(id)
 		e.FlowsRejected++
 		return nil
 	}
-	e.conns[id] = c
+	c := &Conn{
+		ep:     e,
+		ID:     id,
+		alg:    cc.MustNew(e.Opt.Alg),
+		meta:   datapath.FlowMeta{Tuple: tuple, LocalMAC: e.Opt.MAC},
+		txRing: txRing,
+		tcb: flow.TCB{
+			FlowID: id,
+			Tuple:  tuple,
+			State:  flow.StateClosed,
+			ISS:    iss,
+			SndUna: iss, SndNxt: iss, Req: iss,
+			RcvBuf:      e.Opt.Cfg.RcvBuf,
+			AckedToHost: iss.Add(1),
+		},
+	}
+	e.conns.Set(id, c)
 	return c
 }
 
@@ -207,13 +207,13 @@ func (e *Endpoint) newConn(tuple wire.FourTuple) *Conn {
 // (per-event processing — the software stack has no accumulation
 // hardware).
 func (e *Endpoint) Inject(c *Conn, ev *flow.Event) {
-	if c == nil || c.TCB == nil {
+	if c == nil {
 		return
 	}
 	e.ProcessedEvents++
 	var row flow.EventRow
 	row.Accumulate(ev)
-	row.MergeInto(c.TCB)
+	row.MergeInto(&c.tcb)
 	e.runProcess(c)
 }
 
@@ -221,7 +221,7 @@ func (e *Endpoint) Inject(c *Conn, ev *flow.Event) {
 // actions: packet generation, host notifications, timer sync.
 func (e *Endpoint) runProcess(c *Conn) {
 	e.actions.Reset()
-	tcpproc.Process(c.TCB, c.alg, &e.Opt.Cfg, e.K.NowNS(), &e.actions)
+	tcpproc.Process(&c.tcb, c.alg, &e.Opt.Cfg, e.K.NowNS(), &e.actions)
 
 	for i := range e.actions.Segs {
 		e.emitSegment(c, &e.actions.Segs[i])
@@ -232,7 +232,7 @@ func (e *Endpoint) runProcess(c *Conn) {
 	if e.actions.OowRstDropped {
 		e.RxOowRsts++
 	}
-	e.timers.SyncFromTCB(c.TCB)
+	e.timers.SyncFromTCB(&c.tcb)
 	if e.actions.FreeFlow {
 		e.free(c)
 	}
@@ -306,10 +306,14 @@ func (e *Endpoint) applyNote(c *Conn, n *tcpproc.Note) {
 	}
 }
 
-// free releases all per-flow state.
+// free releases all per-flow state and recycles the flow ID. The Conn
+// itself stays valid for the application (its mirrors, tuple and TCB are
+// read after free), but nothing reaches it by ID any more.
 func (e *Endpoint) free(c *Conn) {
 	e.parser.Deregister(c.meta.Tuple, c.ID)
-	delete(e.conns, c.ID)
+	e.conns.Clear(c.ID)
+	e.timers.Forget(c.ID)
+	e.ids.Free(c.ID)
 	c.freed = true
 }
 
@@ -350,7 +354,7 @@ func (e *Endpoint) handleTCP(pkt *wire.Packet) {
 					return
 				}
 				c.passive = true
-				c.TCB.State = flow.StateListen
+				c.tcb.State = flow.StateListen
 				c.meta.PeerMAC = pkt.Eth.Src
 				e.arp.Learn(pkt.IP.Src, pkt.Eth.Src)
 				if res = e.parser.Parse(pkt); !res.NoFlow {
@@ -369,7 +373,7 @@ func (e *Endpoint) handleTCP(pkt *wire.Packet) {
 	if res.Dropped {
 		e.RxDropped++
 	}
-	if c := e.conns[res.Event.Flow]; c != nil {
+	if c := e.conns.Get(res.Event.Flow); c != nil {
 		e.Inject(c, &res.Event)
 	}
 }
@@ -399,16 +403,21 @@ func (e *Endpoint) sendRST(pkt *wire.Packet) {
 }
 
 // ExpireTimers fires all due timer events. Call it periodically (the
-// harness ticks it every cycle; the heap peek is O(1) when idle).
+// harness ticks it every cycle). It is event-driven like the engine's
+// timer module: while the earliest deadline is in the future, nothing is
+// due and it returns without advancing the wheel.
 func (e *Endpoint) ExpireTimers() {
 	now := e.K.NowNS()
+	if d := e.timers.NextDeadline(); d == 0 || d > now {
+		return
+	}
 	e.timers.Expire(now, func(id flow.ID) *flow.TCB {
-		if c := e.conns[id]; c != nil {
-			return c.TCB
+		if c := e.conns.Get(id); c != nil {
+			return &c.tcb
 		}
 		return nil
 	}, func(id flow.ID, kind uint8) {
-		c := e.conns[id]
+		c := e.conns.Get(id)
 		if c == nil {
 			return
 		}
@@ -441,13 +450,17 @@ func (e *Endpoint) NextTimerCycle(now int64) int64 {
 func (e *Endpoint) TableStats() datapath.CuckooStats { return e.parser.TableStats() }
 
 // InstrumentMem registers the endpoint's per-connection memory probes on
-// a footprint accountant: connection control blocks plus the parser's
+// a footprint accountant: connections (TCB inside) and their per-ID
+// table, the timer module's Forget watermarks, and the parser's
 // table/arena/reassembly storage.
 func (e *Endpoint) InstrumentMem(fp *telemetry.Footprint, prefix string) {
-	connBytes := int64(unsafe.Sizeof(Conn{}) + unsafe.Sizeof(flow.TCB{}))
+	connBytes := int64(unsafe.Sizeof(Conn{}))
 	fp.Add(prefix+".conns", func() (int64, int64) {
-		n := int64(len(e.conns))
-		return n, n * connBytes
+		n := int64(e.Conns())
+		return n, n*connBytes + e.conns.MemBytes()
+	})
+	fp.Add(prefix+".timer_marks", func() (int64, int64) {
+		return int64(e.Conns()), e.timers.MarkBytes()
 	})
 	fp.Add(prefix+".flow_table", func() (int64, int64) {
 		m := e.parser.Mem()
@@ -473,10 +486,10 @@ func (e *Endpoint) Ping(ip wire.Addr, id, seq uint16, payload []byte) bool {
 		return false
 	}
 	e.transmit(&wire.Packet{
-		Kind: wire.KindICMP,
-		Eth:  wire.EthHeader{Src: e.Opt.MAC, Dst: mac, Type: wire.EtherTypeIPv4},
-		IP:   wire.IPv4Header{Src: e.Opt.IP, Dst: ip, TTL: wire.DefaultTTL, Protocol: wire.ProtoICMP},
-		ICMP: wire.ICMPEcho{Type: wire.ICMPEchoRequest, ID: id, Seq: seq},
+		Kind:       wire.KindICMP,
+		Eth:        wire.EthHeader{Src: e.Opt.MAC, Dst: mac, Type: wire.EtherTypeIPv4},
+		IP:         wire.IPv4Header{Src: e.Opt.IP, Dst: ip, TTL: wire.DefaultTTL, Protocol: wire.ProtoICMP},
+		ICMP:       wire.ICMPEcho{Type: wire.ICMPEchoRequest, ID: id, Seq: seq},
 		PayloadLen: len(payload), Payload: payload,
 	})
 	return true

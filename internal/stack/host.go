@@ -57,7 +57,7 @@ func (h *Host) Listen(port uint16) bool {
 // accept adopts a freshly established passive connection onto the
 // thread its flow hashes to; the endpoint then queues EvAccepted there.
 func (h *Host) accept(c *Conn) {
-	t := h.group[c.TCB.Tuple.Hash()%uint64(len(h.group))]
+	t := h.group[c.tcb.Tuple.Hash()%uint64(len(h.group))]
 	c.host = t
 	if t.OnAccept != nil {
 		t.OnAccept()

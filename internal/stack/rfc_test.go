@@ -13,7 +13,7 @@ import (
 // craftRST builds a reset aimed at conn c's local endpoint, claiming to
 // come from its peer, with the given sequence number.
 func craftRST(c *Conn, srcMAC, dstMAC wire.MAC, seq seqnum.Size) *wire.Packet {
-	tp := c.TCB.Tuple
+	tp := c.TCB().Tuple
 	return &wire.Packet{
 		Kind: wire.KindTCP,
 		Eth:  wire.EthHeader{Src: srcMAC, Dst: dstMAC, Type: wire.EtherTypeIPv4},
@@ -23,7 +23,7 @@ func craftRST(c *Conn, srcMAC, dstMAC wire.MAC, seq seqnum.Size) *wire.Packet {
 		},
 		TCP: wire.TCPHeader{
 			SrcPort: tp.RemotePort, DstPort: tp.LocalPort,
-			Seq: c.TCB.RcvNxt.Add(seq), Flags: wire.FlagRST,
+			Seq: c.TCB().RcvNxt.Add(seq), Flags: wire.FlagRST,
 		},
 	}
 }
@@ -82,8 +82,8 @@ func TestEphemeralPortWrapAndCollision(t *testing.T) {
 	remote := p.b.Opt.IP
 
 	c1 := p.a.Dial(remote, 80)
-	if c1 == nil || c1.TCB.Tuple.LocalPort != 32769 {
-		t.Fatalf("first dial port = %d, want 32769", c1.TCB.Tuple.LocalPort)
+	if c1 == nil || c1.TCB().Tuple.LocalPort != 32769 {
+		t.Fatalf("first dial port = %d, want 32769", c1.TCB().Tuple.LocalPort)
 	}
 
 	// Force the counter to the top of the range: the next allocations
@@ -91,27 +91,27 @@ func TestEphemeralPortWrapAndCollision(t *testing.T) {
 	p.a.nextPort = 65534
 	c2 := p.a.Dial(remote, 80)
 	c3 := p.a.Dial(remote, 80)
-	if c2.TCB.Tuple.LocalPort != 65535 {
-		t.Fatalf("pre-wrap port = %d, want 65535", c2.TCB.Tuple.LocalPort)
+	if c2.TCB().Tuple.LocalPort != 65535 {
+		t.Fatalf("pre-wrap port = %d, want 65535", c2.TCB().Tuple.LocalPort)
 	}
-	if got := c3.TCB.Tuple.LocalPort; got < ephemeralBase {
+	if got := c3.TCB().Tuple.LocalPort; got < ephemeralBase {
 		t.Fatalf("allocation wrapped into reserved ports: %d", got)
 	}
 
 	// Rewind the counter onto a live connection's port: Dial must skip
 	// the occupied tuple instead of colliding.
-	p.a.nextPort = c1.TCB.Tuple.LocalPort - 1
+	p.a.nextPort = c1.TCB().Tuple.LocalPort - 1
 	c4 := p.a.Dial(remote, 80)
-	if c4.TCB.Tuple.LocalPort == c1.TCB.Tuple.LocalPort {
+	if c4.TCB().Tuple.LocalPort == c1.TCB().Tuple.LocalPort {
 		t.Fatal("Dial reused a port with a live connection on the same tuple")
 	}
 
 	// A different remote port is a different tuple space: no conflict,
 	// the same local port is fair game.
-	p.a.nextPort = c1.TCB.Tuple.LocalPort - 1
+	p.a.nextPort = c1.TCB().Tuple.LocalPort - 1
 	c5 := p.a.Dial(remote, 443)
-	if c5 == nil || c5.TCB.Tuple.LocalPort != c1.TCB.Tuple.LocalPort {
-		t.Fatalf("distinct remote port needlessly avoided local port %d", c1.TCB.Tuple.LocalPort)
+	if c5 == nil || c5.TCB().Tuple.LocalPort != c1.TCB().Tuple.LocalPort {
+		t.Fatalf("distinct remote port needlessly avoided local port %d", c1.TCB().Tuple.LocalPort)
 	}
 }
 
@@ -127,8 +127,8 @@ func TestDialChurnWrapsPortSpace(t *testing.T) {
 		if c == nil {
 			t.Fatalf("dial %d returned nil with only one live conn", i)
 		}
-		if c.TCB.Tuple.LocalPort < ephemeralBase {
-			t.Fatalf("dial %d allocated reserved port %d", i, c.TCB.Tuple.LocalPort)
+		if c.TCB().Tuple.LocalPort < ephemeralBase {
+			t.Fatalf("dial %d allocated reserved port %d", i, c.TCB().Tuple.LocalPort)
 		}
 		c.Abort()
 	}

@@ -2,6 +2,7 @@ package stack
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"f4t/internal/netsim"
@@ -347,7 +348,7 @@ func TestZeroWindowAndProbe(t *testing.T) {
 
 	// The receiver's window must pinch shut near its buffer size.
 	p.run(t, func() bool { return srv.Available() >= 500*1024 }, 50_000_000, "buffer fill")
-	if w := srv.TCB.AdvertisedWindow(); w > 16*1024 {
+	if w := srv.TCB().AdvertisedWindow(); w > 16*1024 {
 		t.Fatalf("advertised window = %d, expected near-zero", w)
 	}
 
@@ -648,7 +649,7 @@ func TestDCTCPOverECNMarkingLink(t *testing.T) {
 		t.Fatalf("packets dropped (%d) despite ECN marking", link.AtoB.DroppedPkts)
 	}
 	// The sender saw the feedback: alpha must be non-zero.
-	if alpha := cli.TCB.CCVars[0]; alpha == 0 {
+	if alpha := cli.TCB().CCVars[0]; alpha == 0 {
 		t.Fatal("DCTCP alpha never moved — ECE feedback path broken")
 	}
 }
@@ -709,5 +710,92 @@ func TestNodeDemux(t *testing.T) {
 	if ny.DemuxDrops != 0 || y.RxPkts != rxY+1 || y.RxNoFlow != 1 {
 		t.Fatalf("one-endpoint node: drops=%d rx %d→%d noflow=%d; want the frame handed to its endpoint",
 			ny.DemuxDrops, rxY, y.RxPkts, y.RxNoFlow)
+	}
+}
+
+// TestRecycledIDIgnoresStaleTimers: a flow freed with its retransmission
+// entry still queued hands its ID to the next dial, and that entry must
+// not reach the new flow. Every segment is lost, three dials at cycle 0
+// arm the same deadline (old, bystander, new — in that order), and the
+// order of the SYN retransmissions shows whose entries fired: the
+// bystander's before the new flow's in every round. An entry of the old
+// flow firing for the new one would put the new flow first instead.
+func TestRecycledIDIgnoresStaleTimers(t *testing.T) {
+	p := newPair(t, false, "newreno")
+	p.a.Opt.Cfg.InitialRTO = 100_000 // RTO rounds at 100, 300 and 700 µs
+	p.a.LearnPeer(p.b.Opt.IP, p.b.Opt.MAC)
+	var retrans []uint16 // source port of every retransmitted SYN, in send order
+	p.a.SetTx(func(pkt *wire.Packet) {
+		if pkt.TCP.Flags == wire.FlagSYN && p.k.Now() > 0 {
+			retrans = append(retrans, pkt.TCP.SrcPort)
+		}
+	})
+	old := p.a.Dial(p.b.Opt.IP, 80)
+	by := p.a.Dial(p.b.Opt.IP, 80)
+	old.Abort()
+	cur := p.a.Dial(p.b.Opt.IP, 80)
+	if !old.freed || cur.ID != old.ID {
+		t.Fatalf("dial after abort drew ID %d, want the freed %d (freed=%v)", cur.ID, old.ID, old.freed)
+	}
+	p.k.Run(200_000) // 800 µs
+
+	var want []uint16
+	for round := 0; round < 3; round++ {
+		want = append(want, by.LocalPort(), cur.LocalPort())
+	}
+	if fmt.Sprint(retrans) != fmt.Sprint(want) {
+		t.Fatalf("SYN retransmissions from ports %v, want %v (bystander %d, recycled-ID flow %d)",
+			retrans, want, by.LocalPort(), cur.LocalPort())
+	}
+}
+
+// TestConnLifecycleAllocs pins a connection end at one allocation: once
+// the endpoints are warm (flow tables, parser arena, timer wheel, packet
+// pool), dialing, establishing and tearing down a connection — by FIN
+// and TIME_WAIT or by RST, alternately — allocates the two Conns, TCB
+// inside, and nothing else. It does not hold under -race, whose runtime
+// drops sync.Pool entries (the packet pool) at random: skip it by name
+// there.
+func TestConnLifecycleAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation guard needs warmed endpoints")
+	}
+	p := newPair(t, false, "newreno")
+	p.a.Opt.Cfg.TimeWaitDur = 50_000
+	p.b.Opt.Cfg.TimeWaitDur = 50_000
+	var cli, srv *Conn
+	p.b.Listen(80, func(c *Conn) { srv = c })
+	up := func() bool { return cli.Established() && srv != nil && srv.Established() }
+	peerClosed := func() bool { return srv.PeerClosed() }
+	gone := func() bool { return p.a.Conns() == 0 && p.b.Conns() == 0 }
+	n := 0
+	lifecycle := func() {
+		srv = nil
+		cli = p.a.Dial(p.b.Opt.IP, 80)
+		if !p.k.RunUntil(up, 100_000) {
+			t.Fatal("handshake timed out")
+		}
+		if n++; n%2 == 0 {
+			cli.Abort()
+		} else {
+			cli.Close()
+			if !p.k.RunUntil(peerClosed, 100_000) {
+				t.Fatal("FIN never reached the server")
+			}
+			srv.Close()
+		}
+		if !p.k.RunUntil(gone, 1_000_000) {
+			t.Fatalf("connection state not released: %d/%d conns", p.a.Conns(), p.b.Conns())
+		}
+	}
+	// The timer wheel ratchets its slot arrays up for a few hundred life
+	// cycles before every slot it touches has one large enough.
+	for i := 0; i < 512; i++ {
+		lifecycle()
+	}
+	avg := testing.AllocsPerRun(64, lifecycle)
+	t.Logf("allocations per connection life cycle: %.2f", avg)
+	if avg > 2 {
+		t.Fatalf("a connection's life cycle allocates %.2f objects, want ≤ 2 (one per end)", avg)
 	}
 }

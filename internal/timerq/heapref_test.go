@@ -10,10 +10,12 @@ import "f4t/internal/flow"
 // of same-advance entries differs (the heap's at-ties are unspecified,
 // the wheel's are arm-order).
 type heapQueue struct {
-	h []entry
+	h      []entry
+	seq    uint64
+	forgot map[flow.ID]uint64 // Forget watermarks: arm seq at the last Forget
 }
 
-func newHeapQueue() *heapQueue { return &heapQueue{} }
+func newHeapQueue() *heapQueue { return &heapQueue{forgot: map[flow.ID]uint64{}} }
 
 func (q *heapQueue) Len() int { return len(q.h) }
 
@@ -21,8 +23,11 @@ func (q *heapQueue) Arm(id flow.ID, kind uint8, at int64) {
 	if at <= 0 {
 		return
 	}
-	q.push(entry{at: at, id: id, kind: kind})
+	q.seq++
+	q.push(entry{at: at, seq: q.seq, id: id, kind: kind})
 }
+
+func (q *heapQueue) Forget(id flow.ID) { q.forgot[id] = q.seq }
 
 func (q *heapQueue) SyncFromTCB(t *flow.TCB) {
 	q.Arm(t.FlowID, flow.TORetrans, t.RetransAt)
@@ -35,6 +40,9 @@ func (q *heapQueue) SyncFromTCB(t *flow.TCB) {
 func (q *heapQueue) Expire(nowNS int64, lookup func(flow.ID) *flow.TCB, fire func(id flow.ID, kind uint8)) {
 	for len(q.h) > 0 && q.h[0].at <= nowNS {
 		e := q.pop()
+		if e.seq <= q.forgot[e.id] {
+			continue
+		}
 		t := lookup(e.id)
 		if t == nil {
 			continue

@@ -95,6 +95,10 @@ type Queue struct {
 	n   int
 	seq uint64
 
+	// forgot is each flow ID's arm-sequence watermark: entries armed at or
+	// below it belong to an earlier holder of a recycled ID (Forget).
+	forgot flow.Table[uint64]
+
 	// Cached earliest pending deadline. Arm keeps it fresh (a new
 	// earlier deadline just lowers it); any removal invalidates it and
 	// NextDeadline recomputes from the wheel.
@@ -133,6 +137,16 @@ func (q *Queue) Arm(id flow.ID, kind uint8, at int64) {
 		q.minAt = at
 	}
 }
+
+// Forget retires every entry armed so far for id: its flow is gone, and
+// the ID may be handed to a new flow whose deadlines must not meet the
+// old one's entries. They stay queued (Len and NextDeadline still count
+// them, as they count any stale entry) and are discarded at expiry
+// without a lookup — what a lookup that finds no flow does.
+func (q *Queue) Forget(id flow.ID) { q.forgot.Set(id, q.seq) }
+
+// MarkBytes is the storage of the Forget watermarks (memory accounting).
+func (q *Queue) MarkBytes() int64 { return q.forgot.MemBytes() }
 
 // SyncFromTCB arms entries for every non-zero deadline in the TCB. Call
 // after a processing pass; stale earlier entries are filtered at expiry.
@@ -184,7 +198,8 @@ func (q *Queue) insert(e entry) {
 // Expire advances the wheel to nowNS, pops every entry due at or before
 // it, validates each against the flow's current deadline via lookup, and
 // invokes fire for the live ones in (deadline, arm-order) order. lookup
-// returns nil for freed flows (entries are discarded).
+// returns nil for freed flows (entries are discarded); it is not asked
+// about entries a Forget retired.
 func (q *Queue) Expire(nowNS int64, lookup func(flow.ID) *flow.TCB, fire func(id flow.ID, kind uint8)) {
 	prev := q.now
 	q.now = nowNS
@@ -222,6 +237,9 @@ func (q *Queue) Expire(nowNS int64, lookup func(flow.ID) *flow.TCB, fire func(id
 	sortDue(due)
 	for i := range due {
 		e := &due[i]
+		if e.seq <= q.forgot.Get(e.id) {
+			continue
+		}
 		t := lookup(e.id)
 		if t == nil {
 			continue

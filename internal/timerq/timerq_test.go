@@ -1,6 +1,7 @@
 package timerq
 
 import (
+	"fmt"
 	"testing"
 
 	"f4t/internal/flow"
@@ -98,5 +99,56 @@ func TestNextDeadline(t *testing.T) {
 	q.Arm(2, flow.TOProbe, 300)
 	if q.NextDeadline() != 300 {
 		t.Fatalf("next = %d", q.NextDeadline())
+	}
+}
+
+// TestForgetDiscardsEarlierArms: entries armed for an ID before Forget
+// never fire — not even against a new holder of the ID whose deadlines
+// match theirs — while entries armed after it, and other flows' entries,
+// do; the retired entries stay counted in Len and NextDeadline until
+// they expire, like any stale entry.
+func TestForgetDiscardsEarlierArms(t *testing.T) {
+	q := New()
+	other := &flow.TCB{FlowID: 5, RetransAt: 100}
+	q.SyncFromTCB(&flow.TCB{FlowID: 4, RetransAt: 100, DelAckAt: 40}) // the ID's first holder
+	q.SyncFromTCB(other)
+	q.Forget(4)
+	cur := &flow.TCB{FlowID: 4, RetransAt: 100, DelAckAt: 40} // its next holder
+	q.SyncFromTCB(cur)
+	tcbs := map[flow.ID]*flow.TCB{4: cur, 5: other}
+	if q.Len() != 5 || q.NextDeadline() != 40 {
+		t.Fatalf("Len=%d NextDeadline=%d, want 5 and 40", q.Len(), q.NextDeadline())
+	}
+
+	var fired []string
+	fire := func(id flow.ID, kind uint8) { fired = append(fired, fmt.Sprintf("%d/%d", id, kind)) }
+	q.Expire(50, lookup(tcbs), fire)
+	if want := fmt.Sprintf("[4/%d]", flow.TODelAck); fmt.Sprint(fired) != want {
+		t.Fatalf("fired %v at 50, want %s", fired, want)
+	}
+	if q.Len() != 3 || q.NextDeadline() != 100 {
+		t.Fatalf("Len=%d NextDeadline=%d after 50, want 3 and 100", q.Len(), q.NextDeadline())
+	}
+	fired = nil
+	q.Expire(100, lookup(tcbs), fire)
+	if want := fmt.Sprintf("[5/%d 4/%d]", flow.TORetrans, flow.TORetrans); fmt.Sprint(fired) != want {
+		t.Fatalf("fired %v at 100, want %s", fired, want)
+	}
+
+	// A second recycling: only what is armed after the latest Forget fires.
+	q.Arm(4, flow.TOProbe, 150)
+	q.Forget(4)
+	*cur = flow.TCB{FlowID: 4, ProbeAt: 200}
+	q.SyncFromTCB(cur)
+	if q.Len() != 2 || q.NextDeadline() != 150 {
+		t.Fatalf("Len=%d NextDeadline=%d after the second Forget, want 2 and 150", q.Len(), q.NextDeadline())
+	}
+	fired = nil
+	q.Expire(300, lookup(tcbs), fire)
+	if want := fmt.Sprintf("[4/%d]", flow.TOProbe); fmt.Sprint(fired) != want {
+		t.Fatalf("fired %v at 300, want %s", fired, want)
+	}
+	if q.Len() != 0 || q.NextDeadline() != 0 {
+		t.Fatalf("Len=%d NextDeadline=%d at the end, want 0 and 0", q.Len(), q.NextDeadline())
 	}
 }

@@ -19,10 +19,41 @@ type timerStore interface {
 }
 
 // TestWheelMatchesHeap drives the wheel and the reference heap through
-// identical randomized arm/re-arm/advance schedules and asserts they
-// fire the same (id, kind) sets at the same deadlines, report the same
-// NextDeadline, and hold the same number of pending entries throughout.
+// identical randomized schedules (see wheelMatchesHeap) from four seeds.
 func TestWheelMatchesHeap(t *testing.T) {
+	for _, seed := range []int64{1, 7, 23, 99} {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(seed))
+			wheelMatchesHeap(t, 4000, rng.Intn)
+		})
+	}
+}
+
+// FuzzWheelMatchesHeap is TestWheelMatchesHeap with the schedule read
+// from the fuzz input: every choice consumes one byte.
+func FuzzWheelMatchesHeap(f *testing.F) {
+	f.Add([]byte{0, 3, 1, 2, 5, 3, 4, 9, 3, 0, 3})
+	f.Add([]byte("\x04\x07\x03\x00\x02\x05\x03\x05\x01\x03\x04\x03\x03"))
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		pick := func(n int) int {
+			if len(ops) == 0 {
+				return 0
+			}
+			b := ops[0]
+			ops = ops[1:]
+			return int(b) % n
+		}
+		wheelMatchesHeap(t, len(ops), pick)
+	})
+}
+
+// wheelMatchesHeap runs one schedule of arm / re-arm / advance / Forget /
+// ID-reuse steps on the wheel and the heap, with pick(n) choosing in
+// [0, n), and asserts after every step that they fired the same (id,
+// kind) sets at the same deadlines, report the same NextDeadline and hold
+// the same number of pending entries.
+func wheelMatchesHeap(t *testing.T, steps int, pick func(n int) int) {
+	t.Helper()
 	kinds := []uint8{flow.TORetrans, flow.TOProbe, flow.TODelAck, flow.TOTimeWait, flow.TOKeepalive}
 	setDeadline := func(tcb *flow.TCB, kind uint8, at int64) {
 		switch kind {
@@ -42,71 +73,75 @@ func TestWheelMatchesHeap(t *testing.T) {
 	// ~17 s horizon into the overflow list.
 	deltas := []int64{200, 900, 40_000, 3_000_000, 900_000_000, 20_000_000_000}
 
-	for _, seed := range []int64{1, 7, 23, 99} {
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(seed))
-			const flows = 64
-			tcbs := make([]flow.TCB, flows)
-			for i := range tcbs {
-				tcbs[i].FlowID = flow.ID(i)
-			}
-			lookup := func(id flow.ID) *flow.TCB {
-				if rng.Intn(50) == 0 {
-					return nil // occasionally "freed" — both sides must agree
-				}
-				return &tcbs[id]
-			}
-			_ = lookup
+	const flows = 64
+	tcbs := make([]flow.TCB, flows)
+	for i := range tcbs {
+		tcbs[i].FlowID = flow.ID(i)
+	}
+	look := func(id flow.ID) *flow.TCB { return &tcbs[id] }
+	wheel := New()
+	oracle := newHeapQueue()
+	now := int64(0)
 
-			wheel := New()
-			oracle := newHeapQueue()
-			now := int64(0)
-
-			for step := 0; step < 4000; step++ {
-				switch rng.Intn(4) {
-				case 0, 1: // re-arm a random subset of one flow's deadlines
-					tcb := &tcbs[rng.Intn(flows)]
-					for _, k := range kinds {
-						switch rng.Intn(3) {
-						case 0:
-							setDeadline(tcb, k, now+deltas[rng.Intn(len(deltas))]+int64(rng.Intn(1000)))
-						case 1:
-							setDeadline(tcb, k, 0) // disarm
-						}
-					}
-					wheel.SyncFromTCB(tcb)
-					oracle.SyncFromTCB(tcb)
-				case 2: // direct Arm, including already-due deadlines
-					id := flow.ID(rng.Intn(flows))
-					k := kinds[rng.Intn(len(kinds))]
-					at := now - 500 + int64(rng.Intn(2000))
-					setDeadline(&tcbs[id], k, at)
-					wheel.Arm(id, k, at)
-					oracle.Arm(id, k, at)
-				case 3: // advance time and expire on both
-					now += deltas[rng.Intn(len(deltas))] / int64(1+rng.Intn(100))
-					look := func(id flow.ID) *flow.TCB { return &tcbs[id] }
-					var wf, of []string
-					wheel.Expire(now, look, func(id flow.ID, kind uint8) {
-						wf = append(wf, fmt.Sprintf("%d/%d", id, kind))
-					})
-					oracle.Expire(now, look, func(id flow.ID, kind uint8) {
-						of = append(of, fmt.Sprintf("%d/%d", id, kind))
-					})
-					sort.Strings(wf)
-					sort.Strings(of)
-					if fmt.Sprint(wf) != fmt.Sprint(of) {
-						t.Fatalf("step %d now=%d: wheel fired %v, heap fired %v", step, now, wf, of)
-					}
-				}
-				if w, o := wheel.NextDeadline(), oracle.NextDeadline(); w != o {
-					t.Fatalf("step %d now=%d: wheel NextDeadline=%d, heap=%d", step, now, w, o)
-				}
-				if w, o := wheel.Len(), oracle.Len(); w != o {
-					t.Fatalf("step %d now=%d: wheel Len=%d, heap Len=%d", step, now, w, o)
+	for step := 0; step < steps; step++ {
+		switch pick(6) {
+		case 0, 1: // re-arm a random subset of one flow's deadlines
+			tcb := &tcbs[pick(flows)]
+			for _, k := range kinds {
+				switch pick(3) {
+				case 0:
+					setDeadline(tcb, k, now+deltas[pick(len(deltas))]+int64(pick(1000)))
+				case 1:
+					setDeadline(tcb, k, 0) // disarm
 				}
 			}
-		})
+			wheel.SyncFromTCB(tcb)
+			oracle.SyncFromTCB(tcb)
+		case 2: // direct Arm, including already-due deadlines
+			id := flow.ID(pick(flows))
+			k := kinds[pick(len(kinds))]
+			at := now - 500 + int64(pick(2000))
+			setDeadline(&tcbs[id], k, at)
+			wheel.Arm(id, k, at)
+			oracle.Arm(id, k, at)
+		case 3: // advance time and expire on both
+			now += deltas[pick(len(deltas))] / int64(1+pick(100))
+			var wf, of []string
+			wheel.Expire(now, look, func(id flow.ID, kind uint8) {
+				wf = append(wf, fmt.Sprintf("%d/%d", id, kind))
+			})
+			oracle.Expire(now, look, func(id flow.ID, kind uint8) {
+				of = append(of, fmt.Sprintf("%d/%d", id, kind))
+			})
+			sort.Strings(wf)
+			sort.Strings(of)
+			if fmt.Sprint(wf) != fmt.Sprint(of) {
+				t.Fatalf("step %d now=%d: wheel fired %v, heap fired %v", step, now, wf, of)
+			}
+		case 4: // the flow is freed: its entries are forgotten, its TCB
+			// keeps whatever deadlines it had, as a freed stack.Conn's does
+			id := flow.ID(pick(flows))
+			wheel.Forget(id)
+			oracle.Forget(id)
+		case 5: // the ID is freed and handed to a new flow, which arms a
+			// deadline of its own at once, possibly one its predecessor
+			// also held
+			id := flow.ID(pick(flows))
+			wheel.Forget(id)
+			oracle.Forget(id)
+			tcbs[id] = flow.TCB{FlowID: id}
+			k := kinds[pick(len(kinds))]
+			at := now + int64(pick(2000))
+			setDeadline(&tcbs[id], k, at)
+			wheel.Arm(id, k, at)
+			oracle.Arm(id, k, at)
+		}
+		if w, o := wheel.NextDeadline(), oracle.NextDeadline(); w != o {
+			t.Fatalf("step %d now=%d: wheel NextDeadline=%d, heap=%d", step, now, w, o)
+		}
+		if w, o := wheel.Len(), oracle.Len(); w != o {
+			t.Fatalf("step %d now=%d: wheel Len=%d, heap Len=%d", step, now, w, o)
+		}
 	}
 }
 
