@@ -8,20 +8,50 @@ import (
 	"f4t/internal/sim"
 )
 
-// fakeConn is an in-memory loopback connection pair for app unit tests:
-// bytes sent on one side become available on the other immediately.
+// fakeConn is an in-memory loopback connection pair for app unit tests.
+// Like the real substrates it bills every socket call to its thread's
+// core (a Try* call fails on a busy core), delivers sent bytes to the
+// peer fakeWireCycles later, and queues a readiness event wherever the
+// state an app reads changes — so NextWork sees honest idle spans.
 type fakeConn struct {
 	peer        *fakeConn
+	th          *fakeThread // owning thread; nil for an unowned peer
 	established bool
 	avail       int
+	inflight    int // bytes sent toward this side, not yet delivered
 	sendSpace   int
-	events      *[]host.ConnEvent
 	closed      bool
 }
 
-func (c *fakeConn) TrySend(n int, _ []byte) int { return c.SendQueued(n, nil) }
-func (c *fakeConn) SendQueued(n int, _ []byte) int {
-	if !c.established || c.closed {
+const (
+	fakeWireCycles = 1000 // one-way delivery delay (4 µs)
+	fakeCallCost   = 400  // CPU cycles billed per socket call
+)
+
+// bill charges one socket call to the owning thread's core; a try call
+// on a busy core is refused.
+func (c *fakeConn) bill(try bool) bool {
+	if c.th == nil {
+		return true
+	}
+	if try {
+		return c.th.core.Run(cpu.CatF4TLib, fakeCallCost)
+	}
+	c.th.core.RunQueued(cpu.CatF4TLib, fakeCallCost)
+	return true
+}
+
+// push queues a readiness event for this side's thread.
+func (c *fakeConn) push(kind host.ConnEventKind) {
+	if c.th != nil {
+		c.th.events = append(c.th.events, host.ConnEvent{Kind: kind, Conn: c})
+	}
+}
+
+func (c *fakeConn) TrySend(n int, _ []byte) int    { return c.send(n, true) }
+func (c *fakeConn) SendQueued(n int, _ []byte) int { return c.send(n, false) }
+func (c *fakeConn) send(n int, try bool) int {
+	if !c.established || c.closed || !c.bill(try) {
 		return 0
 	}
 	if n > c.sendSpace {
@@ -31,17 +61,24 @@ func (c *fakeConn) SendQueued(n int, _ []byte) int {
 		return 0
 	}
 	c.sendSpace -= n
-	c.peer.avail += n
-	if c.peer.events != nil {
-		*c.peer.events = append(*c.peer.events, host.ConnEvent{Kind: host.EvReadable, Conn: c.peer})
-	}
+	peer := c.peer
+	peer.inflight += n
+	c.th.k.After(fakeWireCycles, func() {
+		peer.inflight -= n
+		peer.avail += n
+		peer.push(host.EvReadable)
+	})
 	return n
 }
-func (c *fakeConn) TryRecv(max int) int { return c.RecvQueued(max) }
-func (c *fakeConn) RecvQueued(max int) int {
+func (c *fakeConn) TryRecv(max int) int    { return c.recv(max, true) }
+func (c *fakeConn) RecvQueued(max int) int { return c.recv(max, false) }
+func (c *fakeConn) recv(max int, try bool) int {
 	n := c.avail
 	if n > max {
 		n = max
+	}
+	if n <= 0 || !c.bill(try) {
+		return 0
 	}
 	c.avail -= n
 	return n
@@ -59,6 +96,7 @@ type fakeThread struct {
 	k      *sim.Kernel
 	core   *cpu.Core
 	events []host.ConnEvent
+	conns  []*fakeConn // dialed, client side
 	server *fakeThread
 	// dialGate lets tests simulate full command queues (Dial → nil).
 	dialGate func() bool
@@ -74,20 +112,28 @@ func (t *fakeThread) Dial(int, uint16) host.Conn {
 	if t.dialGate != nil && !t.dialGate() {
 		return nil
 	}
-	cli := &fakeConn{established: true, sendSpace: 1 << 20, events: &t.events}
-	srv := &fakeConn{established: true, sendSpace: 1 << 20, peer: cli}
+	cli := &fakeConn{th: t, established: true, sendSpace: 1 << 20}
+	srv := &fakeConn{th: t.server, established: true, sendSpace: 1 << 20, peer: cli}
 	cli.peer = srv
-	if t.server != nil {
-		srv.events = &t.server.events
-		t.server.events = append(t.server.events, host.ConnEvent{Kind: host.EvAccepted, Conn: srv})
-	}
-	t.events = append(t.events, host.ConnEvent{Kind: host.EvConnected, Conn: cli})
+	t.conns = append(t.conns, cli)
+	srv.push(host.EvAccepted)
+	cli.push(host.EvConnected)
 	return cli
 }
 func (t *fakeThread) Poll() []host.ConnEvent {
 	out := t.events
 	t.events = nil
 	return out
+}
+func (t *fakeThread) EventsPending() bool { return len(t.events) > 0 }
+
+// assertSkipped fails unless the kernel skipped cycles, i.e. the rig's
+// NextWork methods reported idleness rather than pinning every cycle.
+func assertSkipped(t *testing.T, k *sim.Kernel) {
+	t.Helper()
+	if k.SkippedCycles() == 0 {
+		t.Fatalf("no cycles skipped in %d", k.Now())
+	}
 }
 
 func TestEchoAppsRoundTrip(t *testing.T) {
@@ -109,6 +155,7 @@ func TestEchoAppsRoundTrip(t *testing.T) {
 	if cli.Latency.Count() == 0 {
 		t.Fatal("no latencies recorded")
 	}
+	assertSkipped(t, k)
 }
 
 func TestHTTPServerServesWrk(t *testing.T) {
@@ -133,6 +180,7 @@ func TestHTTPServerServesWrk(t *testing.T) {
 	if serverTh.core.Spent(cpu.CatApp) == 0 || serverTh.core.Spent(cpu.CatKernel) == 0 {
 		t.Fatal("HTTP server charged no app/kernel work")
 	}
+	assertSkipped(t, k)
 }
 
 func TestBulkSenderPushes(t *testing.T) {
@@ -147,9 +195,11 @@ func TestBulkSenderPushes(t *testing.T) {
 	if b.Requests.Total() == 0 || sink.Delivered.Total() == 0 {
 		t.Fatalf("requests=%d delivered=%d", b.Requests.Total(), sink.Delivered.Total())
 	}
-	if sink.Delivered.Total() != b.Bytes.Total() {
-		t.Fatalf("byte conservation: sent %d, delivered %d", b.Bytes.Total(), sink.Delivered.Total())
+	srv := clientTh.conns[0].peer
+	if got := sink.Delivered.Total() + int64(srv.avail+srv.inflight); got != b.Bytes.Total() {
+		t.Fatalf("byte conservation: sent %d, delivered+unread+in flight %d", b.Bytes.Total(), got)
 	}
+	assertSkipped(t, k)
 }
 
 func TestRoundRobinRotation(t *testing.T) {

@@ -41,7 +41,9 @@ func (b *BulkSender) Ready() bool { return b.d.allEstablished() }
 func (b *BulkSender) Tick(int64) {
 	b.d.tick()
 	for i, th := range b.threads {
-		th.Poll() // consume readiness events (free buffer space signals)
+		if th.EventsPending() {
+			th.Poll() // consume readiness events (free buffer space signals)
+		}
 		if len(b.d.conns[i]) == 0 {
 			continue
 		}
@@ -70,7 +72,7 @@ func (b *BulkSender) NextWork(now int64) int64 {
 	}
 	next := sim.Dormant
 	for i, th := range b.threads {
-		if threadPending(th) {
+		if th.EventsPending() {
 			return now + 1
 		}
 		if len(b.d.conns[i]) > 0 && b.d.conns[i][0].Established() {
@@ -114,7 +116,9 @@ func (r *RoundRobinSender) Ready() bool { return r.d.allEstablished() }
 func (r *RoundRobinSender) Tick(int64) {
 	r.d.tick()
 	for i, th := range r.threads {
-		th.Poll()
+		if th.EventsPending() {
+			th.Poll()
+		}
 		cs := r.d.conns[i]
 		if len(cs) == 0 {
 			continue
@@ -148,7 +152,7 @@ func (r *RoundRobinSender) NextWork(now int64) int64 {
 	}
 	next := sim.Dormant
 	for i, th := range r.threads {
-		if threadPending(th) {
+		if th.EventsPending() {
 			return now + 1
 		}
 		for _, c := range r.d.conns[i] {
@@ -190,13 +194,18 @@ func NewSink(threads []host.Thread, port uint16) *Sink {
 func (s *Sink) Tick(int64) {
 	for i, th := range s.threads {
 		pend := s.pending[i]
-		for _, ev := range th.Poll() {
-			switch ev.Kind {
-			case host.EvReadable:
-				pend.Add(ev.Conn)
-			case host.EvHangup:
-				pend.Remove(ev.Conn)
+		if th.EventsPending() {
+			for _, ev := range th.Poll() {
+				switch ev.Kind {
+				case host.EvReadable:
+					pend.Add(ev.Conn)
+				case host.EvHangup:
+					pend.Remove(ev.Conn)
+				}
 			}
+		}
+		if pend.Len() == 0 {
+			continue
 		}
 		pend.Each(func(c host.Conn) {
 			for {
@@ -219,7 +228,7 @@ func (s *Sink) Tick(int64) {
 func (s *Sink) NextWork(now int64) int64 {
 	next := sim.Dormant
 	for i, th := range s.threads {
-		if threadPending(th) {
+		if th.EventsPending() {
 			return now + 1
 		}
 		if s.pending[i].Len() > 0 {

@@ -13,6 +13,7 @@ type dialer struct {
 	conns     [][]host.Conn
 	estPtr    []int // prefix of conns known established (ramp window)
 	onOpen    func(threadIdx int, c host.Conn)
+	done      bool // every wanted connection dialed; latched
 }
 
 // dialsPerTick bounds connection-establishment pace per thread.
@@ -33,12 +34,18 @@ func newDialer(threads []host.Thread, remoteIdx int, port uint16, perThread int,
 		conns:     make([][]host.Conn, len(threads)),
 		estPtr:    make([]int, len(threads)),
 		onOpen:    onOpen,
+		done:      perThread <= 0 || len(threads) == 0,
 	}
 	return d
 }
 
 // tick opens missing connections; returns true when all are dialed.
+// Once they are, it latches and returns at once: a dialed connection
+// never leaves conns, so there is nothing left to open.
 func (d *dialer) tick() bool {
+	if d.done {
+		return true
+	}
 	done := true
 	for i, th := range d.threads {
 		// Connections establish roughly in dial order; advance the
@@ -63,20 +70,14 @@ func (d *dialer) tick() bool {
 			done = false
 		}
 	}
+	d.done = done
 	return done
 }
 
 // complete reports whether every wanted connection has been dialed
 // (established or not). Until then tick actively opens connections
 // every cycle, so the owning app must report itself busy.
-func (d *dialer) complete() bool {
-	for i := range d.conns {
-		if len(d.conns[i]) < d.want {
-			return false
-		}
-	}
-	return true
-}
+func (d *dialer) complete() bool { return d.done }
 
 // allEstablished reports whether every wanted connection exists and
 // finished its handshake.

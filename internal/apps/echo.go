@@ -25,6 +25,9 @@ func NewEchoServer(threads []host.Thread, port uint16, msgSize int) *EchoServer 
 // Tick implements sim.Ticker.
 func (s *EchoServer) Tick(int64) {
 	for _, th := range s.threads {
+		if !th.EventsPending() {
+			continue
+		}
 		for _, ev := range th.Poll() {
 			if ev.Kind != host.EvReadable {
 				continue
@@ -44,7 +47,7 @@ func (s *EchoServer) Tick(int64) {
 // acts on readiness events.
 func (s *EchoServer) NextWork(now int64) int64 {
 	for _, th := range s.threads {
-		if threadPending(th) {
+		if th.EventsPending() {
 			return now + 1
 		}
 	}
@@ -125,12 +128,11 @@ func (c *EchoClient) Tick(int64) {
 	c.d.tick()
 	now := c.k.NowNS()
 	for i, th := range c.threads {
-		for _, ev := range th.Poll() {
-			switch ev.Kind {
-			case host.EvConnected:
-				c.enqueue(i, c.byConn[i][ev.Conn])
-			case host.EvReadable:
-				c.enqueue(i, c.byConn[i][ev.Conn])
+		if th.EventsPending() {
+			for _, ev := range th.Poll() {
+				if ev.Kind == host.EvConnected || ev.Kind == host.EvReadable {
+					c.enqueue(i, c.byConn[i][ev.Conn])
+				}
 			}
 		}
 		q := c.ready[i]
@@ -174,7 +176,7 @@ func (c *EchoClient) NextWork(now int64) int64 {
 		return now + 1
 	}
 	for i, th := range c.threads {
-		if threadPending(th) || c.ready[i].Len() > 0 {
+		if th.EventsPending() || c.ready[i].Len() > 0 {
 			return now + 1
 		}
 	}

@@ -87,7 +87,9 @@ func (c *FanClient) startRound(i int) {
 // Tick implements sim.Ticker.
 func (c *FanClient) Tick(int64) {
 	for i, th := range c.threads {
-		th.Poll() // consume readiness events; state below is polled directly
+		if th.EventsPending() {
+			th.Poll() // consume readiness events; state below is polled directly
+		}
 		if len(c.conns[i]) < len(c.remotes) {
 			c.dial(i, th)
 			continue
@@ -157,7 +159,7 @@ func (c *FanClient) NextWork(now int64) int64 {
 		if len(c.conns[i]) < len(c.remotes) {
 			return now + 1
 		}
-		if threadPending(th) {
+		if th.EventsPending() {
 			return now + 1
 		}
 		if !allEstablished(c.conns[i]) {
@@ -218,21 +220,26 @@ func NewRPCServer(threads []host.Thread, port uint16, reqSize, respSize int) *RP
 func (s *RPCServer) Tick(int64) {
 	for i, th := range s.threads {
 		pend, owed := s.pend[i], s.owed[i]
-		for _, ev := range th.Poll() {
-			switch ev.Kind {
-			case host.EvReadable:
-				for ev.Conn.Available() >= s.reqSize {
-					if ev.Conn.RecvQueued(s.reqSize) == 0 {
-						break
+		if th.EventsPending() {
+			for _, ev := range th.Poll() {
+				switch ev.Kind {
+				case host.EvReadable:
+					for ev.Conn.Available() >= s.reqSize {
+						if ev.Conn.RecvQueued(s.reqSize) == 0 {
+							break
+						}
+						owed[ev.Conn] += s.respSize
+						pend.Add(ev.Conn)
+						s.Served.Inc()
 					}
-					owed[ev.Conn] += s.respSize
-					pend.Add(ev.Conn)
-					s.Served.Inc()
+				case host.EvHangup:
+					pend.Remove(ev.Conn)
+					delete(owed, ev.Conn)
 				}
-			case host.EvHangup:
-				pend.Remove(ev.Conn)
-				delete(owed, ev.Conn)
 			}
+		}
+		if pend.Len() == 0 {
+			continue
 		}
 		pend.Each(func(cn host.Conn) {
 			if cn.SendSpace() == 0 {
@@ -253,10 +260,10 @@ func (s *RPCServer) Tick(int64) {
 // NextWork implements sim.Sleeper: event-driven except while a pending
 // response could make progress into freed send-buffer space (a full
 // buffer only ever frees via an EvWritable event, which pins stepping
-// through threadPending).
+// through EventsPending).
 func (s *RPCServer) NextWork(now int64) int64 {
 	for i, th := range s.threads {
-		if threadPending(th) {
+		if th.EventsPending() {
 			return now + 1
 		}
 		for _, cn := range s.pend[i].list {

@@ -1,6 +1,8 @@
 package apps
 
 import (
+	"math/bits"
+
 	"f4t/internal/cpu"
 	"f4t/internal/host"
 	"f4t/internal/sim"
@@ -56,13 +58,15 @@ func (s *HTTPServer) enqueue(i int, c host.Conn) {
 func (s *HTTPServer) Tick(int64) {
 	for i, th := range s.threads {
 		pend := s.pending[i]
-		for _, ev := range th.Poll() {
-			switch ev.Kind {
-			case host.EvReadable:
-				s.enqueue(i, ev.Conn)
-			case host.EvHangup:
-				delete(s.ready, ev.Conn)
-				delete(s.queued, ev.Conn)
+		if th.EventsPending() {
+			for _, ev := range th.Poll() {
+				switch ev.Kind {
+				case host.EvReadable:
+					s.enqueue(i, ev.Conn)
+				case host.EvHangup:
+					delete(s.ready, ev.Conn)
+					delete(s.queued, ev.Conn)
+				}
 			}
 		}
 		// Round-robin service: one request per connection per turn, so
@@ -92,7 +96,7 @@ func (s *HTTPServer) Tick(int64) {
 func (s *HTTPServer) NextWork(now int64) int64 {
 	next := sim.Dormant
 	for i, th := range s.threads {
-		if threadPending(th) {
+		if th.EventsPending() {
 			return now + 1
 		}
 		if s.pending[i].Len() > 0 {
@@ -136,11 +140,15 @@ func (s *HTTPServer) serveOne(th host.Thread, c host.Conn) bool {
 // Wrk is the HTTP load generator of §5.2: keepalive connections that
 // each send a fixed-size request, wait for the full response, record
 // the latency, and immediately issue the next request.
+//
+// It runs on readiness, the way wrk runs on epoll: per thread, a bitset
+// over dial positions holds the flows that can act, and Tick and
+// NextWork cost what is ready rather than what is open.
 type Wrk struct {
 	k        *sim.Kernel
 	threads  []host.Thread
 	d        *dialer
-	flows    [][]*wrkFlow
+	th       []wrkThread // per thread
 	reqSize  int
 	respSize int
 	costs    cpu.Costs
@@ -154,6 +162,15 @@ type Wrk struct {
 	latHist *telemetry.Histogram
 }
 
+// wrkThread is one client thread's flows in dial order and its ready
+// set: bit j of ready is set exactly when flows[j] can act (see mark).
+type wrkThread struct {
+	flows  []wrkFlow
+	byConn map[host.Conn]int // dial position, for mapping events
+	ready  []uint64
+	nReady int // set bits in ready
+}
+
 type wrkFlow struct {
 	conn     host.Conn
 	awaiting bool
@@ -161,11 +178,41 @@ type wrkFlow struct {
 	got      int
 }
 
+// mark re-derives flow j's ready bit. A flow can act once established,
+// unless it awaits a response with no bytes to read. Its inputs change
+// only where the flow's substrate queues a readiness event for it
+// (EvConnected, EvReadable) and where Tick reads or sends on it, and
+// mark runs at each of those points and at dial.
+func (t *wrkThread) mark(j int) {
+	f := &t.flows[j]
+	can := f.conn.Established() && (!f.awaiting || f.conn.Available() > 0)
+	w, bit := j>>6, uint64(1)<<(j&63)
+	if can == (t.ready[w]&bit != 0) {
+		return
+	}
+	t.ready[w] ^= bit
+	if can {
+		t.nReady++
+	} else {
+		t.nReady--
+	}
+}
+
 // NewWrk opens flowsPerThread keepalive connections per thread (paced).
 func NewWrk(k *sim.Kernel, threads []host.Thread, remoteIdx int, port uint16, reqSize, respSize, flowsPerThread int, costs cpu.Costs) *Wrk {
-	w := &Wrk{k: k, threads: threads, reqSize: reqSize, respSize: respSize, costs: costs, flows: make([][]*wrkFlow, len(threads))}
+	w := &Wrk{k: k, threads: threads, reqSize: reqSize, respSize: respSize, costs: costs, th: make([]wrkThread, len(threads))}
+	for i := range w.th {
+		w.th[i].byConn = make(map[host.Conn]int, flowsPerThread)
+	}
 	w.d = newDialer(threads, remoteIdx, port, flowsPerThread, func(i int, conn host.Conn) {
-		w.flows[i] = append(w.flows[i], &wrkFlow{conn: conn})
+		t := &w.th[i]
+		j := len(t.flows)
+		t.flows = append(t.flows, wrkFlow{conn: conn})
+		t.byConn[conn] = j
+		if j&63 == 0 {
+			t.ready = append(t.ready, 0)
+		}
+		t.mark(j)
 	})
 	return w
 }
@@ -173,64 +220,81 @@ func NewWrk(k *sim.Kernel, threads []host.Thread, remoteIdx int, port uint16, re
 // Ready reports whether every connection established.
 func (w *Wrk) Ready() bool { return w.d.allEstablished() }
 
-// Tick implements sim.Ticker.
+// Tick implements sim.Ticker: per thread, it visits the ready flows in
+// dial order. A flow outside the set would fall through the loop body
+// untouched, so the visits, the core gating and the break are those of
+// a scan over every flow.
 func (w *Wrk) Tick(int64) {
 	w.d.tick()
 	now := w.k.NowNS()
 	for i, th := range w.threads {
-		th.Poll()
-		core := th.Core()
-		for _, f := range w.flows[i] {
-			if !f.conn.Established() {
-				continue
-			}
-			if f.awaiting {
-				if f.conn.Available() > 0 && core.Free() {
-					f.got += f.conn.TryRecv(w.respSize - f.got)
-					if f.got >= w.respSize {
-						f.awaiting = false
-						f.got = 0
-						w.Responses.Inc()
-						w.Latency.Observe(now - f.sentAt)
-						w.latHist.Observe(now - f.sentAt)
-					}
+		t := &w.th[i]
+		if th.EventsPending() {
+			for _, ev := range th.Poll() {
+				if j, ok := t.byConn[ev.Conn]; ok {
+					t.mark(j)
 				}
-				continue
 			}
-			if !core.Free() {
-				break
-			}
-			core.Run(cpu.CatApp, w.costs.GenRequest)
-			if f.conn.SendQueued(w.reqSize, nil) > 0 {
-				f.awaiting = true
-				f.sentAt = now
+		}
+		if t.nReady == 0 {
+			continue
+		}
+		core := th.Core()
+	flows:
+		for wi, word := range t.ready {
+			for ; word != 0; word &= word - 1 {
+				j := wi<<6 | bits.TrailingZeros64(word)
+				f := &t.flows[j]
+				if !f.conn.Established() {
+					continue
+				}
+				if f.awaiting {
+					if f.conn.Available() > 0 && core.Free() {
+						f.got += f.conn.TryRecv(w.respSize - f.got)
+						if f.got >= w.respSize {
+							f.awaiting = false
+							f.got = 0
+							w.Responses.Inc()
+							w.Latency.Observe(now - f.sentAt)
+							w.latHist.Observe(now - f.sentAt)
+						}
+						t.mark(j)
+					}
+					continue
+				}
+				if !core.Free() {
+					break flows
+				}
+				core.Run(cpu.CatApp, w.costs.GenRequest)
+				if f.conn.SendQueued(w.reqSize, nil) > 0 {
+					f.awaiting = true
+					f.sentAt = now
+				}
+				t.mark(j)
 			}
 		}
 	}
 }
 
-// NextWork implements sim.Sleeper. A flow awaiting its response with no
-// bytes available needs nothing until the network delivers (which wakes
-// the machine, then surfaces here as a pending event); any other
-// established flow is core-gated work.
+// NextWork implements sim.Sleeper. Pending events are now+1; otherwise
+// a thread with a ready flow is core-gated work (the shared core is the
+// gate, so one flow suffices), and a flow awaiting its response needs
+// nothing until the network delivers, which wakes the machine and then
+// surfaces here as a pending event.
 func (w *Wrk) NextWork(now int64) int64 {
 	if !w.d.complete() {
 		return now + 1
 	}
 	next := sim.Dormant
 	for i, th := range w.threads {
-		if threadPending(th) {
+		if th.EventsPending() {
 			return now + 1
 		}
-		for _, f := range w.flows[i] {
-			if !f.conn.Established() || (f.awaiting && f.conn.Available() == 0) {
-				continue
-			}
+		if w.th[i].nReady > 0 {
 			var stop bool
 			if next, stop = coreWake(next, th.Core(), now); stop {
 				return now + 1
 			}
-			break // the shared core is the gate; one flow suffices
 		}
 	}
 	return next

@@ -1,9 +1,6 @@
 package apps
 
-import (
-	"f4t/internal/cpu"
-	"f4t/internal/host"
-)
+import "f4t/internal/cpu"
 
 // This file holds the shared plumbing behind the apps' NextWork methods
 // (sim.Sleeper). Each workload reports the earliest future cycle it
@@ -18,24 +15,14 @@ import (
 // received bytes — only flips while a machine or engine ticks, and a
 // ticking component pins those cycles as stepped, so the app observes
 // every transition on the same cycle it would have without skipping.
-
-// eventsPending is implemented by host threads that can report whether
-// readiness events are waiting for the next Poll (both built-in hosts
-// do). It is probed by type assertion so test stubs implementing only
-// host.Thread keep working.
-type eventsPending interface {
-	EventsPending() bool
-}
-
-// threadPending reports whether a thread has readiness events queued
-// for its next Poll. Unknown thread implementations conservatively
-// report true, which pins per-cycle stepping and stays correct.
-func threadPending(th host.Thread) bool {
-	if p, ok := th.(eventsPending); ok {
-		return p.EventsPending()
-	}
-	return true
-}
+//
+// Every such flip also queues a readiness event on the connection's
+// thread, which host.Thread.EventsPending reports for free. An app
+// therefore polls only when EventsPending is true (an empty Poll
+// delivers nothing and bills nothing), reports now+1 while it is, and
+// otherwise needs to look only at the work it already holds: Wrk's
+// ready set, the servers' pending lists. None of them rescans every
+// connection it owns to decide.
 
 // coreWake folds a core-gated wake into next: the thread has work right
 // now but must wait for its core to free up. It returns the updated

@@ -102,6 +102,32 @@ func BenchmarkChurnSteady(b *testing.B) {
 	}
 }
 
+// BenchmarkHTTPSteady is BenchmarkBulkSteady for the web rig (the bench's
+// http_f4t and http_linux shape): wrk's 64 keepalive flows from 16
+// client cores against the one-core HTTP server, warmed, then 100 000
+// cycles per op — mostly skipped, so the op prices the apps' Tick and
+// NextWork as much as the stacks.
+func BenchmarkHTTPSteady(b *testing.B) {
+	for _, stackKind := range []string{"f4t", "linux"} {
+		b.Run(stackKind, func(b *testing.B) {
+			costs := cpu.DefaultCosts()
+			k := sim.New()
+			r := newNginxRig(k, stackKind, 1, costs)
+			wrk := apps.NewWrk(k, r.clientThreads, 0, nginxPort, 128, 256, nginxPerThread(64), costs)
+			k.Register(wrk)
+			if !RunUntilCoarse(k, wrk.Ready, 20_000, 20_000_000) {
+				b.Fatal("wrk flows did not establish")
+			}
+			k.Run(DefaultWarmup)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				k.Run(100_000)
+			}
+		})
+	}
+}
+
 // TestBulkSteadyStateAllocs pins the zero-allocation packet path: once a
 // saturated bulk flow is warmed up (queues grown, pools primed, arenas
 // sized), stepping the simulation must not allocate per cycle. The bound

@@ -211,6 +211,67 @@ func linuxBulkSig(skip bool) (string, *sim.Kernel) {
 	return strings.Join(log, "\n"), k
 }
 
+// nginxSig: the §5.2 web rig — wrk's 64 keepalive flows from 16 client
+// cores against the one-core HTTP server, on either substrate. Covers
+// Wrk's ready set and HTTPServer's service queues, whose NextWork
+// methods no other differential reaches.
+func nginxSig(stackKind string) func(skip bool) (string, *sim.Kernel) {
+	return func(skip bool) (string, *sim.Kernel) {
+		costs := cpu.DefaultCosts()
+		k := sim.New()
+		k.SetSkipping(skip)
+		r := newNginxRig(k, stackKind, 1, costs)
+		wrk := apps.NewWrk(k, r.clientThreads, 0, nginxPort, 128, 256, nginxPerThread(64), costs)
+		k.Register(wrk)
+
+		var layer func() string
+		if p := r.f4t; p != nil {
+			layer = func() string {
+				return fmt.Sprintf("atx=%d btx=%d brx=%d cmds=%d comps=%d",
+					p.EngA.TxPkts.Total(), p.EngB.TxPkts.Total(), p.EngB.RxPkts.Total(),
+					p.EngB.CmdsProcessed.Total(), p.EngB.CompletionsSent.Total())
+			}
+		} else {
+			a, b := r.linux.MachA.Endpoint(), r.linux.MachB.Endpoint()
+			layer = func() string {
+				return fmt.Sprintf("atx=%d btx=%d brx=%d bev=%d",
+					a.TxPkts, b.TxPkts, b.RxPkts, b.ProcessedEvents)
+			}
+		}
+		var log []string
+		sample := func() string {
+			return fmt.Sprintf("c=%d resp=%d served=%d lat_n=%d %s",
+				k.Now(), wrk.Responses.Total(), r.srv.Requests.Total(), wrk.Latency.Count(), layer())
+		}
+		sampleEvery(k, 10_000, sample, &log)
+		if !k.RunUntil(wrk.Ready, 2_000_000) {
+			log = append(log, "NOT-READY")
+		}
+		log = append(log, "ready "+sample())
+		k.Run(400_000)
+		log = append(log, "end "+sample())
+		return strings.Join(log, "\n"), k
+	}
+}
+
+func TestSkipDifferentialNginx(t *testing.T) {
+	for _, stackKind := range []string{"f4t", "linux"} {
+		t.Run(stackKind, func(t *testing.T) {
+			var sig string
+			k := diffRun(t, "nginx-"+stackKind, func(skip bool) (string, *sim.Kernel) {
+				s, k := nginxSig(stackKind)(skip)
+				if skip {
+					sig = s
+				}
+				return s, k
+			})
+			if strings.Contains(sig, "NOT-READY") || k.SkippedCycles() == 0 {
+				t.Fatalf("web rig did not ramp or never skipped (%d cycles skipped)", k.SkippedCycles())
+			}
+		})
+	}
+}
+
 func TestSkipDifferentialF4TBulk(t *testing.T) {
 	diffRun(t, "f4t-bulk", f4tBulkSig)
 }

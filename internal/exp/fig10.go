@@ -13,10 +13,10 @@ import (
 
 // NginxResult is one web-server measurement.
 type NginxResult struct {
-	Krps        float64 // responses per second, thousands
-	MedianNS    int64   // client-observed median latency
-	P99NS       int64   // client-observed 99th percentile latency
-	Breakdown   map[string]float64 // server CPU utilization by category
+	Krps      float64            // responses per second, thousands
+	MedianNS  int64              // client-observed median latency
+	P99NS     int64              // client-observed 99th percentile latency
+	Breakdown map[string]float64 // server CPU utilization by category
 }
 
 // NginxPoint runs the §5.2 workload: an HTTP server (Nginx stand-in) on
@@ -27,63 +27,83 @@ func NginxPoint(stackKind string, serverCores, totalFlows int) NginxResult {
 	return NginxPointWindow(stackKind, serverCores, totalFlows, DefaultMeasure*2)
 }
 
+const (
+	// nginxClientCores is the wrk machine's core count: enough that
+	// client load generation never limits the server (it did not in the
+	// paper).
+	nginxClientCores = 16
+	nginxPort        = 80
+)
+
+// nginxRig is the §5.2 testbed on kernel k before any client app runs:
+// the HTTP server (128 B requests, 256 B responses) listening on
+// stackKind with serverCores, past its first 2 000 cycles, and the wrk
+// machine's threads. Exactly one of f4t and linux is set.
+type nginxRig struct {
+	k             *sim.Kernel
+	srv           *apps.HTTPServer
+	serverPool    *cpu.Pool
+	clientThreads []host.Thread
+	f4t           *F4TPair
+	linux         *LinuxPair
+}
+
+func newNginxRig(k *sim.Kernel, stackKind string, serverCores int, costs cpu.Costs) *nginxRig {
+	r := &nginxRig{k: k}
+	var serverThreads []host.Thread
+	switch stackKind {
+	case "linux":
+		p := NewLinuxPairOn(k, nginxClientCores, serverCores, costs)
+		r.linux = p
+		serverThreads, r.serverPool, r.clientThreads = p.MachB.Threads(), p.MachB.Pool(), p.MachA.Threads()
+	case "f4t":
+		// Server on F4T; client machine remains a wrk box. Model the
+		// client as an F4T host too so its 16 cores never bottleneck
+		// (the paper's client load generation was not the limiter).
+		p := NewF4TPairOn(k, nginxClientCores, serverCores, costs, func(c *engine.Config) {
+			c.CarryBytes = false
+		})
+		r.f4t = p
+		serverThreads, r.serverPool, r.clientThreads = p.MachB.Threads(), p.MachB.Pool(), p.MachA.Threads()
+	default:
+		panic("exp: unknown stack " + stackKind)
+	}
+	r.srv = apps.NewHTTPServer(serverThreads, nginxPort, 128, 256, costs)
+	r.k.Register(r.srv)
+	r.k.Run(2_000)
+	return r
+}
+
+// nginxPerThread spreads totalFlows over the wrk machine's threads.
+func nginxPerThread(totalFlows int) int {
+	if n := totalFlows / nginxClientCores; n > 0 {
+		return n
+	}
+	return 1
+}
+
 // NginxPointWindow is NginxPoint with an explicit measurement window;
 // the latency experiment (Fig 12) uses a long window so the rare
 // kernel stalls that form the Linux tail are represented.
 func NginxPointWindow(stackKind string, serverCores, totalFlows int, measure int64) NginxResult {
 	costs := cpu.DefaultCosts()
-	const clientCores = 16
-	const port = 80
-	perThread := totalFlows / clientCores
-	if perThread == 0 {
-		perThread = 1
-	}
-
-	var k *sim.Kernel
-	var serverThreads []host.Thread
-	var serverPool *cpu.Pool
-	var clientThreads []host.Thread
-
-	switch stackKind {
-	case "linux":
-		p := NewLinuxPair(clientCores, serverCores, costs)
-		k = p.K
-		serverThreads = p.MachB.Threads()
-		serverPool = p.MachB.Pool()
-		clientThreads = p.MachA.Threads()
-	case "f4t":
-		// Server on F4T; client machine remains a wrk box. Model the
-		// client as an F4T host too so its 16 cores never bottleneck
-		// (the paper's client load generation was not the limiter).
-		p := NewF4TPair(clientCores, serverCores, costs, func(c *engine.Config) {
-			c.CarryBytes = false
-		})
-		k = p.K
-		serverThreads = p.MachB.Threads()
-		serverPool = p.MachB.Pool()
-		clientThreads = p.MachA.Threads()
-	default:
-		panic("exp: unknown stack " + stackKind)
-	}
-
-	srv := apps.NewHTTPServer(serverThreads, port, 128, 256, costs)
-	k.Register(srv)
-	k.Run(2_000)
-	wrk := apps.NewWrk(k, clientThreads, 0, port, 128, 256, perThread, costs)
+	k := sim.New()
+	r := newNginxRig(k, stackKind, serverCores, costs)
+	wrk := apps.NewWrk(k, r.clientThreads, 0, nginxPort, 128, 256, nginxPerThread(totalFlows), costs)
 	k.Register(wrk)
 
 	RunUntilCoarse(k, wrk.Ready, 20_000, 20_000_000)
 	k.Run(DefaultWarmup)
-	serverPool.ResetAccounting()
+	r.serverPool.ResetAccounting()
 	wrk.Responses.Snapshot(k.Now())
 	wrk.Latency.Reset()
 	k.Run(measure)
 
 	// Aggregate the server breakdown over its cores.
 	agg := map[string]float64{}
-	for _, core := range serverPool.Cores {
+	for _, core := range r.serverPool.Cores {
 		for cat, f := range core.Breakdown() {
-			agg[cat] += f / float64(len(serverPool.Cores))
+			agg[cat] += f / float64(len(r.serverPool.Cores))
 		}
 	}
 	return NginxResult{

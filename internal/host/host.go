@@ -84,6 +84,10 @@ type Thread interface {
 	// Poll delivers pending readiness events, charging per-event cost.
 	// The returned slice is valid until the next call.
 	Poll() []ConnEvent
+	// EventsPending reports whether the next Poll would deliver events.
+	// It is free: apps gate Poll on it and report themselves idle to the
+	// skipping kernel when it is false.
+	EventsPending() bool
 }
 
 // Machine is one host: a set of threads (one per core) on one stack.
@@ -141,8 +145,7 @@ func newThread(idx int, core *cpu.Core, host sock.Host, events *sock.Queue, cost
 // Core implements Thread.
 func (t *thread) Core() *cpu.Core { return t.core }
 
-// EventsPending reports readiness events awaiting the app's Poll (the
-// apps' idleness probe; see apps.threadPending).
+// EventsPending implements Thread.
 func (t *thread) EventsPending() bool { return t.events.Len() > 0 }
 
 // Dial implements Thread. It returns nil when the stack cannot take the
