@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"f4t/internal/cpu"
+	"f4t/internal/flow"
 	"f4t/internal/host"
 	"f4t/internal/sim"
 )
@@ -16,10 +17,13 @@ import (
 type fakeConn struct {
 	peer        *fakeConn
 	th          *fakeThread // owning thread; nil for an unowned peer
+	handle      flow.ID
+	id          int // names the connection in a differential test's call log
 	established bool
 	avail       int
 	inflight    int // bytes sent toward this side, not yet delivered
 	sendSpace   int
+	peerClosed  bool
 	closed      bool
 }
 
@@ -48,8 +52,22 @@ func (c *fakeConn) push(kind host.ConnEventKind) {
 	}
 }
 
-func (c *fakeConn) TrySend(n int, _ []byte) int    { return c.send(n, true) }
-func (c *fakeConn) SendQueued(n int, _ []byte) int { return c.send(n, false) }
+// fakeCall is one socket call an app made, with its result.
+type fakeCall struct {
+	conn, n, got int
+	op           byte // 's'end or 'r'ecv
+}
+
+// logged records a call in the owning thread's call log, if it keeps one.
+func (c *fakeConn) logged(op byte, n, got int) int {
+	if c.th != nil && c.th.calls != nil {
+		*c.th.calls = append(*c.th.calls, fakeCall{c.id, n, got, op})
+	}
+	return got
+}
+
+func (c *fakeConn) TrySend(n int, _ []byte) int    { return c.logged('s', n, c.send(n, true)) }
+func (c *fakeConn) SendQueued(n int, _ []byte) int { return c.logged('s', n, c.send(n, false)) }
 func (c *fakeConn) send(n int, try bool) int {
 	if !c.established || c.closed || !c.bill(try) {
 		return 0
@@ -70,8 +88,8 @@ func (c *fakeConn) send(n int, try bool) int {
 	})
 	return n
 }
-func (c *fakeConn) TryRecv(max int) int    { return c.recv(max, true) }
-func (c *fakeConn) RecvQueued(max int) int { return c.recv(max, false) }
+func (c *fakeConn) TryRecv(max int) int    { return c.logged('r', max, c.recv(max, true)) }
+func (c *fakeConn) RecvQueued(max int) int { return c.logged('r', max, c.recv(max, false)) }
 func (c *fakeConn) recv(max int, try bool) int {
 	n := c.avail
 	if n > max {
@@ -87,8 +105,17 @@ func (c *fakeConn) Available() int    { return c.avail }
 func (c *fakeConn) SendSpace() int    { return c.sendSpace }
 func (c *fakeConn) Close()            { c.closed = true }
 func (c *fakeConn) Established() bool { return c.established }
-func (c *fakeConn) PeerClosed() bool  { return false }
+func (c *fakeConn) PeerClosed() bool  { return c.peerClosed }
 func (c *fakeConn) Closed() bool      { return c.closed }
+func (c *fakeConn) Handle() flow.ID   { return c.handle }
+
+// hangup queues this side's terminal EvHangup: like sock.Queue, the
+// thread frees the handle at the Poll that delivers it.
+func (c *fakeConn) hangup() {
+	c.closed = true
+	c.push(host.EvHangup)
+	c.th.dying = append(c.th.dying, c.handle)
+}
 
 // fakeThread implements host.Thread over fakeConns; Dial connects to the
 // fake server thread and fires the accept/connect events.
@@ -100,6 +127,19 @@ type fakeThread struct {
 	server *fakeThread
 	// dialGate lets tests simulate full command queues (Dial → nil).
 	dialGate func() bool
+
+	handles flow.IDs
+	dying   []flow.ID // handles of queued terminal hangups, freed by Poll
+
+	// A differential test's world: its connection numbering and the log
+	// of the app's socket calls (nil outside those tests).
+	ids   *int
+	calls *[]fakeCall
+}
+
+func (t *fakeThread) open() flow.ID {
+	h, _ := t.handles.Alloc(1 << 30)
+	return h
 }
 
 func newFakeThread(k *sim.Kernel, server *fakeThread) *fakeThread {
@@ -112,8 +152,15 @@ func (t *fakeThread) Dial(int, uint16) host.Conn {
 	if t.dialGate != nil && !t.dialGate() {
 		return nil
 	}
-	cli := &fakeConn{th: t, established: true, sendSpace: 1 << 20}
+	cli := &fakeConn{th: t, handle: t.open(), established: true, sendSpace: 1 << 20}
+	if t.ids != nil {
+		*t.ids++
+		cli.id = *t.ids
+	}
 	srv := &fakeConn{th: t.server, established: true, sendSpace: 1 << 20, peer: cli}
+	if t.server != nil {
+		srv.handle = t.server.open()
+	}
 	cli.peer = srv
 	t.conns = append(t.conns, cli)
 	srv.push(host.EvAccepted)
@@ -121,6 +168,10 @@ func (t *fakeThread) Dial(int, uint16) host.Conn {
 	return cli
 }
 func (t *fakeThread) Poll() []host.ConnEvent {
+	for _, h := range t.dying {
+		t.handles.Free(h)
+	}
+	t.dying = t.dying[:0]
 	out := t.events
 	t.events = nil
 	return out
@@ -257,9 +308,9 @@ func TestDialerRetriesNilDials(t *testing.T) {
 }
 
 func TestConnSetSemantics(t *testing.T) {
-	s := newConnSet()
-	a := &fakeConn{}
-	b := &fakeConn{}
+	s := new(connSet)
+	a := &fakeConn{handle: 0}
+	b := &fakeConn{handle: 1}
 	s.Add(a)
 	s.Add(b)
 	s.Add(a) // idempotent

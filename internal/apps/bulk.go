@@ -70,19 +70,9 @@ func (b *BulkSender) NextWork(now int64) int64 {
 	if !b.d.complete() {
 		return now + 1
 	}
-	next := sim.Dormant
-	for i, th := range b.threads {
-		if th.EventsPending() {
-			return now + 1
-		}
-		if len(b.d.conns[i]) > 0 && b.d.conns[i][0].Established() {
-			var stop bool
-			if next, stop = coreWake(next, th.Core(), now); stop {
-				return now + 1
-			}
-		}
-	}
-	return next
+	return idleUntil(b.threads, now, func(i int) bool {
+		return len(b.d.conns[i]) > 0 && b.d.conns[i][0].Established()
+	})
 }
 
 // RoundRobinSender is the low-locality workload of Fig 8b: each thread
@@ -150,23 +140,14 @@ func (r *RoundRobinSender) NextWork(now int64) int64 {
 	if !r.d.complete() {
 		return now + 1
 	}
-	next := sim.Dormant
-	for i, th := range r.threads {
-		if th.EventsPending() {
-			return now + 1
-		}
+	return idleUntil(r.threads, now, func(i int) bool {
 		for _, c := range r.d.conns[i] {
-			if !c.Established() {
-				continue
+			if c.Established() {
+				return true // the shared core is the gate; one flow suffices
 			}
-			var stop bool
-			if next, stop = coreWake(next, th.Core(), now); stop {
-				return now + 1
-			}
-			break // the shared core is the gate; one flow suffices
 		}
-	}
-	return next
+		return false
+	})
 }
 
 // Sink is the receive side of the transfer workloads: it accepts
@@ -175,17 +156,16 @@ func (r *RoundRobinSender) NextWork(now int64) int64 {
 // stay on a pending list and are retried every cycle.
 type Sink struct {
 	threads []host.Thread
-	pending []*connSet // per thread
+	pending []connSet // per thread
 
 	Delivered sim.Counter // payload bytes consumed
 }
 
 // NewSink listens on the port with every thread (SO_REUSEPORT).
 func NewSink(threads []host.Thread, port uint16) *Sink {
-	s := &Sink{threads: threads}
+	s := &Sink{threads: threads, pending: make([]connSet, len(threads))}
 	for _, th := range threads {
 		th.Listen(port)
-		s.pending = append(s.pending, newConnSet())
 	}
 	return s
 }
@@ -193,7 +173,7 @@ func NewSink(threads []host.Thread, port uint16) *Sink {
 // Tick implements sim.Ticker: drain readable connections.
 func (s *Sink) Tick(int64) {
 	for i, th := range s.threads {
-		pend := s.pending[i]
+		pend := &s.pending[i]
 		if th.EventsPending() {
 			for _, ev := range th.Poll() {
 				switch ev.Kind {
@@ -226,17 +206,5 @@ func (s *Sink) Tick(int64) {
 // unconsumed bytes between ticks (a fully drained connection is removed
 // the same cycle), so the only wait is for the thread's core.
 func (s *Sink) NextWork(now int64) int64 {
-	next := sim.Dormant
-	for i, th := range s.threads {
-		if th.EventsPending() {
-			return now + 1
-		}
-		if s.pending[i].Len() > 0 {
-			var stop bool
-			if next, stop = coreWake(next, th.Core(), now); stop {
-				return now + 1
-			}
-		}
-	}
-	return next
+	return idleUntil(s.threads, now, func(i int) bool { return s.pending[i].Len() > 0 })
 }

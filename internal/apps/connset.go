@@ -1,38 +1,43 @@
 package apps
 
-import "f4t/internal/host"
+import (
+	"f4t/internal/flow"
+	"f4t/internal/host"
+)
 
-// connSet is an insertion-ordered set of connections. Apps track
-// connections with pending work in one; plain map iteration would make
-// runs non-deterministic.
+// connSet is an insertion-ordered set of one thread's connections. Apps
+// track connections with pending work in one; plain map iteration would
+// make runs non-deterministic. Positions are indexed by handle, and a
+// member is the connection at its handle's position, so a connection
+// that has left the set — or a predecessor whose handle was reused —
+// never reads as one.
 type connSet struct {
 	list []host.Conn
-	idx  map[host.Conn]int
-	snap []host.Conn // Each's reusable snapshot buffer
+	pos  flow.Table[int32] // handle → index in list, valid for members
+	snap []host.Conn       // Each's reusable snapshot buffer
 }
 
-func newConnSet() *connSet {
-	return &connSet{idx: make(map[host.Conn]int)}
+func (s *connSet) has(c host.Conn) bool {
+	i := int(s.pos.Get(c.Handle()))
+	return i < len(s.list) && s.list[i] == c
 }
 
 func (s *connSet) Add(c host.Conn) {
-	if _, ok := s.idx[c]; ok {
+	if s.has(c) {
 		return
 	}
-	s.idx[c] = len(s.list)
+	s.pos.Set(c.Handle(), int32(len(s.list)))
 	s.list = append(s.list, c)
 }
 
 func (s *connSet) Remove(c host.Conn) {
-	i, ok := s.idx[c]
-	if !ok {
+	if !s.has(c) {
 		return
 	}
-	last := len(s.list) - 1
+	i, last := s.pos.Get(c.Handle()), len(s.list)-1
 	s.list[i] = s.list[last]
-	s.idx[s.list[i]] = i
+	s.pos.Set(s.list[i].Handle(), i)
 	s.list = s.list[:last]
-	delete(s.idx, c)
 }
 
 func (s *connSet) Len() int { return len(s.list) }
@@ -47,7 +52,7 @@ func (s *connSet) Each(fn func(c host.Conn)) {
 	snapshot := append(s.snap[:0], s.list...)
 	s.snap = snapshot
 	for _, c := range snapshot {
-		if _, ok := s.idx[c]; ok {
+		if s.has(c) {
 			fn(c)
 		}
 	}

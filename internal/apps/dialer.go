@@ -83,13 +83,17 @@ func (d *dialer) complete() bool { return d.done }
 // finished its handshake.
 func (d *dialer) allEstablished() bool {
 	for i := range d.threads {
-		if len(d.conns[i]) < d.want {
+		if len(d.conns[i]) < d.want || !allEstablished(d.conns[i]) {
 			return false
 		}
-		for _, c := range d.conns[i] {
-			if !c.Established() {
-				return false
-			}
+	}
+	return true
+}
+
+func allEstablished(cs []host.Conn) bool {
+	for _, c := range cs {
+		if !c.Established() {
+			return false
 		}
 	}
 	return true

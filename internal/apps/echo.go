@@ -1,6 +1,7 @@
 package apps
 
 import (
+	"f4t/internal/flow"
 	"f4t/internal/host"
 	"f4t/internal/sim"
 	"f4t/internal/telemetry"
@@ -46,12 +47,7 @@ func (s *EchoServer) Tick(int64) {
 // (RecvQueued/SendQueued never gate on the core up front), so it only
 // acts on readiness events.
 func (s *EchoServer) NextWork(now int64) int64 {
-	for _, th := range s.threads {
-		if th.EventsPending() {
-			return now + 1
-		}
-	}
-	return sim.Dormant
+	return idleUntil(s.threads, now, func(int) bool { return false })
 }
 
 // EchoClient runs the ping-pong side: every flow sends one fixed-size
@@ -65,7 +61,7 @@ func (s *EchoServer) NextWork(now int64) int64 {
 type EchoClient struct {
 	threads []host.Thread
 	d       *dialer
-	byConn  []map[host.Conn]*echoFlow
+	flows   []flow.Table[*echoFlow] // per thread, by handle
 	ready   []*sim.Queue[*echoFlow] // flows needing an action, per thread
 	msgSize int
 
@@ -96,15 +92,14 @@ func NewEchoClient(k *sim.Kernel, threads []host.Thread, remoteIdx int, port uin
 		k:       k,
 		threads: threads,
 		msgSize: msgSize,
-		byConn:  make([]map[host.Conn]*echoFlow, len(threads)),
+		flows:   make([]flow.Table[*echoFlow], len(threads)),
 		ready:   make([]*sim.Queue[*echoFlow], len(threads)),
 	}
 	for i := range threads {
-		c.byConn[i] = make(map[host.Conn]*echoFlow, flowsPerThread)
 		c.ready[i] = sim.NewQueue[*echoFlow](0)
 	}
 	c.d = newDialer(threads, remoteIdx, port, flowsPerThread, func(i int, conn host.Conn) {
-		c.byConn[i][conn] = &echoFlow{conn: conn}
+		c.flows[i].Set(conn.Handle(), &echoFlow{conn: conn})
 	})
 	return c
 }
@@ -115,8 +110,9 @@ func (c *EchoClient) Ready() bool { return c.d.allEstablished() }
 // Established counts handshaken flows (ramp diagnostics).
 func (c *EchoClient) Established() int { return c.d.established() }
 
-func (c *EchoClient) enqueue(i int, f *echoFlow) {
-	if f == nil || f.queued {
+func (c *EchoClient) enqueue(i int, conn host.Conn) {
+	f := c.flows[i].Get(conn.Handle())
+	if f == nil || f.conn != conn || f.queued {
 		return
 	}
 	f.queued = true
@@ -131,7 +127,7 @@ func (c *EchoClient) Tick(int64) {
 		if th.EventsPending() {
 			for _, ev := range th.Poll() {
 				if ev.Kind == host.EvConnected || ev.Kind == host.EvReadable {
-					c.enqueue(i, c.byConn[i][ev.Conn])
+					c.enqueue(i, ev.Conn)
 				}
 			}
 		}

@@ -1,6 +1,7 @@
 package apps
 
 import (
+	"f4t/internal/flow"
 	"f4t/internal/host"
 	"f4t/internal/sim"
 )
@@ -52,13 +53,8 @@ func NewFanClient(k *sim.Kernel, threads []host.Thread, remotes []int, port uint
 // Ready reports whether every connection finished its handshake.
 func (c *FanClient) Ready() bool {
 	for i := range c.threads {
-		if len(c.conns[i]) < len(c.remotes) {
+		if len(c.conns[i]) < len(c.remotes) || !allEstablished(c.conns[i]) {
 			return false
-		}
-		for _, cn := range c.conns[i] {
-			if !cn.Established() {
-				return false
-			}
 		}
 	}
 	return true
@@ -140,51 +136,30 @@ func (c *FanClient) roundDone(i int) bool {
 	return true
 }
 
-func allEstablished(cs []host.Conn) bool {
-	for _, cn := range cs {
-		if !cn.Established() {
-			return false
-		}
-	}
-	return true
-}
-
 // NextWork implements sim.Sleeper. A thread purely awaiting responses
 // (requests all accepted, no readable bytes) is dormant until a
 // readiness event; anything else — dial ramp, blocked sends, unread
 // bytes, a round to re-arm — keeps it scheduled.
 func (c *FanClient) NextWork(now int64) int64 {
-	next := sim.Dormant
-	for i, th := range c.threads {
+	for i := range c.threads {
 		if len(c.conns[i]) < len(c.remotes) {
 			return now + 1
 		}
-		if th.EventsPending() {
-			return now + 1
-		}
-		if !allEstablished(c.conns[i]) {
-			continue // handshake completion arrives as an event
-		}
-		active := c.roundDone(i) // a finished round re-arms next Tick
-		for j, cn := range c.conns[i] {
-			if active {
-				break
-			}
-			if c.sendRem[i][j] > 0 && cn.SendSpace() > 0 {
-				active = true // core-gated send retry
-			}
-			if c.recvRem[i][j] > 0 && cn.Available() > 0 {
-				active = true // core-gated recv retry
-			}
-		}
-		if active {
-			var stop bool
-			if next, stop = coreWake(next, th.Core(), now); stop {
-				return now + 1
-			}
-		}
 	}
-	return next
+	return idleUntil(c.threads, now, func(i int) bool {
+		if !allEstablished(c.conns[i]) {
+			return false // handshake completion arrives as an event
+		}
+		if c.roundDone(i) {
+			return true // a finished round re-arms next Tick
+		}
+		for j, cn := range c.conns[i] {
+			if c.sendRem[i][j] > 0 && cn.SendSpace() > 0 || c.recvRem[i][j] > 0 && cn.Available() > 0 {
+				return true // core-gated send or recv retry
+			}
+		}
+		return false
+	})
 }
 
 // RPCServer answers fixed-size requests with fixed-size responses (the
@@ -197,8 +172,8 @@ type RPCServer struct {
 	reqSize  int
 	respSize int
 
-	pend []*connSet          // connections owing response bytes, per thread
-	owed []map[host.Conn]int // response bytes not yet buffered
+	pend []connSet         // connections owing response bytes, per thread
+	owed []flow.Table[int] // response bytes not yet buffered, by handle; 0 outside pend
 
 	// Served counts fully answered requests.
 	Served sim.Counter
@@ -206,11 +181,10 @@ type RPCServer struct {
 
 // NewRPCServer listens on the port with every thread.
 func NewRPCServer(threads []host.Thread, port uint16, reqSize, respSize int) *RPCServer {
-	s := &RPCServer{threads: threads, reqSize: reqSize, respSize: respSize}
+	s := &RPCServer{threads: threads, reqSize: reqSize, respSize: respSize,
+		pend: make([]connSet, len(threads)), owed: make([]flow.Table[int], len(threads))}
 	for _, th := range threads {
 		th.Listen(port)
-		s.pend = append(s.pend, newConnSet())
-		s.owed = append(s.owed, make(map[host.Conn]int))
 	}
 	return s
 }
@@ -219,7 +193,7 @@ func NewRPCServer(threads []host.Thread, port uint16, reqSize, respSize int) *RP
 // (insertion order), never map order — determinism (see connSet).
 func (s *RPCServer) Tick(int64) {
 	for i, th := range s.threads {
-		pend, owed := s.pend[i], s.owed[i]
+		pend, owed := &s.pend[i], &s.owed[i]
 		if th.EventsPending() {
 			for _, ev := range th.Poll() {
 				switch ev.Kind {
@@ -228,13 +202,13 @@ func (s *RPCServer) Tick(int64) {
 						if ev.Conn.RecvQueued(s.reqSize) == 0 {
 							break
 						}
-						owed[ev.Conn] += s.respSize
+						*owed.At(ev.Conn.Handle()) += s.respSize
 						pend.Add(ev.Conn)
 						s.Served.Inc()
 					}
 				case host.EvHangup:
 					pend.Remove(ev.Conn)
-					delete(owed, ev.Conn)
+					owed.Clear(ev.Conn.Handle())
 				}
 			}
 		}
@@ -245,13 +219,13 @@ func (s *RPCServer) Tick(int64) {
 			if cn.SendSpace() == 0 {
 				return // full buffer: retrying would only burn CPU cost
 			}
-			rem := owed[cn]
-			n := cn.SendQueued(rem, nil)
-			if n >= rem {
+			rem := owed.At(cn.Handle())
+			n := cn.SendQueued(*rem, nil)
+			if n >= *rem {
 				pend.Remove(cn)
-				delete(owed, cn)
+				*rem = 0
 			} else {
-				owed[cn] = rem - n
+				*rem -= n
 			}
 		})
 	}

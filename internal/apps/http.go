@@ -4,6 +4,7 @@ import (
 	"math/bits"
 
 	"f4t/internal/cpu"
+	"f4t/internal/flow"
 	"f4t/internal/host"
 	"f4t/internal/sim"
 	"f4t/internal/telemetry"
@@ -20,8 +21,7 @@ type HTTPServer struct {
 	respSize int
 	costs    cpu.Costs
 
-	ready   map[host.Conn]int // buffered request bytes per connection
-	queued  map[host.Conn]bool
+	conns   []flow.Table[httpConn]  // per thread, by handle
 	pending []*sim.Queue[host.Conn] // per-thread round-robin service queues
 
 	// Requests counts responses sent (Fig 10's metric, server side).
@@ -35,8 +35,7 @@ func NewHTTPServer(threads []host.Thread, port uint16, reqSize, respSize int, co
 		reqSize:  reqSize,
 		respSize: respSize,
 		costs:    costs,
-		ready:    make(map[host.Conn]int),
-		queued:   make(map[host.Conn]bool),
+		conns:    make([]flow.Table[httpConn], len(threads)),
 	}
 	for _, th := range threads {
 		th.Listen(port)
@@ -45,27 +44,37 @@ func NewHTTPServer(threads []host.Thread, port uint16, reqSize, respSize int, co
 	return s
 }
 
-func (s *HTTPServer) enqueue(i int, c host.Conn) {
-	if s.queued[c] {
+// httpConn is the server's state for the connection on one handle.
+type httpConn struct {
+	conn   host.Conn // owner of the state below; nil once it hung up
+	ready  int       // buffered request bytes
+	queued bool      // waiting in the thread's pending queue
+}
+
+func (s *HTTPServer) enqueue(i int, st *httpConn) {
+	if st.queued {
 		return
 	}
-	s.queued[c] = true
-	s.pending[i].Push(c)
+	st.queued = true
+	s.pending[i].Push(st.conn)
 }
 
 // Tick implements sim.Ticker: each thread serves as many buffered
 // requests as its core allows this cycle.
 func (s *HTTPServer) Tick(int64) {
 	for i, th := range s.threads {
-		pend := s.pending[i]
+		pend, conns := s.pending[i], &s.conns[i]
 		if th.EventsPending() {
 			for _, ev := range th.Poll() {
+				st := conns.At(ev.Conn.Handle())
 				switch ev.Kind {
 				case host.EvReadable:
-					s.enqueue(i, ev.Conn)
+					if st.conn != ev.Conn {
+						*st = httpConn{conn: ev.Conn} // the handle's new holder
+					}
+					s.enqueue(i, st)
 				case host.EvHangup:
-					delete(s.ready, ev.Conn)
-					delete(s.queued, ev.Conn)
+					*st = httpConn{}
 				}
 			}
 		}
@@ -77,15 +86,14 @@ func (s *HTTPServer) Tick(int64) {
 			if !ok {
 				break
 			}
-			if !s.queued[c] {
+			st := conns.At(c.Handle())
+			if st.conn != c || !st.queued {
 				continue // hung up while queued
 			}
-			s.queued[c] = false
-			served := s.serveOne(th, c)
-			if c.Available()+s.ready[c] >= s.reqSize || (!served && s.ready[c] > 0) {
-				s.enqueue(i, c)
-			} else if s.ready[c] == 0 && c.Available() == 0 {
-				delete(s.ready, c)
+			st.queued = false
+			served := s.serveOne(th, st)
+			if c.Available()+st.ready >= s.reqSize || (!served && st.ready > 0) {
+				s.enqueue(i, st)
 			}
 		}
 	}
@@ -94,43 +102,31 @@ func (s *HTTPServer) Tick(int64) {
 // NextWork implements sim.Sleeper: queued connections wait for the
 // thread's core; everything else arrives as readiness events.
 func (s *HTTPServer) NextWork(now int64) int64 {
-	next := sim.Dormant
-	for i, th := range s.threads {
-		if th.EventsPending() {
-			return now + 1
-		}
-		if s.pending[i].Len() > 0 {
-			var stop bool
-			if next, stop = coreWake(next, th.Core(), now); stop {
-				return now + 1
-			}
-		}
-	}
-	return next
+	return idleUntil(s.threads, now, func(i int) bool { return s.pending[i].Len() > 0 })
 }
 
 // serveOne handles one complete request if present: socket read, HTTP
 // parse, file fetch, response render, socket write — each charged to its
 // CPU category.
-func (s *HTTPServer) serveOne(th host.Thread, c host.Conn) bool {
-	core := th.Core()
-	if s.ready[c] < s.reqSize {
+func (s *HTTPServer) serveOne(th host.Thread, st *httpConn) bool {
+	core, c := th.Core(), st.conn
+	if st.ready < s.reqSize {
 		got := c.RecvQueued(c.Available())
 		if got == 0 {
 			return false
 		}
-		s.ready[c] += got
+		st.ready += got
 	}
-	if s.ready[c] < s.reqSize {
+	if st.ready < s.reqSize {
 		return false
 	}
-	s.ready[c] -= s.reqSize
+	st.ready -= s.reqSize
 	core.RunQueued(cpu.CatApp, s.costs.AppParseRequest)
 	core.RunQueued(cpu.CatKernel, s.costs.VfsRead)
 	core.RunQueued(cpu.CatApp, s.costs.AppBuildResponse)
 	if c.SendQueued(s.respSize, nil) == 0 {
 		// Response buffer full: requeue the request for a later turn.
-		s.ready[c] += s.reqSize
+		st.ready += s.reqSize
 		return false
 	}
 	s.Requests.Inc()
@@ -162,11 +158,11 @@ type Wrk struct {
 	latHist *telemetry.Histogram
 }
 
-// wrkThread is one client thread's flows in dial order and its ready
-// set: bit j of ready is set exactly when flows[j] can act (see mark).
+// wrkThread is one client thread's flows by handle — in dial order, as
+// the thread's handles are drawn by the dials — and its ready set: bit j
+// of ready is set exactly when flows[j] can act (see mark).
 type wrkThread struct {
 	flows  []wrkFlow
-	byConn map[host.Conn]int // dial position, for mapping events
 	ready  []uint64
 	nReady int // set bits in ready
 }
@@ -201,17 +197,16 @@ func (t *wrkThread) mark(j int) {
 // NewWrk opens flowsPerThread keepalive connections per thread (paced).
 func NewWrk(k *sim.Kernel, threads []host.Thread, remoteIdx int, port uint16, reqSize, respSize, flowsPerThread int, costs cpu.Costs) *Wrk {
 	w := &Wrk{k: k, threads: threads, reqSize: reqSize, respSize: respSize, costs: costs, th: make([]wrkThread, len(threads))}
-	for i := range w.th {
-		w.th[i].byConn = make(map[host.Conn]int, flowsPerThread)
-	}
 	w.d = newDialer(threads, remoteIdx, port, flowsPerThread, func(i int, conn host.Conn) {
 		t := &w.th[i]
-		j := len(t.flows)
-		t.flows = append(t.flows, wrkFlow{conn: conn})
-		t.byConn[conn] = j
-		if j&63 == 0 {
-			t.ready = append(t.ready, 0)
+		j := int(conn.Handle())
+		if j == len(t.flows) {
+			t.flows = append(t.flows, wrkFlow{})
+			if j&63 == 0 {
+				t.ready = append(t.ready, 0)
+			}
 		}
+		t.flows[j] = wrkFlow{conn: conn} // a reused handle's dead flow is dropped
 		t.mark(j)
 	})
 	return w
@@ -231,7 +226,7 @@ func (w *Wrk) Tick(int64) {
 		t := &w.th[i]
 		if th.EventsPending() {
 			for _, ev := range th.Poll() {
-				if j, ok := t.byConn[ev.Conn]; ok {
+				if j := int(ev.Conn.Handle()); j < len(t.flows) {
 					t.mark(j)
 				}
 			}
@@ -285,17 +280,5 @@ func (w *Wrk) NextWork(now int64) int64 {
 	if !w.d.complete() {
 		return now + 1
 	}
-	next := sim.Dormant
-	for i, th := range w.threads {
-		if th.EventsPending() {
-			return now + 1
-		}
-		if w.th[i].nReady > 0 {
-			var stop bool
-			if next, stop = coreWake(next, th.Core(), now); stop {
-				return now + 1
-			}
-		}
-	}
-	return next
+	return idleUntil(w.threads, now, func(i int) bool { return w.th[i].nReady > 0 })
 }

@@ -1,6 +1,9 @@
 package apps
 
-import "f4t/internal/cpu"
+import (
+	"f4t/internal/host"
+	"f4t/internal/sim"
+)
 
 // This file holds the shared plumbing behind the apps' NextWork methods
 // (sim.Sleeper). Each workload reports the earliest future cycle it
@@ -24,17 +27,22 @@ import "f4t/internal/cpu"
 // ready set, the servers' pending lists. None of them rescans every
 // connection it owns to decide.
 
-// coreWake folds a core-gated wake into next: the thread has work right
-// now but must wait for its core to free up. It returns the updated
-// minimum and whether the caller can stop scanning because the very
-// next cycle is already reached.
-func coreWake(next int64, core *cpu.Core, now int64) (int64, bool) {
-	w := core.NextFree(now)
-	if w <= now+1 {
-		return now + 1, true
+// idleUntil is the NextWork of an app whose thread i holds work gated
+// on its core exactly when busy(i): the next cycle while any thread has
+// events to poll, else the earliest cycle a busy thread's core frees up.
+func idleUntil(threads []host.Thread, now int64, busy func(i int) bool) int64 {
+	next := sim.Dormant
+	for i, th := range threads {
+		if th.EventsPending() {
+			return now + 1
+		}
+		if busy(i) {
+			w := th.Core().NextFree(now)
+			if w <= now+1 {
+				return now + 1
+			}
+			next = min(next, w)
+		}
 	}
-	if w < next {
-		next = w
-	}
-	return next, false
+	return next
 }

@@ -12,6 +12,7 @@ package host
 
 import (
 	"f4t/internal/cpu"
+	"f4t/internal/flow"
 	"f4t/internal/seqnum"
 	"f4t/internal/sock"
 	"f4t/internal/wire"
@@ -67,6 +68,8 @@ type Conn interface {
 	PeerClosed() bool
 	// Closed reports full termination.
 	Closed() bool
+	// Handle indexes the connection on its thread (sock.Conn.Handle).
+	Handle() flow.ID
 }
 
 // Thread is one application thread pinned to one core with its own
@@ -134,12 +137,12 @@ type thread struct {
 	cost    costModel
 	remotes []wire.Addr // Dial's remoteIdx → peer address
 
-	conns     map[sock.Conn]Conn
-	evScratch []ConnEvent // Poll's reusable translation buffer
+	conns     flow.Table[Conn] // by handle: set at Dial and EvAccepted
+	evScratch []ConnEvent      // Poll's reusable translation buffer
 }
 
 func newThread(idx int, core *cpu.Core, host sock.Host, events *sock.Queue, cost costModel, remotes []wire.Addr) Thread {
-	return &thread{idx: idx, core: core, host: host, events: events, cost: cost, remotes: remotes, conns: make(map[sock.Conn]Conn)}
+	return &thread{idx: idx, core: core, host: host, events: events, cost: cost, remotes: remotes}
 }
 
 // Core implements Thread.
@@ -157,7 +160,7 @@ func (t *thread) Dial(remoteIdx int, port uint16) Conn {
 		return nil
 	}
 	c := t.cost.wrap(t, s)
-	t.conns[s] = c
+	t.conns.Set(s.Handle(), c)
 	return c
 }
 
@@ -168,8 +171,10 @@ func (t *thread) Listen(port uint16) {
 }
 
 // Poll implements Thread: pair each readiness event with the app-facing
-// connection. The returned slice is reused by the next Poll; apps
-// consume events before polling again.
+// connection its handle names, so every event of a connection carries
+// the Conn that Dial returned or EvAccepted announced. The returned
+// slice is reused by the next Poll; apps consume events before polling
+// again.
 func (t *thread) Poll() []ConnEvent {
 	evs := t.events.Take()
 	if len(evs) == 0 {
@@ -178,15 +183,11 @@ func (t *thread) Poll() []ConnEvent {
 	t.cost.bill(t, callPoll, nil, 0)
 	out := t.evScratch[:0]
 	for _, ev := range evs {
-		c := t.conns[ev.Conn]
-		if c == nil {
-			c = t.cost.wrap(t, ev.Conn)
-			t.conns[ev.Conn] = c
+		h := ev.Conn.Handle()
+		if ev.Kind == EvAccepted {
+			t.conns.Set(h, t.cost.wrap(t, ev.Conn))
 		}
-		if ev.Kind == EvHangup {
-			delete(t.conns, ev.Conn)
-		}
-		out = append(out, ConnEvent{Kind: ev.Kind, Conn: c})
+		out = append(out, ConnEvent{Kind: ev.Kind, Conn: t.conns.Get(h)})
 	}
 	t.evScratch = out
 	return out

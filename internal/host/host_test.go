@@ -344,3 +344,66 @@ func TestRSSDistributesFlows(t *testing.T) {
 		t.Fatalf("RSS concentrated all RX on %d core(s)", busy)
 	}
 }
+
+// TestConnIdentityAcrossHangups: every event of a connection carries the
+// Conn its Dial returned — across the peer-FIN Hangup that leaves it
+// open for sending, up to the terminal one.
+func TestConnIdentityAcrossHangups(t *testing.T) {
+	for _, p := range bothPairs {
+		t.Run(p.name, func(t *testing.T) {
+			k, a, b := p.mk(1, 1)
+			server, client := b.Threads()[0], a.Threads()[0]
+			server.Listen(80)
+			k.Run(3_000)
+			conn := client.Dial(0, 80)
+			var srv Conn
+			var kinds []ConnEventKind
+			foreign := 0
+			pump := func() {
+				for _, ev := range client.Poll() {
+					kinds = append(kinds, ev.Kind)
+					if ev.Conn != conn {
+						foreign++
+					}
+				}
+				for _, ev := range server.Poll() {
+					switch ev.Kind {
+					case EvAccepted:
+						srv = ev.Conn
+					case EvReadable:
+						ev.Conn.RecvQueued(1 << 20)
+					}
+				}
+			}
+			until := func(what string, pred func() bool) {
+				t.Helper()
+				if !k.RunUntil(func() bool { pump(); return pred() }, 30_000_000) {
+					t.Fatalf("timed out waiting for %s", what)
+				}
+				pump()
+			}
+			until("handshake", func() bool { return conn.Established() && srv != nil })
+			space := conn.SendSpace()
+			srv.Close()
+			until("peer FIN", conn.PeerClosed)
+			if conn.SendQueued(4096, nil) == 0 {
+				t.Fatal("half-closed connection refused to send")
+			}
+			until("send release", func() bool { return conn.SendSpace() == space })
+			conn.Close()
+			until("teardown", conn.Closed)
+			hangups := 0
+			for _, k := range kinds {
+				if k == EvHangup {
+					hangups++
+				}
+			}
+			if hangups < 2 || kinds[len(kinds)-1] != EvHangup {
+				t.Fatalf("client events %v: want a peer-FIN Hangup and a terminal one", kinds)
+			}
+			if foreign > 0 {
+				t.Fatalf("%d of %d client events %v carry a Conn other than Dial's", foreign, len(kinds), kinds)
+			}
+		})
+	}
+}

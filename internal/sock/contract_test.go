@@ -3,8 +3,10 @@ package sock_test
 import (
 	"bytes"
 	"testing"
+	"unsafe"
 
 	"f4t/internal/engine"
+	"f4t/internal/flow"
 	"f4t/internal/netsim"
 	"f4t/internal/sim"
 	"f4t/internal/sock"
@@ -68,6 +70,17 @@ var substrates = []substrate{
 	}},
 }
 
+// queue returns the event queue behind a host, which deals its handles.
+func queue(h sock.Host) *sock.Queue {
+	switch h := h.(type) {
+	case *softstack.Lib:
+		return &h.Events
+	case *stack.Host:
+		return &h.Events
+	}
+	panic("unknown substrate")
+}
+
 // rig polls both hosts as the clock advances, logging each connection's
 // event kinds in arrival order.
 type rig struct {
@@ -77,12 +90,22 @@ type rig struct {
 	log  map[sock.Conn][]sock.EventKind
 	acc  []sock.Conn // accepted connections, in order
 
+	// Every event in arrival order, with the handle it carried.
+	seq []seqEvent
+
 	onHangup func(sock.Conn) // the app's reaction, run as it handles the event
 }
 
+type seqEvent struct {
+	host   int // 0 for a, 1 for b
+	handle flow.ID
+	conn   sock.Conn
+}
+
 func (r *rig) poll() {
-	for _, h := range []sock.Host{r.a, r.b} {
+	for i, h := range []sock.Host{r.a, r.b} {
 		for _, ev := range h.Poll() {
+			r.seq = append(r.seq, seqEvent{i, ev.Conn.Handle(), ev.Conn})
 			r.log[ev.Conn] = append(r.log[ev.Conn], ev.Kind)
 			switch {
 			case ev.Kind == sock.EvAccepted:
@@ -141,6 +164,43 @@ func (r *rig) checkOrder(who string, c sock.Conn, first sock.EventKind) {
 	}
 }
 
+// checkHandles holds the handles seen so far to their contract: dense
+// from 0 on each host, stable for a connection's every event, and passed
+// to a new connection only after the previous holder's last event, its
+// terminal Hangup.
+func (r *rig) checkHandles() {
+	r.t.Helper()
+	type key struct {
+		host   int
+		handle flow.ID
+	}
+	holder := make(map[key]sock.Conn)
+	last := make(map[sock.Conn]int) // index of each connection's last event
+	for i, e := range r.seq {
+		last[e.conn] = i
+	}
+	for i, e := range r.seq {
+		if e.conn.Handle() != e.handle {
+			r.t.Fatalf("event %d: handle %d changed to %d", i, e.handle, e.conn.Handle())
+		}
+		k := key{e.host, e.handle}
+		if prev, ok := holder[k]; ok && prev != e.conn {
+			if last[prev] > i {
+				r.t.Fatalf("event %d: host %d handle %d reused while its holder still has events", i, e.host, e.handle)
+			}
+			if evs := r.log[prev]; !prev.Closed() || evs[len(evs)-1] != sock.EvHangup {
+				r.t.Fatalf("event %d: host %d handle %d reused before its holder's terminal Hangup", i, e.host, e.handle)
+			}
+		}
+		holder[k] = e.conn
+	}
+	for k := range holder {
+		if k.handle > 0 && holder[key{k.host, k.handle - 1}] == nil {
+			r.t.Fatalf("host %d: handle %d drawn with %d never used", k.host, k.handle, k.handle-1)
+		}
+	}
+}
+
 // TestContract runs one script through the interface on both
 // substrates: the parity every decorator above the seam relies on.
 func TestContract(t *testing.T) {
@@ -154,6 +214,9 @@ func TestContract(t *testing.T) {
 			}
 			k.Run(3_000)
 			cli, srv := r.connect()
+			if cli.Handle() != 0 || srv.Handle() != 0 {
+				t.Fatalf("first handles %d and %d, want 0 on each host", cli.Handle(), srv.Handle())
+			}
 
 			// Addressing, including the passive side's view.
 			if ip, port := cli.Remote(); ip != addrB || port != 80 {
@@ -229,6 +292,7 @@ func TestContract(t *testing.T) {
 			}
 			r.checkOrder("dialer", cli, sock.EvConnected)
 			r.checkOrder("acceptor", srv, sock.EvAccepted)
+			first := cli
 
 			// Abort: the peer learns of the reset — and its app dials a
 			// replacement while handling that Hangup (the churn pattern).
@@ -236,6 +300,9 @@ func TestContract(t *testing.T) {
 			// one connects. An app running inside the stack's processing
 			// pass would re-enter it here; events cannot.
 			cli, srv = r.connect()
+			if cli.Handle() != first.Handle() {
+				t.Fatalf("redial drew handle %d, want the closed connection's %d", cli.Handle(), first.Handle())
+			}
 			if !a.Listen(81) {
 				t.Fatal("listen refused")
 			}
@@ -255,6 +322,22 @@ func TestContract(t *testing.T) {
 			if n := flowsB(); n != 1 {
 				t.Fatalf("B holds %d flows after replacing its reset one, want 1", n)
 			}
+			if repl.Handle() != srv.Handle() {
+				t.Fatalf("replacement drew handle %d, want the reset connection's %d", repl.Handle(), srv.Handle())
+			}
+
+			// Handles: close everything and none stays drawn.
+			r.until("replacement accept", func() bool { return len(r.acc) == 3 })
+			replAcc := r.acc[2]
+			repl.Close()
+			r.until("replacement FIN", replAcc.PeerClosed)
+			replAcc.Close()
+			r.until("replacement teardown", func() bool { return repl.Closed() && replAcc.Closed() && cli.Closed() })
+			r.poll()
+			r.checkHandles()
+			if na, nb := queue(a).Handles(), queue(b).Handles(); na != 0 || nb != 0 {
+				t.Fatalf("live handles after teardown: A %d, B %d", na, nb)
+			}
 		})
 	}
 }
@@ -268,11 +351,27 @@ func TestDialRefusalIsUntypedNil(t *testing.T) {
 			a, _, _ := sub.mk(k, netsim.NewLink(k, 100, 600, 7))
 			// Never run the clock: the library's command queue fills, the
 			// software endpoint hits MaxFlows.
-			for i := 0; a.Dial(addrB, 80) != nil; i++ {
-				if i > 5000 {
+			dials := 0
+			for ; a.Dial(addrB, 80) != nil; dials++ {
+				if dials > 5000 {
 					t.Fatal("Dial never refused")
 				}
 			}
+			// A refused Dial draws no handle.
+			if n := queue(a).Handles(); n != dials {
+				t.Fatalf("%d live handles after %d dials and a refusal", n, dials)
+			}
 		})
+	}
+}
+
+// TestConnSizeClasses: the handle fits in the padding of both connection
+// types, so neither moves to a larger allocation size class.
+func TestConnSizeClasses(t *testing.T) {
+	if n := unsafe.Sizeof(softstack.Socket{}); n != 48 {
+		t.Fatalf("softstack.Socket is %d B, want 48", n)
+	}
+	if n := unsafe.Sizeof(stack.Conn{}); n > 480 {
+		t.Fatalf("stack.Conn is %d B, want at most 480", n)
 	}
 }

@@ -8,6 +8,9 @@
 package sock
 
 import (
+	"math"
+
+	"f4t/internal/flow"
 	"f4t/internal/seqnum"
 	"f4t/internal/wire"
 )
@@ -38,25 +41,49 @@ type Event struct {
 // fill (the library from completions, the software stack from its
 // notifications) and a thread drains. It is a concrete type so that a
 // host polling every cycle reads it without an interface call.
+// It also deals its host's connection handles (Conn.Handle).
 type Queue struct {
-	events []Event
-	spare  []Event // the previous Take's slice, recycled by the next
+	events  []Event
+	spare   []Event // the previous Take's slice, recycled by the next
+	handles flow.IDs
+	dying   []flow.ID // handles of queued last events, freed by the next Take
 }
+
+// Open draws a handle for a connection becoming visible on this host.
+func (q *Queue) Open() flow.ID {
+	h, _ := q.handles.Alloc(math.MaxInt32)
+	return h
+}
+
+// Handles is the number of handles drawn and not yet freed.
+func (q *Queue) Handles() int { return q.handles.Live() }
 
 // Push appends one event.
 func (q *Queue) Push(kind EventKind, c Conn) {
 	q.events = append(q.events, Event{Kind: kind, Conn: c})
 }
 
+// PushLast appends c's terminal (closed or reset) EvHangup and retires
+// its handle.
+func (q *Queue) PushLast(c Conn) {
+	q.Push(EvHangup, c)
+	q.dying = append(q.dying, c.Handle())
+}
+
 // Len returns the number of events awaiting Take.
 func (q *Queue) Len() int { return len(q.events) }
 
 // Take returns the events pushed since the last Take and clears the
-// list. The slice is valid only until the next Take: the buffer handed
-// out now becomes the accumulation target after it. Callers that
-// iterate the events before taking again (every driver in the tree)
-// never notice; nothing may retain the slice across takes.
+// list, freeing the handles retired by them. The slice is valid only
+// until the next Take: the buffer handed out now becomes the
+// accumulation target after it. Callers that iterate the events before
+// taking again (every driver in the tree) never notice; nothing may
+// retain the slice across takes.
 func (q *Queue) Take() []Event {
+	for _, h := range q.dying {
+		q.handles.Free(h)
+	}
+	q.dying = q.dying[:0]
 	out := q.events
 	q.events = q.spare[:0]
 	q.spare = out
@@ -107,6 +134,13 @@ type Conn interface {
 
 	LocalPort() uint16
 	Remote() (wire.Addr, uint16)
+
+	// Handle is the connection's index on its host, its fd: dense from 0,
+	// drawn at a posted Dial or an accept, and freed by the Take that
+	// returns its terminal EvHangup — so a reader mapping handles to
+	// state never sees two connections on one handle in a batch, and a
+	// Dial made before that Take cannot alias the queued hangup.
+	Handle() flow.ID
 }
 
 // Host is one application thread's socket surface.

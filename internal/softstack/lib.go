@@ -27,8 +27,8 @@ type Lib struct {
 	eng *engine.Engine
 	ch  *hostif.Channel
 
-	socks     map[flow.ID]*Socket
-	dialWait  map[uint16]*Socket // local port → socket awaiting CompAccepted
+	socks     flow.Table[*Socket] // by engine flow ID
+	dialWait  map[uint16]*Socket  // local port → socket awaiting CompAccepted
 	listeners map[uint16]bool
 	nextPort  uint16
 
@@ -50,7 +50,6 @@ func NewLib(k *sim.Kernel, eng *engine.Engine, chIdx int) *Lib {
 		k:         k,
 		eng:       eng,
 		ch:        eng.Channels[chIdx],
-		socks:     make(map[flow.ID]*Socket),
 		dialWait:  make(map[uint16]*Socket),
 		listeners: make(map[uint16]bool),
 		nextPort:  uint16(10000 + chIdx*2000),
@@ -81,7 +80,6 @@ func (l *Lib) Listen(port uint16) bool {
 // queue is full — the caller retries, as a blocking connect() would.
 func (l *Lib) Dial(remote wire.Addr, remotePort uint16) sock.Conn {
 	l.nextPort++
-	s := &Socket{lib: l, localPort: l.nextPort, raddr: remote, rport: remotePort}
 	if !l.post(hostif.Command{
 		Op:         hostif.OpConnect,
 		LocalPort:  l.nextPort,
@@ -90,6 +88,7 @@ func (l *Lib) Dial(remote wire.Addr, remotePort uint16) sock.Conn {
 	}) {
 		return nil
 	}
+	s := &Socket{lib: l, handle: l.Events.Open(), localPort: l.nextPort, raddr: remote, rport: remotePort}
 	l.dialWait[l.nextPort] = s
 	return s
 }
@@ -129,17 +128,17 @@ func (l *Lib) apply(comp hostif.Completion) {
 		if s := l.dialWait[comp.Port]; s != nil {
 			delete(l.dialWait, comp.Port)
 			s.ID = comp.Flow
-			l.socks[comp.Flow] = s
+			l.socks.Set(comp.Flow, s)
 		}
 	case hostif.CompEstablished:
-		s := l.socks[comp.Flow]
+		s := l.socks.Get(comp.Flow)
 		if s == nil {
 			// Passive connection dispatched to this thread's queue.
 			if !l.listeners[comp.Port] {
 				return
 			}
-			s = &Socket{lib: l, ID: comp.Flow, localPort: comp.Port, passive: true}
-			l.socks[comp.Flow] = s
+			s = &Socket{lib: l, ID: comp.Flow, handle: l.Events.Open(), localPort: comp.Port, passive: true}
+			l.socks.Set(comp.Flow, s)
 		}
 		s.anchor(comp.Seq, comp.Seq2)
 		s.established = true
@@ -149,25 +148,25 @@ func (l *Lib) apply(comp hostif.Completion) {
 			l.Events.Push(sock.EvConnected, s)
 		}
 	case hostif.CompAcked:
-		if s := l.socks[comp.Flow]; s != nil {
+		if s := l.socks.Get(comp.Flow); s != nil {
 			s.ackedTo = comp.Seq
 			l.Events.Push(sock.EvWritable, s)
 		}
 	case hostif.CompDelivered:
-		if s := l.socks[comp.Flow]; s != nil {
+		if s := l.socks.Get(comp.Flow); s != nil {
 			s.deliveredTo = comp.Seq
 			l.Events.Push(sock.EvReadable, s)
 		}
 	case hostif.CompPeerClosed:
-		if s := l.socks[comp.Flow]; s != nil {
+		if s := l.socks.Get(comp.Flow); s != nil {
 			s.peerClosed = true
 			l.Events.Push(sock.EvHangup, s)
 		}
 	case hostif.CompClosed:
-		if s := l.socks[comp.Flow]; s != nil {
+		if s := l.socks.Get(comp.Flow); s != nil {
 			s.closed = true
-			delete(l.socks, comp.Flow)
-			l.Events.Push(sock.EvHangup, s)
+			l.socks.Clear(comp.Flow)
+			l.Events.PushLast(s)
 		}
 	case hostif.CompReset:
 		// A reset that carries a port names an active open rejected
@@ -179,12 +178,12 @@ func (l *Lib) apply(comp hostif.Completion) {
 			delete(l.dialWait, comp.Port)
 			s.wasReset = true
 			s.closed = true
-			l.Events.Push(sock.EvHangup, s)
-		} else if s := l.socks[comp.Flow]; s != nil {
+			l.Events.PushLast(s)
+		} else if s := l.socks.Get(comp.Flow); s != nil {
 			s.wasReset = true
 			s.closed = true
-			delete(l.socks, comp.Flow)
-			l.Events.Push(sock.EvHangup, s)
+			l.socks.Clear(comp.Flow)
+			l.Events.PushLast(s)
 		}
 	}
 }
@@ -193,23 +192,25 @@ func (l *Lib) apply(comp hostif.Completion) {
 // the library keeps ("only a handful amount of metadata, such as TCP
 // window pointers, are stored and managed in the software", §4.1.1).
 type Socket struct {
-	lib *Lib
-	ID  flow.ID
+	lib    *Lib
+	ID     flow.ID
+	handle flow.ID
 
 	// The peer: known at Dial; an accepted socket reads it off the
-	// hardware flow the first time it is asked. (Placed with the ports so
-	// Socket stays in the 48 B size class.)
-	raddr     wire.Addr
-	rport     uint16
-	localPort uint16
-	passive   bool
-	anchored  bool
+	// hardware flow the first time it is asked.
+	raddr wire.Addr
 
 	writePtr    seqnum.Value // next send byte the app will queue
 	ackedTo     seqnum.Value // device-released send boundary
 	readPtr     seqnum.Value // next received byte the app will consume
 	deliveredTo seqnum.Value // device-announced in-order boundary
 
+	// The 2- and 1-byte fields last, so Socket packs into 47 B (the 48 B
+	// size class).
+	rport       uint16
+	localPort   uint16
+	passive     bool
+	anchored    bool
 	established bool
 	peerClosed  bool
 	closed      bool
@@ -228,6 +229,9 @@ func (s *Socket) Closed() bool { return s.closed }
 
 // WasReset reports termination by a reset.
 func (s *Socket) WasReset() bool { return s.wasReset }
+
+// Handle implements sock.Conn.
+func (s *Socket) Handle() flow.ID { return s.handle }
 
 // LocalPort returns the port this socket is bound to.
 func (s *Socket) LocalPort() uint16 { return s.localPort }

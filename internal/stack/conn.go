@@ -34,12 +34,12 @@ type Conn struct {
 	writePtr    seqnum.Value // next send byte the app will queue
 	readPtr     seqnum.Value // next received byte the app will consume
 	ID          flow.ID      // here among the 4-byte words, no padding: with tcb, Conn is 472 B (480 B size class)
+	handle      flow.ID      // drawn from its Host's queue at Dial or adoption
 	ptrsInit    bool
 	closeCalled bool
 
-	passive  bool
-	accepted bool
-	freed    bool
+	passive bool
+	freed   bool
 
 	// The thread whose event queue the notifications feed: set by
 	// Host.Dial or as a listener's group adopts a passive connection.
@@ -56,6 +56,9 @@ func (c *Conn) notify(kind sock.EventKind) {
 		c.host.Events.Push(kind, c)
 	}
 }
+
+// Handle implements sock.Conn.
+func (c *Conn) Handle() flow.ID { return c.handle }
 
 // TCB returns the connection's control block. It stays readable after
 // the flow is freed.

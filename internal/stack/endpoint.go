@@ -274,15 +274,14 @@ func (e *Endpoint) transmit(pkt *wire.Packet) {
 func (e *Endpoint) applyNote(c *Conn, n *tcpproc.Note) {
 	switch n.Kind {
 	case tcpproc.NoteEstablished:
+		first := !c.established
 		c.established = true
-		// Passive connections announce themselves to the listener now
-		// (the accept callback may adopt the connection onto a Host, which
-		// queues EvAccepted; an active open reports EvConnected instead).
-		if !c.accepted {
-			c.accepted = true
-			if acc := e.listeners[c.meta.Tuple.LocalPort]; acc != nil && c.passive {
-				acc(c)
-			}
+		// Passive connections announce themselves to the listener the
+		// first time (the accept callback may adopt the connection onto a
+		// Host, which queues EvAccepted; an active open reports
+		// EvConnected instead).
+		if acc := e.listeners[c.meta.Tuple.LocalPort]; first && acc != nil && c.passive {
+			acc(c)
 		}
 		if c.passive {
 			c.notify(sock.EvAccepted)
@@ -302,7 +301,9 @@ func (e *Endpoint) applyNote(c *Conn, n *tcpproc.Note) {
 		c.wasReset = true
 	case tcpproc.NoteClosed:
 		c.closed = true
-		c.notify(sock.EvHangup)
+		if c.host != nil {
+			c.host.Events.PushLast(c)
+		}
 	}
 }
 

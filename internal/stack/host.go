@@ -45,6 +45,7 @@ func (h *Host) Dial(remote wire.Addr, port uint16) sock.Conn {
 		return nil // not c: a nil *Conn in a sock.Conn is not nil
 	}
 	c.host = h
+	c.handle = h.Events.Open()
 	return c
 }
 
@@ -59,6 +60,7 @@ func (h *Host) Listen(port uint16) bool {
 func (h *Host) accept(c *Conn) {
 	t := h.group[c.tcb.Tuple.Hash()%uint64(len(h.group))]
 	c.host = t
+	c.handle = t.Events.Open()
 	if t.OnAccept != nil {
 		t.OnAccept()
 	}
