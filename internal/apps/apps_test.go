@@ -49,6 +49,7 @@ func (c *fakeConn) bill(try bool) bool {
 func (c *fakeConn) push(kind host.ConnEventKind) {
 	if c.th != nil {
 		c.th.events = append(c.th.events, host.ConnEvent{Kind: kind, Conn: c})
+		c.th.wake.Wake()
 	}
 }
 
@@ -123,6 +124,7 @@ type fakeThread struct {
 	k      *sim.Kernel
 	core   *cpu.Core
 	events []host.ConnEvent
+	wake   sim.Waker
 	conns  []*fakeConn // dialed, client side
 	server *fakeThread
 	// dialGate lets tests simulate full command queues (Dial → nil).
@@ -176,7 +178,8 @@ func (t *fakeThread) Poll() []host.ConnEvent {
 	t.events = nil
 	return out
 }
-func (t *fakeThread) EventsPending() bool { return len(t.events) > 0 }
+func (t *fakeThread) EventsPending() bool  { return len(t.events) > 0 }
+func (t *fakeThread) SetWaker(w sim.Waker) { t.wake = w }
 
 // assertSkipped fails unless the kernel skipped cycles, i.e. the rig's
 // NextWork methods reported idleness rather than pinning every cycle.
@@ -232,6 +235,30 @@ func TestHTTPServerServesWrk(t *testing.T) {
 		t.Fatal("HTTP server charged no app/kernel work")
 	}
 	assertSkipped(t, k)
+}
+
+// A connection holding part of a request, with nothing more to read,
+// waits for its next EvReadable instead of spinning on a free core.
+func TestHTTPServerPartialRequestSleeps(t *testing.T) {
+	k := sim.New()
+	serverTh := newFakeThread(k, nil)
+	clientTh := newFakeThread(k, serverTh)
+	srv := NewHTTPServer([]host.Thread{serverTh}, 80, 128, 256, cpu.DefaultCosts())
+	k.Register(srv)
+	c := clientTh.Dial(0, 80)
+	c.SendQueued(64, nil) // half a request
+	read := func() bool { return c.(*fakeConn).peer.avail == 0 && !serverTh.core.Free() }
+	if !k.RunUntil(read, 10*fakeWireCycles) {
+		t.Fatal("server never read the partial request")
+	}
+	if w := srv.NextWork(k.Now()); w != sim.Dormant {
+		t.Fatalf("NextWork = %d with only a partial request buffered, want Dormant", w)
+	}
+	c.SendQueued(64, nil) // the rest
+	k.Run(10 * fakeWireCycles)
+	if srv.Requests.Total() != 1 {
+		t.Fatalf("served %d requests, want 1", srv.Requests.Total())
+	}
 }
 
 func TestBulkSenderPushes(t *testing.T) {

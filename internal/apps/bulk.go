@@ -62,6 +62,9 @@ func (b *BulkSender) Tick(int64) {
 	}
 }
 
+// SetWaker implements sim.Wakeable.
+func (b *BulkSender) SetWaker(w sim.Waker) { wakeOn(b.threads, w) }
+
 // NextWork implements sim.Sleeper. A sender with an established flow is
 // perpetually busy modulo its core — TrySend charges the core even when
 // the send buffer is full — so idleness only comes from the dial ramp
@@ -132,6 +135,9 @@ func (r *RoundRobinSender) Tick(int64) {
 	}
 }
 
+// SetWaker implements sim.Wakeable.
+func (r *RoundRobinSender) SetWaker(w sim.Waker) { wakeOn(r.threads, w) }
+
 // NextWork implements sim.Sleeper: like BulkSender, any established
 // flow keeps the thread core-gated busy. Rotation past unestablished
 // flows is idempotent (it lands on the first established entry, and no
@@ -201,6 +207,9 @@ func (s *Sink) Tick(int64) {
 		})
 	}
 }
+
+// SetWaker implements sim.Wakeable.
+func (s *Sink) SetWaker(w sim.Waker) { wakeOn(s.threads, w) }
 
 // NextWork implements sim.Sleeper. Pending connections always hold
 // unconsumed bytes between ticks (a fully drained connection is removed

@@ -43,6 +43,9 @@ func (s *EchoServer) Tick(int64) {
 	}
 }
 
+// SetWaker implements sim.Wakeable.
+func (s *EchoServer) SetWaker(w sim.Waker) { wakeOn(s.threads, w) }
+
 // NextWork implements sim.Sleeper: the server is purely event-driven
 // (RecvQueued/SendQueued never gate on the core up front), so it only
 // acts on readiness events.
@@ -162,6 +165,9 @@ func (c *EchoClient) Tick(int64) {
 		}
 	}
 }
+
+// SetWaker implements sim.Wakeable.
+func (c *EchoClient) SetWaker(w sim.Waker) { wakeOn(c.threads, w) }
 
 // NextWork implements sim.Sleeper. With every flow in flight (awaiting
 // its echo) and no events pending, the client is dormant for a full

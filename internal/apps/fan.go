@@ -136,6 +136,9 @@ func (c *FanClient) roundDone(i int) bool {
 	return true
 }
 
+// SetWaker implements sim.Wakeable.
+func (c *FanClient) SetWaker(w sim.Waker) { wakeOn(c.threads, w) }
+
 // NextWork implements sim.Sleeper. A thread purely awaiting responses
 // (requests all accepted, no readable bytes) is dormant until a
 // readiness event; anything else — dial ramp, blocked sends, unread
@@ -230,6 +233,9 @@ func (s *RPCServer) Tick(int64) {
 		})
 	}
 }
+
+// SetWaker implements sim.Wakeable.
+func (s *RPCServer) SetWaker(w sim.Waker) { wakeOn(s.threads, w) }
 
 // NextWork implements sim.Sleeper: event-driven except while a pending
 // response could make progress into freed send-buffer space (a full

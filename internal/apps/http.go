@@ -91,13 +91,20 @@ func (s *HTTPServer) Tick(int64) {
 				continue // hung up while queued
 			}
 			st.queued = false
-			served := s.serveOne(th, st)
-			if c.Available()+st.ready >= s.reqSize || (!served && st.ready > 0) {
+			s.serveOne(th, st)
+			// Requeue only a connection holding a whole request (one it
+			// could not answer for a full response buffer included). A
+			// partial request waits for its next EvReadable: requeued,
+			// it would come straight back with a free core and spin.
+			if c.Available()+st.ready >= s.reqSize {
 				s.enqueue(i, st)
 			}
 		}
 	}
 }
+
+// SetWaker implements sim.Wakeable.
+func (s *HTTPServer) SetWaker(w sim.Waker) { wakeOn(s.threads, w) }
 
 // NextWork implements sim.Sleeper: queued connections wait for the
 // thread's core; everything else arrives as readiness events.
@@ -108,17 +115,13 @@ func (s *HTTPServer) NextWork(now int64) int64 {
 // serveOne handles one complete request if present: socket read, HTTP
 // parse, file fetch, response render, socket write — each charged to its
 // CPU category.
-func (s *HTTPServer) serveOne(th host.Thread, st *httpConn) bool {
+func (s *HTTPServer) serveOne(th host.Thread, st *httpConn) {
 	core, c := th.Core(), st.conn
 	if st.ready < s.reqSize {
-		got := c.RecvQueued(c.Available())
-		if got == 0 {
-			return false
-		}
-		st.ready += got
+		st.ready += c.RecvQueued(c.Available())
 	}
 	if st.ready < s.reqSize {
-		return false
+		return
 	}
 	st.ready -= s.reqSize
 	core.RunQueued(cpu.CatApp, s.costs.AppParseRequest)
@@ -127,10 +130,9 @@ func (s *HTTPServer) serveOne(th host.Thread, st *httpConn) bool {
 	if c.SendQueued(s.respSize, nil) == 0 {
 		// Response buffer full: requeue the request for a later turn.
 		st.ready += s.reqSize
-		return false
+		return
 	}
 	s.Requests.Inc()
-	return true
 }
 
 // Wrk is the HTTP load generator of §5.2: keepalive connections that
@@ -270,6 +272,9 @@ func (w *Wrk) Tick(int64) {
 		}
 	}
 }
+
+// SetWaker implements sim.Wakeable.
+func (w *Wrk) SetWaker(waker sim.Waker) { wakeOn(w.threads, waker) }
 
 // NextWork implements sim.Sleeper. Pending events are now+1; otherwise
 // a thread with a ready flow is core-gated work (the shared core is the

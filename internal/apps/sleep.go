@@ -27,6 +27,16 @@ import (
 // ready set, the servers' pending lists. None of them rescans every
 // connection it owns to decide.
 
+// wakeOn implements sim.Wakeable for an app over threads: a readiness
+// event queued on any of them wakes the app. That is the only outside
+// stimulus an app has, since its NextWork reads nothing but its own
+// state, its threads' queues and their cores.
+func wakeOn(threads []host.Thread, w sim.Waker) {
+	for _, th := range threads {
+		th.SetWaker(w)
+	}
+}
+
 // idleUntil is the NextWork of an app whose thread i holds work gated
 // on its core exactly when busy(i): the next cycle while any thread has
 // events to poll, else the earliest cycle a busy thread's core frees up.

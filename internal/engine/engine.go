@@ -145,8 +145,9 @@ type listener struct {
 
 // Engine is one FtEngine instance.
 type Engine struct {
-	K   *sim.Kernel
-	cfg Config
+	K    *sim.Kernel
+	cfg  Config
+	wake sim.Waker // doorbells and packet arrivals
 
 	PCIe     *hostif.PCIe
 	Channels []*hostif.Channel
@@ -295,7 +296,7 @@ func New(k *sim.Kernel, cfg Config, tx func(*wire.Packet)) *Engine {
 	// Doorbell wakes: a host Post must pull the kernel out of a
 	// quiescent skip so the command is fetched on the next cycle.
 	for _, ch := range e.Channels {
-		ch.SetDoorbell(func() { k.Wake(e) })
+		ch.SetDoorbell(func() { e.wake.Wake() })
 	}
 	e.emitFn = e.emitPacket
 	e.transmitFn = func(arg any) { e.transmit(arg.(*wire.Packet)) }
@@ -426,8 +427,12 @@ func (e *Engine) DeliverPacket(pkt *wire.Packet) {
 			wire.PutPacket(pkt)
 		}
 	}
-	e.K.Wake(e) // packet arrival revives a quiescent engine
+	e.wake.Wake() // packet arrival revives a quiescent engine
 }
+
+// SetWaker implements sim.Wakeable: doorbells and packet arrivals wake
+// the engine. Everything else it reacts to runs on timers it scheduled.
+func (e *Engine) SetWaker(w sim.Waker) { e.wake = w }
 
 // NextWork implements sim.Sleeper: the engine can act next cycle while
 // any stage holds work (host commands, RX frames, bounced events), and

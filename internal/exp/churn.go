@@ -222,6 +222,10 @@ func (d *churnDriver) Tick(cycle int64) {
 	}
 }
 
+// SetWaker implements sim.Wakeable. Nothing outside wakes the driver: it
+// acts on its grid alone, so its NextWork is all the kernel needs.
+func (d *churnDriver) SetWaker(sim.Waker) {}
+
 // NextWork implements sim.Sleeper: the driver acts on every grid step
 // (there is always churn work while the rig runs).
 func (d *churnDriver) NextWork(now int64) int64 {

@@ -8,6 +8,18 @@ func TestFig13Quick(t *testing.T) {
 	}
 	tab := Fig13(true)
 	t.Log("\n" + tab.String())
+	// Rows 256, 4 096, 16 384 flows; columns flows, linux, f4t-ddr, f4t-hbm.
+	last := len(tab.Rows) - 1
+	ddr0, ddrN := cellFloat(t, tab, 0, 2), cellFloat(t, tab, last, 2)
+	if ddrN > shapes.ddrKnee*ddr0 {
+		t.Errorf("DDR knee missing: %.2f Mrps at %s flows against %.2f at %s", ddrN, tab.Rows[last][0], ddr0, tab.Rows[0][0])
+	}
+	hbm0 := cellFloat(t, tab, 0, 3)
+	for r := range tab.Rows {
+		if hbm := cellFloat(t, tab, r, 3); hbm < (1-shapes.hbmFlat)*hbm0 || hbm > (1+shapes.hbmFlat)*hbm0 {
+			t.Errorf("HBM not flat: %.2f Mrps at %s flows against %.2f at %s", hbm, tab.Rows[r][0], hbm0, tab.Rows[0][0])
+		}
+	}
 }
 
 // TestEcho64K exercises the full 65,536-flow connectivity point (§5.3).

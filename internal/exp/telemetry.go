@@ -122,6 +122,7 @@ func RunStatRig(rig string, runCycles, sampleCycles int64) (*StatRig, error) {
 		cli.Instrument(tel.Reg, "app.echo")
 		cli.SetTracer(tel.Trace, tel.NextTID("app.echo"))
 		k.Register(cli)
+		k.Instrument(tel.Reg, "sim")
 		if !k.RunUntil(cli.Ready, 500_000) {
 			return nil, fmt.Errorf("echo rig: connections not established")
 		}
@@ -135,6 +136,7 @@ func RunStatRig(rig string, runCycles, sampleCycles int64) (*StatRig, error) {
 		b := apps.NewBulkSender(p.MachA.Threads(), 0, 6002, 1460)
 		b.Instrument(tel.Reg, "app.bulk")
 		k.Register(b)
+		k.Instrument(tel.Reg, "sim")
 		if !k.RunUntil(b.Ready, 500_000) {
 			return nil, fmt.Errorf("bulk rig: connections not established")
 		}

@@ -81,6 +81,14 @@ func (m *F4TMachine) Tick(cycle int64) {
 	}
 }
 
+// SetWaker implements sim.Wakeable: a completion batch landing in a
+// thread's queue wakes the machine.
+func (m *F4TMachine) SetWaker(w sim.Waker) {
+	for _, lib := range m.libs {
+		lib.SetWaker(w)
+	}
+}
+
 // NextWork implements sim.Sleeper: the machine only acts when a thread
 // has completions to drain, and then only once its core frees up.
 // Completions arrive via PCIe DMA kernel timers, which bound any skip.

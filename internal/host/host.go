@@ -14,6 +14,7 @@ import (
 	"f4t/internal/cpu"
 	"f4t/internal/flow"
 	"f4t/internal/seqnum"
+	"f4t/internal/sim"
 	"f4t/internal/sock"
 	"f4t/internal/wire"
 )
@@ -91,6 +92,9 @@ type Thread interface {
 	// It is free: apps gate Poll on it and report themselves idle to the
 	// skipping kernel when it is false.
 	EventsPending() bool
+	// SetWaker names the component that runs the thread (its app):
+	// every readiness event queued on the thread wakes it.
+	SetWaker(w sim.Waker)
 }
 
 // Machine is one host: a set of threads (one per core) on one stack.
@@ -150,6 +154,9 @@ func (t *thread) Core() *cpu.Core { return t.core }
 
 // EventsPending implements Thread.
 func (t *thread) EventsPending() bool { return t.events.Len() > 0 }
+
+// SetWaker implements Thread.
+func (t *thread) SetWaker(w sim.Waker) { t.events.SetWaker(w) }
 
 // Dial implements Thread. It returns nil when the stack cannot take the
 // connection now (full command queue, flow ceiling); retry later.

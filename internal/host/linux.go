@@ -13,7 +13,7 @@ import (
 // CPU cycles from the calibrated table; RX packets distribute over cores
 // by flow hash (RSS) and wait for their core like softirq work.
 type LinuxMachine struct {
-	k     *sim.Kernel
+	wake  sim.Waker
 	ep    *stack.Endpoint
 	pool  *cpu.Pool
 	costs cpu.Costs
@@ -31,7 +31,6 @@ type LinuxMachine struct {
 // stack. remotes maps Dial's remoteIdx to peer addresses.
 func NewLinuxMachine(k *sim.Kernel, opt stack.Options, n int, costs cpu.Costs, remotes []wire.Addr, tx func(*wire.Packet)) *LinuxMachine {
 	m := &LinuxMachine{
-		k:     k,
 		ep:    stack.New(k, opt, tx),
 		pool:  cpu.NewPool(k, n),
 		costs: costs,
@@ -129,7 +128,14 @@ func (m *LinuxMachine) DeliverPacket(pkt *wire.Packet) {
 	if !m.rxq[idx].Push(pkt) {
 		m.RxDroppedFull++
 	}
-	m.k.Wake(m) // packet arrival revives a quiescent machine
+	m.wake.Wake() // packet arrival revives a quiescent machine
+}
+
+// SetWaker implements sim.Wakeable: packet arrivals and stack timers
+// armed by socket calls wake the machine.
+func (m *LinuxMachine) SetWaker(w sim.Waker) {
+	m.wake = w
+	m.ep.SetWaker(w)
 }
 
 // Tick advances the machine: each free core drains its RX queue

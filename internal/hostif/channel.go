@@ -25,7 +25,8 @@ type Channel struct {
 
 	comps *sim.Queue[Completion] // arrived completions, host-visible
 
-	onPost func() // doorbell hook: fires on every host Post
+	onPost func()    // doorbell hook: fires on every host Post
+	land   sim.Waker // the completion poller, woken as a batch lands
 
 	// Pooled DMA batches and their prebound landing callbacks: each
 	// in-flight transfer carries a recycled batch struct through AtCall
@@ -88,6 +89,7 @@ func NewChannel(k *sim.Kernel, pcie *PCIe, cmdBytes int64) *Channel {
 		c.Completed += int64(len(b.comps))
 		b.comps = b.comps[:0]
 		c.compFree = append(c.compFree, b)
+		c.land.Wake()
 	}
 	return c
 }
@@ -96,6 +98,10 @@ func NewChannel(k *sim.Kernel, pcie *PCIe, cmdBytes int64) *Channel {
 // doorbell. The engine uses it to wake the kernel out of a quiescent
 // skip when a command arrives.
 func (c *Channel) SetDoorbell(fn func()) { c.onPost = fn }
+
+// SetWaker names the component that polls the completion queue: every
+// completion batch landing wakes it.
+func (c *Channel) SetWaker(w sim.Waker) { c.land = w }
 
 // Post enqueues a command from the host thread. It reports false when the
 // queue is full (the library must retry — a blocking-API path, §4.6).

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"f4t/internal/sim"
+	"f4t/internal/sim/simtest"
 )
 
 func TestChannelCommandFetchTiming(t *testing.T) {
@@ -109,5 +110,37 @@ func TestCommandWidthChangesFetchCost(t *testing.T) {
 	ch8.TickDevice()
 	if p16.BytesToDevice != 2*p8.BytesToDevice {
 		t.Fatalf("bytes: 16B=%d 8B=%d", p16.BytesToDevice, p8.BytesToDevice)
+	}
+}
+
+// A completion batch landing wakes the component that polls the
+// completion queue, on the cycle the DMA write completes.
+func TestCompletionLandingWakesPoller(t *testing.T) {
+	for _, k := range []*sim.Kernel{sim.New(), sim.NewShadow()} {
+		ch := NewChannel(k, NewPCIe(k, DefaultPCIe()), CommandBytes16)
+		var got []int64
+		poller := &simtest.Probe{
+			Act: func(c int64) {
+				if _, ok := ch.PopCompletion(); ok {
+					got = append(got, c)
+				}
+			},
+			Next: func(now int64) int64 {
+				if ch.PendingCompletions() > 0 {
+					return now + 1
+				}
+				return sim.Dormant
+			},
+		}
+		k.Register(poller)
+		k.Register(simtest.At(10, func() { ch.PushCompletions([]Completion{{Flow: 1}}) }))
+		ch.SetWaker(poller.W)
+		k.Run(1_000)
+		if len(got) != 1 || got[0] <= 10 {
+			t.Fatalf("skipping %v: completion polled at %v, want once after cycle 10", k.Skipping(), got)
+		}
+		if k.Skipping() && (len(poller.Ticked) != 1 || poller.Ticked[0] != got[0]) {
+			t.Fatalf("poller ticked %v, want only its landing cycle %d", poller.Ticked, got[0])
+		}
 	}
 }

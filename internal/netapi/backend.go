@@ -19,6 +19,19 @@ type pump struct{ st *Stack }
 func (p pump) Tick(cycle int64)         { p.st.pumpTick(cycle) }
 func (p pump) NextWork(now int64) int64 { return p.st.nextWork(now) }
 
+// SetWaker implements sim.Wakeable: completions landing and readiness
+// events queued on the stack's host wake the pump. On a software
+// endpoint the pump rides the node, which hands it the node's Waker.
+func (p pump) SetWaker(w sim.Waker) {
+	switch h := p.st.host.(type) {
+	case *softstack.Lib:
+		h.SetWaker(w)
+		h.Events.SetWaker(w)
+	case *stack.Host:
+		h.Events.SetWaker(w)
+	}
+}
+
 // drain takes the substrate's readiness events, routing accepted
 // connections to their listener's backlog (every other state change is
 // read off the sock.Conn mirrors). It reports whether anything was

@@ -83,6 +83,7 @@ type RouterPort struct {
 	Name string
 
 	k         *sim.Kernel
+	wake      sim.Waker
 	post      sim.Poster
 	deliverFn func(any)
 	rate      *sim.ByteRate
@@ -190,8 +191,11 @@ func (p *RouterPort) enqueue(pkt *wire.Packet) {
 	if n := p.QueuedPkts(); n > p.PeakQPkts {
 		p.PeakQPkts = n
 	}
-	p.k.Wake(p)
+	p.wake.Wake()
 }
+
+// SetWaker implements sim.Wakeable: arrivals wake the port.
+func (p *RouterPort) SetWaker(w sim.Waker) { p.wake = w }
 
 // Tick implements sim.Ticker: when the serializer is free, pop the head
 // packet, run the dequeue-side discipline (CoDel), serialize it, and

@@ -3,41 +3,52 @@
 // cycle-resolution timers, seeded randomness and rate limiters.
 //
 // All simulated hardware advances in units of one engine clock cycle
-// (4 ns at 250 MHz). Components implement Ticker and are stepped once per
-// cycle in registration order, which keeps runs bit-for-bit reproducible.
+// (4 ns at 250 MHz). Components implement Ticker and tick in
+// registration order, which keeps runs bit-for-bit reproducible.
 //
-// # Quiescence skipping
+// # Ticking only what is due
 //
-// The kernel is idle-aware: a component that also implements Sleeper
-// reports, via NextWork, the earliest future cycle at which it could
-// possibly act (or Dormant when only an external stimulus can revive
-// it). When every registered ticker is a Sleeper and all of them report
-// a future cycle, Run/RunUntil jump the clock directly to
+// The kernel acts on events, as F4T's hardware does: a doorbell or an
+// arriving packet starts work, and nothing polls an idle component. A
+// component that implements Sleeper reports, via NextWork, the earliest
+// cycle at which it could act (Dormant when only a stimulus from outside
+// can revive it); its Tick before that cycle must be a pure no-op. A
+// Sleeper that also takes a Waker (Wakeable) is bound at registration,
+// and the kernel then keeps its NextWork cached:
 //
-//	min(earliest NextWork, earliest Wake hint, next kernel timer)
+//   - NextWork is asked right after the component's own Tick, and for
+//     every component on entry to Run and RunUntil, because code outside
+//     a step may change anything. Nothing else re-asks it.
+//   - A step ticks only the components that are due: their cached cycle
+//     has come, a timer they scheduled fires (its callback runs as that
+//     component), or something woke them. A timer scheduled outside any
+//     component makes every component due.
+//   - The clock jumps over every cycle in which nothing is due, to the
+//     earliest of the cached cycles, the pending wakes and the next
+//     timer. No component code runs in a skipped span, so every counter,
+//     timer and rate is what per-cycle stepping would produce.
 //
-// instead of stepping through the gap one cycle at a time. The skipped
-// cycles are credited to Now(), so everything keyed off absolute cycle
-// numbers — ByteRate reservations, timer deadlines, CPU busy-until
-// times, latency histograms — observes exactly the same values as under
-// naive stepping.
+// That is sound only under the wake discipline: code outside a component
+// that can make it busy wakes it, through the Waker it was handed.
+// Packet arrival wakes the engine, the Linux machine, the software node
+// and the router port; a doorbell wakes the engine; a completion batch
+// landing wakes whoever polls the channel; a readiness event queued on a
+// thread wakes its app; a stack timer armed outside its owner's Tick
+// wakes the owner at the deadline. A wake raised in cycle c makes the
+// target due in c when the target has not ticked in c yet (from the
+// timer phase, or from a component earlier in tick order), else in c+1
+// — the tick the always-step loop gave it.
 //
-// Why this preserves cycle accuracy: during a skipped span no component
-// code runs at all, so skipping from cycle N to cycle M is sound exactly
-// when ticking every component at N+1..M-1 would have been a pure no-op.
-// NextWork contracts guarantee that: a component may only report a
-// future cycle when its Tick is side-effect-free (no queue movement, no
-// counter increments, no state change) until that cycle. Work that
-// arrives from outside a component's own view — packet delivery, DMA
-// completion, TCB migration landing — is injected through kernel timers
-// (Kernel.At), which bound every skip, or signalled explicitly with
-// Wake/WakeAt at the injection point (doorbell posts, packet arrival).
-// Any registered ticker that does not implement Sleeper pins the kernel
-// to per-cycle stepping, so partial retrofits stay conservative rather
-// than wrong.
+// A Sleeper without SetWaker (a decorator, a test fake) is unbound: it
+// ticks on every stepped cycle and is asked NextWork before every skip,
+// the kernel's behaviour before caching. Any ticker that is not a
+// Sleeper pins the kernel to per-cycle stepping.
 //
-// SetSkipping(false) (or NewShadow) restores the historical always-step
-// loop; the differential tests in internal/exp run identical rigs under
-// both modes and assert bit-for-bit identical cycle-stamped counter
-// streams.
+// SetSkipping(false) (or NewShadow) runs the always-step loop with the
+// same cache and checks the discipline: it panics, naming the component,
+// when one the skipping kernel would leave idle on a cycle it steps has
+// work, or when a cached cycle is later than a fresh NextWork where the
+// skipping kernel would jump. The differential tests in internal/exp
+// and every fabric matrix run rigs on it and compare cycle-stamped
+// counters bit for bit.
 package sim

@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"math"
-	"reflect"
 )
 
 // CycleNS is the duration of one engine clock cycle in nanoseconds.
@@ -27,8 +26,8 @@ type TickerFunc func(cycle int64)
 func (f TickerFunc) Tick(cycle int64) { f(cycle) }
 
 // Dormant is the NextWork return value for a component with no
-// self-generated future work: only an external stimulus (kernel timer,
-// Wake, or another component's same-cycle action) can make it act.
+// self-generated future work: only an external stimulus (a kernel timer
+// it scheduled, or a Wake) can make it act.
 const Dormant = int64(math.MaxInt64)
 
 // Sleeper is a Ticker that can report idleness. NextWork returns the
@@ -36,12 +35,80 @@ const Dormant = int64(math.MaxInt64)
 // <= now means "busy, step me next cycle"; a future cycle promises that
 // every Tick before it would be a pure no-op (no state change, no
 // counter movement); Dormant promises that indefinitely. The promise
-// only covers the component's own state — work injected from outside
-// must arrive via a kernel timer or a Wake call.
+// covers the component's own state only. Work injected from outside
+// must arrive through a kernel timer or a Wake (see Wakeable).
+//
+// The kernel asks NextWork right after the component's own Tick, and
+// for every component on entry to Run and RunUntil. A Wakeable's answer
+// is cached until then; any other Sleeper is asked again before every
+// skip.
 type Sleeper interface {
 	Ticker
 	NextWork(now int64) int64
 }
+
+// Wakeable is a Sleeper that takes a wake handle: Register hands it a
+// Waker, and from then on the kernel ticks it only on the cycles it is
+// due — its cached NextWork, a timer it scheduled firing, or a Wake —
+// instead of on every stepped cycle. In exchange, every piece of code
+// outside the component that can make it busy must Wake it through that
+// Waker: a packet delivery, a doorbell, a completion landing, a
+// readiness event queued for it, a timer armed on its behalf. A
+// Sleeper without SetWaker (a decorator, a test fake) is unbound: it
+// ticks on every stepped cycle and its NextWork is asked before every
+// skip, as if nothing were cached.
+type Wakeable interface {
+	Sleeper
+	SetWaker(w Waker)
+}
+
+// Waker is a registered component's wake handle: its kernel and its
+// index in the tick list. The zero Waker is a no-op, which is what an
+// unbound component needs: the kernel polls its NextWork before every
+// skip, so there is nothing to tell it. A Waker is a value; wake sites
+// store it and call it without allocating.
+type Waker struct {
+	k *Kernel
+	i int32
+}
+
+// Wake says the target has work now. Raised in cycle c, it makes the
+// target due in c when the target has not ticked yet in c — from the
+// timer phase, or from a component earlier in tick order — which is the
+// tick the always-step loop gave it; otherwise in c+1. A wake raised by
+// the target's own Tick is dropped: its NextWork is asked next.
+func (w Waker) Wake() {
+	if w.k != nil {
+		w.WakeAt(w.k.cycle)
+	}
+}
+
+// WakeAt says the target has work at the given cycle; a cycle not in
+// the future is Wake. Wakes only ever bring a component's next tick
+// forward.
+func (w Waker) WakeAt(cycle int64) {
+	k := w.k
+	if k == nil {
+		return
+	}
+	if cycle <= k.cycle {
+		if w.i == k.pos {
+			return
+		}
+		cycle = k.cycle
+		if w.i < k.pos {
+			cycle++ // already ticked this cycle
+		}
+	}
+	if e := &k.tickers[w.i]; cycle < e.wake {
+		e.wake = cycle
+	}
+}
+
+// Ticking reports whether the target is the component whose Tick is
+// running: a wake from there is redundant, since the kernel asks its
+// NextWork when the Tick returns.
+func (w Waker) Ticking() bool { return w.k != nil && w.i == w.k.pos }
 
 // Runner is the surface shared by the serial Kernel and the
 // ShardedKernel: everything a workload driver needs to advance
@@ -111,10 +178,11 @@ type Fabric interface {
 // cross-shard events into a shard's heap reproduces exactly the firing
 // order a single serial kernel would have used.
 type timerEvent struct {
-	cycle  int64 // fire cycle
-	icycle int64 // insertion cycle
-	slot   int32 // inserting context's global slot (-1 = external)
-	sub    int64 // per-context insertion counter
+	cycle  int64         // fire cycle
+	icycle int64         // insertion cycle
+	slot   int32         // inserting context's global slot (-1 = external)
+	idx    int32         // inserting component's local index, due when it fires (-1: none)
+	sub    int64         // per-context insertion counter
 	fn     func()        // closure form (At)
 	call   func(arg any) // call form (AtCall); fires call(arg) when non-nil
 	arg    any
@@ -184,24 +252,31 @@ func (h *timerHeap) pop() timerEvent {
 
 // tickerEntry is one registered component plus its sleep bookkeeping.
 type tickerEntry struct {
-	t      Ticker
-	s      Sleeper // nil for opaque (non-Sleeper) tickers
-	wakeAt int64   // earliest explicit Wake hint; Dormant = none
-	slot   int32   // global registration slot (ties across shards)
-	sub    int64   // timer-insertion counter for this component's code
+	t     Ticker
+	s     Sleeper // nil for opaque (non-Sleeper) tickers
+	bound bool    // Wakeable: ticked only when due
+	next  int64   // bound: cached NextWork; unbound: always due
+	wake  int64   // earliest pending wake; Dormant when none
+	slot  int32   // global registration slot (ties across shards)
+	sub   int64   // timer-insertion counter for this component's code
+	woke  int64   // stepped cycles this component's cached value or wake caused
 }
+
+// alwaysDue is an unbound entry's next: every stepped cycle ticks it.
+const alwaysDue = math.MinInt64
+
+// idle is Kernel.pos outside the tick phase: every component has ticked.
+const idle = math.MaxInt32
 
 // Kernel is the simulation driver. The zero value is not usable; call New.
 type Kernel struct {
-	cycle     int64
-	tickers   []tickerEntry
-	index     map[Ticker]int // identity → slot index, comparable tickers only
-	slotIndex map[int32]int  // global slot → tickers index
-	opaque    int            // registered tickers without NextWork
-	timers    timerHeap
-	nextSlot  int32
-	extSub    int64 // insertion counter for code outside any component
-	stopped   bool
+	cycle    int64
+	tickers  []tickerEntry
+	opaque   int // registered tickers without NextWork
+	timers   timerHeap
+	nextSlot int32
+	extSub   int64 // insertion counter for code outside any component
+	stopped  bool
 
 	// Current insertion context: which component's code is running.
 	// curSub is nil while executing a timer posted by a component on
@@ -209,24 +284,36 @@ type Kernel struct {
 	// (they would need that foreign component's counter, which lives on
 	// its own shard); they post through their Mailbox instead.
 	curSlot int32
+	curIdx  int32 // local index of curSlot's component; -1 when none
 	curSub  *int64
 
-	noskip  bool  // shadow mode: historical always-step loop
-	anyWake int64 // wake floor for tickers the index cannot address
+	// pos is where the current cycle stands for wakes: -1 in the timer
+	// phase, i while tickers[i] ticks, idle once all have (and between
+	// steps).
+	pos int32
+
+	noskip  bool  // shadow mode: always-step loop plus the wake checker
+	checkTo int64 // shadow: the skipping kernel's next stepped cycle
 	skipped int64 // total cycles skipped (stats)
 	skips   int64 // skip jumps taken (stats)
+	steps   int64 // stepped cycles
+	ticks   int64 // component ticks run
+	elided  int64 // component ticks not run on a stepped cycle
+	byTimer int64 // steps caused by a timer alone
+	byOther int64 // steps no cached value, wake or timer asked for
 }
 
 // New returns an empty kernel positioned at cycle 0 with quiescence
 // skipping enabled.
 func New() *Kernel {
-	k := &Kernel{anyWake: Dormant, curSlot: -1}
+	k := &Kernel{curSlot: -1, curIdx: -1, pos: idle}
 	k.curSub = &k.extSub
 	return k
 }
 
-// NewShadow returns a kernel running the historical always-step loop —
-// the reference for differential testing against the skipping kernel.
+// NewShadow returns a kernel running the always-step loop with the wake
+// checker armed — the reference for differential testing against the
+// skipping kernel (see SetSkipping).
 func NewShadow() *Kernel {
 	k := New()
 	k.noskip = true
@@ -234,8 +321,16 @@ func NewShadow() *Kernel {
 }
 
 // SetSkipping enables or disables quiescence skipping. Results are
-// identical either way; disabling trades wall-clock speed for the
-// simpler always-step loop (used by the differential harness).
+// identical either way. Disabled, the kernel ticks every component on
+// every cycle but keeps the NextWork cache exactly as the skipping
+// kernel does, so RunUntil observes the same cycles, and it checks the
+// wake discipline, panicking with the component's slot and type when
+//
+//   - on a cycle c the skipping kernel would step, a component it would
+//     leave idle has a fresh NextWork(c-1) <= c (its state changed and
+//     nobody woke it), or
+//   - where the skipping kernel would skip, a component's cached value
+//     is later than a fresh NextWork (the kernel would reach it late).
 func (k *Kernel) SetSkipping(on bool) { k.noskip = !on }
 
 // Skipping reports whether quiescence skipping is enabled.
@@ -253,10 +348,10 @@ func (k *Kernel) Now() int64 { return k.cycle }
 // NowNS returns the current simulated time in nanoseconds.
 func (k *Kernel) NowNS() int64 { return k.cycle * CycleNS }
 
-// Register adds a component to the per-cycle tick list. Components tick
-// in registration order every cycle. A component that implements
-// Sleeper participates in quiescence skipping; any other ticker pins
-// the kernel to per-cycle stepping.
+// Register adds a component to the tick list. Components tick in
+// registration order. A Wakeable is bound (handed its Waker) and ticks
+// only when due; any other Sleeper ticks on every stepped cycle; a
+// ticker without NextWork pins the kernel to per-cycle stepping.
 func (k *Kernel) Register(t Ticker) {
 	k.RegisterSlot(t, k.nextSlot)
 }
@@ -271,54 +366,20 @@ func (k *Kernel) RegisterSlot(t Ticker, slot int32) {
 	if n := len(k.tickers); n > 0 && k.tickers[n-1].slot >= slot {
 		panic(fmt.Sprintf("sim: slot %d registered after slot %d; slots must be increasing", slot, k.tickers[n-1].slot))
 	}
-	e := tickerEntry{t: t, wakeAt: Dormant, slot: slot}
+	e := tickerEntry{t: t, next: alwaysDue, wake: Dormant, slot: slot}
+	var w Wakeable
 	if s, ok := t.(Sleeper); ok {
 		e.s = s
+		w, e.bound = t.(Wakeable)
 	} else {
 		k.opaque++
 	}
 	k.tickers = append(k.tickers, e)
-	if k.slotIndex == nil {
-		k.slotIndex = make(map[int32]int)
-	}
-	k.slotIndex[slot] = len(k.tickers) - 1
 	if slot >= k.nextSlot {
 		k.nextSlot = slot + 1
 	}
-	// Identity-addressable tickers get a Wake slot. Func-typed tickers
-	// (TickerFunc) are not comparable and would panic as map keys; Wake
-	// falls back to the global floor for them.
-	if t != nil && reflect.TypeOf(t).Comparable() {
-		if k.index == nil {
-			k.index = make(map[Ticker]int)
-		}
-		k.index[t] = len(k.tickers) - 1
-	}
-}
-
-// Wake hints that the component has work on the next cycle — call it at
-// work-injection points (doorbell posts, packet arrival) whose target
-// may currently be reporting Dormant.
-func (k *Kernel) Wake(t Ticker) { k.WakeAt(t, k.cycle+1) }
-
-// WakeAt hints that the component has work at the given cycle. Hints
-// only bound skipping (earlier of hint and NextWork wins); they never
-// delay a busy component. Unregistered or non-comparable tickers lower
-// a global wake floor instead, which is safe but skips less.
-func (k *Kernel) WakeAt(t Ticker, cycle int64) {
-	if cycle <= k.cycle {
-		cycle = k.cycle + 1
-	}
-	if t != nil && k.index != nil && reflect.TypeOf(t).Comparable() {
-		if idx, ok := k.index[t]; ok {
-			if cycle < k.tickers[idx].wakeAt {
-				k.tickers[idx].wakeAt = cycle
-			}
-			return
-		}
-	}
-	if cycle < k.anyWake {
-		k.anyWake = cycle
+	if w != nil {
+		w.SetWaker(Waker{k: k, i: int32(len(k.tickers) - 1)})
 	}
 }
 
@@ -348,7 +409,7 @@ func (k *Kernel) event(cycle int64, fn func(), call func(arg any), arg any) time
 		panic("sim: scheduling a local timer from a cross-shard delivery; post through the Mailbox instead")
 	}
 	*k.curSub++
-	return timerEvent{cycle: cycle, icycle: k.cycle, slot: k.curSlot, sub: *k.curSub, fn: fn, call: call, arg: arg}
+	return timerEvent{cycle: cycle, icycle: k.cycle, slot: k.curSlot, sub: *k.curSub, idx: k.curIdx, fn: fn, call: call, arg: arg}
 }
 
 // After schedules fn to run delta cycles from now (minimum 1).
@@ -360,8 +421,10 @@ func (k *Kernel) After(delta int64, fn func()) {
 }
 
 // inject merges an externally built event (a cross-shard delivery) into
-// the timer heap. Only the ShardedKernel calls this, at barriers.
+// the timer heap. Only the ShardedKernel calls this, at barriers. The
+// event's index named a component on its source shard.
 func (k *Kernel) inject(ev timerEvent) {
+	ev.idx = -1
 	k.timers.push(ev)
 }
 
@@ -369,23 +432,39 @@ func (k *Kernel) inject(ev timerEvent) {
 func (k *Kernel) Stop() { k.stopped = true }
 
 // Step advances the simulation by exactly one cycle: due timers fire
-// first, then every registered component ticks once. Consumed wake
-// hints are cleared.
+// first, then every due component ticks once, in registration order,
+// and each bound one that ticked is asked its NextWork.
+//
+// A timer makes the component that scheduled it due in its cycle: its
+// callback runs as that component. A timer scheduled by code outside
+// any component may touch anything, so it makes every component due.
+// A cross-shard delivery makes nothing due; what it delivers to wakes
+// its receiver.
 func (k *Kernel) Step() {
 	k.cycle++
-	for len(k.timers) > 0 && k.timers[0].cycle <= k.cycle {
+	c := k.cycle
+	k.steps++
+	k.blame(c)
+	k.pos = -1
+	for len(k.timers) > 0 && k.timers[0].cycle <= c {
 		ev := k.timers.pop()
 		// Timer callbacks inherit the scheduling component's identity,
 		// so chains like "engine tick → At(txDone) → pipe.Send → At(
 		// delivery)" stay ordered by the originating slot. A foreign
 		// slot (cross-shard delivery) has no local counter; its
 		// callback may not schedule local timers.
-		if idx, ok := k.slotIndex[ev.slot]; ok {
-			k.curSlot, k.curSub = ev.slot, &k.tickers[idx].sub
-		} else if ev.slot < 0 {
-			k.curSlot, k.curSub = -1, &k.extSub
-		} else {
-			k.curSlot, k.curSub = ev.slot, nil
+		switch {
+		case ev.idx >= 0:
+			e := &k.tickers[ev.idx]
+			k.curSlot, k.curIdx, k.curSub = e.slot, ev.idx, &e.sub
+			e.wake = c
+		case ev.slot < 0:
+			k.curSlot, k.curIdx, k.curSub = -1, -1, &k.extSub
+			for i := range k.tickers {
+				k.tickers[i].wake = c
+			}
+		default:
+			k.curSlot, k.curIdx, k.curSub = ev.slot, -1, nil
 		}
 		if ev.call != nil {
 			ev.call(ev.arg)
@@ -395,43 +474,124 @@ func (k *Kernel) Step() {
 	}
 	for i := range k.tickers {
 		e := &k.tickers[i]
-		if e.wakeAt <= k.cycle {
-			e.wakeAt = Dormant
+		due := e.next <= c || e.wake <= c
+		if !due {
+			if !k.noskip {
+				k.elided++
+				continue
+			}
+			if c >= k.checkTo {
+				k.check(e, c)
+			}
 		}
-		k.curSlot, k.curSub = e.slot, &e.sub
-		e.t.Tick(k.cycle)
+		k.ticks++
+		k.pos = int32(i)
+		k.curSlot, k.curIdx, k.curSub = e.slot, int32(i), &e.sub
+		e.t.Tick(c)
+		if due {
+			if e.wake <= c {
+				e.wake = Dormant
+			}
+			if e.bound {
+				e.next = e.s.NextWork(c)
+			}
+		}
 	}
-	k.curSlot, k.curSub = -1, &k.extSub
-	if k.anyWake <= k.cycle {
-		k.anyWake = Dormant
+	k.pos = idle
+	k.curSlot, k.curIdx, k.curSub = -1, -1, &k.extSub
+	if k.noskip {
+		k.checkSkip()
 	}
 }
 
+// blame charges stepped cycle c to its cause: the first component in
+// tick order whose cached value or wake asked for it, else a timer,
+// else whatever else stepped it (a run boundary, an unbound or opaque
+// ticker, the always-step loop).
+func (k *Kernel) blame(c int64) {
+	for i := range k.tickers {
+		if e := &k.tickers[i]; e.bound && (e.next <= c || e.wake <= c) {
+			e.woke++
+			return
+		}
+	}
+	if len(k.timers) > 0 && k.timers[0].cycle <= c {
+		k.byTimer++
+	} else {
+		k.byOther++
+	}
+}
+
+// refresh asks every bound component its NextWork: code outside Step
+// (test setup, a driver between runs) may have changed anything.
+func (k *Kernel) refresh() {
+	for i := range k.tickers {
+		if e := &k.tickers[i]; e.bound {
+			e.next = e.s.NextWork(k.cycle)
+		}
+	}
+	k.checkTo = k.cycle
+}
+
 // nextEventCycle returns the earliest cycle > now at which anything can
-// happen: a ticker's self-reported work, an explicit wake hint, or a
-// kernel timer. Dormant means nothing ever will.
+// happen: a bound component's cached value, an unbound one's NextWork,
+// or a kernel timer. Dormant means nothing ever will.
 func (k *Kernel) nextEventCycle() int64 {
 	now := k.cycle
 	next := Dormant
-	if len(k.timers) > 0 && k.timers[0].cycle < next {
+	if len(k.timers) > 0 {
 		next = k.timers[0].cycle
-	}
-	if k.anyWake < next {
-		next = k.anyWake
 	}
 	for i := range k.tickers {
 		e := &k.tickers[i]
-		if e.wakeAt < next {
-			next = e.wakeAt
+		w := e.next
+		if !e.bound {
+			w = e.s.NextWork(now)
 		}
-		if w := e.s.NextWork(now); w < next {
+		w = min(w, e.wake)
+		if w < next {
 			next = w
-		}
-		if next <= now+1 {
-			return now + 1 // someone is busy: no skip possible
+			if next <= now+1 {
+				return now + 1 // someone is busy: no skip possible
+			}
 		}
 	}
 	return next
+}
+
+// check is the shadow kernel's first wake check, run on a component the
+// skipping kernel would leave idle in a cycle c it steps. (Inside a span
+// it skips nothing runs there, so nothing can have changed.)
+func (k *Kernel) check(e *tickerEntry, c int64) {
+	if w := e.s.NextWork(c - 1); w <= c {
+		panic(fmt.Sprintf("sim: missed wake: slot %d (%T) has work in cycle %d (NextWork(%d) = %d) but its next cycle is %d", e.slot, e.t, c, c-1, w, min(e.next, e.wake)))
+	}
+}
+
+// checkSkip is the shadow kernel's second wake check, run at the end of
+// each cycle from which the skipping kernel would jump: no bound
+// component may have work before its cached cycle.
+func (k *Kernel) checkSkip() {
+	c := k.cycle
+	if c < k.checkTo || k.opaque > 0 || len(k.tickers) == 0 {
+		return
+	}
+	next := k.nextEventCycle()
+	if next <= c+1 {
+		return
+	}
+	k.checkTo = next
+	for i := range k.tickers {
+		e := &k.tickers[i]
+		if !e.bound {
+			continue
+		}
+		// next is the least cached value, so a fresh value below it is
+		// below this component's too.
+		if w := e.s.NextWork(c); w < next {
+			panic(fmt.Sprintf("sim: missed wake: slot %d (%T) has work in cycle %d but its next cycle is %d; the kernel would skip to %d", e.slot, e.t, max(w, c+1), min(e.next, e.wake), next))
+		}
+	}
 }
 
 // advanceTo fast-forwards the clock so the next Step lands on the
@@ -456,6 +616,7 @@ func (k *Kernel) advanceTo(limit int64) {
 // Provably idle spans are fast-forwarded; the end cycle is exact.
 func (k *Kernel) Run(n int64) {
 	k.stopped = false
+	k.refresh()
 	end := k.cycle + n
 	for k.cycle < end && !k.stopped {
 		k.advanceTo(end)
@@ -493,6 +654,7 @@ func (k *Kernel) observable(limit int64) int64 {
 // observe every transition they could under per-cycle evaluation.
 func (k *Kernel) RunUntil(pred func() bool, budget int64) bool {
 	k.stopped = false
+	k.refresh()
 	end := k.cycle + budget
 	for k.cycle < end && !k.stopped {
 		if pred() {

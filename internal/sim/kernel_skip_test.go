@@ -52,27 +52,48 @@ func TestSkipHonorsNextWork(t *testing.T) {
 	}
 }
 
+// wakeProbe is a probe that takes a Waker: the kernel ticks it only
+// when it is due.
+type wakeProbe struct {
+	probe
+	w Waker
+}
+
+func (p *wakeProbe) SetWaker(w Waker) { p.w = w }
+
 func TestWakeBoundsSkip(t *testing.T) {
 	k := New()
-	p := &probe{next: dormant}
+	p := &wakeProbe{probe: probe{next: dormant}}
 	k.Register(p)
-	k.WakeAt(p, 30)
+	p.w.WakeAt(30)
 	k.Run(100)
-	if len(p.ticked) != 2 || p.ticked[0] != 30 || p.ticked[1] != 100 {
-		t.Fatalf("ticked cycles = %v, want [30 100]", p.ticked)
+	// A bound component is not ticked at the run boundary: only its
+	// wake made it due.
+	if len(p.ticked) != 1 || p.ticked[0] != 30 {
+		t.Fatalf("ticked cycles = %v, want [30]", p.ticked)
+	}
+	if k.SkippedCycles() != 98 {
+		t.Fatalf("skipped = %d, want 98", k.SkippedCycles())
 	}
 }
 
-func TestWakeUnknownTickerUsesGlobalFloor(t *testing.T) {
+func TestUnboundSleeperIsPolled(t *testing.T) {
 	k := New()
-	p := &probe{next: dormant}
+	armed := false
+	p := &probe{next: func(now int64) int64 {
+		if armed && now < 40 {
+			return 40
+		}
+		return Dormant
+	}}
 	k.Register(p)
-	// TickerFunc is not comparable, so the wake lands on the global
-	// floor; the skip must still stop there.
-	k.WakeAt(TickerFunc(func(int64) {}), 40)
+	// Nothing can wake an unbound sleeper (its Waker is the zero one,
+	// a no-op), so the kernel asks its NextWork before every skip.
+	Waker{}.Wake()
+	k.At(10, func() { armed = true })
 	k.Run(100)
-	if len(p.ticked) != 2 || p.ticked[0] != 40 {
-		t.Fatalf("ticked cycles = %v, want first stop at 40", p.ticked)
+	if len(p.ticked) != 3 || p.ticked[0] != 10 || p.ticked[1] != 40 || p.ticked[2] != 100 {
+		t.Fatalf("ticked cycles = %v, want [10 40 100]", p.ticked)
 	}
 }
 
@@ -144,7 +165,10 @@ type echoPair struct {
 	hasToken bool
 	log      *[]int64
 	id       int64
+	w        Waker
 }
+
+func (e *echoPair) SetWaker(w Waker) { e.w = w }
 
 func (e *echoPair) Tick(cycle int64) {
 	if e.hasToken && cycle >= e.busyTil {
@@ -154,7 +178,7 @@ func (e *echoPair) Tick(cycle int64) {
 		e.k.At(cycle+e.delay, func() {
 			p.hasToken = true
 			p.busyTil = cycle + e.delay + 3 // three busy cycles on arrival
-			e.k.Wake(p)
+			p.w.Wake()
 		})
 	}
 }

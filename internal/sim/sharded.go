@@ -33,9 +33,11 @@ import (
 //     can ever need an event another shard has not yet exchanged —
 //     the classic conservative-lookahead soundness condition.
 //
-// Quiescence skipping composes: each shard's kernel skips provably
-// idle spans inside its window using its components' NextWork hints,
-// so an idle shard crosses a whole window in one jump.
+// Quiescence skipping composes: each shard is a Kernel with its own
+// NextWork cache, re-asked as every window's Run begins, so it ticks
+// only its due components and an idle shard crosses a whole window in
+// one jump. A cross-shard delivery makes nothing due by itself; the
+// receiver it reaches wakes on its own shard.
 type ShardedKernel struct {
 	shards    []*Kernel
 	boxes     []*Mailbox
@@ -180,7 +182,7 @@ func (sk *ShardedKernel) window(end int64) {
 	}
 	live := 0
 	for _, k := range sk.shards {
-		if len(k.tickers) == 0 && len(k.timers) == 0 && k.anyWake == Dormant {
+		if len(k.tickers) == 0 && len(k.timers) == 0 {
 			// Provably empty shard: nothing can happen; advance its
 			// clock directly rather than burning a goroutine.
 			k.cycle = target

@@ -12,6 +12,7 @@ import (
 
 	"f4t/internal/flow"
 	"f4t/internal/seqnum"
+	"f4t/internal/sim"
 	"f4t/internal/wire"
 )
 
@@ -47,7 +48,12 @@ type Queue struct {
 	spare   []Event // the previous Take's slice, recycled by the next
 	handles flow.IDs
 	dying   []flow.ID // handles of queued last events, freed by the next Take
+	reader  sim.Waker // the component that takes the events
 }
+
+// SetWaker names the component that takes the queue's events: every
+// Push wakes it. A queue has one reader.
+func (q *Queue) SetWaker(w sim.Waker) { q.reader = w }
 
 // Open draws a handle for a connection becoming visible on this host.
 func (q *Queue) Open() flow.ID {
@@ -61,6 +67,7 @@ func (q *Queue) Handles() int { return q.handles.Live() }
 // Push appends one event.
 func (q *Queue) Push(kind EventKind, c Conn) {
 	q.events = append(q.events, Event{Kind: kind, Conn: c})
+	q.reader.Wake()
 }
 
 // PushLast appends c's terminal (closed or reset) EvHangup and retires

@@ -115,6 +115,11 @@ func (l *Lib) PollOne() bool {
 	return true
 }
 
+// SetWaker names the component that drains the completion queue (the
+// F4TMachine, or a facade pump): every completion batch landing wakes
+// it.
+func (l *Lib) SetWaker(w sim.Waker) { l.ch.SetWaker(w) }
+
 // PendingCompletions exposes the completion backlog.
 func (l *Lib) PendingCompletions() int { return l.ch.PendingCompletions() }
 

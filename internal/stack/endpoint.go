@@ -48,6 +48,7 @@ type Endpoint struct {
 	arp    *datapath.ARP
 	timers *timerq.Queue
 	tx     func(*wire.Packet)
+	owner  sim.Waker // the component whose Tick expires the timers
 
 	ids       flow.IDs // live IDs are exactly the non-nil rows of conns
 	conns     flow.Table[*Conn]
@@ -98,6 +99,11 @@ func New(k *sim.Kernel, opt Options, tx func(*wire.Packet)) *Endpoint {
 	}
 	return e
 }
+
+// SetWaker names the component that expires the endpoint's timers (a
+// Node or a LinuxMachine): a timer armed while another component runs
+// wakes it at the deadline.
+func (e *Endpoint) SetWaker(w sim.Waker) { e.owner = w }
 
 // SetTx replaces the transmit function (for late link attachment).
 func (e *Endpoint) SetTx(tx func(*wire.Packet)) { e.tx = tx }
@@ -233,6 +239,11 @@ func (e *Endpoint) runProcess(c *Conn) {
 		e.RxOowRsts++
 	}
 	e.timers.SyncFromTCB(&c.tcb)
+	// A timer armed outside the owner's Tick (an app's send, a driver's
+	// close) must reach the owner's NextWork: wake it at the deadline.
+	if !e.owner.Ticking() {
+		e.owner.WakeAt(e.NextTimerCycle(e.K.Now()))
+	}
 	if e.actions.FreeFlow {
 		e.free(c)
 	}

@@ -88,6 +88,8 @@ type Node struct {
 
 	DemuxDrops int64 // frames for an address no endpoint of the node owns
 
+	wake sim.Waker
+
 	// Rider, when set, ticks after the endpoints every stepped cycle and
 	// shares the node's NextWork: the machine's application, so the
 	// per-cycle order stack → app is fixed (netapi's pump, churn's server).
@@ -113,7 +115,20 @@ func (n *Node) Endpoint() *Endpoint { return n.eps[0] }
 // DeliverPacket is the network sink.
 func (n *Node) DeliverPacket(p *wire.Packet) {
 	n.rxq = append(n.rxq, p)
-	n.eps[0].K.Wake(n)
+	n.wake.Wake()
+}
+
+// SetWaker implements sim.Wakeable: frame arrivals and timers armed on
+// its endpoints from outside its Tick wake the node, and so does
+// whatever wakes its Rider.
+func (n *Node) SetWaker(w sim.Waker) {
+	n.wake = w
+	for _, ep := range n.eps {
+		ep.SetWaker(w)
+	}
+	if r, ok := n.Rider.(interface{ SetWaker(sim.Waker) }); ok {
+		r.SetWaker(w)
+	}
 }
 
 // Tick implements sim.Ticker.
