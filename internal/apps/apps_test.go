@@ -129,6 +129,9 @@ type fakeThread struct {
 	server *fakeThread
 	// dialGate lets tests simulate full command queues (Dial → nil).
 	dialGate func() bool
+	// refuse lets tests have the server refuse an open: the dial returns
+	// a connection that a reset closed before it established.
+	refuse func() bool
 
 	handles flow.IDs
 	dying   []flow.ID // handles of queued terminal hangups, freed by Poll
@@ -153,6 +156,11 @@ func (t *fakeThread) Listen(uint16)   {}
 func (t *fakeThread) Dial(int, uint16) host.Conn {
 	if t.dialGate != nil && !t.dialGate() {
 		return nil
+	}
+	if t.refuse != nil && t.refuse() {
+		c := &fakeConn{th: t, handle: t.open()}
+		c.hangup()
+		return c
 	}
 	cli := &fakeConn{th: t, handle: t.open(), established: true, sendSpace: 1 << 20}
 	if t.ids != nil {
@@ -331,6 +339,27 @@ func TestDialerRetriesNilDials(t *testing.T) {
 	d.tick()
 	if !d.allEstablished() {
 		t.Fatal("dialer did not recover once dials were accepted")
+	}
+}
+
+// An open refused by a reset closes without establishing; the ramp
+// window must count it as settled, or it stays shut once
+// maxOutstandingDials more dials sit behind it and the dialer never
+// completes (its app would then report itself busy on every cycle).
+func TestDialerSkipsRefusedOpens(t *testing.T) {
+	k := sim.New()
+	th := newFakeThread(k, nil)
+	dials := 0
+	th.refuse = func() bool { dials++; return dials == 2 }
+	const want = 2 * maxOutstandingDials
+	d := newDialer([]host.Thread{th}, 0, 1, want, nil)
+	for i := 0; i < want && !d.tick(); i++ {
+	}
+	if !d.complete() || len(d.conns[0]) != want {
+		t.Fatalf("dialed %d of %d, complete = %v", len(d.conns[0]), want, d.complete())
+	}
+	if got := d.established(); got != want-1 {
+		t.Fatalf("established = %d, want %d", got, want-1)
 	}
 }
 

@@ -11,7 +11,7 @@ type dialer struct {
 	port      uint16
 	want      int // connections per thread
 	conns     [][]host.Conn
-	estPtr    []int // prefix of conns known established (ramp window)
+	estPtr    []int // prefix of conns known established or closed (ramp window)
 	onOpen    func(threadIdx int, c host.Conn)
 	done      bool // every wanted connection dialed; latched
 }
@@ -49,8 +49,13 @@ func (d *dialer) tick() bool {
 	done := true
 	for i, th := range d.threads {
 		// Connections establish roughly in dial order; advance the
-		// established prefix to measure the outstanding window cheaply.
-		for d.estPtr[i] < len(d.conns[i]) && d.conns[i][d.estPtr[i]].Established() {
+		// settled prefix to measure the outstanding window cheaply. A
+		// connection closed without establishing (an open refused by a
+		// reset) is settled too, or it would hold the window shut.
+		for d.estPtr[i] < len(d.conns[i]) {
+			if c := d.conns[i][d.estPtr[i]]; !c.Established() && !c.Closed() {
+				break
+			}
 			d.estPtr[i]++
 		}
 		for n := 0; n < dialsPerTick && len(d.conns[i]) < d.want; n++ {

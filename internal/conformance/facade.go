@@ -38,11 +38,6 @@ type FacadeConfig struct {
 	EndCycle int64
 }
 
-// DefaultFacadeConfig is the CI smoke shape.
-func DefaultFacadeConfig() FacadeConfig {
-	return FacadeConfig{Seed: 1, Conns: 3, Bytes: 20_000}
-}
-
 // FacadeResult is one facade run's verdict.
 type FacadeResult struct {
 	Violations []string

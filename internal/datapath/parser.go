@@ -121,7 +121,7 @@ func (p *Parser) Deregister(t wire.FourTuple, id flow.ID) {
 	}
 }
 
-// Lookup exposes the flow table (used by tests and the engine's RSS).
+// Lookup returns the flow registered for a tuple.
 func (p *Parser) Lookup(t wire.FourTuple) (flow.ID, bool) { return p.table.Lookup(t) }
 
 // Ring returns a flow's receive ring (nil in modelled-only mode).

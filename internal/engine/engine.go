@@ -12,7 +12,6 @@ package engine
 
 import (
 	"fmt"
-	"unsafe"
 
 	"f4t/internal/cc"
 	"f4t/internal/datapath"
@@ -21,7 +20,6 @@ import (
 	"f4t/internal/engine/sched"
 	"f4t/internal/flow"
 	"f4t/internal/hostif"
-	"f4t/internal/seqnum"
 	"f4t/internal/sim"
 	"f4t/internal/tcpproc"
 	"f4t/internal/telemetry"
@@ -96,13 +94,9 @@ const (
 // flowMeta is the engine's per-flow directory entry.
 type flowMeta struct {
 	tcb     *flow.TCB
-	meta    datapath.FlowMeta
 	channel int // owning host queue pair (RSS, §4.6)
 	txRing  *datapath.Ring
-	rxRing  *datapath.Ring
-	// fetch reads send-payload bytes from txRing; built once per flow so
-	// the per-segment emit path does not allocate a closure.
-	fetch datapath.PayloadFetch
+	payload *datapath.Ring // txRing unless HeaderOnly: where the generator reads send bytes
 }
 
 // tcbArenaChunk is the TCB bump-allocator granularity.
@@ -116,26 +110,18 @@ const tcbArenaChunk = 256
 // cost is one allocation per tcbArenaChunk connections instead of one
 // per connection.
 type tcbArena struct {
-	chunk  []flow.TCB
-	off    int
-	chunks int64 // chunks ever allocated (memory accounting)
+	chunk []flow.TCB
+	off   int
 }
 
 func (a *tcbArena) alloc() *flow.TCB {
 	if a.off >= len(a.chunk) {
 		a.chunk = make([]flow.TCB, tcbArenaChunk)
 		a.off = 0
-		a.chunks++
 	}
 	t := &a.chunk[a.off]
 	a.off++
 	return t
-}
-
-// memBytes is the arena's allocated footprint (live and dead chunks;
-// dead TCBs pin their chunk by design, so this is the honest number).
-func (a *tcbArena) memBytes() int64 {
-	return a.chunks * tcbArenaChunk * int64(unsafe.Sizeof(flow.TCB{}))
 }
 
 type listener struct {
@@ -155,9 +141,7 @@ type Engine struct {
 	fpcs   []*fpc.FPC
 	sch    *sched.Scheduler
 	mem    *memmgr.Manager
-	parser *datapath.Parser
-	gen    *datapath.Generator
-	arp    *datapath.ARP
+	front  *datapath.Front // parser, generator, ARP, flow IDs and ISS (§4.1.2 data path)
 	timers *timerq.Queue
 
 	tx func(*wire.Packet)
@@ -168,8 +152,6 @@ type Engine struct {
 
 	flows     flow.Table[*flowMeta] // the flow directory (nil = no such flow)
 	listeners map[uint16]*listener
-	ids       flow.IDs // live IDs are exactly the non-nil entries of flows
-	rng       *sim.Rand
 	tcbs      tcbArena
 
 	// Pre-bound hot-path callbacks (built once in New): the steady-state
@@ -189,8 +171,6 @@ type Engine struct {
 	toPending flow.Table[uint8] // bounced timeout bits per flow (0 = none waiting)
 	toOrder   *sim.Queue[flow.ID]
 	compBatch [][]hostif.Completion
-
-	arpWait map[wire.Addr][]*wire.Packet
 
 	// Stats.
 	RxPkts, TxPkts  sim.Counter
@@ -238,19 +218,13 @@ func New(k *sim.Kernel, cfg Config, tx func(*wire.Packet)) *Engine {
 		cfg:       cfg,
 		tx:        tx,
 		listeners: make(map[uint16]*listener),
-		rng:       sim.NewRand(cfg.Seed + 11),
 		rxQueue:   sim.NewQueue[*wire.Packet](4096),
 		retryQ:    sim.NewQueue[flow.Event](0),
 		toOrder:   sim.NewQueue[flow.ID](0),
-		arpWait:   make(map[wire.Addr][]*wire.Packet),
 		timers:    timerq.New(),
-		parser:    datapath.NewParser(cfg.MaxFlows, cfg.Proto.RcvBuf, cfg.Proto.WndScale, cfg.Seed+12),
-		gen:       datapath.NewGenerator(cfg.Proto.MSS, cfg.Proto.WndScale),
-		arp:       datapath.NewARP(cfg.IP, cfg.MAC),
 	}
-	if cfg.Proto.ECN {
-		e.gen.EnableECN()
-	}
+	e.front = datapath.NewFront(cfg.IP, cfg.MAC, cfg.Proto, cfg.MaxFlows, cfg.CarryBytes,
+		cfg.Seed+12, cfg.Seed+11, e.transmit, e.admit)
 
 	e.txRate = sim.GbpsRate(100)
 	e.PCIe = hostif.NewPCIe(k, cfg.PCIe)
@@ -317,7 +291,7 @@ func New(k *sim.Kernel, cfg Config, tx func(*wire.Packet)) *Engine {
 func (e *Engine) SetTx(tx func(*wire.Packet)) { e.tx = tx }
 
 // LearnPeer installs a static ARP entry.
-func (e *Engine) LearnPeer(ip wire.Addr, mac wire.MAC) { e.arp.Learn(ip, mac) }
+func (e *Engine) LearnPeer(ip wire.Addr, mac wire.MAC) { e.front.Learn(ip, mac) }
 
 // Scheduler exposes the scheduler for tests and experiment probes.
 func (e *Engine) Scheduler() *sched.Scheduler { return e.sch }
@@ -329,7 +303,7 @@ func (e *Engine) Mem() *memmgr.Manager { return e.mem }
 func (e *Engine) FPCs() []*fpc.FPC { return e.fpcs }
 
 // FlowCount returns live flows across all locations.
-func (e *Engine) FlowCount() int { return e.ids.Live() }
+func (e *Engine) FlowCount() int { return e.front.Live() }
 
 // TCB returns a flow's TCB (tests/diagnostics).
 func (e *Engine) TCB(id flow.ID) *flow.TCB {
@@ -355,55 +329,42 @@ func (e *Engine) TxRing(id flow.ID) *datapath.Ring {
 
 // RxRing returns a flow's RX data buffer (host library reads received
 // bytes from here). Nil in modelled mode.
-func (e *Engine) RxRing(id flow.ID) *datapath.Ring {
-	if fm := e.flows.Get(id); fm != nil {
-		return fm.rxRing
+func (e *Engine) RxRing(id flow.ID) *datapath.Ring { return e.front.Ring(id) }
+
+// newFlow admits one connection through the front, gives it an arena TCB
+// and a directory entry and places it via the scheduler. It returns nil,
+// with the refusal counted, when the front refuses the open.
+func (e *Engine) newFlow(tuple wire.FourTuple, channel int, state flow.State) *flowMeta {
+	tcb, tx, ok := e.front.Open(tuple, state, e.cfg.MaxFlows)
+	if !ok {
+		e.FlowsRejected.Inc()
+		return nil
 	}
-	return nil
+	t := e.tcbs.alloc()
+	*t = tcb
+	fm := &flowMeta{tcb: t, channel: channel, txRing: tx}
+	if !e.cfg.HeaderOnly {
+		fm.payload = tx
+	}
+	e.flows.Set(t.FlowID, fm)
+	e.sch.AllocateFlow(t)
+	return fm
 }
 
-// newFlow allocates the TCB, directory entry, parser registration and
-// data rings for one connection and places it via the scheduler.
-func (e *Engine) newFlow(tuple wire.FourTuple, channel int, state flow.State) (*flowMeta, bool) {
-	id, ok := e.ids.Alloc(e.cfg.MaxFlows)
-	if !ok {
-		return nil, false
+// admit opens a passive flow for a SYN to a listening port, on the next
+// listening thread's queue (SO_REUSEPORT round robin, §4.6).
+func (e *Engine) admit(pkt *wire.Packet) (listening, opened bool) {
+	l := e.listeners[pkt.TCP.DstPort]
+	if l == nil {
+		return false, false
 	}
-	iss := seqnum.Value(e.rng.Uint32())
-	t := e.tcbs.alloc()
-	*t = flow.TCB{
-		FlowID: id,
-		Tuple:  tuple,
-		State:  state,
-		ISS:    iss,
-		SndUna: iss, SndNxt: iss, Req: iss,
-		RcvBuf: e.cfg.Proto.RcvBuf,
+	ch := l.channels[l.next%len(l.channels)]
+	l.next++
+	if e.newFlow(pkt.Tuple(), ch, flow.StateListen) == nil {
+		return true, false
 	}
-	t.AckedToHost = iss.Add(1)
-	fm := &flowMeta{
-		tcb:     t,
-		meta:    datapath.FlowMeta{Tuple: tuple, LocalMAC: e.cfg.MAC},
-		channel: channel,
-	}
-	if e.cfg.CarryBytes {
-		size := 1
-		for size < int(e.cfg.Proto.RcvBuf)*2 {
-			size <<= 1
-		}
-		fm.txRing = datapath.NewRing(size)
-		fm.rxRing = datapath.NewRing(size)
-	}
-	if fm.txRing != nil && !e.cfg.HeaderOnly {
-		ring := fm.txRing
-		fm.fetch = func(seq seqnum.Value, buf []byte) { ring.ReadInto(seq, buf) }
-	}
-	if !e.parser.Register(tuple, id, fm.rxRing) {
-		e.ids.Free(id)
-		return nil, false
-	}
-	e.flows.Set(id, fm)
-	e.sch.AllocateFlow(t)
-	return fm, true
+	e.FlowsAccepted.Inc()
+	return true, true
 }
 
 // freeFlow releases every trace of a terminated connection.
@@ -412,10 +373,9 @@ func (e *Engine) freeFlow(id flow.ID) {
 	if fm == nil {
 		return
 	}
-	e.parser.Deregister(fm.meta.Tuple, id)
+	e.front.Free(fm.tcb.Tuple, id)
 	e.sch.FlowFreed(id)
 	e.flows.Clear(id)
-	e.ids.Free(id)
 }
 
 // DeliverPacket is the wire RX entry point (attach as the link sink).
@@ -557,14 +517,13 @@ func (e *Engine) execCommand(ch *hostif.Channel, cmd hostif.Command) {
 			LocalAddr: e.cfg.IP, RemoteAddr: cmd.RemoteAddr,
 			LocalPort: cmd.LocalPort, RemotePort: cmd.RemotePort,
 		}
-		fm, ok := e.newFlow(tuple, chIdx, flow.StateClosed)
-		if !ok {
+		fm := e.newFlow(tuple, chIdx, flow.StateClosed)
+		if fm == nil {
 			// Flow table or ID space exhausted: the open aborts cleanly —
 			// the host sees a reset completion, telemetry counts the drop.
 			// No hardware flow ID exists yet, so the completion carries the
 			// local port: that is the handle the library correlates active
 			// opens by (same correlation as CompAccepted).
-			e.FlowsRejected.Inc()
 			e.queueCompletion(chIdx, hostif.Completion{Kind: hostif.CompReset, Port: cmd.LocalPort})
 			return
 		}
@@ -614,7 +573,7 @@ func (e *Engine) drainRx() {
 		if pkt.Kind == wire.KindTCP {
 			// Only pop when the scheduler can take the event; otherwise
 			// the parser back-pressures like real hardware.
-			id, known := e.parser.Lookup(pkt.Tuple())
+			id, known := e.front.Lookup(pkt.Tuple())
 			if known && !e.sch.SubmitSpace(id) {
 				return
 			}
@@ -632,73 +591,26 @@ func (e *Engine) drainRx() {
 	}
 }
 
-// handleRx processes one frame: ARP/ICMP inline, TCP through the parser.
+// handleRx processes one frame: the front answers what it owns, and a
+// TCP event goes to the scheduler.
 func (e *Engine) handleRx(pkt *wire.Packet) {
 	e.RxPkts.Inc()
-	switch pkt.Kind {
-	case wire.KindARP:
-		if reply := e.arp.Handle(pkt); reply != nil {
-			e.transmit(reply)
-		}
-		e.flushARPWait(pkt.ARP.SenderIP)
-		return
-	case wire.KindICMP:
-		if reply := datapath.HandleICMP(pkt, e.cfg.IP, e.cfg.MAC); reply != nil {
-			e.transmit(reply)
-		}
-		return
-	}
-
-	res := e.parser.Parse(pkt)
-	if res.NoFlow {
-		if pkt.TCP.Flags&wire.FlagSYN != 0 && pkt.TCP.Flags&wire.FlagACK == 0 {
-			if l := e.listeners[pkt.TCP.DstPort]; l != nil {
-				// SO_REUSEPORT: new flows round-robin over the listening
-				// threads' queues (§4.6).
-				ch := l.channels[l.next%len(l.channels)]
-				l.next++
-				fm, ok := e.newFlow(pkt.Tuple(), ch, flow.StateListen)
-				if !ok {
-					// Table full: refuse the open loudly. The RST tells the
-					// client immediately (instead of letting its SYN
-					// retransmit into the void), and the counter makes the
-					// rejection observable — a silently dropped SYN at scale
-					// looks exactly like the old victim-loss bug.
-					e.FlowsRejected.Inc()
-					if rst := datapath.OrphanRST(pkt, e.cfg.IP, e.cfg.MAC); rst != nil {
-						e.transmit(rst)
-					}
-					return
-				}
-				fm.meta.PeerMAC = pkt.Eth.Src
-				e.arp.Learn(pkt.IP.Src, pkt.Eth.Src)
-				e.FlowsAccepted.Inc()
-				res = e.parser.Parse(pkt)
-				if res.NoFlow {
-					return
-				}
-				e.submit(res.Event)
-				return
-			}
-		}
+	res, v := e.front.Receive(pkt)
+	switch v {
+	case datapath.Orphan:
 		e.RxNoFlow.Inc()
-		// RFC 793 §3.4: a non-RST segment to a non-existent connection
-		// draws a reset, so peers holding stale state tear down promptly
-		// instead of retransmitting into the void until their RTO chain
-		// exhausts.
-		if rst := datapath.OrphanRST(pkt, e.cfg.IP, e.cfg.MAC); rst != nil {
-			e.transmit(rst)
+	case datapath.Admitted:
+		e.submit(res.Event)
+	case datapath.Matched:
+		if res.Dropped {
+			e.RxDropped.Inc()
 		}
-		return
+		// RX payload DMA to the host buffer (§4.1.2 ③): device → host bytes.
+		if pkt.PayloadLen > 0 && !res.Dropped && !e.cfg.HeaderOnly {
+			e.PCIe.TransferToHost(int64(pkt.PayloadLen))
+		}
+		e.submit(res.Event)
 	}
-	if res.Dropped {
-		e.RxDropped.Inc()
-	}
-	// RX payload DMA to the host buffer (§4.1.2 ③): device → host bytes.
-	if pkt.PayloadLen > 0 && !res.Dropped && !e.cfg.HeaderOnly {
-		e.PCIe.TransferToHost(int64(pkt.PayloadLen))
-	}
-	e.submit(res.Event)
 }
 
 // fireTimers turns due deadlines into timeout events (§4.1.2 ③), and
@@ -758,8 +670,9 @@ func (e *Engine) applyActions(t *flow.TCB, a *tcpproc.Actions) {
 	}
 }
 
-// emitSegment resolves the peer MAC, fetches payload over PCIe and
-// transmits the generated packets (§4.1.2 ①②).
+// emitSegment hands one send operation to the front, which resolves the
+// peer MAC and generates the packets; payload crosses PCIe in emitPacket
+// (§4.1.2 ①②).
 func (e *Engine) emitSegment(fm *flowMeta, op *tcpproc.SendOp) {
 	if op.Retransmit {
 		e.RetransSegs.Inc()
@@ -768,21 +681,7 @@ func (e *Engine) emitSegment(fm *flowMeta, op *tcpproc.SendOp) {
 			e.trc.Instant("engine", "tcp.retransmit", e.tid, e.K.NowNS(), int64(fm.tcb.FlowID))
 		}
 	}
-	mac, req, ok := e.arp.Resolve(fm.meta.Tuple.RemoteAddr)
-	if !ok {
-		// Unresolved peer (cold path): park the generated packets until
-		// the ARP reply arrives; flushARPWait fills in the MAC.
-		meta := fm.meta
-		e.gen.Build(*op, meta, fm.fetch, func(p *wire.Packet) {
-			e.arpWait[fm.meta.Tuple.RemoteAddr] = append(e.arpWait[fm.meta.Tuple.RemoteAddr], p)
-		})
-		if req != nil {
-			e.transmit(req)
-		}
-		return
-	}
-	fm.meta.PeerMAC = mac
-	e.gen.Build(*op, fm.meta, fm.fetch, e.emitFn)
+	e.front.Emit(op, fm.tcb.Tuple, fm.payload, e.emitFn)
 }
 
 // emitPacket is the generator's emit callback on the resolved path (the
@@ -824,23 +723,6 @@ func (e *Engine) transmit(pkt *wire.Packet) {
 	e.K.AtCall(done, e.txFn, pkt)
 }
 
-// flushARPWait releases packets parked on a resolution.
-func (e *Engine) flushARPWait(ip wire.Addr) {
-	pkts := e.arpWait[ip]
-	if len(pkts) == 0 {
-		return
-	}
-	delete(e.arpWait, ip)
-	mac, _, ok := e.arp.Resolve(ip)
-	if !ok {
-		return
-	}
-	for _, p := range pkts {
-		p.Eth.Dst = mac
-		e.transmit(p)
-	}
-}
-
 // emitNote converts a protocol notification into a host completion.
 func (e *Engine) emitNote(fm *flowMeta, n *tcpproc.Note) {
 	var kind hostif.CompKind
@@ -861,7 +743,7 @@ func (e *Engine) emitNote(fm *flowMeta, n *tcpproc.Note) {
 		return
 	}
 	comp := hostif.Completion{
-		Kind: kind, Flow: n.Flow, Seq: n.Seq, Port: fm.meta.Tuple.LocalPort,
+		Kind: kind, Flow: n.Flow, Seq: n.Seq, Port: fm.tcb.Tuple.LocalPort,
 	}
 	if n.Kind == tcpproc.NoteEstablished {
 		// Anchor both byte streams for the library: send side (ISS+1 =

@@ -4,7 +4,9 @@ import (
 	"testing"
 
 	"f4t/internal/engine"
+	"f4t/internal/flow"
 	"f4t/internal/seqnum"
+	"f4t/internal/sock"
 	"f4t/internal/wire"
 )
 
@@ -58,5 +60,37 @@ func TestEngineRejectsOpensAtMaxFlows(t *testing.T) {
 	}
 	if r.e2.FlowCount() != 2 {
 		t.Fatalf("server flow count = %d after rejected SYN, want 2", r.e2.FlowCount())
+	}
+
+	// Recovery: closing an admitted connection frees its flow on both
+	// engines, and the next active open and the passive open it causes
+	// are admitted on the freed IDs, with no further rejection.
+	flowOf := func(e *engine.Engine, clientPort uint16) (id flow.ID) {
+		id = flow.ID(1 << 30)
+		e.VisitTCBs(func(t *flow.TCB) {
+			if t.Tuple.LocalPort == clientPort || t.Tuple.RemotePort == clientPort {
+				id = t.FlowID
+			}
+		})
+		return id
+	}
+	cliID, srvID := flowOf(r.e1, s1.LocalPort()), flowOf(r.e2, s1.LocalPort())
+	r.ev2 = func(ev sock.Event) {
+		if ev.Kind == sock.EvHangup && !ev.Conn.Closed() {
+			ev.Conn.Close()
+		}
+	}
+	s1.Close()
+	r.run(t, func() bool { return r.e1.FlowCount() == 1 && r.e2.FlowCount() == 1 }, 10_000_000, "flows freed after close")
+	s4 := r.l1.Dial(wire.MakeAddr(10, 0, 0, 2), 80)
+	r.run(t, s4.Established, 1_000_000, "handshake on the freed flows")
+	if got, want := flowOf(r.e1, s4.LocalPort()), cliID; got != want {
+		t.Fatalf("active open on flow %d, want the freed %d", got, want)
+	}
+	if got, want := flowOf(r.e2, s4.LocalPort()), srvID; got != want {
+		t.Fatalf("passive open on flow %d, want the freed %d", got, want)
+	}
+	if a, b := r.e1.FlowsRejected.Total(), r.e2.FlowsRejected.Total(); a != 1 || b != 1 {
+		t.Fatalf("FlowsRejected = %d/%d after recovery, want 1/1", a, b)
 	}
 }

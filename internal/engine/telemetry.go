@@ -37,28 +37,6 @@ func (e *Engine) Instrument(reg *telemetry.Registry, prefix string) {
 	}
 }
 
-// InstrumentMem registers the engine's per-flow memory probes on a
-// footprint accountant: the TCB arena, the parser's flow table, the
-// parser-flow arena (embedded reassemblers included) and out-of-order
-// reassembly buffers. Probes are evaluated only at snapshot time.
-func (e *Engine) InstrumentMem(fp *telemetry.Footprint, prefix string) {
-	fp.Add(prefix+".tcb_arena", func() (int64, int64) {
-		return int64(e.FlowCount()), e.tcbs.memBytes()
-	})
-	fp.Add(prefix+".flow_table", func() (int64, int64) {
-		m := e.parser.Mem()
-		return m.TableEntries, m.TableBytes
-	})
-	fp.Add(prefix+".parser_flows", func() (int64, int64) {
-		m := e.parser.Mem()
-		return m.FlowCount, m.FlowBytes
-	})
-	fp.Add(prefix+".reasm", func() (int64, int64) {
-		m := e.parser.Mem()
-		return m.FlowCount, m.ReasmBytes
-	})
-}
-
 // SetTracer attaches a trace ring to the engine and its sub-units.
 // Virtual thread IDs are allocated from baseTID: the engine itself, then
 // one per FPC, then one per host channel; thread names are registered so

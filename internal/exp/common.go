@@ -200,15 +200,6 @@ func RunUntilCoarse(r sim.Runner, pred func() bool, step, budget int64) bool {
 	}
 }
 
-// MeasureRate runs warmup cycles, snapshots the counter, runs measure
-// cycles, and returns the counter's steady-state events/second.
-func MeasureRate(r sim.Runner, c *sim.Counter, warmup, measure int64) float64 {
-	r.Run(warmup)
-	c.Snapshot(r.Now())
-	r.Run(measure)
-	return c.RatePerSecond(r.Now())
-}
-
 // Sweep runs n independent experiment points across at most workers
 // goroutines. Each point builds its own rig on its own kernel, so
 // points share no state and the sweep's results are identical to a

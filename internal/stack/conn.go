@@ -16,9 +16,8 @@ import (
 // keep and query a Conn after its flow is freed (and its ID recycled), so
 // Conns are never pooled.
 type Conn struct {
-	ep   *Endpoint
-	alg  cc.Algorithm
-	meta datapath.FlowMeta
+	ep  *Endpoint
+	alg cc.Algorithm
 
 	txRing *datapath.Ring
 
@@ -33,7 +32,7 @@ type Conn struct {
 	// App-side pointers.
 	writePtr    seqnum.Value // next send byte the app will queue
 	readPtr     seqnum.Value // next received byte the app will consume
-	ID          flow.ID      // here among the 4-byte words, no padding: with tcb, Conn is 472 B (480 B size class)
+	ID          flow.ID      // here among the 4-byte words, no padding: with tcb, Conn is 448 B (448 B size class)
 	handle      flow.ID      // drawn from its Host's queue at Dial or adoption
 	ptrsInit    bool
 	closeCalled bool
@@ -158,7 +157,7 @@ func (c *Conn) rxRing() *datapath.Ring {
 	if c.freed {
 		return nil
 	}
-	return c.ep.parser.Ring(c.ID)
+	return c.ep.front.Ring(c.ID)
 }
 
 // Available returns the in-order received bytes not yet consumed.

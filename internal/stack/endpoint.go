@@ -1,10 +1,11 @@
 // Package stack implements a complete, passive TCP endpoint out of the
-// shared pieces — tcpproc protocol engine, datapath parser/generator,
-// ARP/ICMP, and the timer queue. It processes every event immediately
-// when told to (per-event processing, no accumulation), which makes it
-// both the protocol test harness and the core of the Linux software
-// baseline; callers decide *when* work happens (immediately, or from a
-// modelled CPU core) by choosing when to call HandlePacket/ExpireTimers.
+// shared pieces — tcpproc protocol engine, the datapath front end
+// (parser, generator, ARP/ICMP), and the timer queue. It processes every
+// event immediately when told to (per-event processing, no
+// accumulation), which makes it both the protocol test harness and the
+// core of the Linux software baseline; callers decide *when* work
+// happens (immediately, or from a modelled CPU core) by choosing when to
+// call HandlePacket/ExpireTimers.
 //
 // Above the endpoint sit the package's halves of the socket seam
 // (package sock): Conn is a sock.Conn, Host queues the endpoint's
@@ -18,7 +19,6 @@ import (
 	"f4t/internal/cc"
 	"f4t/internal/datapath"
 	"f4t/internal/flow"
-	"f4t/internal/seqnum"
 	"f4t/internal/sim"
 	"f4t/internal/sock"
 	"f4t/internal/tcpproc"
@@ -43,21 +43,14 @@ type Endpoint struct {
 	K   *sim.Kernel
 	Opt Options
 
-	parser *datapath.Parser
-	gen    *datapath.Generator
-	arp    *datapath.ARP
+	front  *datapath.Front // parser, generator, ARP, flow IDs and ISS, shared with the engine
 	timers *timerq.Queue
 	tx     func(*wire.Packet)
 	owner  sim.Waker // the component whose Tick expires the timers
 
-	ids       flow.IDs // live IDs are exactly the non-nil rows of conns
-	conns     flow.Table[*Conn]
+	conns     flow.Table[*Conn] // live rows are exactly the front's live flow IDs
 	listeners map[uint16]func(*Conn)
 	nextPort  uint16
-	rng       *sim.Rand
-
-	// Packets awaiting ARP resolution, per next-hop address.
-	arpWait map[wire.Addr][]*wire.Packet
 
 	actions tcpproc.Actions // scratch, reused across processing passes
 
@@ -84,19 +77,13 @@ func New(k *sim.Kernel, opt Options, tx func(*wire.Packet)) *Endpoint {
 	e := &Endpoint{
 		K:         k,
 		Opt:       opt,
-		parser:    datapath.NewParser(opt.MaxFlows, opt.Cfg.RcvBuf, opt.Cfg.WndScale, opt.Seed+1),
-		gen:       datapath.NewGenerator(opt.Cfg.MSS, opt.Cfg.WndScale),
-		arp:       datapath.NewARP(opt.IP, opt.MAC),
 		timers:    timerq.New(),
 		tx:        tx,
 		listeners: make(map[uint16]func(*Conn)),
-		rng:       sim.NewRand(opt.Seed + 2),
-		arpWait:   make(map[wire.Addr][]*wire.Packet),
 		nextPort:  ephemeralBase,
 	}
-	if opt.Cfg.ECN {
-		e.gen.EnableECN()
-	}
+	e.front = datapath.NewFront(opt.IP, opt.MAC, opt.Cfg, opt.MaxFlows, opt.CarryBytes,
+		opt.Seed+1, opt.Seed+2, e.transmit, e.admit)
 	return e
 }
 
@@ -110,10 +97,10 @@ func (e *Endpoint) SetTx(tx func(*wire.Packet)) { e.tx = tx }
 
 // LearnPeer installs a static ARP mapping (the testbeds are
 // direct-connected, §5: "directly connecting" the NICs).
-func (e *Endpoint) LearnPeer(ip wire.Addr, mac wire.MAC) { e.arp.Learn(ip, mac) }
+func (e *Endpoint) LearnPeer(ip wire.Addr, mac wire.MAC) { e.front.Learn(ip, mac) }
 
 // Conns returns the number of live connections.
-func (e *Endpoint) Conns() int { return e.ids.Live() }
+func (e *Endpoint) Conns() int { return e.front.Live() }
 
 // VisitTCBs visits every live connection's TCB in ascending flow ID
 // (conformance trackers; same shape as engine.VisitTCBs).
@@ -150,10 +137,10 @@ func (e *Endpoint) Dial(remote wire.Addr, remotePort uint16) *Conn {
 			LocalAddr: e.Opt.IP, RemoteAddr: remote,
 			LocalPort: e.nextPort, RemotePort: remotePort,
 		}
-		if _, inUse := e.parser.Lookup(tuple); inUse {
+		if _, inUse := e.front.Lookup(tuple); inUse {
 			continue
 		}
-		c := e.newConn(tuple)
+		c := e.newConn(tuple, flow.StateClosed)
 		if c == nil { // MaxFlows reached or flow table full (counted there)
 			return nil
 		}
@@ -164,49 +151,32 @@ func (e *Endpoint) Dial(remote wire.Addr, remotePort uint16) *Conn {
 	return nil
 }
 
-// newConn allocates connection state and registers the flow. It returns
-// nil — with the rejection counted — when the endpoint is at MaxFlows or
-// the flow table refuses the tuple; callers must abort the open cleanly
-// (Dial returns nil, the passive path answers the SYN with a RST).
-func (e *Endpoint) newConn(tuple wire.FourTuple) *Conn {
-	if e.Conns() >= e.Opt.MaxFlows {
+// newConn admits a connection through the front and allocates its Conn.
+// It returns nil — with the rejection counted — when the endpoint is at
+// MaxFlows or the flow table refuses the tuple; callers must abort the
+// open cleanly (Dial returns nil, the front answers a SYN with a RST).
+func (e *Endpoint) newConn(tuple wire.FourTuple, state flow.State) *Conn {
+	tcb, tx, ok := e.front.Open(tuple, state, e.Opt.MaxFlows)
+	if !ok {
 		e.FlowsRejected++
 		return nil
 	}
-	id, _ := e.ids.Alloc(e.Opt.MaxFlows) // cannot fail: fewer than MaxFlows drawn IDs are live
-	iss := seqnum.Value(e.rng.Uint32())
-	var rxRing, txRing *datapath.Ring
-	if e.Opt.CarryBytes {
-		size := 1
-		for size < int(e.Opt.Cfg.RcvBuf)*2 {
-			size <<= 1
-		}
-		rxRing = datapath.NewRing(size)
-		txRing = datapath.NewRing(size)
-	}
-	if !e.parser.Register(tuple, id, rxRing) {
-		e.ids.Free(id)
-		e.FlowsRejected++
-		return nil
-	}
-	c := &Conn{
-		ep:     e,
-		ID:     id,
-		alg:    cc.MustNew(e.Opt.Alg),
-		meta:   datapath.FlowMeta{Tuple: tuple, LocalMAC: e.Opt.MAC},
-		txRing: txRing,
-		tcb: flow.TCB{
-			FlowID: id,
-			Tuple:  tuple,
-			State:  flow.StateClosed,
-			ISS:    iss,
-			SndUna: iss, SndNxt: iss, Req: iss,
-			RcvBuf:      e.Opt.Cfg.RcvBuf,
-			AckedToHost: iss.Add(1),
-		},
-	}
-	e.conns.Set(id, c)
+	c := &Conn{ep: e, ID: tcb.FlowID, alg: cc.MustNew(e.Opt.Alg), txRing: tx, tcb: tcb}
+	e.conns.Set(c.ID, c)
 	return c
+}
+
+// admit opens a passive connection for a SYN to a listening port.
+func (e *Endpoint) admit(pkt *wire.Packet) (listening, opened bool) {
+	if _, listening = e.listeners[pkt.TCP.DstPort]; !listening {
+		return false, false
+	}
+	c := e.newConn(pkt.Tuple(), flow.StateListen)
+	if c == nil {
+		return true, false
+	}
+	c.passive = true
+	return true, true
 }
 
 // Inject queues one event for a connection and processes it immediately
@@ -230,7 +200,7 @@ func (e *Endpoint) runProcess(c *Conn) {
 	tcpproc.Process(&c.tcb, c.alg, &e.Opt.Cfg, e.K.NowNS(), &e.actions)
 
 	for i := range e.actions.Segs {
-		e.emitSegment(c, &e.actions.Segs[i])
+		e.front.Emit(&e.actions.Segs[i], c.tcb.Tuple, c.txRing, e.transmit)
 	}
 	for i := range e.actions.Notes {
 		e.applyNote(c, &e.actions.Notes[i])
@@ -247,30 +217,6 @@ func (e *Endpoint) runProcess(c *Conn) {
 	if e.actions.FreeFlow {
 		e.free(c)
 	}
-}
-
-// emitSegment expands a SendOp into packets and transmits them, resolving
-// the destination MAC (static or via ARP) first.
-func (e *Endpoint) emitSegment(c *Conn, op *tcpproc.SendOp) {
-	mac, req, ok := e.arp.Resolve(c.meta.Tuple.RemoteAddr)
-	var fetch datapath.PayloadFetch
-	if c.txRing != nil {
-		ring := c.txRing
-		fetch = func(seq seqnum.Value, buf []byte) { ring.ReadInto(seq, buf) }
-	}
-	if !ok {
-		// Build the packets now but park them until the ARP reply.
-		meta := c.meta // MAC still zero; fixed at flush time
-		e.gen.Build(*op, meta, fetch, func(p *wire.Packet) {
-			e.arpWait[c.meta.Tuple.RemoteAddr] = append(e.arpWait[c.meta.Tuple.RemoteAddr], p)
-		})
-		if req != nil {
-			e.transmit(req)
-		}
-		return
-	}
-	c.meta.PeerMAC = mac
-	e.gen.Build(*op, c.meta, fetch, e.transmit)
 }
 
 func (e *Endpoint) transmit(pkt *wire.Packet) {
@@ -291,7 +237,7 @@ func (e *Endpoint) applyNote(c *Conn, n *tcpproc.Note) {
 		// first time (the accept callback may adopt the connection onto a
 		// Host, which queues EvAccepted; an active open reports
 		// EvConnected instead).
-		if acc := e.listeners[c.meta.Tuple.LocalPort]; first && acc != nil && c.passive {
+		if acc := e.listeners[c.tcb.Tuple.LocalPort]; first && acc != nil && c.passive {
 			acc(c)
 		}
 		if c.passive {
@@ -322,95 +268,35 @@ func (e *Endpoint) applyNote(c *Conn, n *tcpproc.Note) {
 // itself stays valid for the application (its mirrors, tuple and TCB are
 // read after free), but nothing reaches it by ID any more.
 func (e *Endpoint) free(c *Conn) {
-	e.parser.Deregister(c.meta.Tuple, c.ID)
+	e.front.Free(c.tcb.Tuple, c.ID)
 	e.conns.Clear(c.ID)
 	e.timers.Forget(c.ID)
-	e.ids.Free(c.ID)
 	c.freed = true
 }
 
 // HandlePacket processes one received frame and takes ownership of it:
-// ARP and ICMP are answered in place; a TCP frame is parsed into an
-// event, processed and recycled — the software substrate's one
-// PutPacket site (wire/pool.go has the ownership rule).
+// the front answers what it owns (ARP, ICMP, resets, refused opens), a
+// TCP event is processed at once, and a TCP frame is then recycled — the
+// software substrate's one PutPacket site (wire/pool.go has the
+// ownership rule).
 func (e *Endpoint) HandlePacket(pkt *wire.Packet) {
 	e.RxPkts++
-	switch pkt.Kind {
-	case wire.KindARP:
-		if reply := e.arp.Handle(pkt); reply != nil {
-			e.transmit(reply)
-		}
-		e.flushARPWait(pkt.ARP.SenderIP)
-	case wire.KindICMP:
-		if reply := datapath.HandleICMP(pkt, e.Opt.IP, e.Opt.MAC); reply != nil {
-			e.transmit(reply)
-		}
-	default:
-		e.handleTCP(pkt)
-		wire.PutPacket(pkt)
-	}
-}
-
-// handleTCP runs one TCP frame through the parser and the protocol.
-func (e *Endpoint) handleTCP(pkt *wire.Packet) {
-	res := e.parser.Parse(pkt)
-	if res.NoFlow {
-		// New passive connection? Only a SYN to a listening port counts.
-		if pkt.TCP.Flags&wire.FlagSYN != 0 && pkt.TCP.Flags&wire.FlagACK == 0 {
-			if _, listening := e.listeners[pkt.TCP.DstPort]; listening {
-				c := e.newConn(pkt.Tuple())
-				if c == nil {
-					// Endpoint full: refuse the open with a RST so the
-					// client aborts instead of retransmitting its SYN.
-					e.sendRST(pkt)
-					return
-				}
-				c.passive = true
-				c.tcb.State = flow.StateListen
-				c.meta.PeerMAC = pkt.Eth.Src
-				e.arp.Learn(pkt.IP.Src, pkt.Eth.Src)
-				if res = e.parser.Parse(pkt); !res.NoFlow {
-					e.Inject(c, &res.Event)
-				}
-				return
-			}
-		}
+	res, v := e.front.Receive(pkt)
+	switch v {
+	case datapath.Orphan:
 		e.RxNoFlow++
-		// RFC 793: a segment to a non-existent connection draws a RST.
-		if pkt.TCP.Flags&wire.FlagRST == 0 {
-			e.sendRST(pkt)
+	case datapath.Matched:
+		if res.Dropped {
+			e.RxDropped++
 		}
-		return
+		fallthrough
+	case datapath.Admitted:
+		if c := e.conns.Get(res.Event.Flow); c != nil {
+			e.Inject(c, &res.Event)
+		}
 	}
-	if res.Dropped {
-		e.RxDropped++
-	}
-	if c := e.conns.Get(res.Event.Flow); c != nil {
-		e.Inject(c, &res.Event)
-	}
-}
-
-// flushARPWait transmits packets parked for the now-resolved address.
-func (e *Endpoint) flushARPWait(ip wire.Addr) {
-	pkts := e.arpWait[ip]
-	if len(pkts) == 0 {
-		return
-	}
-	delete(e.arpWait, ip)
-	mac, _, ok := e.arp.Resolve(ip)
-	if !ok {
-		return
-	}
-	for _, p := range pkts {
-		p.Eth.Dst = mac
-		e.transmit(p)
-	}
-}
-
-// sendRST answers an orphan segment with the RFC 793 §3.4 reset.
-func (e *Endpoint) sendRST(pkt *wire.Packet) {
-	if rst := datapath.OrphanRST(pkt, e.Opt.IP, e.Opt.MAC); rst != nil {
-		e.transmit(rst)
+	if pkt.Kind == wire.KindTCP {
+		wire.PutPacket(pkt)
 	}
 }
 
@@ -459,7 +345,7 @@ func (e *Endpoint) NextTimerCycle(now int64) int64 {
 
 // TableStats exposes the flow table's occupancy and displacement
 // counters (size, kicks, stash residency, resizes, refused inserts).
-func (e *Endpoint) TableStats() datapath.CuckooStats { return e.parser.TableStats() }
+func (e *Endpoint) TableStats() datapath.CuckooStats { return e.front.TableStats() }
 
 // InstrumentMem registers the endpoint's per-connection memory probes on
 // a footprint accountant: connections (TCB inside) and their per-ID
@@ -474,35 +360,10 @@ func (e *Endpoint) InstrumentMem(fp *telemetry.Footprint, prefix string) {
 	fp.Add(prefix+".timer_marks", func() (int64, int64) {
 		return int64(e.Conns()), e.timers.MarkBytes()
 	})
-	fp.Add(prefix+".flow_table", func() (int64, int64) {
-		m := e.parser.Mem()
-		return m.TableEntries, m.TableBytes
-	})
-	fp.Add(prefix+".parser_flows", func() (int64, int64) {
-		m := e.parser.Mem()
-		return m.FlowCount, m.FlowBytes
-	})
-	fp.Add(prefix+".reasm", func() (int64, int64) {
-		m := e.parser.Mem()
-		return m.FlowCount, m.ReasmBytes
-	})
+	e.front.InstrumentMem(fp, prefix)
 }
 
 // Ping sends an ICMP echo request (diagnostics parity with FtEngine).
 func (e *Endpoint) Ping(ip wire.Addr, id, seq uint16, payload []byte) bool {
-	mac, req, ok := e.arp.Resolve(ip)
-	if !ok {
-		if req != nil {
-			e.transmit(req)
-		}
-		return false
-	}
-	e.transmit(&wire.Packet{
-		Kind:       wire.KindICMP,
-		Eth:        wire.EthHeader{Src: e.Opt.MAC, Dst: mac, Type: wire.EtherTypeIPv4},
-		IP:         wire.IPv4Header{Src: e.Opt.IP, Dst: ip, TTL: wire.DefaultTTL, Protocol: wire.ProtoICMP},
-		ICMP:       wire.ICMPEcho{Type: wire.ICMPEchoRequest, ID: id, Seq: seq},
-		PayloadLen: len(payload), Payload: payload,
-	})
-	return true
+	return e.front.Ping(ip, id, seq, payload)
 }

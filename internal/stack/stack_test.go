@@ -413,11 +413,11 @@ func TestMaxFlowsRejectsOpens(t *testing.T) {
 	k.Register(a)
 	k.Register(b)
 
-	accepted := 0
-	b.Listen(80, func(c *Conn) { accepted++ })
+	var accepted []*Conn
+	b.Listen(80, func(c *Conn) { accepted = append(accepted, c) })
 	c1 := a.Dial(optB.IP, 80)
 	c2 := a.Dial(optB.IP, 80)
-	if !k.RunUntil(func() bool { return c1.Established() && c2.Established() && accepted == 2 }, 1_000_000) {
+	if !k.RunUntil(func() bool { return c1.Established() && c2.Established() && len(accepted) == 2 }, 1_000_000) {
 		t.Fatal("first two handshakes timed out")
 	}
 
@@ -432,8 +432,8 @@ func TestMaxFlowsRejectsOpens(t *testing.T) {
 	if b.FlowsRejected == 0 {
 		t.Fatalf("server FlowsRejected = %d, want > 0", b.FlowsRejected)
 	}
-	if b.Conns() != 2 || accepted != 2 {
-		t.Fatalf("server conns = %d accepted = %d, want 2/2", b.Conns(), accepted)
+	if b.Conns() != 2 || len(accepted) != 2 {
+		t.Fatalf("server conns = %d accepted = %d, want 2/2", b.Conns(), len(accepted))
 	}
 
 	// Client full: Dial refuses locally, counted, no packet sent.
@@ -452,6 +452,37 @@ func TestMaxFlowsRejectsOpens(t *testing.T) {
 	// The surviving connections are untouched by the rejections.
 	if c1.WasReset() || c2.WasReset() || !c1.Established() || !c2.Established() {
 		t.Fatal("rejection disturbed established connections")
+	}
+
+	// Recovery: closing an admitted connection frees its flow on both
+	// ends, and the next active open and the passive open it causes are
+	// admitted on the freed IDs, with no further rejection.
+	srv1 := accepted[0]
+	if _, port := srv1.Remote(); port != c1.LocalPort() {
+		srv1 = accepted[1]
+	}
+	rejA, rejB := a.FlowsRejected, b.FlowsRejected
+	c1.Close()
+	if !k.RunUntil(func() bool {
+		if srv1.PeerClosed() {
+			srv1.Close()
+		}
+		return a.Conns() == 1 && b.Conns() == 1
+	}, 10_000_000) {
+		t.Fatalf("flows not freed after close: conns %d/%d", a.Conns(), b.Conns())
+	}
+	c4 := a.Dial(optB.IP, 80)
+	if c4 == nil {
+		t.Fatal("Dial refused after a flow was freed")
+	}
+	if !k.RunUntil(func() bool { return c4.Established() && len(accepted) == 3 }, 1_000_000) {
+		t.Fatal("handshake on the freed flows timed out")
+	}
+	if c4.ID != c1.ID || accepted[2].ID != srv1.ID {
+		t.Fatalf("opens on flows %d/%d, want the freed %d/%d", c4.ID, accepted[2].ID, c1.ID, srv1.ID)
+	}
+	if a.FlowsRejected != rejA || b.FlowsRejected != rejB {
+		t.Fatalf("FlowsRejected %d/%d after recovery, want %d/%d", a.FlowsRejected, b.FlowsRejected, rejA, rejB)
 	}
 }
 
