@@ -183,6 +183,11 @@ type Engine struct {
 	RetransSegs     sim.Counter // segments re-sent (loss recovery + RTO)
 	OowRstDrops     sim.Counter // inbound RSTs dropped by sequence validation
 
+	// nextBy counts NextWork results by the sub-block that decided them
+	// (see nextByNames). Skipping and shadow kernels ask NextWork at
+	// different times, so these counts feed no digest.
+	nextBy [len(nextByNames)]sim.Counter
+
 	// Telemetry (nil when disabled; see telemetry.go).
 	trc *telemetry.Trace
 	tid int32
@@ -256,7 +261,7 @@ func New(k *sim.Kernel, cfg Config, tx func(*wire.Packet)) *Engine {
 			StallDen:   cfg.StallDen,
 			Alg:        alg,
 			Proto:      &e.cfg.Proto,
-			CanIssue:   e.txReady,
+			IssueFrom:  e.issueFrom,
 		}, fpc.Hooks{
 			OnActions:    func(t *flow.TCB, a *tcpproc.Actions) { e.applyActions(t, a) },
 			OnEvict:      func(t *flow.TCB) { e.sch.Evicted(idx, t) },
@@ -394,60 +399,78 @@ func (e *Engine) DeliverPacket(pkt *wire.Packet) {
 // the engine. Everything else it reacts to runs on timers it scheduled.
 func (e *Engine) SetWaker(w sim.Waker) { e.wake = w }
 
-// NextWork implements sim.Sleeper: the engine can act next cycle while
-// any stage holds work (host commands, RX frames, bounced events), and
-// otherwise at the earliest of its sub-components' own deadlines (FPU
-// pipeline retirements, DRAM access completions, pending-queue retries)
-// and the timer module's next deadline. Work in flight on kernel timers
-// (PCIe DMA, TX serialization, TCB migration reads) needs no entry
-// here — those timers bound the kernel's skip directly.
+// The sub-blocks NextWork asks, in its order; a tie goes to the first.
+var nextByNames = [...]string{"channel", "rx", "retry", "sched", "fpc", "mem", "timers"}
+
+const (
+	byChannel = iota
+	byRx
+	byRetry
+	bySched
+	byFPC
+	byMem
+	byTimers
+)
+
+// NextWork implements sim.Sleeper: the earliest cycle at which any
+// stage can act — a channel with a fetch to start or fetched commands,
+// queued RX frames or bounced events, the scheduler's and memory
+// manager's own deadlines, each FPC's cached next cycle, and the timer
+// module's next deadline. Work in flight on kernel timers (PCIe DMA, TX
+// serialization, TCB migration reads) needs no entry here — those
+// timers make the engine due directly.
 func (e *Engine) NextWork(now int64) int64 {
-	next := sim.Dormant
+	soon := now + 1
+	next, by := sim.Dormant, -1
 	for _, ch := range e.Channels {
-		if w := ch.NextWork(now); w <= now+1 {
-			return now + 1
-		} else if w < next {
-			next = w
+		if w := ch.NextWork(now); w < next {
+			next, by = w, byChannel
 		}
 	}
-	if e.rxQueue.Len() > 0 || e.retryQ.Len() > 0 || e.toOrder.Len() > 0 {
-		return now + 1
+	if next > soon && e.rxQueue.Len() > 0 {
+		next, by = soon, byRx
 	}
-	if w := e.sch.NextWork(now); w < next {
-		next = w
+	if next > soon && e.retryQ.Len()+e.toOrder.Len() > 0 {
+		next, by = soon, byRetry
 	}
-	if next <= now+1 {
-		return now + 1
+	if next > soon {
+		if w := e.sch.NextWork(now); w < next {
+			next, by = w, bySched
+		}
 	}
 	for _, f := range e.fpcs {
-		if w := f.NextWork(now); w < next {
-			next = w
+		if next <= soon {
+			break
 		}
-		if next <= now+1 {
-			return now + 1
+		if w := f.Next(now); w < next {
+			next, by = w, byFPC
 		}
 	}
-	if w := e.mem.NextWork(now); w < next {
-		next = w
+	if next > soon {
+		if w := e.mem.NextWork(now); w < next {
+			next, by = w, byMem
+		}
 	}
 	// The timer module scans for due deadlines every ticked cycle; a
 	// pending deadline D ns fires on the first tick with NowNS() >= D.
 	// Expired/stale entries are popped each tick, so after any tick the
 	// head deadline is strictly in the future.
-	if d := e.timers.NextDeadline(); d > 0 {
-		if c := sim.NSToCycles(d); c < next {
-			next = c
+	if next > soon {
+		if d := e.timers.NextDeadline(); d > 0 && sim.NSToCycles(d) < next {
+			next, by = sim.NSToCycles(d), byTimers
 		}
 	}
-	if next <= now {
-		return now + 1
+	if by >= 0 {
+		e.nextBy[by].Inc()
 	}
-	return next
+	return max(next, soon)
 }
 
 // Tick advances the whole engine one cycle in a fixed, deterministic
 // order: host commands → RX parsing → timers → scheduler → FPCs →
-// memory manager → completion flush.
+// memory manager → completion flush. Only due FPCs tick; on the shadow
+// kernel every FPC ticks, after a check that the ones left out could
+// not have acted.
 func (e *Engine) Tick(cycle int64) {
 	for _, ch := range e.Channels {
 		ch.TickDevice()
@@ -456,11 +479,29 @@ func (e *Engine) Tick(cycle int64) {
 	e.drainRx()
 	e.fireTimers()
 	e.sch.Tick(cycle)
-	for _, f := range e.fpcs {
+	for i, f := range e.fpcs {
+		if !f.Due(cycle) {
+			if e.K.Skipping() {
+				continue
+			}
+			e.checkFPC(i, cycle)
+		}
 		f.Tick(cycle)
 	}
 	e.mem.Tick(cycle)
 	e.flushCompletions()
+}
+
+// checkFPC is the shadow kernel's wake check one level down: an FPC the
+// skipping engine would leave idle in cycle may not have work there,
+// which would mean an input reached it without marking its cached next
+// cycle stale.
+func (e *Engine) checkFPC(i int, cycle int64) {
+	f := e.fpcs[i]
+	if w := f.NextWork(cycle - 1); w <= cycle {
+		panic(fmt.Sprintf("engine: missed FPC wake: engine %v fpc %d has work in cycle %d (NextWork(%d) = %d) but its cached next cycle is %d",
+			e.cfg.IP, i, cycle, cycle-1, w, f.Next(cycle-1)))
+	}
 }
 
 // drainCommands converts fetched host commands into events (the host
@@ -706,10 +747,11 @@ func (e *Engine) emitPacket(p *wire.Packet) {
 // occupancy, beyond which the control path pauses TCB issue.
 const txBackpressureCycles = 120 // ~3 full frames at 100 Gbps
 
-// txReady reports whether the TX buffer has room for more generated
-// packets (the FPCs' issue gate).
-func (e *Engine) txReady() bool {
-	return e.txRate.Backlog(e.K.Now()) < txBackpressureCycles
+// issueFrom is the FPCs' issue gate: the first cycle at which the TX
+// buffer holds fewer than txBackpressureCycles cycles of reserved link
+// occupancy. It only moves later: txRate's reservations only extend it.
+func (e *Engine) issueFrom() int64 {
+	return e.txRate.FreeAt() - txBackpressureCycles + 1
 }
 
 // transmit serializes the packet through the MAC-side pacing buffer and

@@ -50,12 +50,16 @@ type Config struct {
 	Alg   cc.Algorithm
 	Proto *tcpproc.Config
 
-	// CanIssue, when set, gates TCB issue on downstream readiness (TX
-	// backpressure). When the packet generator/MAC is congested, issues
-	// pause and events keep accumulating, so the eventual pass emits one
-	// larger transfer — the §5.1 mechanism that lets F4T sustain goodput
-	// on small-request traffic once the link bottlenecks.
-	CanIssue func() bool
+	// IssueFrom, when set, gates TCB issue on downstream readiness (TX
+	// backpressure): it returns the first cycle at which an issue is
+	// allowed, given the TX reservations made so far. When the packet
+	// generator/MAC is congested, issues pause and events keep
+	// accumulating, so the eventual pass emits one larger transfer — the
+	// §5.1 mechanism that lets F4T sustain goodput on small-request
+	// traffic once the link bottlenecks. The value may only move later
+	// between calls; NextWork relies on that to sleep until the gate
+	// opens.
+	IssueFrom func() int64
 }
 
 // Hooks are the FPC's outputs, wired by the engine.
@@ -108,9 +112,8 @@ type FPC struct {
 	age  []int64  // cycle of the slot's last event; ageNever when unused or evicting
 	free []uint64 // bitmap of unused slots, bit i%64 of word i/64
 
-	// The four work queues are embedded by value so idleAt, polled for
-	// every FPC every cycle, reads their lengths off the FPC's own cache
-	// lines.
+	// The four work queues are embedded by value so NextWork and Tick
+	// read their lengths off the FPC's own cache lines.
 	input    sim.Queue[flow.Event] // routed events awaiting handling
 	incoming sim.Queue[*flow.TCB]  // swap-ins via the dedicated write port (bounded by reservations)
 	reserved int                   // slots held for migrations in flight
@@ -125,6 +128,16 @@ type FPC struct {
 	stallFrac      int64 // accumulated fractional cycles (den-scaled)
 
 	actions tcpproc.Actions // scratch
+
+	// next caches NextWork for the engine, which ticks the FPC only when
+	// Due; every due tick refreshes it. stale marks it for recomputation
+	// and is set by every input. Without an input or a tick every gate
+	// NextWork reads only moves later, so a cached value can be early,
+	// never late.
+	next  int64
+	stale bool
+
+	enqueueKeepsCache bool // a planted defect; see BreakEnqueueStaleMark
 
 	// Stats.
 	EventsHandled sim.Counter
@@ -167,6 +180,7 @@ func New(k *sim.Kernel, cfg Config, hooks Hooks) *FPC {
 		input:      sim.MakeQueue[flow.Event](inputDepth),
 		lastIssue:  -10,
 		lastHandle: -10,
+		stale:      true,
 	}
 	for i := range f.slots {
 		f.age[i] = ageNever
@@ -240,7 +254,18 @@ func (f *FPC) EvictsPending() int {
 
 // EnqueueEvent routes one event into the FPC. False = queue full
 // (backpressure).
-func (f *FPC) EnqueueEvent(ev flow.Event) bool { return f.input.Push(ev) }
+func (f *FPC) EnqueueEvent(ev flow.Event) bool {
+	if !f.input.Push(ev) {
+		return false
+	}
+	f.stale = f.stale || !f.enqueueKeepsCache
+	return true
+}
+
+// BreakEnqueueStaleMark plants a defect for the shadow checker's
+// negative test: EnqueueEvent stops marking the cached next cycle
+// stale, so a routed event waits for whatever the cache said.
+func (f *FPC) BreakEnqueueStaleMark() { f.enqueueKeepsCache = true }
 
 // AcceptTCB installs a migrated-in TCB through the dedicated write port
 // (one every two cycles, §4.3.2). The caller must hold a reservation
@@ -251,10 +276,14 @@ func (f *FPC) AcceptTCB(t *flow.TCB) bool {
 		if !f.HasSlot() {
 			return false
 		}
-		return f.incoming.Push(t)
+	} else {
+		f.reserved--
 	}
-	f.reserved--
-	return f.incoming.Push(t)
+	if !f.incoming.Push(t) {
+		return false
+	}
+	f.stale = true
+	return true
 }
 
 // InstallNew places a brand-new flow's TCB directly (flow allocation by
@@ -265,6 +294,7 @@ func (f *FPC) InstallNew(t *flow.TCB) bool {
 		return false
 	}
 	f.install(t)
+	f.stale = true
 	return true
 }
 
@@ -325,6 +355,7 @@ func (f *FPC) RequestEvict(id flow.ID) bool {
 	f.age[idx] = ageNever
 	f.slots[idx].tcb.EvictFlag = true
 	f.markReady(idx)
+	f.stale = true
 	return true
 }
 
@@ -340,13 +371,14 @@ func (f *FPC) markReady(idx int) {
 }
 
 // NextWork implements sim.Sleeper for the engine's aggregate idleness
-// report. The accumulate-mode Tick only ever acts on its four queues
-// (incoming, input, ready, FPU pipe), so the FPC is provably idle when
-// all are empty and provably inert until the pipeline head's doneAt
-// when only passes are in flight (issues are in order with equal
-// latency, so the head retires first). Stall mode additionally charges
-// the Stalls counter every busy cycle, which forces per-cycle stepping
-// until stallBusyUntil.
+// report: the first cycle after now at which a stage of Tick can act.
+// In accumulate mode each queue has its own gate — the migration write
+// port opens on even cycles, the event handler two cycles after its
+// last event, the TCB manager II cycles after its last issue and not
+// before IssueFrom, and the FPU pipeline at its head's doneAt (issues
+// are in order with equal latency, so the head retires first). Stall
+// mode charges the Stalls counter every busy cycle, which forces
+// per-cycle stepping until stallBusyUntil.
 func (f *FPC) NextWork(now int64) int64 {
 	if f.cfg.Mode == ModeStall {
 		if now+1 < f.stallBusyUntil || f.incoming.Len() > 0 || f.input.Len() > 0 {
@@ -354,42 +386,60 @@ func (f *FPC) NextWork(now int64) int64 {
 		}
 		return sim.Dormant
 	}
-	if !f.idleAt(now + 1) {
-		return now + 1
+	next := sim.Dormant
+	if f.incoming.Len() > 0 {
+		next = now + 1 + (now+1)%2
+	}
+	if f.input.Len() > 0 {
+		next = min(next, f.lastHandle+2)
+	}
+	if f.ready.Len() > 0 {
+		next = min(next, f.issueAt())
 	}
 	if f.pipe.Len() > 0 {
-		return f.pipe.AtPtr(0).doneAt
+		next = min(next, f.pipe.AtPtr(0).doneAt)
 	}
-	return sim.Dormant
+	return max(next, now+1)
 }
 
-// idleAt is the one statement of accumulate-mode idleness, shared by
-// NextWork and Tick (and small enough to inline into both): no queued
-// work and no FPU pass due at cycle.
-func (f *FPC) idleAt(cycle int64) bool {
-	return f.incoming.Len()+f.input.Len()+f.ready.Len() == 0 &&
-		(f.pipe.Len() == 0 || f.pipe.AtPtr(0).doneAt > cycle)
+// issueAt is the TCB manager's gate, shared by issue and NextWork: the
+// initiation interval since the last issue, and TX backpressure.
+func (f *FPC) issueAt() int64 {
+	at := f.lastIssue + int64(f.cfg.II)
+	if f.cfg.IssueFrom != nil {
+		at = max(at, f.cfg.IssueFrom())
+	}
+	return at
 }
 
-// Tick advances the FPC one cycle.
+// Due reports whether the FPC may have work at cycle: an input made its
+// cached next cycle stale, or that cycle has come.
+func (f *FPC) Due(cycle int64) bool { return f.stale || f.next <= cycle }
+
+// Next returns the cached NextWork, recomputing it at now when stale.
+func (f *FPC) Next(now int64) int64 {
+	if f.stale {
+		f.next, f.stale = f.NextWork(now), false
+	}
+	return f.next
+}
+
+// Tick advances the FPC one cycle. A due tick refreshes the cached next
+// cycle; a tick that is not due (the shadow engine ticks every FPC)
+// leaves it alone, since it can change nothing.
 func (f *FPC) Tick(cycle int64) {
+	due := f.Due(cycle)
 	if f.cfg.Mode == ModeStall {
 		f.tickStall(cycle)
-		return
+	} else {
+		f.drainIncoming(cycle)
+		f.handleEvent(cycle)
+		f.complete(cycle)
+		f.issue(cycle)
 	}
-	// Event-driven dispatch: with every queue empty and no FPU pass due,
-	// each sub-stage below is a provable no-op (drainIncoming pops
-	// nothing, handleEvent and issue see empty queues, complete's head
-	// check fails), so the cycle costs one branch instead of four stage
-	// dispatches. On a rig with many FPCs most are idle on any given
-	// cycle even under saturation — events concentrate on few flows.
-	if f.idleAt(cycle) {
-		return
+	if due {
+		f.next, f.stale = f.NextWork(cycle), false
 	}
-	f.drainIncoming(cycle)
-	f.handleEvent(cycle)
-	f.complete(cycle)
-	f.issue(cycle)
 }
 
 // drainIncoming accepts one migrated TCB per two cycles through the
@@ -438,11 +488,8 @@ func (f *FPC) handleEvent(cycle int64) {
 // and push it into the FPU pipeline. A flow already in the FPU is never
 // reissued, which preserves RMW atomicity without stalls (§4.2.2).
 func (f *FPC) issue(cycle int64) {
-	if cycle-f.lastIssue < int64(f.cfg.II) {
-		return
-	}
-	if f.cfg.CanIssue != nil && !f.cfg.CanIssue() {
-		return // TX backpressure: keep accumulating (§5.1)
+	if f.ready.Len() == 0 || f.issueAt() > cycle {
+		return // II not elapsed, or TX backpressure: keep accumulating (§5.1)
 	}
 	for {
 		i, ok := f.ready.Pop()

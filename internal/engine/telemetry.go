@@ -37,6 +37,18 @@ func (e *Engine) Instrument(reg *telemetry.Registry, prefix string) {
 	}
 }
 
+// InstrumentNextBy registers next_by.<sub-block> under prefix: how many
+// NextWork results each sub-block decided, ties going to the first in
+// NextWork's order (channel, rx, retry, sched, fpc, mem, timers). Like
+// the kernel's steps_by counters they depend on when the fabric asks —
+// a sharded or shadow kernel asks at other times — so they stay out of
+// Instrument, whose metrics every fabric must reproduce.
+func (e *Engine) InstrumentNextBy(reg *telemetry.Registry, prefix string) {
+	for i, name := range nextByNames {
+		reg.Counter(prefix+".next_by."+name, &e.nextBy[i])
+	}
+}
+
 // SetTracer attaches a trace ring to the engine and its sub-units.
 // Virtual thread IDs are allocated from baseTID: the engine itself, then
 // one per FPC, then one per host channel; thread names are registered so

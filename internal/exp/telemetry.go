@@ -112,6 +112,13 @@ func RunStatRig(rig string, runCycles, sampleCycles int64) (*StatRig, error) {
 	})
 	k := p.K
 	tel := InstrumentF4TPair(p, sampleCycles, 0)
+	// Which component, and which engine sub-block, asked for each
+	// stepped cycle: registered once the rig is complete.
+	instrumentSteps := func() {
+		k.Instrument(tel.Reg, "sim")
+		p.EngA.InstrumentNextBy(tel.Reg, "eng_a")
+		p.EngB.InstrumentNextBy(tel.Reg, "eng_b")
+	}
 
 	switch rig {
 	case "echo":
@@ -122,7 +129,7 @@ func RunStatRig(rig string, runCycles, sampleCycles int64) (*StatRig, error) {
 		cli.Instrument(tel.Reg, "app.echo")
 		cli.SetTracer(tel.Trace, tel.NextTID("app.echo"))
 		k.Register(cli)
-		k.Instrument(tel.Reg, "sim")
+		instrumentSteps()
 		if !k.RunUntil(cli.Ready, 500_000) {
 			return nil, fmt.Errorf("echo rig: connections not established")
 		}
@@ -136,7 +143,7 @@ func RunStatRig(rig string, runCycles, sampleCycles int64) (*StatRig, error) {
 		b := apps.NewBulkSender(p.MachA.Threads(), 0, 6002, 1460)
 		b.Instrument(tel.Reg, "app.bulk")
 		k.Register(b)
-		k.Instrument(tel.Reg, "sim")
+		instrumentSteps()
 		if !k.RunUntil(b.Ready, 500_000) {
 			return nil, fmt.Errorf("bulk rig: connections not established")
 		}

@@ -180,3 +180,20 @@ func TestWakeDisciplineCatchesMissingWake(t *testing.T) {
 		t.Fatalf("checker reported %q, want a missed wake naming *host.F4TMachine", missed)
 	}
 }
+
+// With one FPC's enqueue path no longer marking its cached next cycle
+// stale, the engine's own check on the shadow kernel must catch the
+// routed event sitting in that FPC, and name it.
+func TestWakeDisciplineCatchesMissingFPCStaleMark(t *testing.T) {
+	missed := shadowRun(t, func(t *testing.T, f sim.Fabric) {
+		p := NewF4TPairOn(f, 2, 2, cpu.DefaultCosts(), nil)
+		p.EngA.FPCs()[0].BreakEnqueueStaleMark()
+		f.RegisterOn(IslandB, apps.NewSink(p.MachB.Threads(), 5001))
+		f.Run(2_000)
+		f.RegisterOn(IslandA, apps.NewBulkSender(p.MachA.Threads(), 0, 5001, 1460))
+		f.Run(100_000)
+	})
+	if !strings.Contains(missed, "missed FPC wake") || !strings.Contains(missed, " fpc 0 has work") {
+		t.Fatalf("checker reported %q, want a missed FPC wake naming fpc 0", missed)
+	}
+}

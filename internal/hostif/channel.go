@@ -25,7 +25,7 @@ type Channel struct {
 
 	comps *sim.Queue[Completion] // arrived completions, host-visible
 
-	onPost func()    // doorbell hook: fires on every host Post
+	onPost func()    // doorbell hook: fires when a Post leaves a fetch able to start
 	land   sim.Waker // the completion poller, woken as a batch lands
 
 	// Pooled DMA batches and their prebound landing callbacks: each
@@ -94,9 +94,11 @@ func NewChannel(k *sim.Kernel, pcie *PCIe, cmdBytes int64) *Channel {
 	return c
 }
 
-// SetDoorbell registers a callback invoked on every host Post — the MMIO
-// doorbell. The engine uses it to wake the kernel out of a quiescent
-// skip when a command arrives.
+// SetDoorbell registers the MMIO doorbell: a callback invoked when a
+// host Post leaves a fetch able to start. The engine uses it to wake
+// out of a quiescent skip when a command arrives. A Post into a full
+// fetch pipeline rings nothing: the fetch that completes first makes
+// the engine due, and it starts the next fetch then.
 func (c *Channel) SetDoorbell(fn func()) { c.onPost = fn }
 
 // SetWaker names the component that polls the completion queue: every
@@ -110,18 +112,19 @@ func (c *Channel) Post(cmd Command) bool {
 		return false
 	}
 	c.Posted++
-	if c.onPost != nil {
+	if c.onPost != nil && c.fetching < maxFetchesInFlight {
 		c.onPost()
 	}
 	return true
 }
 
 // NextWork reports the earliest cycle the channel can make progress on
-// its own: immediately while commands sit in either queue (fetch engine
-// or the engine's drain). DMA transfers in flight complete via kernel
-// timers, so they need no polling.
+// its own: immediately while fetched commands await the engine's drain,
+// or while posted commands wait and a fetch slot is free. With every
+// slot busy only a fetch completing can change anything, and that runs
+// on a kernel timer the engine scheduled, which makes it due.
 func (c *Channel) NextWork(now int64) int64 {
-	if c.host.Len() > 0 || c.device.Len() > 0 {
+	if c.device.Len() > 0 || (c.host.Len() > 0 && c.fetching < maxFetchesInFlight) {
 		return now + 1
 	}
 	return sim.Dormant

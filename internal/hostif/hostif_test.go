@@ -1,6 +1,8 @@
 package hostif
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"f4t/internal/sim"
@@ -142,5 +144,92 @@ func TestCompletionLandingWakesPoller(t *testing.T) {
 		if k.Skipping() && (len(poller.Ticked) != 1 || poller.Ticked[0] != got[0]) {
 			t.Fatalf("poller ticked %v, want only its landing cycle %d", poller.Ticked, got[0])
 		}
+	}
+}
+
+// A Post into a full fetch pipeline rings no doorbell and leaves the
+// channel Dormant: only a fetch completing, on a timer its device side
+// scheduled, can start the next fetch. Ticked only on the cycles the
+// channel reports (its NextWork, its doorbell, its fetch timers), the
+// fetch engine starts and completes every fetch on the same cycles as
+// when it is ticked every cycle.
+func TestPostWhileFetchPipelineFull(t *testing.T) {
+	k := sim.New()
+	ch := NewChannel(k, NewPCIe(k, DefaultPCIe()), CommandBytes16)
+	rings := 0
+	ch.SetDoorbell(func() { rings++ })
+	for i := 0; i < maxFetchesInFlight*fetchBatch; i++ {
+		ch.Post(Command{})
+	}
+	ch.TickDevice()
+	if ch.fetching != maxFetchesInFlight {
+		t.Fatalf("%d fetches in flight, want %d", ch.fetching, maxFetchesInFlight)
+	}
+	rings = 0
+	ch.Post(Command{})
+	if rings != 0 || ch.NextWork(k.Now()) != sim.Dormant {
+		t.Fatalf("post into a full pipeline: %d rings, NextWork %d; want none, Dormant", rings, ch.NextWork(k.Now()))
+	}
+	for ch.Fetched == 0 {
+		k.Step()
+	}
+	if ch.NextWork(k.Now()) != k.Now()+1 {
+		t.Fatal("a fetch slot freed with a command posted, but the channel reports no work")
+	}
+	ch.TickDevice()
+	ch.Post(Command{})
+	if rings != 0 {
+		t.Fatal("post rang with the pipeline full again")
+	}
+
+	trace := func(k *sim.Kernel) (log []string, ticks int) {
+		ch := NewChannel(k, NewPCIe(k, DefaultPCIe()), CommandBytes16)
+		var fetched int64
+		dev := &simtest.Probe{Next: ch.NextWork}
+		dev.Act = func(c int64) {
+			if ch.Fetched != fetched {
+				log = append(log, fmt.Sprintf("%d done %d", c, ch.Fetched-fetched))
+				fetched = ch.Fetched
+			}
+			before := ch.HostBacklog()
+			ch.TickDevice()
+			if n := before - ch.HostBacklog(); n > 0 {
+				log = append(log, fmt.Sprintf("%d start %d", c, n))
+			}
+			ch.PopCommand() // the engine drains slower than a fetch lands
+		}
+		// Bursts of 1..70 commands every 37 cycles keep the pipeline full
+		// for long stretches.
+		host := &simtest.Probe{
+			Act: func(c int64) {
+				if c%37 == 0 && c <= 4_000 {
+					for i := int64(0); i < c*13%70+1; i++ {
+						ch.Post(Command{})
+					}
+				}
+			},
+			Next: func(now int64) int64 {
+				if now >= 4_000 {
+					return sim.Dormant
+				}
+				return (now/37 + 1) * 37
+			},
+		}
+		k.Register(host)
+		k.Register(dev)
+		ch.SetDoorbell(func() { dev.W.Wake() })
+		k.Run(10_000)
+		if ch.Fetched != ch.Posted || ch.Posted == 0 {
+			t.Fatalf("skipping %v: fetched %d of %d posted", k.Skipping(), ch.Fetched, ch.Posted)
+		}
+		return log, len(dev.Ticked)
+	}
+	every, all := trace(sim.NewShadow())
+	due, ticked := trace(sim.New())
+	if !slices.Equal(every, due) {
+		t.Fatalf("fetch cycles differ:\nevery cycle %v\nwhen due    %v", every, due)
+	}
+	if ticked >= all {
+		t.Fatalf("device ticked on %d of %d cycles: it never slept", ticked, all)
 	}
 }

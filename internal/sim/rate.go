@@ -71,6 +71,10 @@ func (b *ByteRate) Backlog(now int64) int64 {
 	return b.freeAt - now
 }
 
+// FreeAt returns the first cycle at which the resource is idle. It only
+// moves later, except through Reset.
+func (b *ByteRate) FreeAt() int64 { return b.freeAt }
+
 // BusyCycles returns the total number of cycles the resource has been
 // reserved for since creation.
 func (b *ByteRate) BusyCycles() int64 { return b.busy }
