@@ -75,26 +75,32 @@ var order = []string{
 	"incast", "fanio", "mixed", "wan", "fairness", "httpload", "churn",
 }
 
-func main() {
-	expFlag := flag.String("exp", "all", "experiment to run (or 'all', or 'list')")
-	quick := flag.Bool("quick", false, "reduced sweeps for a fast pass")
-	workers := flag.Int("workers", 1, "distribute a sweep's independent rigs over N goroutines (fig9, fig13, fig16a); results are identical for any N")
-	aqm := flag.String("aqm", "", "restrict the topology scenarios to one queue discipline ("+strings.Join(exp.ScenarioAQMNames(), ", ")+"); default sweeps all")
-	pcapPath := flag.String("pcap", "", "write the httpload link capture to this pcapng file")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout)) }
+
+// run parses the command line and runs the experiments it names,
+// returning the exit code: 2 for a bad flag, discipline or experiment
+// name, 1 when a table carries a failure (a missed churn plateau, an
+// httpload error), 0 otherwise. Sweeps spread their independent rigs
+// over GOMAXPROCS goroutines; their tables do not depend on it.
+func run(args []string, w io.Writer) int {
+	fs := flag.NewFlagSet("f4tbench", flag.ContinueOnError)
+	expFlag := fs.String("exp", "all", "experiment to run (or 'all', or 'list')")
+	quick := fs.Bool("quick", false, "reduced sweeps for a fast pass")
+	aqm := fs.String("aqm", "", "restrict the topology scenarios to one queue discipline ("+strings.Join(exp.ScenarioAQMNames(), ", ")+"); default sweeps all")
+	pcapPath := fs.String("pcap", "", "write the httpload link capture to this pcapng file")
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
 
 	exp.SetHTTPLoadPCAP(*pcapPath)
 
 	// Fail fast on a bad discipline name instead of burning a sweep.
 	if err := exp.SetScenarioAQM(*aqm); err != nil {
 		fmt.Fprintf(os.Stderr, "f4tbench: %v\n", err)
-		os.Exit(2)
-	}
-
-	if w := *workers; w > 1 {
-		runners["fig9"] = func(q bool) *exp.Table { return exp.Fig9Workers(q, w) }
-		runners["fig13"] = func(q bool) *exp.Table { return exp.Fig13Workers(q, w) }
-		runners["fig16a"] = func(q bool) *exp.Table { return exp.Fig16aWorkers(q, w) }
+		return 2
 	}
 
 	if *expFlag == "list" {
@@ -104,9 +110,9 @@ func main() {
 		}
 		sort.Strings(names)
 		for _, n := range names {
-			fmt.Println(n)
+			fmt.Fprintln(w, n)
 		}
-		return
+		return 0
 	}
 
 	names := []string{*expFlag}
@@ -115,15 +121,14 @@ func main() {
 	}
 	code := 0
 	for _, name := range names {
-		code = max(code, run(os.Stdout, name, *quick))
+		code = max(code, runOne(w, name, *quick))
 	}
-	os.Exit(code)
+	return code
 }
 
-// run prints one experiment's table and returns the exit code it earns:
-// 2 for a name that is not an experiment, 1 for a table that carries a
-// failure (a missed churn plateau, an httpload error), 0 otherwise.
-func run(w io.Writer, name string, quick bool) int {
+// runOne prints one experiment's table and returns the exit code it
+// earns.
+func runOne(w io.Writer, name string, quick bool) int {
 	r, ok := runners[name]
 	if !ok {
 		fmt.Fprintf(os.Stderr, "f4tbench: unknown experiment %q (try -exp list)\n", name)

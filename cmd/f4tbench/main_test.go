@@ -19,17 +19,22 @@ func TestRunExitCode(t *testing.T) {
 	defer delete(runners, "test-failed")
 
 	cases := []struct {
-		name string
+		args []string
 		want int
 	}{
-		{"test-ok", 0},
-		{"test-failed", 1},
-		{"bogus", 2},
-		{"", 2},
+		{[]string{"-exp", "test-ok", "-quick"}, 0},
+		{[]string{"-exp", "test-failed"}, 1},
+		{[]string{"-exp", "bogus"}, 2},
+		{[]string{"-exp", ""}, 2},
+		{[]string{"-exp", "list"}, 0},
+		{[]string{"-h"}, 0},
+		{[]string{"-aqm", "bogus", "-exp", "test-ok"}, 2},
+		// Sweeps are sized by GOMAXPROCS; the old flag is gone.
+		{[]string{"-workers", "4", "-exp", "test-ok"}, 2},
 	}
 	for _, c := range cases {
-		if got := run(io.Discard, c.name, true); got != c.want {
-			t.Errorf("run(%q) = %d; want %d", c.name, got, c.want)
+		if got := run(c.args, io.Discard); got != c.want {
+			t.Errorf("run(%q) = %d; want %d", c.args, got, c.want)
 		}
 	}
 }

@@ -25,6 +25,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -32,34 +33,47 @@ import (
 	"f4t/internal/conformance"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout)) }
+
+// run sweeps the rigs the command line names and returns the exit code:
+// 2 for a bad flag, rig or algorithm name, 1 when any run fails, 0
+// otherwise.
+func run(args []string, w io.Writer) int {
+	fs := flag.NewFlagSet("f4tconform", flag.ContinueOnError)
 	var (
-		rigName = flag.String("rig", "all", "rig pairing: soft-soft, engine-soft, engine-engine, facade, or all")
-		seed    = flag.Uint64("seed", 1, "first seed of the sweep")
-		seeds   = flag.Int("seeds", 1, "number of consecutive seeds to run")
-		phases  = flag.Int("phases", 6, "fault phases per run")
-		conns   = flag.Int("conns", 4, "concurrent connections per run")
-		chunk   = flag.Int("chunk", 4096, "application write size in bytes")
-		algName = flag.String("alg", "newreno", "congestion-control program both endpoints run ("+strings.Join(cc.Names(), ", ")+"), or 'all' to sweep every registered one")
-		bytes   = flag.Int("bytes", 20000, "facade rig: payload bytes per connection")
-		shards  = flag.Int("shards", 0, "facade rig: run on a sharded fabric with this many shards")
-		pcap    = flag.String("pcap", "", "write the run's link capture to this pcapng file")
-		verbose = flag.Bool("v", false, "print per-run schedules and stats")
+		rigName = fs.String("rig", "all", "rig pairing: soft-soft, engine-soft, engine-engine, facade, or all")
+		seed    = fs.Uint64("seed", 1, "first seed of the sweep")
+		seeds   = fs.Int("seeds", 1, "number of consecutive seeds to run")
+		phases  = fs.Int("phases", 6, "fault phases per run")
+		conns   = fs.Int("conns", 4, "concurrent connections per run")
+		chunk   = fs.Int("chunk", 4096, "application write size in bytes")
+		algName = fs.String("alg", "newreno", "congestion-control program both endpoints run ("+strings.Join(cc.Names(), ", ")+"), or 'all' to sweep every registered one")
+		bytes   = fs.Int("bytes", 20000, "facade rig: payload bytes per connection")
+		shards  = fs.Int("shards", 0, "facade rig: run on a sharded fabric with this many shards")
+		pcap    = fs.String("pcap", "", "write the run's link capture to this pcapng file")
+		verbose = fs.Bool("v", false, "print per-run schedules and stats")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
 
 	algs := []string{*algName}
 	if *algName == "all" {
 		algs = cc.Names()
 	} else if _, err := cc.New(*algName); err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		return 2
 	}
 
+	failures := 0
+	rigs := conformance.AllRigs
 	// The facade rig verifies the netapi net.Conn surface instead of the
 	// raw socket API; it has its own sweep (no phase schedule).
 	if *rigName == "facade" {
-		failures := 0
+		rigs = nil
 		for s := *seed; s < *seed+uint64(*seeds); s++ {
 			cfg := conformance.FacadeConfig{
 				Seed: s, Conns: *conns, Bytes: *bytes,
@@ -67,35 +81,26 @@ func main() {
 			}
 			res := conformance.RunFacade(cfg)
 			if !res.Failed() {
-				fmt.Printf("%-13s seed=%-6d PASS (%d conns x %d B, end cycle %d)\n",
+				fmt.Fprintf(w, "%-13s seed=%-6d PASS (%d conns x %d B, end cycle %d)\n",
 					"facade", s, *conns, *bytes, res.EndCycle)
 				continue
 			}
 			failures++
-			fmt.Printf("%-13s seed=%-6d FAIL (%d violations)\n", "facade", s, len(res.Violations))
+			fmt.Fprintf(w, "%-13s seed=%-6d FAIL (%d violations)\n", "facade", s, len(res.Violations))
 			for _, v := range res.Violations {
-				fmt.Printf("  %s\n", v)
+				fmt.Fprintf(w, "  %s\n", v)
 			}
-			fmt.Printf("  replay: %s\n", conformance.FacadeReplayCommand(cfg))
+			fmt.Fprintf(w, "  replay: %s\n", conformance.FacadeReplayCommand(cfg))
 		}
-		if failures > 0 {
-			fmt.Fprintf(os.Stderr, "\n%d run(s) FAILED\n", failures)
-			os.Exit(1)
-		}
-		return
-	}
-
-	rigs := conformance.AllRigs
-	if *rigName != "all" {
+	} else if *rigName != "all" {
 		r, err := conformance.ParseRig(*rigName)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+			return 2
 		}
 		rigs = []conformance.RigKind{r}
 	}
 
-	failures := 0
 	for _, rig := range rigs {
 		for _, alg := range algs {
 			for s := *seed; s < *seed+uint64(*seeds); s++ {
@@ -105,43 +110,44 @@ func main() {
 				}
 				res := conformance.Run(cfg)
 				if *verbose {
-					fmt.Printf("%-13s %s: forged=%d dropped=%d end=%dcyc\n",
+					fmt.Fprintf(w, "%-13s %s: forged=%d dropped=%d end=%dcyc\n",
 						rig, res.Sched, res.ForgedRSTs, res.OowRstDrops, res.EndCycle)
 				}
 				if !res.Failed() {
-					fmt.Printf("%-13s %-8s seed=%-6d PASS (%d phases, drained at cycle %d)\n",
+					fmt.Fprintf(w, "%-13s %-8s seed=%-6d PASS (%d phases, drained at cycle %d)\n",
 						rig, alg, s, *phases, res.EndCycle)
 					continue
 				}
 				failures++
-				report(cfg, res)
+				report(w, cfg, res)
 			}
 		}
 	}
 	if failures > 0 {
 		fmt.Fprintf(os.Stderr, "\n%d run(s) FAILED\n", failures)
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }
 
 // report prints a failure and shrinks it to the shortest schedule prefix
 // that still reproduces, then prints the exact replay command.
-func report(cfg conformance.Config, res conformance.Result) {
-	fmt.Printf("%-13s %-8s seed=%-6d FAIL (%d violations)\n", cfg.Rig, cfg.Alg, cfg.Seed, len(res.Violations))
+func report(w io.Writer, cfg conformance.Config, res conformance.Result) {
+	fmt.Fprintf(w, "%-13s %-8s seed=%-6d FAIL (%d violations)\n", cfg.Rig, cfg.Alg, cfg.Seed, len(res.Violations))
 
 	min, minRes, ok := conformance.Minimize(cfg, conformance.Run)
 	if !ok {
 		// Shouldn't happen for a deterministic harness, but never hide
 		// the original failure behind a minimizer bug.
-		fmt.Println("  (failure did not reproduce under minimization; original run:)")
+		fmt.Fprintln(w, "  (failure did not reproduce under minimization; original run:)")
 		min, minRes = cfg, res
 	} else if min.Phases < cfg.Phases {
-		fmt.Printf("  minimized: %d phases -> %d\n", cfg.Phases, min.Phases)
+		fmt.Fprintf(w, "  minimized: %d phases -> %d\n", cfg.Phases, min.Phases)
 	}
 
-	fmt.Printf("  schedule: %s\n", minRes.Sched)
+	fmt.Fprintf(w, "  schedule: %s\n", minRes.Sched)
 	for _, v := range minRes.Violations {
-		fmt.Printf("  %s\n", v.String())
+		fmt.Fprintf(w, "  %s\n", v.String())
 	}
-	fmt.Printf("  replay: %s\n", conformance.ReplayCommand(min))
+	fmt.Fprintf(w, "  replay: %s\n", conformance.ReplayCommand(min))
 }

@@ -8,8 +8,10 @@
 package main
 
 import (
+	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -17,26 +19,38 @@ import (
 	"f4t/internal/exp"
 )
 
-func main() {
-	alg := flag.String("alg", "newreno",
+func main() { os.Exit(run(os.Args[1:], os.Stdout)) }
+
+// run writes the traces as CSV and returns the exit code: 2 for a bad
+// flag or algorithm name, 1 when the output cannot be written, 0
+// otherwise.
+func run(args []string, out io.Writer) int {
+	fs := flag.NewFlagSet("f4ttrace", flag.ContinueOnError)
+	alg := fs.String("alg", "newreno",
 		"congestion control algorithm ("+strings.Join(cc.Names(), ", ")+")")
-	drop := flag.Int64("drop", 2000, "drop every Nth data packet")
-	ms := flag.Int64("ms", 32, "trace duration in simulated milliseconds")
-	flag.Parse()
+	drop := fs.Int64("drop", 2000, "drop every Nth data packet")
+	ms := fs.Int64("ms", 32, "trace duration in simulated milliseconds")
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
 
 	// Fail fast on unknown algorithms instead of burning a multi-second
 	// simulation that would panic deep inside engine construction.
 	if _, err := cc.New(*alg); err != nil {
 		fmt.Fprintf(os.Stderr, "f4ttrace: %v\n", err)
-		os.Exit(2)
+		return 2
 	}
 
 	cycles := *ms * 250_000 // 250 cycles per microsecond at 250 MHz
 	f4tTrace := exp.F4TCwndTrace(*alg, *drop, cycles, 25_000)
 
-	fmt.Println("impl,time_us,cwnd_bytes")
+	w := bufio.NewWriter(out)
+	fmt.Fprintln(w, "impl,time_us,cwnd_bytes")
 	for i := range f4tTrace.AtNS {
-		fmt.Printf("f4t,%.1f,%d\n", float64(f4tTrace.AtNS[i])/1e3, f4tTrace.Cwnd[i])
+		fmt.Fprintf(w, "f4t,%.1f,%d\n", float64(f4tTrace.AtNS[i])/1e3, f4tTrace.Cwnd[i])
 	}
 
 	// The independent reference simulator models most of the registry
@@ -45,9 +59,14 @@ func main() {
 	refTrace, err := exp.RefCwndTrace(*alg, *drop, *ms*1_000_000, 100_000)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "f4ttrace: note: %v; emitting f4t trace alone\n", err)
-		return
+	} else {
+		for i := range refTrace.AtNS {
+			fmt.Fprintf(w, "reference,%.1f,%d\n", float64(refTrace.AtNS[i])/1e3, refTrace.Cwnd[i])
+		}
 	}
-	for i := range refTrace.AtNS {
-		fmt.Printf("reference,%.1f,%d\n", float64(refTrace.AtNS[i])/1e3, refTrace.Cwnd[i])
+	if err := w.Flush(); err != nil {
+		fmt.Fprintf(os.Stderr, "f4ttrace: %v\n", err)
+		return 1
 	}
+	return 0
 }

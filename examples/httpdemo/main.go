@@ -52,7 +52,7 @@ func main() {
 		spec := topo.Node(node)
 		st := netapi.NewHostStack(k, spec.Island, stack.Options{
 			IP: spec.Addr, MAC: spec.MAC, Cfg: tcpproc.DefaultConfig(), Alg: "newreno", Seed: seed,
-		}, netapi.Options{})
+		})
 		core.AttachSoft(topo, node, st)
 		return st
 	}

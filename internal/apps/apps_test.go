@@ -311,7 +311,7 @@ func TestDialerRampWindow(t *testing.T) {
 	// Gate dials so connections never establish... they establish
 	// immediately in the fake, so instead verify the want count and
 	// pacing bound: with dialsPerTick=2 the dialer needs want/2 ticks.
-	d := newDialer([]host.Thread{th}, 0, 1, 10, nil)
+	d := newDialer([]host.Thread{th}, []int{0}, 1, 10, nil)
 	if d.tick() {
 		t.Fatal("done after one tick with want=10, pace=2")
 	}
@@ -328,7 +328,7 @@ func TestDialerRetriesNilDials(t *testing.T) {
 	th := newFakeThread(k, nil)
 	allow := false
 	th.dialGate = func() bool { return allow }
-	d := newDialer([]host.Thread{th}, 0, 1, 3, nil)
+	d := newDialer([]host.Thread{th}, []int{0}, 1, 3, nil)
 	for i := 0; i < 5; i++ {
 		if d.tick() {
 			t.Fatal("done while dials are refused")
@@ -352,7 +352,7 @@ func TestDialerSkipsRefusedOpens(t *testing.T) {
 	dials := 0
 	th.refuse = func() bool { dials++; return dials == 2 }
 	const want = 2 * maxOutstandingDials
-	d := newDialer([]host.Thread{th}, 0, 1, want, nil)
+	d := newDialer([]host.Thread{th}, []int{0}, 1, want, nil)
 	for i := 0; i < want && !d.tick(); i++ {
 	}
 	if !d.complete() || len(d.conns[0]) != want {

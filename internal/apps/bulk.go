@@ -28,7 +28,7 @@ type BulkSender struct {
 func NewBulkSender(threads []host.Thread, remoteIdx int, port uint16, reqSize int) *BulkSender {
 	return &BulkSender{
 		threads: threads,
-		d:       newDialer(threads, remoteIdx, port, 1, nil),
+		d:       newDialer(threads, []int{remoteIdx}, port, 1, nil),
 		reqSize: reqSize,
 	}
 }
@@ -96,7 +96,7 @@ type RoundRobinSender struct {
 func NewRoundRobinSender(threads []host.Thread, remoteIdx int, port uint16, reqSize, flowsPerThread int) *RoundRobinSender {
 	return &RoundRobinSender{
 		threads: threads,
-		d:       newDialer(threads, remoteIdx, port, flowsPerThread, nil),
+		d:       newDialer(threads, []int{remoteIdx}, port, flowsPerThread, nil),
 		next:    make([]int, len(threads)),
 		reqSize: reqSize,
 	}

@@ -6,14 +6,14 @@ import "f4t/internal/host"
 // pace (a few per thread per cycle) so command queues never overflow —
 // the way a real load generator ramps connections up.
 type dialer struct {
-	threads   []host.Thread
-	remoteIdx int
-	port      uint16
-	want      int // connections per thread
-	conns     [][]host.Conn
-	estPtr    []int // prefix of conns known established or closed (ramp window)
-	onOpen    func(threadIdx int, c host.Conn)
-	done      bool // every wanted connection dialed; latched
+	threads []host.Thread
+	remotes []int // position j of every thread dials remotes[j%len(remotes)]
+	port    uint16
+	want    int // connections per thread
+	conns   [][]host.Conn
+	estPtr  []int // prefix of conns known established or closed (ramp window)
+	onOpen  func(threadIdx int, c host.Conn)
+	done    bool // every wanted connection dialed; latched
 }
 
 // dialsPerTick bounds connection-establishment pace per thread.
@@ -25,16 +25,16 @@ const dialsPerTick = 2
 // generators ramp the same way.
 const maxOutstandingDials = 96
 
-func newDialer(threads []host.Thread, remoteIdx int, port uint16, perThread int, onOpen func(int, host.Conn)) *dialer {
+func newDialer(threads []host.Thread, remotes []int, port uint16, perThread int, onOpen func(int, host.Conn)) *dialer {
 	d := &dialer{
-		threads:   threads,
-		remoteIdx: remoteIdx,
-		port:      port,
-		want:      perThread,
-		conns:     make([][]host.Conn, len(threads)),
-		estPtr:    make([]int, len(threads)),
-		onOpen:    onOpen,
-		done:      perThread <= 0 || len(threads) == 0,
+		threads: threads,
+		remotes: remotes,
+		port:    port,
+		want:    perThread,
+		conns:   make([][]host.Conn, len(threads)),
+		estPtr:  make([]int, len(threads)),
+		onOpen:  onOpen,
+		done:    perThread <= 0 || len(threads) == 0,
 	}
 	return d
 }
@@ -62,7 +62,7 @@ func (d *dialer) tick() bool {
 			if len(d.conns[i])-d.estPtr[i] >= maxOutstandingDials {
 				break // ramp window full: wait for handshakes to land
 			}
-			c := th.Dial(d.remoteIdx, d.port)
+			c := th.Dial(d.remotes[len(d.conns[i])%len(d.remotes)], d.port)
 			if c == nil {
 				break // queue full: retry next cycle
 			}

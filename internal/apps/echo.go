@@ -101,7 +101,7 @@ func NewEchoClient(k *sim.Kernel, threads []host.Thread, remoteIdx int, port uin
 	for i := range threads {
 		c.ready[i] = sim.NewQueue[*echoFlow](0)
 	}
-	c.d = newDialer(threads, remoteIdx, port, flowsPerThread, func(i int, conn host.Conn) {
+	c.d = newDialer(threads, []int{remoteIdx}, port, flowsPerThread, func(i int, conn host.Conn) {
 		c.flows[i].Set(conn.Handle(), &echoFlow{conn: conn})
 	})
 	return c

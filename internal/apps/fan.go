@@ -14,15 +14,13 @@ import (
 // classic incast microburst at the client's downlink queue.
 type FanClient struct {
 	threads  []host.Thread
-	remotes  []int // remote indices to fan over
-	port     uint16
 	reqSize  int
 	respSize int
 
-	conns   [][]host.Conn // per thread, one per remote
-	sendRem [][]int       // request bytes still to push, per conn
-	recvRem [][]int       // response bytes still awaited, per conn
-	startNS []int64       // round start, per thread
+	d       *dialer // per thread, connection j goes to remotes[j]
+	sendRem [][]int // request bytes still to push, per conn
+	recvRem [][]int // response bytes still awaited, per conn
+	startNS []int64 // round start, per thread
 
 	// Rounds counts completed fan-in rounds; Latency records each
 	// round's duration (request out → last response byte) in ns.
@@ -33,12 +31,11 @@ type FanClient struct {
 }
 
 // NewFanClient prepares one connection per (thread, remote). Dialing is
-// paced over the first simulated cycles like every other workload.
+// paced by the shared dialer like every other workload.
 func NewFanClient(k *sim.Kernel, threads []host.Thread, remotes []int, port uint16, reqSize, respSize int) *FanClient {
 	c := &FanClient{
-		k: k, threads: threads, remotes: remotes, port: port,
-		reqSize: reqSize, respSize: respSize,
-		conns:   make([][]host.Conn, len(threads)),
+		k: k, threads: threads, reqSize: reqSize, respSize: respSize,
+		d:       newDialer(threads, remotes, port, len(remotes), nil),
 		sendRem: make([][]int, len(threads)),
 		recvRem: make([][]int, len(threads)),
 		startNS: make([]int64, len(threads)),
@@ -51,29 +48,11 @@ func NewFanClient(k *sim.Kernel, threads []host.Thread, remotes []int, port uint
 }
 
 // Ready reports whether every connection finished its handshake.
-func (c *FanClient) Ready() bool {
-	for i := range c.threads {
-		if len(c.conns[i]) < len(c.remotes) || !allEstablished(c.conns[i]) {
-			return false
-		}
-	}
-	return true
-}
-
-// dial opens missing connections at the shared dialer pace.
-func (c *FanClient) dial(i int, th host.Thread) {
-	for n := 0; n < dialsPerTick && len(c.conns[i]) < len(c.remotes); n++ {
-		cn := th.Dial(c.remotes[len(c.conns[i])], c.port)
-		if cn == nil {
-			return // command queue full: retry next cycle
-		}
-		c.conns[i] = append(c.conns[i], cn)
-	}
-}
+func (c *FanClient) Ready() bool { return c.d.allEstablished() }
 
 // startRound arms a fresh fan-out on thread i.
 func (c *FanClient) startRound(i int) {
-	for j := range c.conns[i] {
+	for j := range c.d.conns[i] {
 		c.sendRem[i][j] = c.reqSize
 		c.recvRem[i][j] = c.respSize
 	}
@@ -82,15 +61,12 @@ func (c *FanClient) startRound(i int) {
 
 // Tick implements sim.Ticker.
 func (c *FanClient) Tick(int64) {
+	c.d.tick()
 	for i, th := range c.threads {
 		if th.EventsPending() {
 			th.Poll() // consume readiness events; state below is polled directly
 		}
-		if len(c.conns[i]) < len(c.remotes) {
-			c.dial(i, th)
-			continue
-		}
-		if !allEstablished(c.conns[i]) {
+		if len(c.d.conns[i]) < c.d.want || !allEstablished(c.d.conns[i]) {
 			continue
 		}
 		if c.roundDone(i) {
@@ -100,7 +76,7 @@ func (c *FanClient) Tick(int64) {
 			}
 			c.startRound(i)
 		}
-		for j, cn := range c.conns[i] {
+		for j, cn := range c.d.conns[i] {
 			for c.sendRem[i][j] > 0 {
 				n := cn.TrySend(c.sendRem[i][j], nil)
 				if n == 0 {
@@ -128,7 +104,7 @@ func (c *FanClient) Tick(int64) {
 
 // roundDone reports whether thread i's fan-in completed (or never ran).
 func (c *FanClient) roundDone(i int) bool {
-	for j := range c.conns[i] {
+	for j := range c.d.conns[i] {
 		if c.sendRem[i][j] > 0 || c.recvRem[i][j] > 0 {
 			return false
 		}
@@ -144,19 +120,17 @@ func (c *FanClient) SetWaker(w sim.Waker) { wakeOn(c.threads, w) }
 // readiness event; anything else — dial ramp, blocked sends, unread
 // bytes, a round to re-arm — keeps it scheduled.
 func (c *FanClient) NextWork(now int64) int64 {
-	for i := range c.threads {
-		if len(c.conns[i]) < len(c.remotes) {
-			return now + 1
-		}
+	if !c.d.complete() {
+		return now + 1
 	}
 	return idleUntil(c.threads, now, func(i int) bool {
-		if !allEstablished(c.conns[i]) {
+		if !allEstablished(c.d.conns[i]) {
 			return false // handshake completion arrives as an event
 		}
 		if c.roundDone(i) {
 			return true // a finished round re-arms next Tick
 		}
-		for j, cn := range c.conns[i] {
+		for j, cn := range c.d.conns[i] {
 			if c.sendRem[i][j] > 0 && cn.SendSpace() > 0 || c.recvRem[i][j] > 0 && cn.Available() > 0 {
 				return true // core-gated send or recv retry
 			}

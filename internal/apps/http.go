@@ -199,7 +199,7 @@ func (t *wrkThread) mark(j int) {
 // NewWrk opens flowsPerThread keepalive connections per thread (paced).
 func NewWrk(k *sim.Kernel, threads []host.Thread, remoteIdx int, port uint16, reqSize, respSize, flowsPerThread int, costs cpu.Costs) *Wrk {
 	w := &Wrk{k: k, threads: threads, reqSize: reqSize, respSize: respSize, costs: costs, th: make([]wrkThread, len(threads))}
-	w.d = newDialer(threads, remoteIdx, port, flowsPerThread, func(i int, conn host.Conn) {
+	w.d = newDialer(threads, []int{remoteIdx}, port, flowsPerThread, func(i int, conn host.Conn) {
 		t := &w.th[i]
 		j := int(conn.Handle())
 		if j == len(t.flows) {

@@ -557,7 +557,7 @@ func newRefEchoClient(k *sim.Kernel, threads []host.Thread, remoteIdx int, port 
 		c.byConn[i] = make(map[host.Conn]*refEchoFlow, flowsPerThread)
 		c.ready[i] = sim.NewQueue[*refEchoFlow](0)
 	}
-	c.d = newDialer(threads, remoteIdx, port, flowsPerThread, func(i int, conn host.Conn) {
+	c.d = newDialer(threads, []int{remoteIdx}, port, flowsPerThread, func(i int, conn host.Conn) {
 		c.byConn[i][conn] = &refEchoFlow{conn: conn}
 	})
 	return c

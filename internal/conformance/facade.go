@@ -99,8 +99,8 @@ func RunFacadeOn(fab sim.Fabric, cfg FacadeConfig) FacadeResult {
 	}, nil)
 	engA, engB := rig.Engines[0], rig.Engines[1]
 
-	stA := netapi.NewEngineStack(fab, islandA, engA, 0, netapi.DifferentialOptions(ipA))
-	stB := netapi.NewEngineStack(fab, islandB, engB, 0, netapi.DifferentialOptions(ipB))
+	stA := netapi.NewEngineStack(fab, islandA, engA, 0)
+	stB := netapi.NewEngineStack(fab, islandB, engB, 0)
 	defer func() {
 		stA.Shutdown()
 		stB.Shutdown()

@@ -113,9 +113,6 @@ func (c *CuckooTable) h2(k wire.FourTuple) uint64 {
 // Len returns the number of stored entries.
 func (c *CuckooTable) Len() int { return c.size }
 
-// Cap returns the capacity bound Insert enforces.
-func (c *CuckooTable) Cap() int { return c.max }
-
 // Stats returns occupancy and lifetime counters.
 func (c *CuckooTable) Stats() CuckooStats {
 	return CuckooStats{

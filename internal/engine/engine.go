@@ -51,7 +51,6 @@ type Config struct {
 
 	Channels     int   // host command queue pairs (one per CPU thread)
 	CommandBytes int64 // 16, or 8 for the §6 PCIe optimization
-	PCIe         hostif.PCIeConfig
 
 	CarryBytes bool // move real payload bytes end to end
 	HeaderOnly bool // §6 rig: suppress payload on the wire and over PCIe
@@ -59,7 +58,9 @@ type Config struct {
 	Seed uint64
 }
 
-// DefaultConfig is the reference 8-FPC design of §4.7.
+// DefaultConfig is the reference 8-FPC design of §4.7, and the one
+// place its values are stated: New fills nothing in. The PCIe link is
+// always the reference Gen3 x16 slot (hostif.DefaultPCIe).
 func DefaultConfig() Config {
 	return Config{
 		NumFPCs:      8,
@@ -72,7 +73,6 @@ func DefaultConfig() Config {
 		Coalesce:     true,
 		Channels:     1,
 		CommandBytes: hostif.CommandBytes16,
-		PCIe:         hostif.DefaultPCIe(),
 	}
 }
 
@@ -196,26 +196,9 @@ type Engine struct {
 
 // New builds an engine; tx attaches the network link.
 func New(k *sim.Kernel, cfg Config, tx func(*wire.Packet)) *Engine {
-	if cfg.NumFPCs <= 0 {
-		cfg.NumFPCs = 1
-	}
-	if cfg.SlotsPerFPC <= 0 {
-		cfg.SlotsPerFPC = 128
-	}
-	if cfg.MaxFlows <= 0 {
-		cfg.MaxFlows = 65536
-	}
-	if cfg.Channels <= 0 {
-		cfg.Channels = 1
-	}
-	if cfg.CommandBytes == 0 {
-		cfg.CommandBytes = hostif.CommandBytes16
-	}
-	if cfg.Proto.MSS == 0 {
-		cfg.Proto = tcpproc.DefaultConfig()
-	}
-	if cfg.Alg == "" {
-		cfg.Alg = "newreno"
+	if cfg.NumFPCs <= 0 || cfg.SlotsPerFPC <= 0 || cfg.MaxFlows <= 0 || cfg.Channels <= 0 ||
+		cfg.CommandBytes == 0 || cfg.Proto.MSS == 0 {
+		panic("engine: Config has a zero design point; start from DefaultConfig")
 	}
 
 	e := &Engine{
@@ -232,7 +215,7 @@ func New(k *sim.Kernel, cfg Config, tx func(*wire.Packet)) *Engine {
 		cfg.Seed+12, cfg.Seed+11, e.transmit, e.admit)
 
 	e.txRate = sim.GbpsRate(100)
-	e.PCIe = hostif.NewPCIe(k, cfg.PCIe)
+	e.PCIe = hostif.NewPCIe(k, hostif.DefaultPCIe())
 	e.Channels = make([]*hostif.Channel, cfg.Channels)
 	e.compBatch = make([][]hostif.Completion, cfg.Channels)
 	for i := range e.Channels {
@@ -269,9 +252,7 @@ func New(k *sim.Kernel, cfg Config, tx func(*wire.Packet)) *Engine {
 			OnEvictAbort: func(id flow.ID) { e.sch.EvictAborted(idx, id) },
 		})
 	}
-	schedCfg := sched.DefaultConfig(cfg.MaxFlows, cfg.NumFPCs)
-	schedCfg.Coalesce = cfg.Coalesce
-	e.sch = sched.New(k, schedCfg, e.fpcs, e.mem)
+	e.sch = sched.New(k, cfg.Coalesce, e.fpcs, e.mem)
 	// Doorbell wakes: a host Post must pull the kernel out of a
 	// quiescent skip so the command is fetched on the next cycle.
 	for _, ch := range e.Channels {
@@ -294,6 +275,9 @@ func New(k *sim.Kernel, cfg Config, tx func(*wire.Packet)) *Engine {
 
 // SetTx attaches the wire transmit function.
 func (e *Engine) SetTx(tx func(*wire.Packet)) { e.tx = tx }
+
+// IP returns the engine's configured address.
+func (e *Engine) IP() wire.Addr { return e.cfg.IP }
 
 // LearnPeer installs a static ARP entry.
 func (e *Engine) LearnPeer(ip wire.Addr, mac wire.MAC) { e.front.Learn(ip, mac) }

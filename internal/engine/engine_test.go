@@ -86,6 +86,31 @@ func (r *rig) run(t *testing.T, pred func() bool, budget int64, what string) {
 	}
 }
 
+// TestNewRefusesZeroDesignPoint: DefaultConfig is the one home of the
+// reference design's values, so New fills none in. A config that left
+// one of them zero is a bug, caught at construction.
+func TestNewRefusesZeroDesignPoint(t *testing.T) {
+	for name, zero := range map[string]func(*engine.Config){
+		"NumFPCs":      func(c *engine.Config) { c.NumFPCs = 0 },
+		"SlotsPerFPC":  func(c *engine.Config) { c.SlotsPerFPC = 0 },
+		"MaxFlows":     func(c *engine.Config) { c.MaxFlows = 0 },
+		"Channels":     func(c *engine.Config) { c.Channels = 0 },
+		"CommandBytes": func(c *engine.Config) { c.CommandBytes = 0 },
+		"Proto":        func(c *engine.Config) { c.Proto = tcpproc.Config{} },
+	} {
+		cfg := engine.DefaultConfig()
+		zero(&cfg)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("New accepted a zero %s", name)
+				}
+			}()
+			engine.New(sim.New(), cfg, nil)
+		}()
+	}
+}
+
 func TestEngineHandshake(t *testing.T) {
 	r := newRig(t, nil)
 	r.l2.Listen(80)

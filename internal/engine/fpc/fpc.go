@@ -39,7 +39,6 @@ const (
 type Config struct {
 	Slots      int // TCB table entries (reference design: 128)
 	FPULatency int // FPU pipeline depth in cycles (from the CC algorithm)
-	II         int // initiation interval in cycles (paper: 2)
 	Mode       Mode
 
 	// ModeStall: total cycles one event occupies the unit, expressed as a
@@ -149,26 +148,24 @@ type FPC struct {
 	tid int32
 }
 
+// issueInterval is the TCB manager's initiation interval (II) in
+// cycles (§4.2.2).
+const issueInterval = 2
+
 // inputDepth is the routed-event queue depth; the scheduler watches this
 // backlog for load balancing (§4.4.2).
 const inputDepth = 16
 
 // New builds an FPC.
 func New(k *sim.Kernel, cfg Config, hooks Hooks) *FPC {
-	if cfg.Slots <= 0 {
-		cfg.Slots = 128
-	}
-	if cfg.II <= 0 {
-		cfg.II = 2
-	}
 	if cfg.FPULatency <= 0 {
 		cfg.FPULatency = cfg.Alg.PipelineLatency()
 	}
 	if cfg.Mode == ModeStall && cfg.StallDen == 0 {
 		cfg.StallNum, cfg.StallDen = int64(cfg.FPULatency), 1
 	}
-	if cfg.Slots >= 1<<16 {
-		panic("fpc: Slots exceeds the CAM's 16-bit table index")
+	if cfg.Slots <= 0 || cfg.Slots >= 1<<16 {
+		panic("fpc: Slots must be positive and fit the CAM's 16-bit table index")
 	}
 	f := &FPC{
 		k:          k,
@@ -405,7 +402,7 @@ func (f *FPC) NextWork(now int64) int64 {
 // issueAt is the TCB manager's gate, shared by issue and NextWork: the
 // initiation interval since the last issue, and TX backpressure.
 func (f *FPC) issueAt() int64 {
-	at := f.lastIssue + int64(f.cfg.II)
+	at := f.lastIssue + issueInterval
 	if f.cfg.IssueFrom != nil {
 		at = max(at, f.cfg.IssueFrom())
 	}

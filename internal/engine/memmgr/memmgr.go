@@ -29,25 +29,26 @@ const (
 type Config struct {
 	Kind      MemoryKind
 	CacheSize int // direct-mapped TCB cache entries (0 disables)
-
-	// RandomAccessPct derates peak bandwidth for the short random
-	// accesses TCB traffic consists of (row activation overhead on DDR;
-	// pseudo-channel conflicts on HBM). DDR suffers far more at 128 B
-	// granularity.
-	RandomAccessPct int
-	LatencyNS       int64 // access latency
 }
 
-// DefaultConfig returns the model for the given memory kind. The derates
-// reflect 128 B random access: DDR4 delivers roughly a third of peak;
-// HBM's many pseudo-channels keep most of it.
+// DefaultConfig returns the model for the given memory kind: a 512-entry
+// TCB cache in front of the store.
 func DefaultConfig(kind MemoryKind) Config {
-	switch kind {
-	case HBM:
-		return Config{Kind: HBM, CacheSize: 512, RandomAccessPct: 60, LatencyNS: 120}
-	default:
-		return Config{Kind: DDR, CacheSize: 512, RandomAccessPct: 35, LatencyNS: 100}
-	}
+	return Config{Kind: kind, CacheSize: 512}
+}
+
+// kinds holds each memory technology's figures (§4.7). randomPct
+// derates peak bandwidth for the short random accesses TCB traffic
+// consists of (row activation overhead on DDR; pseudo-channel conflicts
+// on HBM): at 128 B granularity DDR4 delivers roughly a third of peak,
+// while HBM's many pseudo-channels keep most of it.
+var kinds = [...]struct {
+	peakGBps  int64 // peak bandwidth
+	randomPct int64 // derate for 128 B random access
+	latencyNS int64 // access latency
+}{
+	DDR: {peakGBps: 38, randomPct: 35, latencyNS: 100},
+	HBM: {peakGBps: 460, randomPct: 60, latencyNS: 120},
 }
 
 // Hooks wire the manager's outputs.
@@ -65,7 +66,6 @@ type pendingEvent struct {
 // Manager is the memory manager.
 type Manager struct {
 	k     *sim.Kernel
-	cfg   Config
 	hooks Hooks
 
 	tcbs     flow.Table[*flow.TCB] // the DRAM TCB store (nil = not resident)
@@ -87,24 +87,14 @@ type Manager struct {
 
 // New builds a manager.
 func New(k *sim.Kernel, cfg Config, hooks Hooks) *Manager {
-	var peak int64
-	switch cfg.Kind {
-	case HBM:
-		peak = 460
-	default:
-		peak = 38
-	}
-	if cfg.RandomAccessPct <= 0 {
-		cfg.RandomAccessPct = 100
-	}
+	mk := kinds[cfg.Kind]
 	// Effective bytes/cycle = peak GB/s × derate; GBpsRate is ×4 B/cycle.
-	num := peak * 4 * int64(cfg.RandomAccessPct)
+	num := mk.peakGBps * 4 * mk.randomPct
 	m := &Manager{
 		k:        k,
-		cfg:      cfg,
 		hooks:    hooks,
 		rate:     sim.NewByteRate(num, 100),
-		lat:      sim.NSToCycles(cfg.LatencyNS),
+		lat:      sim.NSToCycles(mk.latencyNS),
 		input:    sim.NewQueue[flow.Event](0),
 		inFlight: sim.NewQueue[pendingEvent](0),
 	}

@@ -225,7 +225,7 @@ func TestDDRSlowerThanHBM(t *testing.T) {
 	// traffic that HBM absorbs.
 	measure := func(kind MemoryKind) int64 {
 		k := sim.New()
-		m := New(k, Config{Kind: kind, CacheSize: 0, RandomAccessPct: DefaultConfig(kind).RandomAccessPct, LatencyNS: DefaultConfig(kind).LatencyNS}, Hooks{})
+		m := New(k, Config{Kind: kind}, Hooks{})
 		k.Register(sim.TickerFunc(m.Tick))
 		// 4K flows, one event each: all cache misses (cache disabled).
 		for i := 0; i < 4096; i++ {

@@ -57,36 +57,21 @@ type pendingEv struct {
 // routing after 12 cycles").
 const retryCycles = 12
 
-// Config parameterizes the scheduler.
-type Config struct {
-	MaxFlows      int
-	CoalesceFIFOs int  // reference design: 4
-	FIFODepth     int  // reference design: 16
-	Coalesce      bool // event coalescing enable (§4.4.1; off for the 1FPC ablation)
-	LUTGroups     int  // location LUT partitions = routes per cycle (§4.4.2)
-}
-
-// DefaultConfig returns the reference-design scheduler.
-func DefaultConfig(maxFlows, numFPCs int) Config {
-	groups := (numFPCs + 1) / 2 // one route per two-cycle FPC slot (§4.4.2)
-	if groups < 1 {
-		groups = 1
-	}
-	return Config{
-		MaxFlows:      maxFlows,
-		CoalesceFIFOs: 4,
-		FIFODepth:     16,
-		Coalesce:      true,
-		LUTGroups:     groups,
-	}
-}
+// The reference design's coalesce stage (§4.4.1): four FIFOs of 16
+// entries.
+const (
+	coalesceFIFOs = 4
+	fifoDepth     = 16
+)
 
 // Scheduler orchestrates all flows (§4.1.2 ④).
 type Scheduler struct {
 	k    *sim.Kernel
-	cfg  Config
 	fpcs []*fpc.FPC
 	mem  *memmgr.Manager
+
+	coalesce  bool // event coalescing enable (off for the 1FPC ablation)
+	lutGroups int  // location LUT partitions = routes per cycle (§4.4.2)
 
 	lut     flow.Table[lutEntry]
 	fifos   []*sim.Queue[flow.Event]
@@ -108,29 +93,23 @@ type Scheduler struct {
 	DroppedEvents sim.Counter
 }
 
-// New builds a scheduler over the given FPCs and memory manager.
-func New(k *sim.Kernel, cfg Config, fpcs []*fpc.FPC, mem *memmgr.Manager) *Scheduler {
-	if cfg.CoalesceFIFOs <= 0 {
-		cfg.CoalesceFIFOs = 4
-	}
-	if cfg.FIFODepth <= 0 {
-		cfg.FIFODepth = 16
-	}
-	if cfg.LUTGroups <= 0 {
-		cfg.LUTGroups = 1
-	}
+// New builds a scheduler over the given FPCs and memory manager, with
+// event coalescing on or off. The LUT has one partition per two FPCs:
+// one route per two-cycle FPC slot (§4.4.2).
+func New(k *sim.Kernel, coalesce bool, fpcs []*fpc.FPC, mem *memmgr.Manager) *Scheduler {
 	s := &Scheduler{
 		k:         k,
-		cfg:       cfg,
 		fpcs:      fpcs,
 		mem:       mem,
-		fifos:     make([]*sim.Queue[flow.Event], cfg.CoalesceFIFOs),
+		coalesce:  coalesce,
+		lutGroups: (len(fpcs) + 1) / 2,
+		fifos:     make([]*sim.Queue[flow.Event], coalesceFIFOs),
 		pending:   sim.NewQueue[pendingEv](0),
 		swapReqs:  sim.NewQueue[flow.ID](0),
 		evictBusy: make([]bool, len(fpcs)),
 	}
 	for i := range s.fifos {
-		s.fifos[i] = sim.NewQueue[flow.Event](cfg.FIFODepth)
+		s.fifos[i] = sim.NewQueue[flow.Event](fifoDepth)
 	}
 	// The reservation taken in processSwapIns guarantees capacity. The
 	// target travels in the TCB, not the LUT, so the TCB still lands where
@@ -221,7 +200,7 @@ func (s *Scheduler) FlowFreed(id flow.ID) {
 func (s *Scheduler) Submit(ev flow.Event) bool {
 	idx := int(uint64(ev.Flow) % uint64(len(s.fifos)))
 	q := s.fifos[idx]
-	if s.cfg.Coalesce && ev.Coalescable {
+	if s.coalesce && ev.Coalescable {
 		// Index-based scan: a Scan closure capturing ev would force the
 		// event to escape on every submit, and this is the engine's
 		// per-segment hot path.
@@ -329,7 +308,7 @@ func (s *Scheduler) Tick(cycle int64) {
 func (s *Scheduler) route(cycle int64) {
 	routes := 0
 	for _, q := range s.fifos {
-		if routes >= s.cfg.LUTGroups {
+		if routes >= s.lutGroups {
 			break
 		}
 		if q.Len() == 0 {

@@ -45,7 +45,7 @@ func newRig(numFPCs, slots int) *rig {
 		})
 		r.fpcs = append(r.fpcs, f)
 	}
-	r.s = New(k, DefaultConfig(4096, numFPCs), r.fpcs, r.mem)
+	r.s = New(k, true, r.fpcs, r.mem)
 	k.Register(sim.TickerFunc(func(c int64) {
 		r.s.Tick(c)
 		for _, f := range r.fpcs {
@@ -168,9 +168,7 @@ func TestCoalescingDisabledByConfig(t *testing.T) {
 	alg := cc.MustNew("newreno")
 	mem := memmgr.New(k, memmgr.DefaultConfig(memmgr.HBM), memmgr.Hooks{})
 	f := fpc.New(k, fpc.Config{Slots: 4, Alg: alg, Proto: &proto}, fpc.Hooks{})
-	cfg := DefaultConfig(64, 1)
-	cfg.Coalesce = false
-	s := New(k, cfg, []*fpc.FPC{f}, mem)
+	s := New(k, false, []*fpc.FPC{f}, mem)
 	s.AllocateFlow(estTCB(1))
 	s.Submit(flow.Event{Kind: flow.EvUser, Flow: 1, HasReq: true, Req: 1101, Coalescable: true})
 	s.Submit(flow.Event{Kind: flow.EvUser, Flow: 1, HasReq: true, Req: 1201, Coalescable: true})

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"runtime"
 
 	"f4t/internal/apps"
 	"f4t/internal/cpu"
@@ -79,16 +80,10 @@ func EchoPointOn(f sim.Fabric, stackKind string, totalFlows int, mutate func(*en
 // Fig13 reproduces Figure 13: echo request rate vs concurrent flows for
 // Linux, F4T with DDR, and F4T with HBM. The F4T-DDR curve degrades past
 // 1,024 flows (the FPC-resident capacity) as every request forces a
-// DRAM TCB swap; HBM's bandwidth hides the swaps (§5.3).
+// DRAM TCB swap; HBM's bandwidth hides the swaps (§5.3). Each
+// (flows, stack) cell is one self-contained rig; the cells run as one
+// Sweep.
 func Fig13(quick bool) *Table {
-	return Fig13Workers(quick, 1)
-}
-
-// Fig13Workers is Fig13 with the sweep's independent rigs distributed
-// across workers goroutines (cmd/f4tbench -workers). Each (flows, stack)
-// cell is one self-contained rig, so the table is identical to the
-// serial sweep's for any worker count.
-func Fig13Workers(quick bool, workers int) *Table {
 	t := &Table{
 		Title:  "Figure 13: 128 B echo request rate vs number of flows (Mrps)",
 		Header: []string{"flows", "linux", "f4t-ddr", "f4t-hbm"},
@@ -99,7 +94,7 @@ func Fig13Workers(quick bool, workers int) *Table {
 	}
 	stacks := []string{"linux", "f4t-ddr", "f4t-hbm"}
 	cells := make([]string, len(flowSteps)*len(stacks))
-	Sweep(len(cells), workers, func(i int) {
+	Sweep(len(cells), runtime.GOMAXPROCS(0), func(i int) {
 		flows, stackKind := flowSteps[i/len(stacks)], stacks[i%len(stacks)]
 		mrps, frac := EchoPoint(stackKind, flows)
 		cell := f2(mrps)

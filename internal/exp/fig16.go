@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"runtime"
 
 	"f4t/internal/apps"
 	"f4t/internal/cpu"
@@ -77,14 +78,9 @@ func headerPointMut(cores int, cmdBytes int64, roundRobin bool, designMut func(*
 
 // Fig16a reproduces Figure 16a: header processing rate vs CPU cores for
 // 16 B and 8 B commands. With 16 B commands the PCIe command stream
-// saturates; 8 B commands lift the ceiling (§6).
+// saturates; 8 B commands lift the ceiling (§6). The points run as one
+// Sweep.
 func Fig16a(quick bool) *Table {
-	return Fig16aWorkers(quick, 1)
-}
-
-// Fig16aWorkers is Fig16a with the sweep's independent rigs distributed
-// across workers goroutines; the table is identical for any count.
-func Fig16aWorkers(quick bool, workers int) *Table {
 	t := &Table{
 		Title:  "Figure 16a: header processing rate vs cores (bulk, Mrps)",
 		Header: []string{"cores", "16B cmds", "8B cmds"},
@@ -95,7 +91,7 @@ func Fig16aWorkers(quick bool, workers int) *Table {
 	}
 	cmds := []int64{hostif.CommandBytes16, hostif.CommandBytes8}
 	rates := make([]float64, len(coreSteps)*len(cmds))
-	Sweep(len(rates), workers, func(i int) {
+	Sweep(len(rates), runtime.GOMAXPROCS(0), func(i int) {
 		rates[i] = headerPoint(coreSteps[i/len(cmds)], cmds[i%len(cmds)], false, "f4t")
 	})
 	for r, cores := range coreSteps {

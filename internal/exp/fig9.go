@@ -1,18 +1,15 @@
 package exp
 
-import "fmt"
+import (
+	"fmt"
+	"runtime"
+)
 
 // Fig9 reproduces Figure 9: F4T bulk transfer goodput (a) and request
 // rate (b) across request sizes and core counts. Small requests are
 // PCIe-bound (every 16 B request needs a 16 B command plus a 16 B
-// payload DMA, §5.1).
+// payload DMA, §5.1). The points run as one Sweep.
 func Fig9(quick bool) *Table {
-	return Fig9Workers(quick, 1)
-}
-
-// Fig9Workers is Fig9 with the sweep's independent rigs distributed
-// across workers goroutines; the table is identical for any count.
-func Fig9Workers(quick bool, workers int) *Table {
 	t := &Table{
 		Title:  "Figure 9: F4T bulk transfer with various request sizes",
 		Header: []string{"req B", "cores", "Gbps", "Mrps"},
@@ -24,7 +21,7 @@ func Fig9Workers(quick bool, workers int) *Table {
 		coreSteps = []int{8}
 	}
 	results := make([]TransferResult, len(sizes)*len(coreSteps))
-	Sweep(len(results), workers, func(i int) {
+	Sweep(len(results), runtime.GOMAXPROCS(0), func(i int) {
 		size, cores := sizes[i/len(coreSteps)], coreSteps[i%len(coreSteps)]
 		results[i] = TransferPoint("f4t", false, size, cores, nil)
 	})

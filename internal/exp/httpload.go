@@ -66,8 +66,8 @@ func HTTPLoadOn(f sim.Fabric, cfg HTTPLoadConfig) (*HTTPLoadResult, error) {
 	}, nil)
 	engA, engB := rig.Engines[0], rig.Engines[1]
 
-	stA := netapi.NewEngineStack(f, IslandA, engA, 0, netapi.DifferentialOptions(AddrA))
-	stB := netapi.NewEngineStack(f, IslandB, engB, 0, netapi.DifferentialOptions(AddrB))
+	stA := netapi.NewEngineStack(f, IslandA, engA, 0)
+	stB := netapi.NewEngineStack(f, IslandB, engB, 0)
 	defer func() {
 		stA.Shutdown()
 		stB.Shutdown()

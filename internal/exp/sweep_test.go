@@ -9,8 +9,8 @@ import (
 // TestSweepCoversEveryIndexOnce checks the sweep worker pool's only
 // contract: every index in [0, n) runs exactly once, for any worker
 // count (including degenerate ones). Cell placement is by index, so
-// this is what makes Fig9Workers/Fig13Workers/Fig16aWorkers tables
-// identical to their serial counterparts.
+// this is what makes the Fig 9, 13 and 16a tables, swept over
+// GOMAXPROCS workers, identical to a serial loop's.
 func TestSweepCoversEveryIndexOnce(t *testing.T) {
 	for _, workers := range []int{-1, 0, 1, 2, 3, 8, 100} {
 		const n = 37

@@ -192,8 +192,3 @@ func (t *TCB) SendLimit() seqnum.Value {
 	}
 	return t.SndUna.Add(seqnum.Size(w))
 }
-
-// Closedish reports whether the connection has fully terminated.
-func (t *TCB) Closedish() bool {
-	return t.State == StateClosed || t.State == StateTimeWait
-}

@@ -75,13 +75,3 @@ func (p *PCIe) BacklogToDevice() int64 { return p.toDevice.Backlog(p.k.Now()) }
 
 // BacklogToHost returns queued device→host cycles.
 func (p *PCIe) BacklogToHost() int64 { return p.toHost.Backlog(p.k.Now()) }
-
-// Utilization returns busy fractions for both directions.
-func (p *PCIe) Utilization() (toDev, toHost float64) {
-	now := p.k.Now()
-	if now == 0 {
-		return 0, 0
-	}
-	return float64(p.toDevice.BusyCycles()) / float64(now),
-		float64(p.toHost.BusyCycles()) / float64(now)
-}

@@ -57,9 +57,9 @@ func (st *Stack) drain() bool {
 // other component (no F4TMachine may share it — both would race for its
 // completions). Register order matters for determinism: call this at
 // the same point of rig construction on every fabric.
-func NewEngineStack(f sim.Fabric, island int, eng *engine.Engine, chIdx int, opt Options) *Stack {
+func NewEngineStack(f sim.Fabric, island int, eng *engine.Engine, chIdx int) *Stack {
 	k := f.IslandKernel(island)
-	st := newStack(k, softstack.NewLib(k, eng, chIdx), opt)
+	st := newStack(k, softstack.NewLib(k, eng, chIdx), eng.IP())
 	f.RegisterOn(island, pump{st})
 	return st
 }
@@ -77,14 +77,11 @@ type HostStack struct {
 // pump rides the endpoint's node, so each cycle runs RX, timers, then
 // the facade, in that order. The caller plugs it into a network with
 // core.AttachSoft.
-func NewHostStack(f sim.Fabric, island int, sopt stack.Options, opt Options) *HostStack {
+func NewHostStack(f sim.Fabric, island int, sopt stack.Options) *HostStack {
 	k := f.IslandKernel(island)
 	sopt.CarryBytes = true
-	if opt.LocalIP == 0 {
-		opt.LocalIP = sopt.IP
-	}
 	ep := stack.New(k, sopt, nil)
-	st := newStack(k, stack.NewHosts(ep, 1)[0], opt)
+	st := newStack(k, stack.NewHosts(ep, 1)[0], ep.Opt.IP)
 	node := stack.NewNode(ep)
 	node.Rider = pump{st}
 	f.RegisterOn(island, node)

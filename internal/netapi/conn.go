@@ -364,5 +364,5 @@ func (ln *Listener) Close() error {
 
 // Addr implements net.Listener.
 func (ln *Listener) Addr() net.Addr {
-	return Addr{IP: ln.st.opt.LocalIP, Port: ln.port}
+	return Addr{IP: ln.st.ip, Port: ln.port}
 }

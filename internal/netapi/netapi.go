@@ -44,8 +44,8 @@
 // ops to real time and trades determinism away; deadlines are
 // supported but documented as best-effort. A goroutine descheduled for
 // longer than the settle grace window slips its op to the next poll
-// grid cycle; the window defaults are generous and tests that assert
-// bit-identical digests widen them further.
+// grid cycle; the one settle policy (see gridCycles) is sized so that
+// digest-checked runs on a loaded host do not see that happen.
 package netapi
 
 import (
@@ -61,59 +61,28 @@ import (
 	"f4t/internal/wire"
 )
 
-// Options tunes a Stack. The zero value gets usable defaults.
-type Options struct {
-	// LocalIP is the address reported by LocalAddr (the engine's or
-	// endpoint's IP).
-	LocalIP wire.Addr
-
-	// GridCycles is the fixed poll grid: ops submitted outside any
+// The settle policy. One profile serves every caller: it is the one the
+// digest-checked runs (fabric batteries, rig goldens) need on a loaded
+// host, where a goroutine descheduled for a few hundred microseconds
+// must not slip an op past its settle, and it costs an interactive run
+// about a millisecond per active settle.
+const (
+	// gridCycles is the fixed poll grid: ops submitted outside any
 	// settle window enter the simulation at the next multiple of this
-	// many cycles (default 1024 ≈ 4 µs). Smaller grids pick up
-	// spontaneous ops sooner but bound cycle skipping tighter.
-	GridCycles int64
+	// many cycles (≈ 4 µs).
+	gridCycles = 1024
 
-	// SettleQuantum is the real-time wait slice of the settle loop
-	// (default 150 µs).
-	SettleQuantum time.Duration
+	// settleQuantum is the real-time wait slice of the settle loop.
+	settleQuantum = 200 * time.Microsecond
 
-	// SettleQuietRounds is how many consecutive empty quanta end a
-	// settle once no woken goroutine is outstanding (default 4).
-	SettleQuietRounds int
+	// settleQuietRounds is how many consecutive empty quanta end a
+	// settle once no woken goroutine is outstanding.
+	settleQuietRounds = 5
 
-	// SettleBusyWait caps how long a settle waits for an already-woken
-	// goroutine to submit its next op before treating it as gone
-	// (default 1.5 ms).
-	SettleBusyWait time.Duration
-}
-
-// DifferentialOptions widens the settle windows for runs whose digests
-// are compared bit for bit (the fabric batteries, the rig goldens): a
-// goroutine descheduled by a loaded machine must not slip an op past
-// its settle.
-func DifferentialOptions(ip wire.Addr) Options {
-	return Options{
-		LocalIP:           ip,
-		SettleQuantum:     200 * time.Microsecond,
-		SettleQuietRounds: 5,
-		SettleBusyWait:    5 * time.Millisecond,
-	}
-}
-
-func (o *Options) fill() {
-	if o.GridCycles <= 0 {
-		o.GridCycles = 1024
-	}
-	if o.SettleQuantum <= 0 {
-		o.SettleQuantum = 150 * time.Microsecond
-	}
-	if o.SettleQuietRounds <= 0 {
-		o.SettleQuietRounds = 4
-	}
-	if o.SettleBusyWait <= 0 {
-		o.SettleBusyWait = 1500 * time.Microsecond
-	}
-}
+	// settleBusyWait caps how long a settle waits for an already-woken
+	// goroutine to submit its next op before treating it as gone.
+	settleBusyWait = 5 * time.Millisecond
+)
 
 // opKind discriminates facade operations. The numeric order is the
 // deterministic execution rank within one batch.
@@ -143,7 +112,7 @@ type op struct {
 	c    *Conn
 	ln   *Listener
 	buf  []byte
-	n    int // bytes transferred so far (read result / write progress)
+	n    int   // bytes transferred so far (read result / write progress)
 	conn *Conn // result (dial, accept)
 }
 
@@ -165,7 +134,7 @@ func (o *op) owner() int64 {
 type Stack struct {
 	k    *sim.Kernel
 	host sock.Host
-	opt  Options
+	ip   wire.Addr // reported by LocalAddr
 
 	nowNS  atomic.Int64
 	inboxN atomic.Int32
@@ -198,9 +167,8 @@ type Stack struct {
 	wg sync.WaitGroup
 }
 
-func newStack(k *sim.Kernel, host sock.Host, opt Options) *Stack {
-	opt.fill()
-	return &Stack{k: k, host: host, opt: opt, signal: make(chan struct{}, 1), lns: make(map[uint16]*Listener)}
+func newStack(k *sim.Kernel, host sock.Host, ip wire.Addr) *Stack {
+	return &Stack{k: k, host: host, ip: ip, signal: make(chan struct{}, 1), lns: make(map[uint16]*Listener)}
 }
 
 // NowNS returns the current simulated time in nanoseconds, readable
@@ -265,7 +233,7 @@ func (st *Stack) pumpTick(cycle int64) {
 	if !pending && !st.effectRetry && len(st.dialRetry) == 0 && cycle < st.nextGridAt {
 		return
 	}
-	st.nextGridAt = (cycle/st.opt.GridCycles + 1) * st.opt.GridCycles
+	st.nextGridAt = (cycle/gridCycles + 1) * gridCycles
 	st.settle()
 	// Yield after every settle: on GOMAXPROCS=1 a driver that never
 	// blocks can otherwise starve freshly spawned application
@@ -304,11 +272,11 @@ func (st *Stack) Settle() {
 	// grant them one busy-wait window to submit their first ops before
 	// settling (a settle on an empty inbox would return immediately and
 	// leave those ops to a racy grid-cycle pickup).
-	deadline := time.Now().Add(st.opt.SettleBusyWait)
+	deadline := time.Now().Add(settleBusyWait)
 	for st.inboxN.Load() == 0 && time.Now().Before(deadline) {
 		select {
 		case <-st.signal:
-		case <-time.After(st.opt.SettleQuantum):
+		case <-time.After(settleQuantum):
 		}
 	}
 	st.drain()
@@ -373,8 +341,8 @@ func (st *Stack) settle() {
 // waitQuiet drops the lock and waits for new submissions. It returns
 // true when ops arrived, false when the application went silent.
 func (st *Stack) waitQuiet() bool {
-	busyUntil := time.Now().Add(st.opt.SettleBusyWait)
-	quietLeft := st.opt.SettleQuietRounds
+	busyUntil := time.Now().Add(settleBusyWait)
+	quietLeft := settleQuietRounds
 	for {
 		if len(st.inbox) > 0 {
 			return true
@@ -383,7 +351,7 @@ func (st *Stack) waitQuiet() bool {
 		st.mu.Unlock()
 		select {
 		case <-st.signal:
-		case <-time.After(st.opt.SettleQuantum):
+		case <-time.After(settleQuantum):
 		}
 		st.mu.Lock()
 		if len(st.inbox) > 0 {
@@ -501,7 +469,7 @@ func (st *Stack) failParked(c *Conn, err error) {
 func (st *Stack) newConn(id int64, bc sock.Conn) *Conn {
 	c := &Conn{st: st, id: id, bc: bc}
 	raddr, rport := bc.Remote()
-	c.laddr = Addr{IP: st.opt.LocalIP, Port: bc.LocalPort()}
+	c.laddr = Addr{IP: st.ip, Port: bc.LocalPort()}
 	c.raddr = Addr{IP: raddr, Port: rport}
 	i := sort.Search(len(st.conns), func(i int) bool { return st.conns[i].id >= id })
 	st.conns = append(st.conns, nil)

@@ -31,9 +31,6 @@ var (
 	macB  = wire.MAC{2, 0, 0, 0, 0, 2}
 )
 
-// testOptions: the differential tests assert bit-identical digests.
-func testOptions() Options { return DifferentialOptions(0) }
-
 // engRig is two engine-backed facades over one link, island 0/1.
 type engRig struct {
 	r          sim.Runner
@@ -51,7 +48,7 @@ func testLink(f sim.Fabric, seed uint64) *netsim.Link {
 
 // newEngRig builds two engines without machines — the facade owns the
 // channels.
-func newEngRig(f sim.Fabric, opt Options) *engRig {
+func newEngRig(f sim.Fabric) *engRig {
 	link := testLink(f, 1234)
 	rig := core.Build(f, link, func(i int) engine.Config {
 		cfg := engine.DefaultConfig()
@@ -59,12 +56,8 @@ func newEngRig(f sim.Fabric, opt Options) *engRig {
 		return cfg
 	}, nil)
 	engA, engB := rig.Engines[0], rig.Engines[1]
-	optA := opt
-	optA.LocalIP = addrA
-	optB := opt
-	optB.LocalIP = addrB
-	stA := NewEngineStack(f, 0, engA, 0, optA)
-	stB := NewEngineStack(f, 1, engB, 0, optB)
+	stA := NewEngineStack(f, 0, engA, 0)
+	stB := NewEngineStack(f, 1, engB, 0)
 	return &engRig{r: f, stA: stA, stB: stB, link: link, engA: engA, engB: engB}
 }
 
@@ -81,12 +74,12 @@ type hostRig struct {
 	stA, stB *HostStack
 }
 
-func newHostRig(f sim.Fabric, opt Options) *hostRig {
+func newHostRig(f sim.Fabric) *hostRig {
 	link := testLink(f, 77)
 	soA := stack.Options{IP: addrA, MAC: macA, Cfg: tcpproc.DefaultConfig(), Alg: "newreno", Seed: 11}
 	soB := stack.Options{IP: addrB, MAC: macB, Cfg: tcpproc.DefaultConfig(), Alg: "newreno", Seed: 22}
-	a := NewHostStack(f, 0, soA, opt)
-	b := NewHostStack(f, 1, soB, opt)
+	a := NewHostStack(f, 0, soA)
+	b := NewHostStack(f, 1, soB)
 	core.AttachSoft(link, 0, a)
 	core.AttachSoft(link, 1, b)
 	return &hostRig{r: f, stA: a, stB: b}
@@ -140,7 +133,7 @@ func echoServer(st *Stack, ln net.Listener) {
 }
 
 func TestEngineEchoRoundTrip(t *testing.T) {
-	rig := newEngRig(sim.New(), testOptions())
+	rig := newEngRig(sim.New())
 	defer rig.teardown()
 
 	var done atomic.Bool
@@ -187,13 +180,13 @@ func TestEngineEchoRoundTrip(t *testing.T) {
 		t.Fatalf("echo corrupted: got %d bytes, want %d", len(got), len(msg))
 	}
 	// Sanity: the conns carried addresses.
-	if la := rig.stA.opt.LocalIP; la != addrA {
+	if la := rig.stA.ip; la != addrA {
 		t.Fatalf("local IP = %v", la)
 	}
 }
 
 func TestHostEchoRoundTrip(t *testing.T) {
-	rig := newHostRig(sim.New(), testOptions())
+	rig := newHostRig(sim.New())
 	defer rig.teardown()
 
 	var done atomic.Bool
@@ -244,7 +237,7 @@ func TestHostEchoRoundTrip(t *testing.T) {
 // TestNetHTTPRoundTrip runs an UNMODIFIED net/http server and client
 // over the simulated network — the facade's headline acceptance test.
 func TestNetHTTPRoundTrip(t *testing.T) {
-	rig := newEngRig(sim.New(), testOptions())
+	rig := newEngRig(sim.New())
 	defer rig.teardown()
 
 	body := payload(4096, 7)
@@ -293,7 +286,7 @@ func TestNetHTTPRoundTrip(t *testing.T) {
 }
 
 func TestDialRefused(t *testing.T) {
-	rig := newEngRig(sim.New(), testOptions())
+	rig := newEngRig(sim.New())
 	defer rig.teardown()
 
 	var done atomic.Bool
@@ -314,7 +307,7 @@ func TestDialRefused(t *testing.T) {
 }
 
 func TestReadDeadline(t *testing.T) {
-	rig := newEngRig(sim.New(), testOptions())
+	rig := newEngRig(sim.New())
 	defer rig.teardown()
 
 	var done atomic.Bool
@@ -363,7 +356,7 @@ func TestReadDeadline(t *testing.T) {
 // idiom: a Read parks first, then another goroutine moves the deadline
 // into the past and the parked Read must fail.
 func TestDeadlineUnblocksParkedRead(t *testing.T) {
-	rig := newEngRig(sim.New(), testOptions())
+	rig := newEngRig(sim.New())
 	defer rig.teardown()
 
 	var done atomic.Bool
@@ -403,7 +396,7 @@ func TestDeadlineUnblocksParkedRead(t *testing.T) {
 }
 
 func TestCloseUnblocksRead(t *testing.T) {
-	rig := newEngRig(sim.New(), testOptions())
+	rig := newEngRig(sim.New())
 	defer rig.teardown()
 
 	var done atomic.Bool
@@ -448,7 +441,7 @@ func TestCloseUnblocksRead(t *testing.T) {
 func echoDigest(t *testing.T, f sim.Fabric) string {
 	t.Helper()
 	const endCycle = 3_000_000
-	rig := newEngRig(f, testOptions())
+	rig := newEngRig(f)
 	defer rig.teardown()
 
 	var done atomic.Bool

@@ -150,19 +150,6 @@ func ECNThreshold(markNS, limitBytes int64) AQMConfig {
 	return cfg
 }
 
-// ByName maps a parsed AQMKind to its default-configured AQMConfig with
-// ECN enabled — the shape the scenario CLIs hand out.
-func (k AQMKind) ByName() AQMConfig {
-	switch k {
-	case AQMRED:
-		return RED(0, true)
-	case AQMCoDel:
-		return CoDel(0, true)
-	default:
-		return ECNThreshold(DefaultCoDelTargetNS, 0)
-	}
-}
-
 // verdict is one admission decision.
 type verdict int
 

@@ -36,9 +36,6 @@ func NewRouter(name string) *Router {
 // Route installs (or replaces) the egress port for a destination.
 func (r *Router) Route(dst wire.Addr, p *RouterPort) { r.routes[dst] = p }
 
-// Ports returns the router's egress ports in attachment order.
-func (r *Router) Ports() []*RouterPort { return r.ports }
-
 // forward looks up the egress port and enqueues. It is the sink of
 // every ingress pipe and trunk port pointed at this router.
 func (r *Router) forward(pkt *wire.Packet) {
@@ -135,15 +132,8 @@ func (p *RouterPort) SetSink(deliver func(*wire.Packet)) { p.sink = deliver }
 // starts, both with the port's marks applied.
 func (p *RouterPort) SetTap(t Tap) { p.tap = t }
 
-// QueuedBytes returns the current queue depth in bytes (excluding the
-// packet being serialized).
-func (p *RouterPort) QueuedBytes() int64 { return p.qBytes }
-
 // QueuedPkts returns the current queue depth in packets.
 func (p *RouterPort) QueuedPkts() int64 { return int64(len(p.q) - p.head) }
-
-// Drops returns total drops from any cause.
-func (p *RouterPort) Drops() int64 { return p.TailDrops + p.AQMDrops }
 
 // congestion records a drop/mark event cycle for onset assertions.
 func (p *RouterPort) congestion() {

@@ -71,14 +71,6 @@ func (c *Capture) TapPort(p *netsim.RouterPort, name string) {
 	p.SetTap(c.newTap(name))
 }
 
-// TapRouter captures every egress port of a router, named
-// prefix.<portname>.
-func (c *Capture) TapRouter(r *netsim.Router, prefix string) {
-	for _, p := range r.Ports() {
-		c.TapPort(p, prefix+"."+p.Name)
-	}
-}
-
 // Frames returns the total captured frame count across all taps.
 func (c *Capture) Frames() int {
 	n := 0

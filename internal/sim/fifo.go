@@ -26,9 +26,6 @@ func MakeQueue[T any](capacity int) Queue[T] {
 // Len returns the number of queued elements.
 func (q *Queue[T]) Len() int { return len(q.buf) - q.head }
 
-// Cap returns the configured capacity (0 = unbounded).
-func (q *Queue[T]) Cap() int { return q.cap }
-
 // Full reports whether the queue is at capacity.
 func (q *Queue[T]) Full() bool { return q.cap > 0 && q.Len() >= q.cap }
 

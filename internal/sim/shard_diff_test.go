@@ -86,9 +86,9 @@ func TestShardDiffTransfer(t *testing.T) {
 
 // instrumentedEcho runs a small instrumented echo rig on the given
 // fabric with one registry and sampler per island (a shared registry
-// would race across shards) and returns the merged, deterministic
-// series set.
-func instrumentedEcho(f sim.Fabric) []*telemetry.Series {
+// would race across shards) and returns each island's series, island A
+// first.
+func instrumentedEcho(f sim.Fabric) [2][]*telemetry.Series {
 	p := exp.NewF4TPairOn(f, 2, 2, cpu.DefaultCosts(), nil)
 	regA, regB := telemetry.NewRegistry(), telemetry.NewRegistry()
 	p.EngA.Instrument(regA, "eng_a")
@@ -105,32 +105,36 @@ func instrumentedEcho(f sim.Fabric) []*telemetry.Series {
 	cl := apps.NewEchoClient(f.IslandKernel(exp.IslandA), p.MachA.Threads(), 0, port, 128, 8)
 	f.RegisterOn(exp.IslandA, cl)
 	f.Run(600_000)
-	return telemetry.MergeSamplers(sA, sB)
+	return [2][]*telemetry.Series{sA.Series(), sB.Series()}
 }
 
-// TestShardDiffTelemetry holds the merged per-island telemetry dump of
-// a sharded rig byte-identical to the serial rig's: same series names
-// in the same order, same timestamps, same sampled values.
+// TestShardDiffTelemetry holds each island's telemetry of a sharded rig
+// byte-identical to the serial rig's, series by series: same names in
+// the same order, same timestamps, same sampled values.
 func TestShardDiffTelemetry(t *testing.T) {
 	ref := instrumentedEcho(sim.New())
-	if len(ref) == 0 {
-		t.Fatal("serial reference produced no series")
+	for isl := range ref {
+		if len(ref[isl]) == 0 {
+			t.Fatalf("island %d: serial reference produced no series", isl)
+		}
 	}
 	for _, n := range shardCounts(t) {
 		got := instrumentedEcho(sim.NewSharded(n))
-		if len(got) != len(ref) {
-			t.Fatalf("shards=%d: %d series, serial %d", n, len(got), len(ref))
-		}
-		for i, rs := range ref {
-			gs := got[i]
-			if gs.Name != rs.Name || len(gs.AtNS) != len(rs.AtNS) {
-				t.Fatalf("shards=%d: series %d = %s (%d pts), serial %s (%d pts)",
-					n, i, gs.Name, len(gs.AtNS), rs.Name, len(rs.AtNS))
+		for isl := range ref {
+			if len(got[isl]) != len(ref[isl]) {
+				t.Fatalf("shards=%d island %d: %d series, serial %d", n, isl, len(got[isl]), len(ref[isl]))
 			}
-			for j := range rs.AtNS {
-				if gs.AtNS[j] != rs.AtNS[j] || gs.Val[j] != rs.Val[j] {
-					t.Fatalf("shards=%d: %s point %d = (%d, %d), serial (%d, %d)",
-						n, rs.Name, j, gs.AtNS[j], gs.Val[j], rs.AtNS[j], rs.Val[j])
+			for i, rs := range ref[isl] {
+				gs := got[isl][i]
+				if gs.Name != rs.Name || len(gs.AtNS) != len(rs.AtNS) {
+					t.Fatalf("shards=%d island %d: series %d = %s (%d pts), serial %s (%d pts)",
+						n, isl, i, gs.Name, len(gs.AtNS), rs.Name, len(rs.AtNS))
+				}
+				for j := range rs.AtNS {
+					if gs.AtNS[j] != rs.AtNS[j] || gs.Val[j] != rs.Val[j] {
+						t.Fatalf("shards=%d: %s point %d = (%d, %d), serial (%d, %d)",
+							n, rs.Name, j, gs.AtNS[j], gs.Val[j], rs.AtNS[j], rs.Val[j])
+					}
 				}
 			}
 		}

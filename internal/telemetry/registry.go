@@ -143,17 +143,6 @@ func (r *Registry) Value(name string) (v int64, ok bool) {
 	return r.entries[i].value(), true
 }
 
-// Hist returns a registered histogram by name, or nil.
-func (r *Registry) Hist(name string) *Histogram {
-	if r == nil {
-		return nil
-	}
-	if i, ok := r.byName[name]; ok && r.entries[i].kind == KindHist {
-		return r.entries[i].hist
-	}
-	return nil
-}
-
 // Sample is one metric's value in a snapshot. Histogram metrics carry
 // their distribution summary alongside the count.
 type Sample struct {
