@@ -18,7 +18,7 @@
 //
 // The extra rig "facade" sweeps the netapi socket facade instead: byte
 // exact echo streams verified through the stdlib net.Conn surface, with
-// -bytes/-shards shaping the run. -pcap writes any rig's link capture
+// -bytes/-sharded shaping the run. -pcap writes any rig's link capture
 // for Wireshark forensics, and failure replay commands carry the flag.
 package main
 
@@ -49,7 +49,7 @@ func run(args []string, w io.Writer) int {
 		chunk   = fs.Int("chunk", 4096, "application write size in bytes")
 		algName = fs.String("alg", "newreno", "congestion-control program both endpoints run ("+strings.Join(cc.Names(), ", ")+"), or 'all' to sweep every registered one")
 		bytes   = fs.Int("bytes", 20000, "facade rig: payload bytes per connection")
-		shards  = fs.Int("shards", 0, "facade rig: run on a sharded fabric with this many shards")
+		sharded = fs.Bool("sharded", false, "facade rig: run on the sharded fabric (one shard per island)")
 		pcap    = fs.String("pcap", "", "write the run's link capture to this pcapng file")
 		verbose = fs.Bool("v", false, "print per-run schedules and stats")
 	)
@@ -77,7 +77,7 @@ func run(args []string, w io.Writer) int {
 		for s := *seed; s < *seed+uint64(*seeds); s++ {
 			cfg := conformance.FacadeConfig{
 				Seed: s, Conns: *conns, Bytes: *bytes,
-				Shards: *shards, PCAPPath: *pcap,
+				Sharded: *sharded, PCAPPath: *pcap,
 			}
 			res := conformance.RunFacade(cfg)
 			if !res.Failed() {

@@ -8,16 +8,16 @@ func init() { Register("bbr", func() Algorithm { return BBR{} }) }
 // words, per the FPU constraints — the two filters are windowed-by-expiry
 // rather than true sliding windows so each fits in a (value, stamp) pair.
 const (
-	bbState        = iota // packed: mode | cycle<<8 | fullBwCnt<<16
-	bbBtlBw               // bottleneck bandwidth estimate, bytes/second
-	bbBtlBwStamp          // ns when bbBtlBw last advanced (filter expiry)
-	bbMinRTT              // minimum RTT estimate, ns
-	bbMinRttStamp         // ns when bbMinRTT was last lowered/refreshed
-	bbEpochStart          // ns start of the current delivery-rate epoch
-	bbEpochBytes          // bytes acked within the current epoch
-	bbFullBw              // bandwidth at the last full-pipe check, bytes/s
-	bbPriorCwnd           // cwnd saved on entering ProbeRTT or recovery
-	bbPhaseStamp          // ns when the current gain phase / dwell began
+	bbState       = iota // packed: mode | cycle<<8 | fullBwCnt<<16
+	bbBtlBw              // bottleneck bandwidth estimate, bytes/second
+	bbBtlBwStamp         // ns when bbBtlBw last advanced (filter expiry)
+	bbMinRTT             // minimum RTT estimate, ns
+	bbMinRttStamp        // ns when bbMinRTT was last lowered/refreshed
+	bbEpochStart         // ns start of the current delivery-rate epoch
+	bbEpochBytes         // bytes acked within the current epoch
+	bbFullBw             // bandwidth at the last full-pipe check, bytes/s
+	bbPriorCwnd          // cwnd saved on entering ProbeRTT or recovery
+	bbPhaseStamp         // ns when the current gain phase / dwell began
 )
 
 // BBR modes (the v1 state machine).

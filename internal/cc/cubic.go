@@ -8,12 +8,12 @@ func init() { Register("cubic", func() Algorithm { return Cubic{} }) }
 // in segments to keep the fixed-point ranges small, exactly as a hardware
 // implementation would.
 const (
-	cuWMax       = iota // window at last loss, segments
-	cuEpochStart        // ns timestamp when the current epoch began (0 = none)
-	cuK                 // K in milliseconds
-	cuOrigin            // origin window (wMax or cwnd at epoch start), segments
-	cuAckCnt            // ACKed segments since epoch start (for TCP-friendly region)
-	cuLastDecWMax       // previous wMax, for fast convergence
+	cuWMax        = iota // window at last loss, segments
+	cuEpochStart         // ns timestamp when the current epoch began (0 = none)
+	cuK                  // K in milliseconds
+	cuOrigin             // origin window (wMax or cwnd at epoch start), segments
+	cuAckCnt             // ACKed segments since epoch start (for TCP-friendly region)
+	cuLastDecWMax        // previous wMax, for fast convergence
 )
 
 // CUBIC constants from RFC 8312: C = 0.4, beta = 0.7, expressed as exact

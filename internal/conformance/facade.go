@@ -25,9 +25,9 @@ type FacadeConfig struct {
 	Conns int // concurrent connections (dialed A→B)
 	Bytes int // payload bytes per connection (client → server → back)
 
-	// Shards > 1 makes RunFacade run the rig sharded. The shard matrix
-	// test holds every fabric to a bit-identical digest.
-	Shards int
+	// Sharded makes RunFacade run the rig on the sharded fabric. The
+	// shard matrix test holds every fabric to a bit-identical digest.
+	Sharded bool
 
 	// PCAPPath, when non-empty, writes the rig's link capture there.
 	PCAPPath string
@@ -53,10 +53,10 @@ func (r FacadeResult) Failed() bool { return len(r.Violations) > 0 }
 func facadePat(conn, off int) byte { return byte(off)*5 + byte(conn*29+3) }
 
 // RunFacade executes one facade conformance run on a fresh serial
-// kernel, or on cfg.Shards shards.
+// kernel, or on the sharded fabric when cfg.Sharded.
 func RunFacade(cfg FacadeConfig) FacadeResult {
-	if cfg.Shards > 1 {
-		return RunFacadeOn(sim.NewSharded(cfg.Shards), cfg)
+	if cfg.Sharded {
+		return RunFacadeOn(sim.NewSharded(), cfg)
 	}
 	return RunFacadeOn(sim.New(), cfg)
 }
@@ -238,8 +238,8 @@ func RunFacadeOn(fab sim.Fabric, cfg FacadeConfig) FacadeResult {
 func FacadeReplayCommand(cfg FacadeConfig) string {
 	s := fmt.Sprintf("go run ./cmd/f4tconform -rig facade -seed %d -conns %d -bytes %d",
 		cfg.Seed, cfg.Conns, cfg.Bytes)
-	if cfg.Shards > 1 {
-		s += fmt.Sprintf(" -shards %d", cfg.Shards)
+	if cfg.Sharded {
+		s += " -sharded"
 	}
 	if cfg.PCAPPath != "" {
 		s += " -pcap " + cfg.PCAPPath

@@ -8,7 +8,7 @@ import "f4t/internal/sim"
 // convert through the 2.3 GHz clock.
 type Core struct {
 	k          *sim.Kernel
-	busyUntil  int64 // engine-kernel cycle when the core frees up
+	busyUntil  int64                // engine-kernel cycle when the core frees up
 	accounting [numCategories]int64 // CPU cycles per category
 	started    int64
 }

@@ -67,17 +67,17 @@ type Costs struct {
 	FlowSwitch     int64 // cache/TLB penalty when touching a cold flow
 
 	// F4T library path (§4.6).
-	F4TPostCmd     int64 // build 16 B command + queue write
-	F4TDoorbell    int64 // MMIO write, amortized over the batch
+	F4TPostCmd       int64 // build 16 B command + queue write
+	F4TDoorbell      int64 // MMIO write, amortized over the batch
 	F4TDoorbellBatch int64 // commands per doorbell (MMIO batching)
-	F4TCompletion  int64 // poll + apply one completion
-	F4TPollMiss    int64 // one empty poll iteration
+	F4TCompletion    int64 // poll + apply one completion
+	F4TPollMiss      int64 // one empty poll iteration
 
 	// Application (Nginx model) work per HTTP request.
-	AppParseRequest int64 // HTTP parse + route
+	AppParseRequest  int64 // HTTP parse + route
 	AppBuildResponse int64 // header render + logging
-	VfsRead         int64 // file fetch from page cache (kernel bucket, Fig 11)
-	EpollWait       int64 // epoll_wait + wakeup amortized per event batch
+	VfsRead          int64 // file fetch from page cache (kernel bucket, Fig 11)
+	EpollWait        int64 // epoll_wait + wakeup amortized per event batch
 
 	// Linux-path timing jitter (deterministic, seeded): every kernel
 	// operation varies by ±JitterPct, and SpikeProb of them hit a
@@ -95,14 +95,14 @@ type Costs struct {
 // derivation of each anchor).
 func DefaultCosts() Costs {
 	return Costs{
-		Syscall:      900,
-		TCPTxBulk:    1500,
-		TCPTxSmall:   11000,
-		TCPRxPacket:  2800,
+		Syscall:        900,
+		TCPTxBulk:      1500,
+		TCPTxSmall:     11000,
+		TCPRxPacket:    2800,
 		TCPRxPacketGRO: 400,
-		TCPConnSetup: 12000,
-		SkbPerByte:   10, // per 64 B chunk
-		FlowSwitch:   2400,
+		TCPConnSetup:   12000,
+		SkbPerByte:     10, // per 64 B chunk
+		FlowSwitch:     2400,
 
 		F4TPostCmd:       40,
 		F4TDoorbell:      300,

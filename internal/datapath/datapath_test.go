@@ -384,10 +384,10 @@ func TestARPResolveAndReply(t *testing.T) {
 func TestICMPEchoReply(t *testing.T) {
 	me := wire.MakeAddr(10, 0, 0, 1)
 	req := &wire.Packet{
-		Kind: wire.KindICMP,
-		Eth:  wire.EthHeader{Src: wire.MAC{5}},
-		IP:   wire.IPv4Header{Src: wire.MakeAddr(10, 0, 0, 2), Dst: me},
-		ICMP: wire.ICMPEcho{Type: wire.ICMPEchoRequest, ID: 3, Seq: 4},
+		Kind:       wire.KindICMP,
+		Eth:        wire.EthHeader{Src: wire.MAC{5}},
+		IP:         wire.IPv4Header{Src: wire.MakeAddr(10, 0, 0, 2), Dst: me},
+		ICMP:       wire.ICMPEcho{Type: wire.ICMPEchoRequest, ID: 3, Seq: 4},
 		PayloadLen: 8, Payload: []byte("payload!"),
 	}
 	rep := HandleICMP(req, me, wire.MAC{1})

@@ -8,7 +8,7 @@ import (
 	"f4t/internal/sim/simtest"
 )
 
-// smallChurn is the shard-battery configuration: small enough that five
+// smallChurn is the shard-battery configuration: small enough that three
 // full fabric runs stay inside a few seconds, but with lifetimes short
 // enough that the run sees real departures, replacements, TIME_WAIT
 // recycling, and at least one cuckoo-table resize.
@@ -25,7 +25,7 @@ func smallChurn() ChurnConfig {
 }
 
 // TestChurnShardDifferential is the determinism battery for the churn
-// rig: serial skip/noskip and 2/4/8 shards must produce bit-identical
+// rig: the serial, shadow and sharded fabrics must produce bit-identical
 // digests. The digest folds in every counter the rig exposes — opens,
 // establishes, departures, close/abort splits, per-side packet and
 // event counts, cuckoo table internals (kicks, stash traffic, resizes),
@@ -61,7 +61,7 @@ func churnMatrix(t *testing.T, cfg ChurnConfig) *ChurnResult {
 }
 
 // TestChurnFullScaleDifferential is the acceptance run: the full 2^20
-// configuration on all five fabrics, digests bit-identical. It takes a
+// configuration on all three fabrics, digests bit-identical. It takes a
 // couple of minutes of wall time, so it only runs when asked for
 // explicitly: F4T_FULL_CHURN=1 go test ./internal/exp/ -run FullScale
 func TestChurnFullScaleDifferential(t *testing.T) {

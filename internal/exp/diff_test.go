@@ -13,8 +13,8 @@ import (
 )
 
 // These tests are the differential harness for the quiescence-skipping
-// kernel: each workload is built twice — once on the skipping kernel,
-// once with SetSkipping(false), the historical always-step loop — and
+// kernel: each workload is built twice — once on sim.New, once on
+// sim.NewShadow, the historical always-step loop — and
 // the cycle-stamped counter streams must match bit for bit. Sampling
 // runs off self-rechaining kernel timers, so both modes observe the
 // counters at identical cycles.
@@ -29,13 +29,13 @@ func sampleEvery(k *sim.Kernel, interval int64, fn func() string, out *[]string)
 	k.After(interval, re)
 }
 
-// diffRun executes the workload in both kernel modes and fails the test
-// on the first diverging signature line. It returns the skipping run's
+// diffRun executes the workload on both kernels and fails the test on
+// the first diverging signature line. It returns the skipping run's
 // kernel so callers can assert the fast path actually engaged.
-func diffRun(t *testing.T, name string, workload func(skip bool) (string, *sim.Kernel)) *sim.Kernel {
+func diffRun(t *testing.T, name string, workload func(k *sim.Kernel) string) *sim.Kernel {
 	t.Helper()
-	fastSig, fast := workload(true)
-	slowSig, slow := workload(false)
+	fast, slow := sim.New(), sim.NewShadow()
+	fastSig, slowSig := workload(fast), workload(slow)
 	if n := slow.SkippedCycles(); n != 0 {
 		t.Fatalf("%s: shadow mode skipped %d cycles", name, n)
 	}
@@ -57,10 +57,8 @@ func diffRun(t *testing.T, name string, workload func(skip bool) (string, *sim.K
 }
 
 // f4tBulkSig: two-node F4T bulk transfer (the Fig 8a shape).
-func f4tBulkSig(skip bool) (string, *sim.Kernel) {
-	p := NewF4TPair(2, 2, cpu.DefaultCosts(), nil)
-	k := p.K
-	k.SetSkipping(skip)
+func f4tBulkSig(k *sim.Kernel) string {
+	p := NewF4TPairOn(k, 2, 2, cpu.DefaultCosts(), nil)
 	sink := apps.NewSink(p.MachB.Threads(), 5001)
 	k.Register(sink)
 	k.Run(2_000)
@@ -82,16 +80,14 @@ func f4tBulkSig(skip bool) (string, *sim.Kernel) {
 	log = append(log, "ready "+sample())
 	k.Run(200_000)
 	log = append(log, "end "+sample())
-	return strings.Join(log, "\n"), k
+	return strings.Join(log, "\n")
 }
 
 // f4tRoundRobinFaultsSig: low-locality round-robin senders over a lossy,
 // reordering link — loss recovery, retransmission timers and reordering
 // all in play.
-func f4tRoundRobinFaultsSig(skip bool) (string, *sim.Kernel) {
-	p := NewF4TPair(2, 2, cpu.DefaultCosts(), nil)
-	k := p.K
-	k.SetSkipping(skip)
+func f4tRoundRobinFaultsSig(k *sim.Kernel) string {
+	p := NewF4TPairOn(k, 2, 2, cpu.DefaultCosts(), nil)
 	p.Link.AtoB.SetFaults(netsim.Faults{LossProb: 0.01, ReorderProb: 0.02, ReorderNS: 2_000})
 	p.Link.BtoA.SetFaults(netsim.Faults{LossProb: 0.005})
 	sink := apps.NewSink(p.MachB.Threads(), 5002)
@@ -114,17 +110,15 @@ func f4tRoundRobinFaultsSig(skip bool) (string, *sim.Kernel) {
 	log = append(log, "ready "+sample())
 	k.Run(200_000)
 	log = append(log, "end "+sample())
-	return strings.Join(log, "\n"), k
+	return strings.Join(log, "\n")
 }
 
 // f4tEchoSig: the ping-pong workload of Fig 13 — mostly idle RTT waits,
 // the skip kernel's showcase.
-func f4tEchoSig(skip bool) (string, *sim.Kernel) {
-	p := NewF4TPair(2, 2, cpu.DefaultCosts(), func(c *engine.Config) {
+func f4tEchoSig(k *sim.Kernel) string {
+	p := NewF4TPairOn(k, 2, 2, cpu.DefaultCosts(), func(c *engine.Config) {
 		c.CarryBytes = false
 	})
-	k := p.K
-	k.SetSkipping(skip)
 	srv := apps.NewEchoServer(p.MachB.Threads(), 5003, 128)
 	k.Register(srv)
 	k.Run(2_000)
@@ -144,18 +138,16 @@ func f4tEchoSig(skip bool) (string, *sim.Kernel) {
 	log = append(log, "ready "+sample())
 	k.Run(400_000)
 	log = append(log, "end "+sample())
-	return strings.Join(log, "\n"), k
+	return strings.Join(log, "\n")
 }
 
 // f4tDctcpSig: DCTCP with ECN marking at the link — congestion marks,
 // ECE echoes and window modulation must all land on identical cycles.
-func f4tDctcpSig(skip bool) (string, *sim.Kernel) {
-	p := NewF4TPair(1, 1, cpu.DefaultCosts(), func(c *engine.Config) {
+func f4tDctcpSig(k *sim.Kernel) string {
+	p := NewF4TPairOn(k, 1, 1, cpu.DefaultCosts(), func(c *engine.Config) {
 		c.Alg = "dctcp"
 		c.Proto.ECN = true
 	})
-	k := p.K
-	k.SetSkipping(skip)
 	p.Link.AtoB.SetAQM(netsim.ECNThreshold(1_000, 0))
 	sink := apps.NewSink(p.MachB.Threads(), 5004)
 	k.Register(sink)
@@ -180,15 +172,13 @@ func f4tDctcpSig(skip bool) (string, *sim.Kernel) {
 	log = append(log, "ready "+sample())
 	k.Run(200_000)
 	log = append(log, "end "+sample())
-	return strings.Join(log, "\n"), k
+	return strings.Join(log, "\n")
 }
 
 // linuxBulkSig: the software-stack baseline — covers LinuxMachine's
 // NextWork (RSS queues, stack timers) and the jittered CPU paths.
-func linuxBulkSig(skip bool) (string, *sim.Kernel) {
-	p := NewLinuxPair(2, 2, cpu.DefaultCosts())
-	k := p.K
-	k.SetSkipping(skip)
+func linuxBulkSig(k *sim.Kernel) string {
+	p := NewLinuxPairOn(k, 2, 2, cpu.DefaultCosts())
 	sink := apps.NewSink(p.MachB.Threads(), 5005)
 	k.Register(sink)
 	k.Run(2_000)
@@ -208,18 +198,16 @@ func linuxBulkSig(skip bool) (string, *sim.Kernel) {
 	log = append(log, "ready "+sample())
 	k.Run(150_000)
 	log = append(log, "end "+sample())
-	return strings.Join(log, "\n"), k
+	return strings.Join(log, "\n")
 }
 
 // nginxSig: the §5.2 web rig — wrk's 64 keepalive flows from 16 client
 // cores against the one-core HTTP server, on either substrate. Covers
 // Wrk's ready set and HTTPServer's service queues, whose NextWork
 // methods no other differential reaches.
-func nginxSig(stackKind string) func(skip bool) (string, *sim.Kernel) {
-	return func(skip bool) (string, *sim.Kernel) {
+func nginxSig(stackKind string) func(k *sim.Kernel) string {
+	return func(k *sim.Kernel) string {
 		costs := cpu.DefaultCosts()
-		k := sim.New()
-		k.SetSkipping(skip)
 		r := newNginxRig(k, stackKind, 1, costs)
 		wrk := apps.NewWrk(k, r.clientThreads, 0, nginxPort, 128, 256, nginxPerThread(64), costs)
 		k.Register(wrk)
@@ -250,7 +238,7 @@ func nginxSig(stackKind string) func(skip bool) (string, *sim.Kernel) {
 		log = append(log, "ready "+sample())
 		k.Run(400_000)
 		log = append(log, "end "+sample())
-		return strings.Join(log, "\n"), k
+		return strings.Join(log, "\n")
 	}
 }
 
@@ -258,12 +246,12 @@ func TestSkipDifferentialNginx(t *testing.T) {
 	for _, stackKind := range []string{"f4t", "linux"} {
 		t.Run(stackKind, func(t *testing.T) {
 			var sig string
-			k := diffRun(t, "nginx-"+stackKind, func(skip bool) (string, *sim.Kernel) {
-				s, k := nginxSig(stackKind)(skip)
-				if skip {
+			k := diffRun(t, "nginx-"+stackKind, func(k *sim.Kernel) string {
+				s := nginxSig(stackKind)(k)
+				if k.Skipping() {
 					sig = s
 				}
-				return s, k
+				return s
 			})
 			if strings.Contains(sig, "NOT-READY") || k.SkippedCycles() == 0 {
 				t.Fatalf("web rig did not ramp or never skipped (%d cycles skipped)", k.SkippedCycles())
@@ -308,8 +296,8 @@ func TestSkipDifferentialLinuxBulk(t *testing.T) {
 // TestSkipDeterminism: two identical skipping runs must agree exactly —
 // cycle skipping must not introduce any run-to-run nondeterminism.
 func TestSkipDeterminism(t *testing.T) {
-	a, _ := f4tEchoSig(true)
-	b, _ := f4tEchoSig(true)
+	a := f4tEchoSig(sim.New())
+	b := f4tEchoSig(sim.New())
 	if a != b {
 		t.Fatal("two identical skipping runs diverged")
 	}

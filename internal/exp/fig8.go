@@ -3,10 +3,10 @@ package exp
 import (
 	"fmt"
 
+	"f4t/internal/apps"
 	"f4t/internal/cpu"
 	"f4t/internal/engine"
 	"f4t/internal/host"
-	"f4t/internal/apps"
 	"f4t/internal/sim"
 )
 

@@ -18,7 +18,7 @@ import (
 // The shadow kernel checks the wake discipline on every cycle it runs:
 // a component the skipping kernel would leave idle may not have work,
 // and no cached NextWork may be later than a fresh one where the
-// skipping kernel would jump (see sim.Kernel.SetSkipping). These tests
+// skipping kernel would jump (see sim.NewShadow). These tests
 // run every rig family on it for a bounded window; a missing Wake
 // anywhere in a rig panics, naming the component.
 

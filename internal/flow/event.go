@@ -11,9 +11,9 @@ type EventKind uint8
 
 // Event kinds.
 const (
-	EvUser EventKind = iota // user request from the host interface
-	EvRx                    // received packet, pre-processed by the RX parser
-	EvTimeout               // timer expiry
+	EvUser    EventKind = iota // user request from the host interface
+	EvRx                       // received packet, pre-processed by the RX parser
+	EvTimeout                  // timer expiry
 )
 
 // Event is one TCP event routed through the scheduler to an FPC (or to
@@ -34,21 +34,21 @@ type Event struct {
 	// Received-packet payload (EvRx), as digested by the RX parser: the
 	// parser has already merged out-of-order chunks, so RcvData is the new
 	// in-order boundary, not a per-segment range.
-	Ack      seqnum.Value
-	HasAck   bool
-	IsDupAck bool // parser-detected pure duplicate ACK
-	Wnd      uint32
-	HasWnd   bool
-	RcvData  seqnum.Value // new in-order received-data boundary
-	HasData  bool
-	RxFlags  uint8        // RxSYN/RxFIN/RxRST occurrence bits
-	SynSeq   seqnum.Value // peer ISN, valid when RxSYN set
-	FinSeq   seqnum.Value // sequence the peer's FIN occupies, valid when RxFIN set
-	RstSeq   seqnum.Value // sequence the RST carries, valid when RxRST set
-	RstAck   seqnum.Value // the RST's acknowledgment field, valid when RstHasAck
-	RstHasAck bool        // the RST carried an ACK (validates resets in SYN-SENT)
-	CE       bool         // data arrived CE-marked (RFC 3168 / DCTCP)
-	ECE      bool         // ack carried the ECN-echo flag
+	Ack       seqnum.Value
+	HasAck    bool
+	IsDupAck  bool // parser-detected pure duplicate ACK
+	Wnd       uint32
+	HasWnd    bool
+	RcvData   seqnum.Value // new in-order received-data boundary
+	HasData   bool
+	RxFlags   uint8        // RxSYN/RxFIN/RxRST occurrence bits
+	SynSeq    seqnum.Value // peer ISN, valid when RxSYN set
+	FinSeq    seqnum.Value // sequence the peer's FIN occupies, valid when RxFIN set
+	RstSeq    seqnum.Value // sequence the RST carries, valid when RxRST set
+	RstAck    seqnum.Value // the RST's acknowledgment field, valid when RstHasAck
+	RstHasAck bool         // the RST carried an ACK (validates resets in SYN-SENT)
+	CE        bool         // data arrived CE-marked (RFC 3168 / DCTCP)
+	ECE       bool         // ack carried the ECN-echo flag
 
 	// AckNow asks for an immediate ACK even without an in-order data
 	// advance: the RX parser sets it for out-of-window and out-of-order
@@ -105,19 +105,19 @@ const (
 type EventRow struct {
 	Valid uint16
 
-	Req     seqnum.Value // latest user send pointer
-	AppRead seqnum.Value // latest user consumed pointer
-	Ack     seqnum.Value // latest cumulative ACK from the peer
-	Wnd     uint32       // latest advertised window from the peer
-	RcvData seqnum.Value // latest in-order received-data boundary
-	RxFlags uint8        // OR of RxSYN/RxFIN/RxRST since last construction
-	SynSeq  seqnum.Value
-	FinSeq  seqnum.Value
-	RstSeq  seqnum.Value // latest RST's sequence number
-	RstAck  seqnum.Value // latest RST's ack field
+	Req       seqnum.Value // latest user send pointer
+	AppRead   seqnum.Value // latest user consumed pointer
+	Ack       seqnum.Value // latest cumulative ACK from the peer
+	Wnd       uint32       // latest advertised window from the peer
+	RcvData   seqnum.Value // latest in-order received-data boundary
+	RxFlags   uint8        // OR of RxSYN/RxFIN/RxRST since last construction
+	SynSeq    seqnum.Value
+	FinSeq    seqnum.Value
+	RstSeq    seqnum.Value // latest RST's sequence number
+	RstAck    seqnum.Value // latest RST's ack field
 	RstHasAck bool
-	Timeouts uint8 // OR of timeout occurrence bits
-	Ctl      uint8 // OR of control-request bits
+	Timeouts  uint8  // OR of timeout occurrence bits
+	Ctl       uint8  // OR of control-request bits
 	DupAckInc uint16 // duplicate-ACK increments (the single-cycle RMW, §4.2.1)
 	AckNowCnt uint8  // immediate-ACK requests (saturating count)
 	CEInc     uint16 // CE-marked data packets seen (counter, like dup-ACKs)

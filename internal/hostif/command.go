@@ -64,8 +64,8 @@ type Completion struct {
 
 // Default queue geometry from the paper.
 const (
-	QueueDepth       = 1024
-	CommandBytes16   = 16
-	CommandBytes8    = 8 // the §6 optimization that lifts the PCIe ceiling
-	CompletionBytes  = 16
+	QueueDepth      = 1024
+	CommandBytes16  = 16
+	CommandBytes8   = 8 // the §6 optimization that lifts the PCIe ceiling
+	CompletionBytes = 16
 )

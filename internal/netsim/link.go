@@ -215,15 +215,6 @@ func (p *Pipe) Send(pkt *wire.Packet) {
 	}
 }
 
-// Utilization returns the fraction of cycles the pipe has been busy.
-func (p *Pipe) Utilization() float64 {
-	now := p.k.Now()
-	if now == 0 {
-		return 0
-	}
-	return float64(p.rate.BusyCycles()) / float64(now)
-}
-
 // Link is a full-duplex point-to-point link between endpoints A and B:
 // the two-node network. It exposes the same node seam as Topology
 // (Nodes/Node/NodeTX/SetNodeSink, node 0 = A, node 1 = B), so a rig

@@ -2,14 +2,18 @@ package pcap
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"flag"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"testing"
 
 	"f4t/internal/netsim"
+	"f4t/internal/seqnum"
 	"f4t/internal/sim"
+	"f4t/internal/sim/simtest"
 	"f4t/internal/sock"
 	"f4t/internal/stack"
 	"f4t/internal/tcpproc"
@@ -177,6 +181,61 @@ func TestCaptureAnnotatesDrops(t *testing.T) {
 	if drops != 1 {
 		t.Fatalf("want exactly 1 drop=fault annotation in %d frames, got %d", len(frames), drops)
 	}
+}
+
+// TestCapturePortTailDrops taps a router egress port that two senders
+// overrun (200 Gbps into a 100 Gbps downlink with a 5 KB DropTail
+// limit) and holds the capture to the port's own counter: one
+// drop=tail comment per tail drop. The star puts every node and the
+// router on its own island, so the sharded row checks the router
+// island's tap buffer.
+func TestCapturePortTailDrops(t *testing.T) {
+	simtest.FabricMatrix(t, func(f sim.Fabric) string {
+		addrs := []wire.Addr{
+			wire.MakeAddr(10, 9, 3, 1),
+			wire.MakeAddr(10, 9, 3, 2),
+			wire.MakeAddr(10, 9, 3, 3),
+		}
+		specs := make([]netsim.NodeSpec, len(addrs))
+		for i, a := range addrs {
+			specs[i] = netsim.NodeSpec{Addr: a, Island: i, Gbps: 100, PropNS: 600}
+		}
+		topo := netsim.NewStarOn(f, len(addrs), specs, netsim.DropTail(5_000), 11)
+		for i := range addrs {
+			topo.SetNodeSink(i, func(*wire.Packet) {})
+		}
+		port := topo.NodePorts[1]
+		cap0 := New()
+		cap0.TapPort(port, "port1")
+		for i := 0; i < 20; i++ {
+			for _, src := range []int{0, 2} {
+				p := &wire.Packet{Kind: wire.KindTCP, PayloadLen: 1460}
+				p.IP.Src, p.IP.Dst = addrs[src], addrs[1]
+				p.TCP.Seq = seqnum.Value(100*src + i)
+				topo.NodeTX(src)(p)
+			}
+		}
+		f.Run(50_000)
+
+		var buf bytes.Buffer
+		if err := cap0.WriteTo(&buf); err != nil {
+			t.Fatalf("WriteTo: %v", err)
+		}
+		frames, err := ReadFile(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatalf("ReadFile: %v", err)
+		}
+		drops := 0
+		for _, fr := range frames {
+			if fr.Comment == "drop=tail" {
+				drops++
+			}
+		}
+		if port.TailDrops == 0 || int64(drops) != port.TailDrops {
+			t.Fatalf("%d drop=tail comments in %d frames, port counted %d tail drops", drops, len(frames), port.TailDrops)
+		}
+		return fmt.Sprintf("frames=%d drops=%d pcap=%x", len(frames), drops, sha256.Sum256(buf.Bytes()))
+	})
 }
 
 // TestTsharkInterop cross-checks the capture with tshark when it is

@@ -89,8 +89,8 @@ func (w *writer) flushBlock(blockType uint32) {
 // sectionHeader emits the SHB that opens the (single) section.
 func (w *writer) sectionHeader() {
 	w.u32(byteOrderMagic)
-	w.u16(1) // version major
-	w.u16(0) // version minor
+	w.u16(1)                  // version major
+	w.u16(0)                  // version minor
 	w.u64(0xFFFFFFFFFFFFFFFF) // section length unknown
 	w.flushBlock(blockSHB)
 }

@@ -19,11 +19,11 @@ import (
 
 // Params configures one bulk-transfer run.
 type Params struct {
-	Alg       string  // one of Algorithms
-	MSS       int     // payload bytes per segment
-	RTTns     int64   // base round-trip time
-	RateBps   float64 // bottleneck rate, bits/s
-	DropEvery int64   // drop every Nth data packet (0 = none)
+	Alg        string  // one of Algorithms
+	MSS        int     // payload bytes per segment
+	RTTns      int64   // base round-trip time
+	RateBps    float64 // bottleneck rate, bits/s
+	DropEvery  int64   // drop every Nth data packet (0 = none)
 	DurationNS int64
 	SampleNS   int64 // cwnd sampling period
 }
@@ -39,14 +39,14 @@ type Sample struct {
 
 // state is the sender model.
 type state struct {
-	p        Params
-	now      int64
-	cwnd     float64 // segments
-	ssthresh float64
-	inFlight int64
-	sent     int64 // data packets sent (for the drop pattern)
-	dupAcks  int
-	inRecovery bool
+	p            Params
+	now          int64
+	cwnd         float64 // segments
+	ssthresh     float64
+	inFlight     int64
+	sent         int64 // data packets sent (for the drop pattern)
+	dupAcks      int
+	inRecovery   bool
 	recoverPoint int64 // packet number that ends recovery
 
 	packetNS float64 // bottleneck service time per segment
@@ -60,28 +60,28 @@ type state struct {
 	vegasFrozen bool // slow start ended by the gamma rule
 
 	// DCTCP state (RFC 8257 window-fraction EWMA).
-	dctcpAlpha  float64
-	winAcked    float64
-	winMarked   float64
-	winTarget   float64 // acks per observation window, latched at its start
+	dctcpAlpha float64
+	winAcked   float64
+	winMarked  float64
+	winTarget  float64 // acks per observation window, latched at its start
 
 	// BBR state: the float mirror of internal/cc's integer machine.
-	bbrMode       int
-	bbrCycle      int
-	bbrFullCnt    int
-	bbrBtlBw      float64 // bytes/second
-	bbrBtlBwStamp int64
-	bbrMinRtt     float64 // ns
+	bbrMode        int
+	bbrCycle       int
+	bbrFullCnt     int
+	bbrBtlBw       float64 // bytes/second
+	bbrBtlBwStamp  int64
+	bbrMinRtt      float64 // ns
 	bbrMinRttStamp int64
-	bbrEpochStart int64
-	bbrEpochBytes float64
-	bbrFullBw     float64
-	bbrPriorCwnd  float64
-	bbrPhaseStamp int64
+	bbrEpochStart  int64
+	bbrEpochBytes  float64
+	bbrFullBw      float64
+	bbrPriorCwnd   float64
+	bbrPhaseStamp  int64
 
-	nextSeq   int64 // next packet number to send
+	nextSeq      int64 // next packet number to send
 	highestAcked int64
-	lost      map[int64]bool
+	lost         map[int64]bool
 
 	samples []Sample
 }
@@ -121,10 +121,10 @@ func Run(p Params) ([]Sample, error) {
 		p.MSS = 1460
 	}
 	s := &state{
-		p:        p,
-		cwnd:     10,
-		ssthresh: math.MaxFloat64 / 4,
-		lost:     make(map[int64]bool),
+		p:            p,
+		cwnd:         10,
+		ssthresh:     math.MaxFloat64 / 4,
+		lost:         make(map[int64]bool),
 		highestAcked: -1,
 	}
 	s.packetNS = float64(p.MSS*8) / p.RateBps * 1e9

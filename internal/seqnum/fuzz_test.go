@@ -9,12 +9,12 @@ import "testing"
 // package documents.
 func FuzzSeqnum(f *testing.F) {
 	f.Add(uint32(0), uint32(0), uint32(0))
-	f.Add(uint32(0xFFFFFFFF), uint32(1), uint32(10))          // wrap at add
-	f.Add(uint32(0xFFFFFFF0), uint32(0x10), uint32(0x100))    // window across wrap
-	f.Add(uint32(0x7FFFFFFF), uint32(0x80000000), uint32(1))  // half-space edge
-	f.Add(uint32(1), uint32(0xFFFFFFFF), uint32(0x7FFFFFFF))  // reversed pair
-	f.Add(uint32(0x80000000), uint32(0), uint32(0x7FFFFFFF))  // opposite poles
-	f.Add(uint32(12345), uint32(54321), uint32(1460))         // mundane
+	f.Add(uint32(0xFFFFFFFF), uint32(1), uint32(10))         // wrap at add
+	f.Add(uint32(0xFFFFFFF0), uint32(0x10), uint32(0x100))   // window across wrap
+	f.Add(uint32(0x7FFFFFFF), uint32(0x80000000), uint32(1)) // half-space edge
+	f.Add(uint32(1), uint32(0xFFFFFFFF), uint32(0x7FFFFFFF)) // reversed pair
+	f.Add(uint32(0x80000000), uint32(0), uint32(0x7FFFFFFF)) // opposite poles
+	f.Add(uint32(12345), uint32(54321), uint32(1460))        // mundane
 	f.Fuzz(func(t *testing.T, a, b, s uint32) {
 		v, w, sz := Value(a), Value(b), Size(s)
 

@@ -44,11 +44,17 @@
 // the kernel's behaviour before caching. Any ticker that is not a
 // Sleeper pins the kernel to per-cycle stepping.
 //
-// SetSkipping(false) (or NewShadow) runs the always-step loop with the
-// same cache and checks the discipline: it panics, naming the component,
-// when one the skipping kernel would leave idle on a cycle it steps has
-// work, or when a cached cycle is later than a fresh NextWork where the
-// skipping kernel would jump. The differential tests in internal/exp
-// and every fabric matrix run rigs on it and compare cycle-stamped
-// counters bit for bit.
+// NewShadow runs the always-step loop with the same cache and checks
+// the discipline: it panics, naming the component, when one the
+// skipping kernel would leave idle on a cycle it steps has work, or when
+// a cached cycle is later than a fresh NextWork where the skipping
+// kernel would jump.
+//
+// # Three fabrics
+//
+// A rig built on a Fabric runs on New (the serial kernel every result
+// comes from), NewShadow, or NewSharded (one shard per island, the
+// determinism witness). None takes a setting. The differential tests in
+// internal/exp and every simtest.FabricMatrix run a rig on all three
+// and compare cycle-stamped counters bit for bit.
 package sim

@@ -275,7 +275,8 @@ type Kernel struct {
 	opaque   int // registered tickers without NextWork
 	timers   timerHeap
 	nextSlot int32
-	extSub   int64 // insertion counter for code outside any component
+	extSub   int64  // insertion counter for code outside any component
+	ext      *int64 // the counter in use: &extSub, or a sharded fabric's
 	stopped  bool
 
 	// Current insertion context: which component's code is running.
@@ -307,33 +308,32 @@ type Kernel struct {
 // skipping enabled.
 func New() *Kernel {
 	k := &Kernel{curSlot: -1, curIdx: -1, pos: idle}
-	k.curSub = &k.extSub
+	k.ext = &k.extSub
+	k.curSub = k.ext
 	return k
 }
 
-// NewShadow returns a kernel running the always-step loop with the wake
-// checker armed — the reference for differential testing against the
-// skipping kernel (see SetSkipping).
-func NewShadow() *Kernel {
-	k := New()
-	k.noskip = true
-	return k
-}
-
-// SetSkipping enables or disables quiescence skipping. Results are
-// identical either way. Disabled, the kernel ticks every component on
-// every cycle but keeps the NextWork cache exactly as the skipping
-// kernel does, so RunUntil observes the same cycles, and it checks the
-// wake discipline, panicking with the component's slot and type when
+// NewShadow returns a kernel that runs the always-step loop with the
+// wake checker armed — the reference for differential testing against
+// the skipping kernel. Its results are identical to New's: it ticks
+// every component on every cycle but keeps the NextWork cache exactly
+// as the skipping kernel does, so RunUntil observes the same cycles,
+// and it checks the wake discipline, panicking with the component's
+// slot and type when
 //
 //   - on a cycle c the skipping kernel would step, a component it would
 //     leave idle has a fresh NextWork(c-1) <= c (its state changed and
 //     nobody woke it), or
 //   - where the skipping kernel would skip, a component's cached value
 //     is later than a fresh NextWork (the kernel would reach it late).
-func (k *Kernel) SetSkipping(on bool) { k.noskip = !on }
+func NewShadow() *Kernel {
+	k := New()
+	k.noskip = true
+	return k
+}
 
-// Skipping reports whether quiescence skipping is enabled.
+// Skipping reports whether quiescence skipping is enabled (false on a
+// shadow kernel).
 func (k *Kernel) Skipping() bool { return !k.noskip }
 
 // SkippedCycles returns the total cycles fast-forwarded so far.
@@ -459,7 +459,7 @@ func (k *Kernel) Step() {
 			k.curSlot, k.curIdx, k.curSub = e.slot, ev.idx, &e.sub
 			e.wake = c
 		case ev.slot < 0:
-			k.curSlot, k.curIdx, k.curSub = -1, -1, &k.extSub
+			k.curSlot, k.curIdx, k.curSub = -1, -1, k.ext
 			for i := range k.tickers {
 				k.tickers[i].wake = c
 			}
@@ -498,7 +498,7 @@ func (k *Kernel) Step() {
 		}
 	}
 	k.pos = idle
-	k.curSlot, k.curIdx, k.curSub = -1, -1, &k.extSub
+	k.curSlot, k.curIdx, k.curSub = -1, -1, k.ext
 	if k.noskip {
 		k.checkSkip()
 	}

@@ -220,25 +220,3 @@ func TestShadowMatchesSkipping(t *testing.T) {
 		t.Fatal("rig produced no events")
 	}
 }
-
-func TestSetSkippingToggle(t *testing.T) {
-	k := New()
-	if !k.Skipping() {
-		t.Fatal("skipping should default on")
-	}
-	k.SetSkipping(false)
-	p := &probe{next: dormant}
-	k.Register(p)
-	k.Run(20)
-	if k.SkippedCycles() != 0 || len(p.ticked) != 20 {
-		t.Fatalf("disabled skipping still skipped (%d ticks, %d skipped)", len(p.ticked), k.SkippedCycles())
-	}
-	k.SetSkipping(true)
-	k.Run(20)
-	if k.SkippedCycles() == 0 {
-		t.Fatal("re-enabled skipping did not skip")
-	}
-	if k.Now() != 40 {
-		t.Fatalf("ended at %d, want 40", k.Now())
-	}
-}

@@ -11,7 +11,6 @@ package sim
 type ByteRate struct {
 	num, den int64 // bytes per cycle = num/den
 	freeAt   int64 // first cycle at which the resource is idle
-	busy     int64 // total busy cycles accumulated (for utilization stats)
 }
 
 // NewByteRate returns a rate limiter delivering num/den bytes per cycle.
@@ -56,9 +55,7 @@ func (b *ByteRate) Reserve(now, n int64) int64 {
 	if b.freeAt > start {
 		start = b.freeAt
 	}
-	dur := b.CyclesFor(n)
-	b.freeAt = start + dur
-	b.busy += dur
+	b.freeAt = start + b.CyclesFor(n)
 	return b.freeAt
 }
 
@@ -75,9 +72,5 @@ func (b *ByteRate) Backlog(now int64) int64 {
 // moves later, except through Reset.
 func (b *ByteRate) FreeAt() int64 { return b.freeAt }
 
-// BusyCycles returns the total number of cycles the resource has been
-// reserved for since creation.
-func (b *ByteRate) BusyCycles() int64 { return b.busy }
-
-// Reset clears all reservations and accounting.
-func (b *ByteRate) Reset() { b.freeAt, b.busy = 0, 0 }
+// Reset clears all reservations.
+func (b *ByteRate) Reset() { b.freeAt = 0 }

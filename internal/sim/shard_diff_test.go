@@ -1,55 +1,45 @@
 package sim_test
 
 // The differential determinism battery: every experiment shape the repo
-// measures is run twice — once on the serial Kernel, once on a
-// ShardedKernel at several shard counts — and the numbers must agree to
-// the last bit. Together with conformance.TestShardMatrix (the chaos
-// leg) this is the evidence for the central claim in DESIGN.md: the
-// sharded kernel is an execution strategy, not a different simulator.
+// measures runs on each fabric of simtest.FabricMatrix — serial, shadow
+// and sharded — and the numbers must agree to the last bit. Together
+// with conformance.TestShardMatrix (the chaos leg) this is the evidence
+// for the central claim in DESIGN.md: the sharded kernel is an
+// execution strategy, not a different simulator.
 
 import (
 	"fmt"
-	"math"
+	"strings"
 	"testing"
 
 	"f4t/internal/apps"
 	"f4t/internal/cpu"
 	"f4t/internal/exp"
 	"f4t/internal/sim"
+	"f4t/internal/sim/simtest"
 	"f4t/internal/telemetry"
 )
-
-// shardCounts picks the sharded fabrics to diff against the serial
-// reference. 1 exercises the degenerate single-shard fabric path; 8
-// leaves most shards empty (both islands land on shards 0 and 1).
-func shardCounts(t *testing.T) []int {
-	if testing.Short() {
-		return []int{2}
-	}
-	return []int{1, 2, 4, 8}
-}
 
 // TestShardDiffEcho diffs the Figure 13 echo benchmark point (the
 // worst-case TCB locality pattern) across fabrics for every stack kind.
 func TestShardDiffEcho(t *testing.T) {
 	stacks := []string{"linux", "f4t-hbm", "f4t-ddr"}
 	if testing.Short() {
-		stacks = stacks[:2]
+		// The engine's shadow row costs minutes under -race; the engine
+		// runs sharded under -short in the transfer and telemetry tests.
+		stacks = stacks[:1]
 	}
 	const flows = 64
 	for _, stack := range stacks {
-		refMrps, refFrac := exp.EchoPointOn(sim.New(), stack, flows, nil)
-		if refFrac == 0 {
-			t.Fatalf("%s: no flows established on the serial reference", stack)
-		}
-		for _, n := range shardCounts(t) {
-			mrps, frac := exp.EchoPointOn(sim.NewSharded(n), stack, flows, nil)
-			if math.Float64bits(mrps) != math.Float64bits(refMrps) ||
-				math.Float64bits(frac) != math.Float64bits(refFrac) {
-				t.Errorf("%s/shards=%d: (%v, %v), serial (%v, %v)",
-					stack, n, mrps, frac, refMrps, refFrac)
-			}
-		}
+		t.Run(stack, func(t *testing.T) {
+			simtest.FabricMatrix(t, func(f sim.Fabric) string {
+				mrps, frac := exp.EchoPointOn(f, stack, flows, nil)
+				if frac == 0 {
+					t.Fatal("no flows established")
+				}
+				return fmt.Sprintf("%v Mrps, %v established", mrps, frac)
+			})
+		})
 	}
 }
 
@@ -69,18 +59,13 @@ func TestShardDiffTransfer(t *testing.T) {
 		cases = cases[:1]
 	}
 	for _, c := range cases {
-		name := fmt.Sprintf("%s/rr=%v", c.stack, c.roundRobin)
-		ref := exp.TransferPointOn(sim.New(), c.stack, c.roundRobin, c.reqSize, c.cores, nil)
-		if ref.GoodputGbps == 0 {
-			t.Fatalf("%s: serial reference moved no data", name)
-		}
-		for _, n := range shardCounts(t) {
-			got := exp.TransferPointOn(sim.NewSharded(n), c.stack, c.roundRobin, c.reqSize, c.cores, nil)
-			if math.Float64bits(got.GoodputGbps) != math.Float64bits(ref.GoodputGbps) ||
-				math.Float64bits(got.Mrps) != math.Float64bits(ref.Mrps) {
-				t.Errorf("%s/shards=%d: %+v, serial %+v", name, n, got, ref)
+		simtest.FabricMatrix(t, func(f sim.Fabric) string {
+			got := exp.TransferPointOn(f, c.stack, c.roundRobin, c.reqSize, c.cores, nil)
+			if got.GoodputGbps == 0 {
+				t.Fatalf("%s/rr=%v: moved no data", c.stack, c.roundRobin)
 			}
-		}
+			return fmt.Sprintf("%s/rr=%v: %v Gbps, %v Mrps", c.stack, c.roundRobin, got.GoodputGbps, got.Mrps)
+		})
 	}
 }
 
@@ -108,37 +93,22 @@ func instrumentedEcho(f sim.Fabric) [2][]*telemetry.Series {
 	return [2][]*telemetry.Series{sA.Series(), sB.Series()}
 }
 
-// TestShardDiffTelemetry holds each island's telemetry of a sharded rig
-// byte-identical to the serial rig's, series by series: same names in
-// the same order, same timestamps, same sampled values.
+// TestShardDiffTelemetry holds each island's telemetry byte-identical
+// across fabrics, series by series: same names in the same order, same
+// timestamps, same sampled values.
 func TestShardDiffTelemetry(t *testing.T) {
-	ref := instrumentedEcho(sim.New())
-	for isl := range ref {
-		if len(ref[isl]) == 0 {
-			t.Fatalf("island %d: serial reference produced no series", isl)
-		}
-	}
-	for _, n := range shardCounts(t) {
-		got := instrumentedEcho(sim.NewSharded(n))
-		for isl := range ref {
-			if len(got[isl]) != len(ref[isl]) {
-				t.Fatalf("shards=%d island %d: %d series, serial %d", n, isl, len(got[isl]), len(ref[isl]))
+	simtest.FabricMatrix(t, func(f sim.Fabric) string {
+		var b strings.Builder
+		for isl, series := range instrumentedEcho(f) {
+			if len(series) == 0 {
+				t.Fatalf("island %d produced no series", isl)
 			}
-			for i, rs := range ref[isl] {
-				gs := got[isl][i]
-				if gs.Name != rs.Name || len(gs.AtNS) != len(rs.AtNS) {
-					t.Fatalf("shards=%d island %d: series %d = %s (%d pts), serial %s (%d pts)",
-						n, isl, i, gs.Name, len(gs.AtNS), rs.Name, len(rs.AtNS))
-				}
-				for j := range rs.AtNS {
-					if gs.AtNS[j] != rs.AtNS[j] || gs.Val[j] != rs.Val[j] {
-						t.Fatalf("shards=%d: %s point %d = (%d, %d), serial (%d, %d)",
-							n, rs.Name, j, gs.AtNS[j], gs.Val[j], rs.AtNS[j], rs.Val[j])
-					}
-				}
+			for _, s := range series {
+				fmt.Fprintf(&b, "%d %s %v %v\n", isl, s.Name, s.AtNS, s.Val)
 			}
 		}
-	}
+		return b.String()
+	})
 }
 
 // dormantSleeper is a ticker with no work, so cycle skipping is free to
@@ -172,12 +142,11 @@ func TestRunUntilObservationGrid(t *testing.T) {
 	k.Register(dormantSleeper{})
 	runs["serial+skip"] = observationCycles(k)
 
-	k = sim.New()
+	k = sim.NewShadow()
 	k.Register(dormantSleeper{})
-	k.SetSkipping(false)
 	runs["serial+noskip"] = observationCycles(k)
 
-	sk := sim.NewSharded(2)
+	sk := sim.NewSharded()
 	sk.RegisterOn(0, dormantSleeper{})
 	sk.RegisterOn(1, dormantSleeper{})
 	runs["sharded"] = observationCycles(sk)

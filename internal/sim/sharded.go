@@ -5,76 +5,48 @@ import (
 	"sync"
 )
 
-// ShardedKernel runs one simulation across several shards, each a
+// ShardedKernel runs one simulation with one shard per island, each a
 // private serial Kernel driven on its own goroutine, using conservative
 // lookahead synchronization: all shards advance in lock-step windows no
-// longer than the minimum cross-shard latency, and cross-shard events
+// longer than the minimum cross-island latency, and cross-island events
 // (packet deliveries) are exchanged only at the barriers between
 // windows, through mailboxes ordered by the same deterministic timer
 // key the serial kernel uses.
 //
-// # Determinism argument
-//
-// The sharded run is bit-for-bit identical to a serial run of the same
-// rig because every source of ordering is goroutine-independent:
-//
-//  1. Components on different shards share no mutable state; the only
-//     cross-shard channel is a Mailbox obtained from CrossPost.
-//  2. Within a shard, components tick in global-slot order — the same
-//     relative order the serial kernel uses, since RegisterOn assigns
-//     slots from one fabric-wide counter in registration order.
-//  3. Every timer (local or cross-shard) carries the structured key
-//     (fireCycle, insertCycle, slot, sub) computed from its inserting
-//     component's own deterministic execution. Merging mailbox events
-//     into the destination shard's heap therefore reproduces exactly
-//     the interleaving a single global heap would have produced.
-//  4. A mailbox message posted during a window fires strictly after
-//     the window's end barrier (enforced; see Mailbox), so no shard
-//     can ever need an event another shard has not yet exchanged —
-//     the classic conservative-lookahead soundness condition.
-//
-// Quiescence skipping composes: each shard is a Kernel with its own
-// NextWork cache, re-asked as every window's Run begins, so it ticks
-// only its due components and an idle shard crosses a whole window in
-// one jump. A cross-shard delivery makes nothing due by itself; the
-// receiver it reaches wakes on its own shard.
+// The run is bit-for-bit identical to a serial run of the same rig
+// (DESIGN.md §11): components on different islands share no state but
+// a Mailbox; RegisterOn assigns slots from one fabric-wide counter, so
+// each shard ticks in serial order; every timer carries the key
+// (fireCycle, insertCycle, slot, sub), so merging mailboxes at the
+// barrier reproduces one global heap's order; and a mailbox refuses any
+// event inside the current window. Each shard keeps its own NextWork
+// cache, so an idle shard crosses a window in one jump.
 type ShardedKernel struct {
-	shards    []*Kernel
+	shards    []*Kernel // shards[i] drives island i
 	boxes     []*Mailbox
-	hooks     []func(now int64) // run at every barrier, in order
+	ext       int64 // insertion counter for code outside any component
 	lookahead int64
 	cycle     int64
 	nextSlot  int32
 	stopped   bool
 }
 
-// NewSharded returns a sharded kernel with n shards (n >= 1) positioned
-// at cycle 0. Until a cross-shard mailbox is created the lookahead is
-// unbounded and Run executes each shard's whole span in one window.
-func NewSharded(n int) *ShardedKernel {
-	if n < 1 {
-		panic("sim: NewSharded needs at least one shard")
-	}
-	sk := &ShardedKernel{lookahead: Dormant}
-	for i := 0; i < n; i++ {
-		sk.shards = append(sk.shards, New())
-	}
-	return sk
-}
+// NewSharded returns a sharded kernel positioned at cycle 0. Shards are
+// made as islands are named. Until a cross-island mailbox is created the
+// lookahead is unbounded and Run executes each shard's whole span in one
+// window.
+func NewSharded() *ShardedKernel { return &ShardedKernel{lookahead: Dormant} }
 
-// Shards returns the number of shards.
-func (sk *ShardedKernel) Shards() int { return len(sk.shards) }
-
-// Shard returns the i-th shard's kernel (for registering components and
-// reading per-shard stats). Island numbers map onto shards modulo the
-// shard count, so rigs with more islands than shards still run.
-func (sk *ShardedKernel) Shard(i int) *Kernel { return sk.shards[i%len(sk.shards)] }
-
-// SetSkipping toggles quiescence skipping on every shard.
-func (sk *ShardedKernel) SetSkipping(on bool) {
-	for _, k := range sk.shards {
-		k.SetSkipping(on)
+// shard returns island i's kernel, creating it (and any lower-numbered
+// island's) at the barrier cycle on first use.
+func (sk *ShardedKernel) shard(i int) *Kernel {
+	for len(sk.shards) <= i {
+		k := New()
+		k.cycle = sk.cycle
+		k.ext, k.curSub = &sk.ext, &sk.ext
+		sk.shards = append(sk.shards, k)
 	}
+	return sk.shards[i]
 }
 
 // SkippedCycles sums the cycles fast-forwarded across all shards.
@@ -93,25 +65,13 @@ func (sk *ShardedKernel) Now() int64 { return sk.cycle }
 // NowNS returns the barrier time in nanoseconds.
 func (sk *ShardedKernel) NowNS() int64 { return sk.cycle * CycleNS }
 
-// Lookahead returns the synchronization window: the minimum declared
-// cross-shard latency, or Dormant when no cross-shard link exists.
-func (sk *ShardedKernel) Lookahead() int64 { return sk.lookahead }
-
-// AtBarrier registers fn to run at every barrier (window end), on the
-// coordinating goroutine, after mailboxes have been exchanged. Barrier
-// hooks are the sharded analogue of coarse polling timers: they may
-// read any shard's state, because all shards are parked.
-func (sk *ShardedKernel) AtBarrier(fn func(now int64)) {
-	sk.hooks = append(sk.hooks, fn)
-}
-
 // Stop requests that Run return at the next barrier.
 func (sk *ShardedKernel) Stop() { sk.stopped = true }
 
 // --- Fabric implementation ---
 
 // IslandKernel implements Fabric.
-func (sk *ShardedKernel) IslandKernel(island int) *Kernel { return sk.Shard(island) }
+func (sk *ShardedKernel) IslandKernel(island int) *Kernel { return sk.shard(island) }
 
 // RegisterOn implements Fabric: the component is registered on the
 // island's shard under a fabric-global slot number, so its timers order
@@ -119,17 +79,17 @@ func (sk *ShardedKernel) IslandKernel(island int) *Kernel { return sk.Shard(isla
 func (sk *ShardedKernel) RegisterOn(island int, t Ticker) {
 	slot := sk.nextSlot
 	sk.nextSlot++
-	sk.Shard(island).RegisterSlot(t, slot)
+	sk.shard(island).RegisterSlot(t, slot)
 }
 
-// CrossPost implements Fabric. Same-shard islands short-circuit to the
-// shard's own timer heap; distinct shards get a Mailbox, and the
+// CrossPost implements Fabric. An island posting to itself uses its
+// shard's own timer heap; distinct islands get a Mailbox, and the
 // fabric's lookahead shrinks to the smallest declared latency.
 func (sk *ShardedKernel) CrossPost(src, dst int, minLatency int64) Poster {
 	if minLatency < 1 {
 		panic("sim: CrossPost needs a positive minimum latency")
 	}
-	sks, skd := sk.Shard(src), sk.Shard(dst)
+	sks, skd := sk.shard(src), sk.shard(dst)
 	if sks == skd {
 		return sks
 	}
@@ -180,6 +140,15 @@ func (sk *ShardedKernel) window(end int64) {
 	for _, m := range sk.boxes {
 		m.horizon = target
 	}
+	// Between windows, code outside any component stamps its timers
+	// from one counter on every shard, as on one serial kernel. Inside a
+	// window each shard counts its own from that value, and the barrier
+	// resumes above all of them, so a post made there sorts after the
+	// window's own from the same cycle, as it does serially.
+	for _, k := range sk.shards {
+		k.extSub = sk.ext
+		k.ext, k.curSub = &k.extSub, &k.extSub
+	}
 	live := 0
 	for _, k := range sk.shards {
 		if len(k.tickers) == 0 && len(k.timers) == 0 {
@@ -212,11 +181,12 @@ func (sk *ShardedKernel) window(end int64) {
 		wg.Wait()
 	}
 	sk.cycle = target
+	for _, k := range sk.shards {
+		sk.ext = max(sk.ext, k.extSub)
+		k.ext, k.curSub = &sk.ext, &sk.ext
+	}
 	for _, m := range sk.boxes {
 		m.flush()
-	}
-	for _, h := range sk.hooks {
-		h(sk.cycle)
 	}
 }
 

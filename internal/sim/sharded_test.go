@@ -59,42 +59,28 @@ func buildRelayRig(f Fabric, lat int64, hops int) (*relay, *relay) {
 }
 
 // TestShardedMatchesSerial checks the tentpole property on the relay
-// rig: per-island event logs are identical across serial and sharded
-// execution, with and without cycle skipping, for several shard counts.
+// rig: per-island event logs are identical on the serial, shadow and
+// sharded fabrics.
 func TestShardedMatchesSerial(t *testing.T) {
 	const lat, hops, span = 7, 40, 1000
 
-	run := func(f Fabric, skip bool) (alog, blog []string, now int64) {
+	run := func(f Fabric) (alog, blog []string, now int64) {
 		a, b := buildRelayRig(f, lat, hops)
-		switch k := f.(type) {
-		case *Kernel:
-			k.SetSkipping(skip)
-		case *ShardedKernel:
-			k.SetSkipping(skip)
-		}
 		f.Run(span)
 		return a.log, b.log, f.Now()
 	}
 
-	refA, refB, refNow := run(New(), false)
+	refA, refB, refNow := run(New())
 	if len(refA) == 0 || len(refB) == 0 {
 		t.Fatalf("reference run saw no traffic: A=%d B=%d", len(refA), len(refB))
 	}
-
-	for _, skip := range []bool{false, true} {
-		for _, shards := range []int{1, 2, 4, 8} {
-			name := fmt.Sprintf("shards=%d skip=%v", shards, skip)
-			gotA, gotB, gotNow := run(NewSharded(shards), skip)
-			if gotNow != refNow {
-				t.Errorf("%s: end cycle %d, want %d", name, gotNow, refNow)
-			}
-			diffLogs(t, name+" islandA", gotA, refA)
-			diffLogs(t, name+" islandB", gotB, refB)
+	for name, f := range map[string]Fabric{"shadow": NewShadow(), "sharded": NewSharded()} {
+		gotA, gotB, gotNow := run(f)
+		if gotNow != refNow {
+			t.Errorf("%s: end cycle %d, want %d", name, gotNow, refNow)
 		}
-		// Serial with skipping must also match serial without.
-		gotA, gotB, _ := run(New(), skip)
-		diffLogs(t, fmt.Sprintf("serial skip=%v islandA", skip), gotA, refA)
-		diffLogs(t, fmt.Sprintf("serial skip=%v islandB", skip), gotB, refB)
+		diffLogs(t, name+" islandA", gotA, refA)
+		diffLogs(t, name+" islandB", gotB, refB)
 	}
 }
 
@@ -122,39 +108,44 @@ func diffLogs(t *testing.T, name string, got, want []string) {
 // slot numbers in registration order regardless of island, so timer
 // tie-breaks match a serial run with the same construction sequence.
 func TestShardedGlobalSlots(t *testing.T) {
-	sk := NewSharded(2)
+	sk := NewSharded()
 	mk := func() Ticker { return TickerFunc(func(int64) {}) }
 	sk.RegisterOn(0, mk())
 	sk.RegisterOn(1, mk())
 	sk.RegisterOn(0, mk())
-	if got := sk.Shard(0).tickers[0].slot; got != 0 {
+	if got := sk.shard(0).tickers[0].slot; got != 0 {
 		t.Errorf("island0 first ticker slot = %d, want 0", got)
 	}
-	if got := sk.Shard(1).tickers[0].slot; got != 1 {
+	if got := sk.shard(1).tickers[0].slot; got != 1 {
 		t.Errorf("island1 first ticker slot = %d, want 1", got)
 	}
-	if got := sk.Shard(0).tickers[1].slot; got != 2 {
+	if got := sk.shard(0).tickers[1].slot; got != 2 {
 		t.Errorf("island0 second ticker slot = %d, want 2", got)
 	}
 }
 
-// TestShardedEmptyShardsFastPath: shards with no tickers, timers, or
-// wake hints advance to the barrier without work.
+// TestShardedEmptyShardsFastPath: naming island i makes shards 0..i,
+// each its own kernel; shards with no tickers or timers advance to the
+// barrier without work, and a shard made after a run starts there.
 func TestShardedEmptyShardsFastPath(t *testing.T) {
-	sk := NewSharded(4)
+	sk := NewSharded()
 	var ticks int64
 	sk.RegisterOn(0, TickerFunc(func(int64) { ticks++ }))
+	if k3 := sk.IslandKernel(3); k3 == sk.IslandKernel(0) || len(sk.shards) != 4 {
+		t.Fatalf("island 3 made %d shards, want 4 distinct", len(sk.shards))
+	}
 	sk.Run(1000)
-	if ticks != 1000 {
-		t.Errorf("island0 ticked %d times, want 1000", ticks)
+	if k := sk.IslandKernel(5); k.Now() != 1000 {
+		t.Errorf("shard made at barrier 1000 starts at cycle %d", k.Now())
 	}
-	for i := 0; i < 4; i++ {
-		if got := sk.Shard(i).Now(); got != 1000 {
-			t.Errorf("shard %d at cycle %d, want 1000", i, got)
+	sk.Run(1000)
+	if ticks != 2000 {
+		t.Errorf("island0 ticked %d times, want 2000", ticks)
+	}
+	for i, k := range sk.shards {
+		if got := k.Now(); got != 2000 {
+			t.Errorf("shard %d at cycle %d, want 2000", i, got)
 		}
-	}
-	if sk.Now() != 1000 {
-		t.Errorf("barrier cycle %d, want 1000", sk.Now())
 	}
 }
 
@@ -162,13 +153,10 @@ func TestShardedEmptyShardsFastPath(t *testing.T) {
 // predicate is only observed at barriers, so RunUntil overshoots to the
 // next multiple of the window.
 func TestShardedRunUntilBarrierGrid(t *testing.T) {
-	sk := NewSharded(2)
+	sk := NewSharded()
 	sk.RegisterOn(0, TickerFunc(func(int64) {}))
 	sk.RegisterOn(1, TickerFunc(func(int64) {}))
 	sk.CrossPost(0, 1, 10)
-	if got := sk.Lookahead(); got != 10 {
-		t.Fatalf("lookahead = %d, want 10", got)
-	}
 	ok := sk.RunUntil(func() bool { return sk.Now() >= 25 }, 1000)
 	if !ok {
 		t.Fatal("RunUntil did not satisfy predicate")
@@ -178,23 +166,40 @@ func TestShardedRunUntilBarrierGrid(t *testing.T) {
 	}
 }
 
-// TestShardedAtBarrierHooks: hooks fire once per window, in order, on
-// the coordinating goroutine, after the barrier cycle is reached.
-func TestShardedAtBarrierHooks(t *testing.T) {
-	sk := NewSharded(2)
-	sk.RegisterOn(0, TickerFunc(func(int64) {}))
-	sk.RegisterOn(1, TickerFunc(func(int64) {}))
-	sk.CrossPost(0, 1, 25)
-	var seen []int64
-	sk.AtBarrier(func(now int64) { seen = append(seen, now) })
-	sk.Run(100)
-	want := []int64{25, 50, 75, 100}
-	if len(seen) != len(want) {
-		t.Fatalf("hook fired at %v, want %v", seen, want)
+// TestShardedOutsidePostsOrderAsSerial: timers posted by code outside
+// any component on two islands, due on a third in the same cycle, fire
+// in posting order on every fabric, as one serial kernel's counter
+// orders them — also when posted at a barrier after a window ran.
+func TestShardedOutsidePostsOrderAsSerial(t *testing.T) {
+	run := func(f Fabric) string {
+		var log []string
+		p0, p1 := f.CrossPost(0, 2, 10), f.CrossPost(1, 2, 10)
+		f.RegisterOn(2, TickerFunc(func(int64) {}))
+		post := func(at int64) {
+			for i := 0; i < 3; i++ {
+				i := i
+				p1.At(at, func() { log = append(log, fmt.Sprintf("b%d@%d", i, at)) })
+				p0.At(at, func() { log = append(log, fmt.Sprintf("a%d@%d", i, at)) })
+			}
+		}
+		post(20)
+		// A timer from outside any component runs at cycle 15, inside
+		// the window that ends there, and posts before the barrier does.
+		f.IslandKernel(0).At(15, func() {
+			for i := 0; i < 3; i++ {
+				i := i
+				p0.At(40, func() { log = append(log, fmt.Sprintf("c%d@40", i)) })
+			}
+		})
+		f.Run(15)
+		post(40)
+		f.Run(100)
+		return fmt.Sprint(log)
 	}
-	for i := range want {
-		if seen[i] != want[i] {
-			t.Fatalf("hook fired at %v, want %v", seen, want)
+	want := run(New())
+	for name, f := range map[string]Fabric{"shadow": NewShadow(), "sharded": NewSharded()} {
+		if got := run(f); got != want {
+			t.Errorf("%s: %s, serial %s", name, got, want)
 		}
 	}
 }
@@ -203,7 +208,7 @@ func TestShardedAtBarrierHooks(t *testing.T) {
 // inside the current window means the declared minimum latency was
 // wrong; the mailbox must refuse loudly rather than lose determinism.
 func TestShardedLookaheadViolationPanics(t *testing.T) {
-	sk := NewSharded(2)
+	sk := NewSharded()
 	post := sk.CrossPost(0, 1, 10)
 	liar := TickerFunc(func(now int64) {
 		if now == 3 {
@@ -221,17 +226,17 @@ func TestShardedLookaheadViolationPanics(t *testing.T) {
 	sk.Run(100)
 }
 
-// TestShardedStop: Stop from a barrier hook halts at that barrier.
+// TestShardedStop: Stop from inside a window halts at that window's
+// barrier.
 func TestShardedStop(t *testing.T) {
-	sk := NewSharded(2)
-	sk.RegisterOn(0, TickerFunc(func(int64) {}))
-	sk.RegisterOn(1, TickerFunc(func(int64) {}))
+	sk := NewSharded()
 	sk.CrossPost(0, 1, 10)
-	sk.AtBarrier(func(now int64) {
-		if now >= 30 {
+	// Island 1 stays empty so the window runs inline on this goroutine.
+	sk.RegisterOn(0, TickerFunc(func(now int64) {
+		if now == 25 {
 			sk.Stop()
 		}
-	})
+	}))
 	sk.Run(1000)
 	if sk.Now() != 30 {
 		t.Errorf("stopped at %d, want 30", sk.Now())

@@ -165,6 +165,9 @@ func TestKernelInstrumentAddsUp(t *testing.T) {
 			return fn()
 		}
 		steps := v("sim.stepped_cycles")
+		if !k.Skipping() && steps != 1000 {
+			t.Errorf("shadow kernel stepped %d of 1000 cycles", steps)
+		}
 		if steps+v("sim.skipped_cycles") != 1000 {
 			t.Errorf("skip=%v: %d stepped + %d skipped != 1000 cycles", k.Skipping(), steps, v("sim.skipped_cycles"))
 		}

@@ -12,9 +12,9 @@ import (
 )
 
 type rig struct {
-	k        *sim.Kernel
-	ea, eb   *engine.Engine
-	la, lb   *Lib
+	k      *sim.Kernel
+	ea, eb *engine.Engine
+	la, lb *Lib
 }
 
 func newRig(t testing.TB, channels int) *rig {

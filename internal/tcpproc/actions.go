@@ -113,7 +113,7 @@ func DefaultConfig() Config {
 	return Config{
 		MSS:         1460,
 		RcvBuf:      512 * 1024,
-		WndScale:    5, // up to 2 MB advertised
+		WndScale:    5,           // up to 2 MB advertised
 		InitialRTO:  10_000_000,  // 10 ms
 		MinRTO:      5_000_000,   // 5 ms (datacenter-tuned)
 		MaxRTO:      500_000_000, // 500 ms

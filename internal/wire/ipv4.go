@@ -24,7 +24,7 @@ const DefaultTTL = 64
 // computing the header checksum, and returns IPv4HeaderLen.
 func EncodeIPv4(b []byte, h *IPv4Header) int {
 	_ = b[IPv4HeaderLen-1]
-	b[0] = 0x45 // version 4, IHL 5
+	b[0] = 0x45        // version 4, IHL 5
 	b[1] = h.ECN & 0x3 // DSCP zero + ECN codepoint
 	binary.BigEndian.PutUint16(b[2:], h.TotalLen)
 	binary.BigEndian.PutUint16(b[4:], h.ID)
