@@ -275,8 +275,7 @@ type Kernel struct {
 	opaque   int // registered tickers without NextWork
 	timers   timerHeap
 	nextSlot int32
-	extSub   int64  // insertion counter for code outside any component
-	ext      *int64 // the counter in use: &extSub, or a sharded fabric's
+	extSub   int64 // insertion counter for code outside any component
 	stopped  bool
 
 	// Current insertion context: which component's code is running.
@@ -308,8 +307,7 @@ type Kernel struct {
 // skipping enabled.
 func New() *Kernel {
 	k := &Kernel{curSlot: -1, curIdx: -1, pos: idle}
-	k.ext = &k.extSub
-	k.curSub = k.ext
+	k.curSub = &k.extSub
 	return k
 }
 
@@ -459,7 +457,7 @@ func (k *Kernel) Step() {
 			k.curSlot, k.curIdx, k.curSub = e.slot, ev.idx, &e.sub
 			e.wake = c
 		case ev.slot < 0:
-			k.curSlot, k.curIdx, k.curSub = -1, -1, k.ext
+			k.curSlot, k.curIdx, k.curSub = -1, -1, &k.extSub
 			for i := range k.tickers {
 				k.tickers[i].wake = c
 			}
@@ -498,7 +496,7 @@ func (k *Kernel) Step() {
 		}
 	}
 	k.pos = idle
-	k.curSlot, k.curIdx, k.curSub = -1, -1, k.ext
+	k.curSlot, k.curIdx, k.curSub = -1, -1, &k.extSub
 	if k.noskip {
 		k.checkSkip()
 	}

@@ -1,14 +1,16 @@
 package sim_test
 
 // The differential determinism battery: every experiment shape the repo
-// measures runs on each fabric of simtest.FabricMatrix — serial, shadow
-// and sharded — and the numbers must agree to the last bit. Together
+// measures runs on the serial and the sharded fabric, most of them on
+// every row of simtest.FabricMatrix, and the numbers must agree to the
+// last bit. Together
 // with conformance.TestShardMatrix (the chaos leg) this is the evidence
 // for the central claim in DESIGN.md: the sharded kernel is an
 // execution strategy, not a different simulator.
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -21,25 +23,26 @@ import (
 )
 
 // TestShardDiffEcho diffs the Figure 13 echo benchmark point (the
-// worst-case TCB locality pattern) across fabrics for every stack kind.
+// worst-case TCB locality pattern) between the serial and the sharded
+// fabric for every stack kind. It skips the shadow row, which costs
+// minutes under -race; exp's TestSkipDifferentialEcho and
+// TestWakeDiscipline run the echo rigs on the shadow kernel.
 func TestShardDiffEcho(t *testing.T) {
 	stacks := []string{"linux", "f4t-hbm", "f4t-ddr"}
 	if testing.Short() {
-		// The engine's shadow row costs minutes under -race; the engine
-		// runs sharded under -short in the transfer and telemetry tests.
-		stacks = stacks[:1]
+		stacks = stacks[:2]
 	}
 	const flows = 64
 	for _, stack := range stacks {
-		t.Run(stack, func(t *testing.T) {
-			simtest.FabricMatrix(t, func(f sim.Fabric) string {
-				mrps, frac := exp.EchoPointOn(f, stack, flows, nil)
-				if frac == 0 {
-					t.Fatal("no flows established")
-				}
-				return fmt.Sprintf("%v Mrps, %v established", mrps, frac)
-			})
-		})
+		refMrps, refFrac := exp.EchoPointOn(sim.New(), stack, flows, nil)
+		if refFrac == 0 {
+			t.Fatalf("%s: no flows established on the serial reference", stack)
+		}
+		mrps, frac := exp.EchoPointOn(sim.NewSharded(), stack, flows, nil)
+		if math.Float64bits(mrps) != math.Float64bits(refMrps) ||
+			math.Float64bits(frac) != math.Float64bits(refFrac) {
+			t.Errorf("%s: sharded (%v, %v), serial (%v, %v)", stack, mrps, frac, refMrps, refFrac)
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 )
 
 // ShardedKernel runs one simulation with one shard per island, each a
@@ -28,7 +29,7 @@ type ShardedKernel struct {
 	lookahead int64
 	cycle     int64
 	nextSlot  int32
-	stopped   bool
+	stopped   atomic.Bool
 }
 
 // NewSharded returns a sharded kernel positioned at cycle 0. Shards are
@@ -43,7 +44,7 @@ func (sk *ShardedKernel) shard(i int) *Kernel {
 	for len(sk.shards) <= i {
 		k := New()
 		k.cycle = sk.cycle
-		k.ext, k.curSub = &sk.ext, &sk.ext
+		k.curSub = &sk.ext
 		sk.shards = append(sk.shards, k)
 	}
 	return sk.shards[i]
@@ -65,8 +66,9 @@ func (sk *ShardedKernel) Now() int64 { return sk.cycle }
 // NowNS returns the barrier time in nanoseconds.
 func (sk *ShardedKernel) NowNS() int64 { return sk.cycle * CycleNS }
 
-// Stop requests that Run return at the next barrier.
-func (sk *ShardedKernel) Stop() { sk.stopped = true }
+// Stop requests that Run return at the next barrier. A component on any
+// shard may call it mid-window; the other shards finish the window.
+func (sk *ShardedKernel) Stop() { sk.stopped.Store(true) }
 
 // --- Fabric implementation ---
 
@@ -103,9 +105,9 @@ func (sk *ShardedKernel) CrossPost(src, dst int, minLatency int64) Poster {
 
 // Run advances all shards by n cycles in lookahead-bounded windows.
 func (sk *ShardedKernel) Run(n int64) {
-	sk.stopped = false
+	sk.stopped.Store(false)
 	end := sk.cycle + n
-	for sk.cycle < end && !sk.stopped {
+	for sk.cycle < end && !sk.stopped.Load() {
 		sk.window(end)
 	}
 }
@@ -117,9 +119,9 @@ func (sk *ShardedKernel) Run(n int64) {
 // that must observe identical cycles on serial and sharded fabrics
 // should poll on a fixed cycle grid instead (exp.RunUntilCoarse).
 func (sk *ShardedKernel) RunUntil(pred func() bool, budget int64) bool {
-	sk.stopped = false
+	sk.stopped.Store(false)
 	end := sk.cycle + budget
-	for sk.cycle < end && !sk.stopped {
+	for sk.cycle < end && !sk.stopped.Load() {
 		if pred() {
 			return true
 		}
@@ -147,7 +149,7 @@ func (sk *ShardedKernel) window(end int64) {
 	// window's own from the same cycle, as it does serially.
 	for _, k := range sk.shards {
 		k.extSub = sk.ext
-		k.ext, k.curSub = &k.extSub, &k.extSub
+		k.curSub = &k.extSub
 	}
 	live := 0
 	for _, k := range sk.shards {
@@ -183,7 +185,7 @@ func (sk *ShardedKernel) window(end int64) {
 	sk.cycle = target
 	for _, k := range sk.shards {
 		sk.ext = max(sk.ext, k.extSub)
-		k.ext, k.curSub = &sk.ext, &sk.ext
+		k.curSub = &sk.ext
 	}
 	for _, m := range sk.boxes {
 		m.flush()

@@ -226,12 +226,13 @@ func TestShardedLookaheadViolationPanics(t *testing.T) {
 	sk.Run(100)
 }
 
-// TestShardedStop: Stop from inside a window halts at that window's
-// barrier.
+// TestShardedStop: Stop from a component inside a window halts at that
+// window's barrier. Both islands are busy, so the shards run on their
+// own goroutines and -race checks the call.
 func TestShardedStop(t *testing.T) {
 	sk := NewSharded()
 	sk.CrossPost(0, 1, 10)
-	// Island 1 stays empty so the window runs inline on this goroutine.
+	sk.RegisterOn(1, TickerFunc(func(int64) {}))
 	sk.RegisterOn(0, TickerFunc(func(now int64) {
 		if now == 25 {
 			sk.Stop()
