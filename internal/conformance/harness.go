@@ -240,9 +240,7 @@ func (h *runner) pumpSend(tc *testConn, dir int, ph *Phase) {
 
 func (h *runner) pumpRecv(tc *testConn, dir int) {
 	rcv := tc.receiver(dir)
-	// Touching the stream API before ESTABLISHED would anchor the app
-	// pointers before the handshake has fixed the peer's ISN.
-	if rcv == nil || !rcv.Established() {
+	if rcv == nil {
 		return
 	}
 	for rcv.Available() > 0 {

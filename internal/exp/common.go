@@ -148,11 +148,6 @@ type LinuxPair struct {
 	MachA, MachB *host.LinuxMachine
 }
 
-// NewLinuxPair builds the baseline two-node testbed on a serial kernel.
-func NewLinuxPair(coresA, coresB int, costs cpu.Costs) *LinuxPair {
-	return NewLinuxPairOn(sim.New(), coresA, coresB, costs)
-}
-
 // NewLinuxPairOn builds the baseline testbed on any fabric: the same
 // link and islands as NewF4TPairOn with a host.LinuxMachine per node.
 func NewLinuxPairOn(f sim.Fabric, coresA, coresB int, costs cpu.Costs) *LinuxPair {

@@ -23,8 +23,8 @@ func fairnessSig(f sim.Fabric, algs []string, aqm netsim.AQMConfig, seed uint64)
 }
 
 // TestFairnessShardDifferential is the fabric battery for the
-// heterogeneous-CC dumbbell: BBR vs CUBIC through the shared trunk,
-// across seeds.
+// heterogeneous-CC dumbbell: BBR, CUBIC and DCTCP (so ECN end to end)
+// through the shared trunk, across seeds.
 func TestFairnessShardDifferential(t *testing.T) {
 	seeds := []uint64{0, 1}
 	if testing.Short() {
@@ -33,7 +33,7 @@ func TestFairnessShardDifferential(t *testing.T) {
 	for _, seed := range seeds {
 		seed := seed
 		simtest.FabricMatrix(t, func(f sim.Fabric) string {
-			return fmt.Sprintf("seed %d: %s", seed, fairnessSig(f, []string{"bbr", "cubic"}, netsim.CoDel(0, true), seed))
+			return fmt.Sprintf("seed %d: %s", seed, fairnessSig(f, []string{"bbr", "cubic", "dctcp"}, netsim.CoDel(0, true), seed))
 		})
 	}
 }

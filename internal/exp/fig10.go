@@ -35,12 +35,12 @@ const (
 	nginxPort        = 80
 )
 
-// nginxRig is the §5.2 testbed on kernel k before any client app runs:
+// nginxRig is the §5.2 testbed on fabric f before any client app runs:
 // the HTTP server (128 B requests, 256 B responses) listening on
-// stackKind with serverCores, past its first 2 000 cycles, and the wrk
-// machine's threads. Exactly one of f4t and linux is set.
+// stackKind with serverCores on island B, past its first 2 000 cycles,
+// and the wrk machine's threads on island A. Exactly one of f4t and
+// linux is set.
 type nginxRig struct {
-	k             *sim.Kernel
 	srv           *apps.HTTPServer
 	serverPool    *cpu.Pool
 	clientThreads []host.Thread
@@ -48,19 +48,19 @@ type nginxRig struct {
 	linux         *LinuxPair
 }
 
-func newNginxRig(k *sim.Kernel, stackKind string, serverCores int, costs cpu.Costs) *nginxRig {
-	r := &nginxRig{k: k}
+func newNginxRig(f sim.Fabric, stackKind string, serverCores int, costs cpu.Costs) *nginxRig {
+	r := &nginxRig{}
 	var serverThreads []host.Thread
 	switch stackKind {
 	case "linux":
-		p := NewLinuxPairOn(k, nginxClientCores, serverCores, costs)
+		p := NewLinuxPairOn(f, nginxClientCores, serverCores, costs)
 		r.linux = p
 		serverThreads, r.serverPool, r.clientThreads = p.MachB.Threads(), p.MachB.Pool(), p.MachA.Threads()
 	case "f4t":
 		// Server on F4T; client machine remains a wrk box. Model the
 		// client as an F4T host too so its 16 cores never bottleneck
 		// (the paper's client load generation was not the limiter).
-		p := NewF4TPairOn(k, nginxClientCores, serverCores, costs, func(c *engine.Config) {
+		p := NewF4TPairOn(f, nginxClientCores, serverCores, costs, func(c *engine.Config) {
 			c.CarryBytes = false
 		})
 		r.f4t = p
@@ -69,8 +69,8 @@ func newNginxRig(k *sim.Kernel, stackKind string, serverCores int, costs cpu.Cos
 		panic("exp: unknown stack " + stackKind)
 	}
 	r.srv = apps.NewHTTPServer(serverThreads, nginxPort, 128, 256, costs)
-	r.k.Register(r.srv)
-	r.k.Run(2_000)
+	f.RegisterOn(IslandB, r.srv)
+	f.Run(2_000)
 	return r
 }
 

@@ -60,8 +60,7 @@ func TestScenarioRigsShardIdentical(t *testing.T) {
 				math.Float64bits(r.BulkGbps), r.EchoP50, r.EchoP99, r.Port)
 		}},
 		{"wan", func(f sim.Fabric) string {
-			senders := []WANSpec{{RouterIdx: 0, PropNS: 600}, {RouterIdx: 2, PropNS: 25_000}}
-			r := WANPointOn(f, senders, netsim.DropTail(0), "cubic", nil, topoDiffWarmup, topoDiffMeasure)
+			r := WANPointOn(f, DefaultWANSenders(), netsim.DropTail(0), "cubic", nil, topoDiffWarmup, topoDiffMeasure)
 			sig := fmt.Sprintf("jain=%x port=%+v", math.Float64bits(r.Jain), r.Port)
 			for _, g := range r.SenderGbps {
 				sig += fmt.Sprintf(" %x", math.Float64bits(g))

@@ -54,7 +54,6 @@
 //
 // A rig built on a Fabric runs on New (the serial kernel every result
 // comes from), NewShadow, or NewSharded (one shard per island, the
-// determinism witness). None takes a setting. The differential tests in
-// internal/exp and every simtest.FabricMatrix run a rig on all three
-// and compare cycle-stamped counters bit for bit.
+// determinism witness). None takes a setting. Every simtest.FabricMatrix
+// runs a rig on all three and compares its digest bit for bit.
 package sim

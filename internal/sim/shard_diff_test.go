@@ -1,11 +1,10 @@
 package sim_test
 
-// The differential determinism battery: every experiment shape the repo
-// measures runs on the serial and the sharded fabric, most of them on
-// every row of simtest.FabricMatrix, and the numbers must agree to the
-// last bit. Together
-// with conformance.TestShardMatrix (the chaos leg) this is the evidence
-// for the central claim in DESIGN.md: the sharded kernel is an
+// The experiment points on every fabric: each runs through
+// simtest.FabricMatrix (the echo point on serial and sharded only), and
+// the numbers must agree to the last bit. With exp.TestRigFamilies (the
+// app rigs) and conformance.TestShardMatrix (the chaos leg) this is the
+// evidence for the central claim in DESIGN.md: the sharded kernel is an
 // execution strategy, not a different simulator.
 
 import (
@@ -25,8 +24,8 @@ import (
 // TestShardDiffEcho diffs the Figure 13 echo benchmark point (the
 // worst-case TCB locality pattern) between the serial and the sharded
 // fabric for every stack kind. It skips the shadow row, which costs
-// minutes under -race; exp's TestSkipDifferentialEcho and
-// TestWakeDiscipline run the echo rigs on the shadow kernel.
+// minutes under -race; exp.TestRigFamilies runs the F4T echo rigs through
+// the whole FabricMatrix.
 func TestShardDiffEcho(t *testing.T) {
 	stacks := []string{"linux", "f4t-hbm", "f4t-ddr"}
 	if testing.Short() {

@@ -2,6 +2,8 @@
 package simtest
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"f4t/internal/sim"
@@ -14,18 +16,57 @@ import (
 // serial one. run must build its whole rig on the fabric it is handed
 // and fold everything it wants compared into the returned string. The
 // serial digest is returned.
-func FabricMatrix(t *testing.T, run func(sim.Fabric) string) string {
+//
+// A mismatch names the first differing line of the two digests and
+// prints both; a rig that logs one line per sampled window, stamped with
+// its cycle, is thereby told the window it diverged in. A panic on a row
+// (the shadow kernel's wake checker panics, naming the component) is
+// reported under that row's name; a panic on the serial row ends the
+// test, since nothing is left to compare against. A panic inside a
+// shard's goroutine cannot be recovered here and still ends the binary.
+func FabricMatrix(t testing.TB, run func(sim.Fabric) string) string {
 	t.Helper()
-	want := run(sim.New())
+	want, panicked := runRow(run, sim.New())
+	if panicked != nil {
+		t.Fatalf("serial panicked: %v", panicked)
+	}
 	for _, row := range []struct {
 		name string
 		f    sim.Fabric
 	}{{"shadow", sim.NewShadow()}, {"sharded", sim.NewSharded()}} {
-		if got := run(row.f); got != want {
-			t.Errorf("%s diverged from serial\n got %s\nwant %s", row.name, got, want)
+		got, panicked := runRow(run, row.f)
+		switch {
+		case panicked != nil:
+			t.Errorf("%s panicked: %v", row.name, panicked)
+		case got != want:
+			t.Errorf("%s diverged from serial %s", row.name, firstDiff(got, want))
 		}
 	}
 	return want
+}
+
+// runRow runs one row and recovers its panic, if any. A t.Fatal inside
+// run is a runtime.Goexit, not a panic, and passes through.
+func runRow(run func(sim.Fabric) string, f sim.Fabric) (digest string, panicked any) {
+	defer func() { panicked = recover() }()
+	return run(f), nil
+}
+
+// firstDiff says where got and want part: the first differing line
+// (numbered from 1) with both texts, or the first line only one of
+// them has.
+func firstDiff(got, want string) string {
+	g, w := strings.Split(got, "\n"), strings.Split(want, "\n")
+	n := min(len(g), len(w))
+	for i := 0; i < n; i++ {
+		if g[i] != w[i] {
+			return fmt.Sprintf("at line %d:\n got %s\nwant %s", i+1, g[i], w[i])
+		}
+	}
+	if len(g) > n {
+		return fmt.Sprintf("at line %d: got %d lines, want %d; extra: %s", n+1, len(g), len(w), g[n])
+	}
+	return fmt.Sprintf("at line %d: got %d lines, want %d; missing: %s", n+1, len(g), len(w), w[n])
 }
 
 // Probe is a bound component (sim.Wakeable) for wake tests: each cycle

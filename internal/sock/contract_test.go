@@ -129,12 +129,16 @@ func (r *rig) until(what string, pred func() bool) {
 	r.t.Fatalf("timed out waiting for %s", what)
 }
 
-// connect dials A→B and returns both ends once established.
+// connect dials A→B and returns both ends once established. Before the
+// handshake the dialer's stream holds nothing and accepts nothing.
 func (r *rig) connect() (cli, srv sock.Conn) {
 	r.t.Helper()
 	cli = r.a.Dial(addrB, 80)
 	if cli == nil {
 		r.t.Fatal("dial refused on an idle host")
+	}
+	if n, space, sent := cli.Available(), cli.SendSpace(), cli.Send([]byte("early")); n != 0 || space != 0 || sent != 0 {
+		r.t.Fatalf("before the handshake: Available %d, SendSpace %d, Send accepted %d; want 0, 0, 0", n, space, sent)
 	}
 	want := len(r.acc) + 1
 	r.until("handshake", func() bool { return cli.Established() && len(r.acc) == want })
@@ -227,6 +231,17 @@ func TestContract(t *testing.T) {
 			}
 			if srv.LocalPort() != 80 {
 				t.Fatalf("acceptor LocalPort = %d", srv.LocalPort())
+			}
+
+			// The stream the dialer probed before the handshake starts at
+			// the peer's first byte.
+			greeting := []byte("220 contract greeting ready")
+			if srv.Send(greeting) != len(greeting) {
+				t.Fatal("acceptor cannot send its greeting")
+			}
+			r.until("greeting delivery", func() bool { return cli.Available() == len(greeting) })
+			if buf, n := cli.Recv(64); n != len(greeting) || !bytes.Equal(buf, greeting) {
+				t.Fatalf("greeting = %q", buf[:n])
 			}
 
 			// Send past SendSpace: a short write of exactly the free

@@ -34,7 +34,6 @@ type Conn struct {
 	readPtr     seqnum.Value // next received byte the app will consume
 	ID          flow.ID      // here among the 4-byte words, no padding: with tcb, Conn is 448 B (448 B size class)
 	handle      flow.ID      // drawn from its Host's queue at Dial or adoption
-	ptrsInit    bool
 	closeCalled bool
 
 	passive bool
@@ -92,27 +91,21 @@ func (c *Conn) Remote() (wire.Addr, uint16) {
 // SendCap returns the send-buffer capacity.
 func (c *Conn) SendCap() int { return int(c.ep.Opt.Cfg.RcvBuf) }
 
-// initPtrs lazily anchors the app byte-stream pointers once the handshake
-// has fixed both ISNs.
-func (c *Conn) initPtrs() {
-	if c.ptrsInit {
-		return
-	}
-	c.writePtr = c.tcb.ISS.Add(1)
-	c.readPtr = c.tcb.IRS.Add(1)
-	if c.ackedTo == 0 {
-		c.ackedTo = c.writePtr
-	}
-	if c.deliveredTo == 0 {
-		c.deliveredTo = c.readPtr
-	}
-	c.ptrsInit = true
+// anchor fixes the app byte-stream pointers on both ISNs. The endpoint
+// calls it once, at the first NoteEstablished: tcpproc notes no acked or
+// delivered byte before that, so no boundary has moved yet. Until then
+// the stream holds nothing and accepts nothing, as softstack.Socket's.
+func (c *Conn) anchor() {
+	c.writePtr, c.ackedTo = c.tcb.ISS.Add(1), c.tcb.ISS.Add(1)
+	c.readPtr, c.deliveredTo = c.tcb.IRS.Add(1), c.tcb.IRS.Add(1)
 }
 
 // SendSpace returns the free send-buffer bytes: a send() larger than this
 // blocks (blocking sockets) or short-writes (non-blocking), §4.1.1.
 func (c *Conn) SendSpace() int {
-	c.initPtrs()
+	if !c.established {
+		return 0
+	}
 	used := int(c.writePtr.DistanceFrom(c.ackedTo))
 	space := c.SendCap() - used
 	if space < 0 {
@@ -134,7 +127,6 @@ func (c *Conn) send(n int, data []byte) int {
 	if c.freed || c.closeCalled {
 		return 0
 	}
-	c.initPtrs()
 	space := c.SendSpace()
 	if n > space {
 		n = space
@@ -162,7 +154,6 @@ func (c *Conn) rxRing() *datapath.Ring {
 
 // Available returns the in-order received bytes not yet consumed.
 func (c *Conn) Available() int {
-	c.initPtrs()
 	return int(c.deliveredTo.DistanceFrom(c.readPtr))
 }
 
@@ -171,7 +162,6 @@ func (c *Conn) Available() int {
 // application-read pointer, which reopens the advertised window via a
 // user event — recv() goes to hardware in F4T (§4.2.1).
 func (c *Conn) Recv(max int) ([]byte, int) {
-	c.initPtrs()
 	n := c.Available()
 	if n > max {
 		n = max
@@ -197,10 +187,10 @@ func (c *Conn) Recv(max int) ([]byte, int) {
 // anchored).
 
 // WritePtr returns the next send byte the app will queue.
-func (c *Conn) WritePtr() seqnum.Value { c.initPtrs(); return c.writePtr }
+func (c *Conn) WritePtr() seqnum.Value { return c.writePtr }
 
 // ReadPtr returns the next received byte the app will consume.
-func (c *Conn) ReadPtr() seqnum.Value { c.initPtrs(); return c.readPtr }
+func (c *Conn) ReadPtr() seqnum.Value { return c.readPtr }
 
 // ReadAt copies delivered bytes starting at ptr into buf without
 // consuming them (the consume is PostRecv). The caller must keep

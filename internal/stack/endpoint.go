@@ -232,6 +232,9 @@ func (e *Endpoint) applyNote(c *Conn, n *tcpproc.Note) {
 	switch n.Kind {
 	case tcpproc.NoteEstablished:
 		first := !c.established
+		if first {
+			c.anchor()
+		}
 		c.established = true
 		// Passive connections announce themselves to the listener the
 		// first time (the accept callback may adopt the connection onto a

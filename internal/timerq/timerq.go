@@ -12,8 +12,8 @@
 // entry cascades through at most numLevels-1 refits over its lifetime.
 // It replaced a lazy-deletion min-heap whose O(log n) churn and
 // container/heap boxing dominated timer cost at high flow counts; the
-// heap survives as the in-package reference oracle (heapref.go) for the
-// differential property tests.
+// heap survives as the in-package reference oracle (heapref_test.go)
+// for the differential property tests.
 package timerq
 
 import (
