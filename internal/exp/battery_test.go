@@ -19,9 +19,11 @@ import (
 // simtest.FabricMatrix — the skipping serial kernel, the shadow kernel
 // (which checks the wake discipline on every cycle and panics on a
 // missed wake, naming the component) and the sharded fabric — and its
-// sampled counter log must match line for line. The families whose
-// rigs have a battery of their own (conformance, churn, the topology
-// rigs, fairness, the facade) are not repeated here.
+// sampled counter log must match line for line. The TestSkipDifferential
+// tests carry the sampled workloads and the skip floors;
+// TestWakeDiscipline carries the families no sampled workload reaches.
+// The families whose rigs have a battery of their own (conformance,
+// churn, the topology rigs, fairness, the facade) are not repeated here.
 
 // sampleWindow is the battery's observation grid: each family logs one
 // line per window, stamped with its cycle, so a divergence report names
@@ -117,11 +119,11 @@ func transfer(t *testing.T, f sim.Fabric, src int, a []host.Thread, dst int, b [
 }
 
 // f4tTransfer is transfer on an F4T pair with cores per host; mutate
-// adjusts both engines and setup the built pair (faults, AQM).
-func f4tTransfer(t *testing.T, f sim.Fabric, cores int, roundRobin bool, mutate func(*engine.Config), setup func(*F4TPair)) string {
+// adjusts both engines and setup the built pair's link (faults, AQM).
+func f4tTransfer(t *testing.T, f sim.Fabric, cores int, roundRobin bool, mutate func(*engine.Config), setup func(*netsim.Link)) string {
 	p := NewF4TPairOn(f, cores, cores, cpu.DefaultCosts(), mutate)
 	if setup != nil {
-		setup(p)
+		setup(p.Link)
 	}
 	return transfer(t, f, IslandA, p.MachA.Threads(), IslandB, p.MachB.Threads(), roundRobin, 500_000, 200_000, f4tLayer(p))
 }
@@ -150,12 +152,12 @@ func echoRow(t *testing.T, f sim.Fabric) string {
 }
 
 // nginx is the §5.2 web family: wrk's 64 keepalive flows from 16 client
-// cores against the two-core HTTP server, on either substrate. It covers
-// Wrk's ready set and HTTPServer's service queues.
-func nginx(stackKind string) func(*testing.T, sim.Fabric) string {
+// cores against an HTTP server on serverCores cores, on either
+// substrate. It covers Wrk's ready set and HTTPServer's service queues.
+func nginx(stackKind string, serverCores int) func(*testing.T, sim.Fabric) string {
 	return func(t *testing.T, f sim.Fabric) string {
 		costs := cpu.DefaultCosts()
-		r := newNginxRig(f, stackKind, 2, costs)
+		r := newNginxRig(f, stackKind, serverCores, costs)
 		wrk := apps.NewWrk(f.IslandKernel(IslandA), r.clientThreads, 0, nginxPort, 128, 256, nginxPerThread(64), costs)
 		f.RegisterOn(IslandA, wrk)
 		layer := linuxLayer(r.linux)
@@ -173,103 +175,122 @@ func nginx(stackKind string) func(*testing.T, sim.Fabric) string {
 	}
 }
 
-// skipsAtLeast is a floor on the serial row's skipped share of cycles.
-func skipsAtLeast(pct int64) func(*testing.T, *sim.Kernel) {
-	return func(t *testing.T, k *sim.Kernel) {
-		if skipped, ran := k.SkippedCycles(), k.Now(); 100*skipped < pct*ran {
-			t.Errorf("serial row skipped %d of %d cycles, want >= %d%%", skipped, ran, pct)
+// family runs a rig family once through simtest.FabricMatrix. Its
+// serial row must skip some cycles, and at least minSkipPct % of them.
+func family(t *testing.T, minSkipPct int64, run func(*testing.T, sim.Fabric) string) {
+	var serial *sim.Kernel
+	simtest.FabricMatrix(t, func(f sim.Fabric) string {
+		if serial == nil {
+			serial = f.(*sim.Kernel) // FabricMatrix runs the serial row first
 		}
+		return run(t, f)
+	})
+	skipped, ran := serial.SkippedCycles(), serial.Now()
+	t.Logf("serial row skipped %d of %d cycles (%.1f %%)", skipped, ran, 100*float64(skipped)/float64(ran))
+	if skipped == 0 || 100*skipped < minSkipPct*ran {
+		t.Errorf("serial row skipped %d of %d cycles, want > 0 and >= %d%%", skipped, ran, minSkipPct)
 	}
 }
 
-func skipsSome(t *testing.T, k *sim.Kernel) {
-	if k.SkippedCycles() == 0 {
-		t.Error("serial row never skipped")
-	}
+// lossyAtoB puts the faulty pairs' loss and reordering (up to 2 µs) on
+// the A→B link.
+func lossyAtoB(l *netsim.Link) {
+	l.AtoB.SetFaults(netsim.Faults{LossProb: 0.01, ReorderProb: 0.02, ReorderNS: 2_000})
 }
 
-// rigFamilies is the battery's table. floor, when set, reads the serial
-// row's kernel after the matrix.
-var rigFamilies = []struct {
-	name  string
-	run   func(*testing.T, sim.Fabric) string
-	floor func(*testing.T, *sim.Kernel)
-}{
-	// Fig 8a bulk. The saturated sender sleeps through its FPCs' TX
-	// backpressure and its full command-fetch pipeline: the serial row
-	// skips 48 % of its cycles (101 654 of 212 000).
-	{"f4t-bulk", func(t *testing.T, f sim.Fabric) string { return f4tTransfer(t, f, 2, false, nil, nil) }, skipsAtLeast(40)},
-	// Bulk over a lossy, reordering A→B link: loss recovery and
-	// retransmission timers.
-	{"f4t-bulk-faults", func(t *testing.T, f sim.Fabric) string {
-		return f4tTransfer(t, f, 2, false, nil, func(p *F4TPair) {
-			p.Link.AtoB.SetFaults(netsim.Faults{LossProb: 0.01, ReorderProb: 0.02, ReorderNS: 2_000})
+// Fig 8a bulk. The saturated sender sleeps through its FPCs' TX
+// backpressure and its full command-fetch pipeline: the serial row
+// skips 48 % of its cycles (101 654 of 212 000).
+func TestSkipDifferentialF4TBulk(t *testing.T) {
+	family(t, 40, func(t *testing.T, f sim.Fabric) string { return f4tTransfer(t, f, 2, false, nil, nil) })
+}
+
+// Low-locality round-robin senders with loss both ways and reordering.
+func TestSkipDifferentialRoundRobinFaults(t *testing.T) {
+	family(t, 0, func(t *testing.T, f sim.Fabric) string {
+		return f4tTransfer(t, f, 2, true, nil, func(l *netsim.Link) {
+			lossyAtoB(l)
+			l.BtoA.SetFaults(netsim.Faults{LossProb: 0.005})
 		})
-	}, nil},
-	// Low-locality round-robin senders with loss both ways and reordering.
-	{"f4t-rr-faults", func(t *testing.T, f sim.Fabric) string {
-		return f4tTransfer(t, f, 2, true, nil, func(p *F4TPair) {
-			p.Link.AtoB.SetFaults(netsim.Faults{LossProb: 0.01, ReorderProb: 0.02, ReorderNS: 2_000})
-			p.Link.BtoA.SetFaults(netsim.Faults{LossProb: 0.005})
-		})
-	}, nil},
-	// DCTCP with ECN marking at the link: marks, ECE echoes and window
-	// modulation must all land on identical cycles.
-	{"f4t-dctcp", func(t *testing.T, f sim.Fabric) string {
+	})
+}
+
+// Fig 13's ping-pong: mostly idle RTT waits, the skipping kernel's
+// showcase (81 % skipped, 334 370 of 412 000). Under half skipped means
+// quiescence detection regressed.
+func TestSkipDifferentialEcho(t *testing.T) { family(t, 50, echoRow) }
+
+// DCTCP with ECN marking at the link: marks, ECE echoes and window
+// modulation must all land on identical cycles.
+func TestSkipDifferentialDCTCP(t *testing.T) {
+	family(t, 0, func(t *testing.T, f sim.Fabric) string {
 		return f4tTransfer(t, f, 1, false, func(c *engine.Config) {
 			c.Alg = "dctcp"
 			c.Proto.ECN = true
-		}, func(p *F4TPair) { p.Link.AtoB.SetAQM(netsim.ECNThreshold(1_000, 0)) })
-	}, nil},
-	// The software-stack baseline: LinuxMachine's NextWork (RSS queues,
-	// stack timers) and the jittered CPU paths.
-	{"linux-bulk", func(t *testing.T, f sim.Fabric) string {
-		p := NewLinuxPairOn(f, 2, 2, cpu.DefaultCosts())
-		return transfer(t, f, IslandA, p.MachA.Threads(), IslandB, p.MachB.Threads(), false, 300_000, 150_000, linuxLayer(p))
-	}, nil},
-	// Fig 13's ping-pong: mostly idle RTT waits, the skipping kernel's
-	// showcase (81 % skipped, 334 370 of 412 000). Under half skipped
-	// means quiescence detection regressed.
-	{"f4t-echo", echoRow, skipsAtLeast(50)},
-	// 128 flows over 32 DDR slots: every round trip swaps.
-	{"echo-swap", func(t *testing.T, f sim.Fabric) string {
-		p, log := f4tEcho(f, func(c *engine.Config) {
-			c.Memory = memmgr.DDR
-			c.CarryBytes = false
-			c.NumFPCs, c.SlotsPerFPC = 2, 16
-		}, 64, 2_000_000, 200_000)
-		if p.EngA.Scheduler().SwapIns.Total() == 0 {
-			t.Error("no swap-ins: the rig does not exercise the swap path")
-		}
-		return log
-	}, nil},
-	{"nginx-f4t", nginx("f4t"), skipsSome},
-	{"nginx-linux", nginx("linux"), skipsSome},
-	// RoundRobinSender through a router star.
-	{"star-rr", func(t *testing.T, f sim.Fabric) string {
-		r := NewF4TStarOn(f, []int{1, 2}, cpu.DefaultCosts(), netsim.DropTail(0), nil)
-		return transfer(t, f, 1, r.Machs[1].Threads(), 0, r.Machs[0].Threads(), true, 500_000, 200_000, func() string {
-			return fmt.Sprintf("tx=%d rx=%d", r.Engines[1].TxPkts.Total(), r.Engines[0].RxPkts.Total())
-		})
-	}, nil},
+		}, func(l *netsim.Link) { l.AtoB.SetAQM(netsim.ECNThreshold(1_000, 0)) })
+	})
 }
 
-func TestRigFamilies(t *testing.T) {
-	for _, fam := range rigFamilies {
-		t.Run(fam.name, func(t *testing.T) {
-			var serial *sim.Kernel
-			simtest.FabricMatrix(t, func(f sim.Fabric) string {
-				if serial == nil {
-					serial = f.(*sim.Kernel) // FabricMatrix runs the serial row first
-				}
-				return fam.run(t, f)
-			})
-			t.Logf("serial row skipped %d of %d cycles (%.1f %%)", serial.SkippedCycles(), serial.Now(),
-				100*float64(serial.SkippedCycles())/float64(serial.Now()))
-			if fam.floor != nil {
-				fam.floor(t, serial)
+// The software-stack baseline: LinuxMachine's NextWork (RSS queues,
+// stack timers) and the jittered CPU paths.
+func TestSkipDifferentialLinuxBulk(t *testing.T) {
+	family(t, 0, func(t *testing.T, f sim.Fabric) string { return linuxTransfer(t, f, false) })
+}
+
+// The web rig against a one-core server, on both stacks.
+func TestSkipDifferentialNginx(t *testing.T) {
+	t.Run("f4t", func(t *testing.T) { family(t, 0, nginx("f4t", 1)) })
+	t.Run("linux", func(t *testing.T) { family(t, 0, nginx("linux", 1)) })
+}
+
+// linuxTransfer is transfer's bulk flow on a Linux pair, over a lossy
+// A→B link when lossy is set.
+func linuxTransfer(t *testing.T, f sim.Fabric, lossy bool) string {
+	p := NewLinuxPairOn(f, 2, 2, cpu.DefaultCosts())
+	if lossy {
+		lossyAtoB(p.Link)
+	}
+	return transfer(t, f, IslandA, p.MachA.Threads(), IslandB, p.MachB.Threads(), false, 300_000, 150_000, linuxLayer(p))
+}
+
+// TestWakeDiscipline holds the families that no sampled workload above
+// reaches: fault recovery on either stack, a two-core web server, the
+// swap path and the router star.
+func TestWakeDiscipline(t *testing.T) {
+	for _, row := range []struct {
+		name string
+		run  func(*testing.T, sim.Fabric) string
+	}{
+		// Bulk over the lossy, reordering link: loss recovery and
+		// retransmission timers, on either stack.
+		{"pair-bulk-f4t", func(t *testing.T, f sim.Fabric) string { return f4tTransfer(t, f, 2, false, nil, lossyAtoB) }},
+		{"pair-bulk-linux", func(t *testing.T, f sim.Fabric) string { return linuxTransfer(t, f, true) }},
+		// Round-robin senders with faults on the data path only.
+		{"pair-rr-f4t", func(t *testing.T, f sim.Fabric) string { return f4tTransfer(t, f, 2, true, nil, lossyAtoB) }},
+		// The web rig against the two-core server.
+		{"nginx-f4t", nginx("f4t", 2)},
+		{"nginx-linux", nginx("linux", 2)},
+		// 128 flows over 32 DDR slots: every round trip swaps.
+		{"echo-swap", func(t *testing.T, f sim.Fabric) string {
+			p, log := f4tEcho(f, func(c *engine.Config) {
+				c.Memory = memmgr.DDR
+				c.CarryBytes = false
+				c.NumFPCs, c.SlotsPerFPC = 2, 16
+			}, 64, 2_000_000, 200_000)
+			if p.EngA.Scheduler().SwapIns.Total() == 0 {
+				t.Error("no swap-ins: the rig does not exercise the swap path")
 			}
-		})
+			return log
+		}},
+		// RoundRobinSender through a router star.
+		{"core-star-rr", func(t *testing.T, f sim.Fabric) string {
+			r := NewF4TStarOn(f, []int{1, 2}, cpu.DefaultCosts(), netsim.DropTail(0), nil)
+			return transfer(t, f, 1, r.Machs[1].Threads(), 0, r.Machs[0].Threads(), true, 500_000, 200_000, func() string {
+				return fmt.Sprintf("tx=%d rx=%d", r.Engines[1].TxPkts.Total(), r.Engines[0].RxPkts.Total())
+			})
+		}},
+	} {
+		t.Run(row.name, func(t *testing.T) { family(t, 0, row.run) })
 	}
 }
 

@@ -15,9 +15,9 @@ import (
 // a component the skipping kernel would leave idle may not have work,
 // and no cached NextWork may be later than a fresh one where the
 // skipping kernel would jump (see sim.NewShadow). Every rig family runs
-// on it as a row of its fabric battery (TestRigFamilies and the rig
-// batteries it names); the tests below break a wake on purpose and
-// require the checker to catch it, naming the component.
+// on it as a row of its fabric battery (see battery_test.go); the tests
+// below break a wake on purpose and require the checker to catch it,
+// naming the component.
 
 // shadowRun runs fn on a fresh shadow kernel and returns the checker's
 // panic, if any.

@@ -2,10 +2,10 @@ package sim_test
 
 // The experiment points on every fabric: each runs through
 // simtest.FabricMatrix (the echo point on serial and sharded only), and
-// the numbers must agree to the last bit. With exp.TestRigFamilies (the
-// app rigs) and conformance.TestShardMatrix (the chaos leg) this is the
-// evidence for the central claim in DESIGN.md: the sharded kernel is an
-// execution strategy, not a different simulator.
+// the numbers must agree to the last bit. With exp's rig-family
+// battery (the app rigs) and conformance.TestShardMatrix (the chaos
+// leg) this is the evidence for the central claim in DESIGN.md: the
+// sharded kernel is an execution strategy, not a different simulator.
 
 import (
 	"fmt"
@@ -24,8 +24,8 @@ import (
 // TestShardDiffEcho diffs the Figure 13 echo benchmark point (the
 // worst-case TCB locality pattern) between the serial and the sharded
 // fabric for every stack kind. It skips the shadow row, which costs
-// minutes under -race; exp.TestRigFamilies runs the F4T echo rigs through
-// the whole FabricMatrix.
+// minutes under -race; exp's rig-family battery runs the F4T echo rigs
+// through the whole FabricMatrix.
 func TestShardDiffEcho(t *testing.T) {
 	stacks := []string{"linux", "f4t-hbm", "f4t-ddr"}
 	if testing.Short() {
